@@ -22,6 +22,17 @@ from .polytope import build_polytope, build_q, face_lattice
 JOBS_ENV = "COXGLUE_JOBS"
 
 
+class EnvSettingError(ValueError):
+    """An environment variable holds a value the command cannot use."""
+
+
+def _jobs() -> int:
+    raw = os.environ.get(JOBS_ENV, "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise EnvSettingError(f"{JOBS_ENV}={raw!r} is not a positive integer")
+    return int(raw)
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True, indent=1))
@@ -111,8 +122,8 @@ def cmd_constants(args) -> int:
 
 
 def _homology_payload(mid: int | None, arr: pg.EightPPairing,
-                      with_complex: bool) -> dict:
-    cx = hm.build_quotient_complex(arr)
+                      with_complex: bool, proven_proper: bool = False) -> dict:
+    cx = hm.build_quotient_complex(arr, check_proper=not proven_proper)
     groups = hm.homology_groups(cx)
     secs = hm.cusp_sections(cx)
     payload = {
@@ -152,7 +163,7 @@ def certify_one(mid: int) -> dict:
     rec = tables.manifold_record(mid)
     arr = pg.published_pairing(mid)
     cert = vf.certify_manifold(arr, rec.code)
-    hom = _homology_payload(mid, arr, False)
+    hom = _homology_payload(mid, arr, False, proven_proper=cert.proper.proper)
     expected_extension = "certified" if mid in (1, 3, 4, 5, 6) else "inconclusive"
     checks = {
         "develops_to_code": cert.code == rec.code,
@@ -259,8 +270,8 @@ def _report_static_items() -> dict[str, bool]:
 
 
 def cmd_report(args) -> int:
+    jobs = _jobs()
     items = _report_static_items()
-    jobs = int(os.environ.get(JOBS_ENV, "1"))
     mids = list(range(1, 10))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -353,7 +364,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="machine-readable output")
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EnvSettingError as exc:
+        print(f"coxglue {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,10 @@ Cells of the glued manifold are orbits of the eight copies' cells under
 the side-pairing identifications; orientations are transported through
 the exact isometries (powers of the order-8 symmetry), and boundary
 matrices are assembled with signs from exact determinants.
+
+Homology reduces the whole complex along its +-1 incidences, which
+leaves about 90 of a gluing's 8,891 cells, and takes a dense Smith
+normal form of each residual degree; cusp sections likewise.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .lorentz import (
     primitive,
 )
 from .pairing import EightPPairing, standard_context
-from .smith import invariant_factors
+from .smith import eliminate_units, invariant_factors
 from .verify import (
     TransportUnionFind,
     _exp_compose,
@@ -418,48 +422,37 @@ class HomologyGroups:
         return " + ".join(parts) if parts else "0"
 
 
-def _matrix_ranks_factors(
-    mat: dict[tuple[int, int], int] | None,
-    rows: Sequence[int],
-    cols: Sequence[int],
-) -> tuple[int, tuple[int, ...]]:
-    if not mat:
-        return 0, ()
-    rindex = {r: i for i, r in enumerate(rows)}
-    cindex = {c: i for i, c in enumerate(cols)}
-    sparse = {(rindex[r], cindex[c]): v for (r, c), v in mat.items()}
-    factors = invariant_factors(sparse, (len(rows), len(cols)))
-    torsion = tuple(f for f in factors if f not in (0, 1))
-    return len(factors), torsion
-
-
 def homology_groups(cx: QuotientCellComplex,
                     cell_subset: set[int] | None = None) -> list[HomologyGroups]:
-    """Integral homology per degree, from Smith normal forms of the
-    boundary matrices (optionally of a full subcomplex)."""
-    dims = sorted(cx.by_dim)
-    top = max(dims)
-    cells_at = {}
-    for d in range(top + 1):
-        ix = cx.by_dim.get(d, [])
-        if cell_subset is not None:
-            ix = [i for i in ix if i in cell_subset]
-        cells_at[d] = ix
-    rank_at: dict[int, int] = {}
-    torsion_at: dict[int, tuple[int, ...]] = {}
+    """Integral homology per degree 0..top (optionally of a full
+    subcomplex): `eliminate_units` on the whole complex, then
+    `invariant_factors` of each residual degree."""
+    top = max(cx.by_dim)
+    bd: dict[int, dict[int, int]] = {
+        c: {} for ix in cx.by_dim.values() for c in ix
+        if cell_subset is None or c in cell_subset}
+    for mat in cx.boundaries.values():
+        for (r, c), v in mat.items():
+            if c in bd and r in bd:
+                bd[c][r] = v
+    eliminate_units(bd)
+    cells_at: dict[int, list[int]] = {d: [] for d in range(top + 1)}
+    for c in sorted(bd):
+        cells_at[cx.cells[c].dim].append(c)
+    factors = {}
     for d in range(1, top + 1):
-        mat = cx.boundaries.get(d, {})
-        if cell_subset is not None:
-            mat = {(r, c): v for (r, c), v in mat.items()
-                   if r in cell_subset and c in cell_subset}
-        rank_at[d], torsion_at[d] = _matrix_ranks_factors(
-            mat, cells_at[d - 1], cells_at[d])
+        rindex = {r: i for i, r in enumerate(cells_at[d - 1])}
+        sparse = {(rindex[r], j): v for j, c in enumerate(cells_at[d])
+                  for r, v in bd[c].items()}
+        factors[d] = invariant_factors(
+            sparse, (len(cells_at[d - 1]), len(cells_at[d])))
     out = []
     for d in range(top + 1):
-        betti = len(cells_at[d]) - rank_at.get(d, 0) - rank_at.get(d + 1, 0)
+        above = factors.get(d + 1, ())
+        betti = len(cells_at[d]) - len(factors.get(d, ())) - len(above)
         if betti < 0:
             raise ComplexError("negative Betti number")
-        out.append(HomologyGroups(betti, torsion_at.get(d + 1, ())))
+        out.append(HomologyGroups(betti, tuple(f for f in above if f != 1)))
     return out
 
 

@@ -649,7 +649,8 @@ def search_pairings(
     assignments are pruned through the vertex and edge cycle conditions
     (orbit caps, transport holonomy, and early-closure detection).
     Completed arrays are confirmed with the full properness checker.
-    Exhausting the node or time budget is reported, never an error.
+    Exhausting the node or time budget is reported, never an error; a
+    search that completes without a solution is reported infeasible.
     """
     import time as _time
 
@@ -692,7 +693,7 @@ def search_pairings(
         return True, written
 
     deadline = None if time_budget_s is None else _time.monotonic() + time_budget_s
-    state = {"nodes": 0, "exhausted": False, "infeasible": False}
+    state = {"nodes": 0, "exhausted": False}
     solutions: dict[tuple, EightPPairing] = {}
 
     mark0 = cyc.mark()
@@ -760,14 +761,14 @@ def search_pairings(
                 cyc.rollback(mark)
         return True
 
-    finished = dfs()
+    complete = dfs() and not state["exhausted"]
     cyc.rollback(mark0)
     return SearchResult(
         tuple(solutions[key] for key in sorted(solutions)),
         state["nodes"],
         state["exhausted"],
-        state["infeasible"],
-        finished and not state["exhausted"],
+        complete and not solutions,
+        complete,
     )
 
 

@@ -1,9 +1,10 @@
 """Smith normal form over the integers.
 
-Two entry points: `smith_normal_form` keeps the unimodular transforms and
-suits small dense matrices; `invariant_factors` drops the transforms and
-runs a sparse elimination pass (greedy +-1 pivots, Markowitz-style fill
-control) before handing the small remaining core to the dense routine.
+`eliminate_units` reduces a sparse chain complex along its +-1
+incidences; homology runs it on the whole complex and finishes the
+small residue, which has no unit entries, with the dense
+`smith_normal_form` (with unimodular transforms; also the reference the
+tests use).  `invariant_factors` does the same for one matrix.
 All arithmetic is on Python ints, so entry growth is harmless.
 """
 
@@ -174,6 +175,58 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
+def eliminate_units(bd: dict[int, dict[int, int]]) -> int:
+    """Reduce a chain complex in place along its +-1 incidences.
+
+    `bd` maps every cell to its boundary {face: coefficient}, and every
+    face is a key too.  Cells are taken shortest boundary first; a cell
+    b pairs with its +-1 face a of fewest cofaces.  The Schur update
+    clears a from the other cofaces of a, then b leaves the boundaries
+    of its cofaces and a its own.  Homology is unchanged; on return `bd`
+    holds the residue, which has no +-1 entry.  Returns the pair count.
+    """
+    cobd: dict[int, dict[int, int]] = {c: {} for c in bd}
+    for b, faces in bd.items():
+        for a, v in faces.items():
+            cobd[a][b] = v
+    heap = [(len(faces), b) for b, faces in bd.items() if faces]
+    heapq.heapify(heap)
+    pairs = 0
+    while heap:
+        size, b = heapq.heappop(heap)
+        faces = bd.get(b)
+        if faces is None or len(faces) != size:
+            continue  # stale: the cell left or its boundary changed
+        a = min((x for x, v in faces.items() if v == 1 or v == -1),
+                key=lambda x: len(cobd[x]), default=None)
+        if a is None:
+            continue  # re-enters the heap if its boundary ever changes
+        u = faces[a]
+        for b2, c in list(cobd[a].items()):
+            if b2 == b:
+                continue
+            f = -c * u  # c + f * u == 0 as u * u == 1: a leaves row b2
+            row = bd[b2]
+            for a2, v in faces.items():
+                x = row.get(a2, 0) + f * v
+                if x:
+                    row[a2] = cobd[a2][b2] = x
+                else:
+                    del row[a2], cobd[a2][b2]
+            heapq.heappush(heap, (len(row), b2))
+        for a2 in bd.pop(b):
+            del cobd[a2][b]
+        for e in cobd.pop(b):
+            row = bd[e]
+            del row[b]
+            heapq.heappush(heap, (len(row), e))
+        for a2 in bd.pop(a):
+            del cobd[a2][a]
+        del cobd[a]
+        pairs += 1
+    return pairs
+
+
 def invariant_factors(
     entries: Mapping[tuple[int, int], int] | Sequence[Sequence[int]],
     shape: tuple[int, int] | None = None,
@@ -181,93 +234,27 @@ def invariant_factors(
     """Invariant factors (nonzero SNF diagonal) without transforms.
 
     Accepts a dense row list or a sparse {(row, col): value} mapping with
-    an explicit shape.
+    an explicit shape.  The matrix is reduced by `eliminate_units` as a
+    two-term complex, and its residue by `smith_normal_form`.
     """
     if isinstance(entries, Mapping):
         if shape is None:
             raise ValueError("sparse input needs an explicit shape")
-        items = {k: int(val) for k, val in entries.items() if val}
+        items = entries.items()
     else:
-        items = {}
-        for i, row in enumerate(entries):
-            for j, val in enumerate(row):
-                if val:
-                    items[(i, j)] = int(val)
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, dict[int, int]] = {}
-    for (i, j), val in items.items():
-        rows.setdefault(i, {})[j] = val
-        cols.setdefault(j, {})[i] = val
-
-    def drop(i: int, j: int) -> None:
-        del rows[i][j]
-        if not rows[i]:
-            del rows[i]
-        del cols[j][i]
-        if not cols[j]:
-            del cols[j]
-
-    def set_entry(i: int, j: int, val: int) -> None:
+        items = (((i, j), val) for i, row in enumerate(entries)
+                 for j, val in enumerate(row))
+    # column j is cell j, row i is cell ~i (negative, so they never meet)
+    bd: dict[int, dict[int, int]] = {}
+    for (i, j), val in items:
         if val:
-            rows.setdefault(i, {})[j] = val
-            cols.setdefault(j, {})[i] = val
-        elif i in rows and j in rows[i]:
-            drop(i, j)
-
-    units = 0
-    # eliminate +-1 pivots greedily: shortest rows first (lazy heap),
-    # breaking ties inside a row by least column degree
-    heap: list[tuple[int, int]] = [(len(r), i) for i, r in rows.items()]
-    heapq.heapify(heap)
-    while heap:
-        rlen, pi = heapq.heappop(heap)
-        row = rows.get(pi)
-        if row is None or len(row) != rlen:
-            continue
-        pj = None
-        best_deg = None
-        for j, val in row.items():
-            if val in (1, -1):
-                deg = len(cols[j])
-                if best_deg is None or deg < best_deg:
-                    pj, best_deg = j, deg
-        if pj is None:
-            continue  # re-enters the heap if the row is ever modified
-        pval = row[pj]
-        prow = dict(row)
-        pcol = dict(cols[pj])
-        touched = []
-        for i, c in pcol.items():
-            if i == pi:
-                continue
-            f = -c * pval  # c + f*pval = 0 for pval = +-1
-            for j, val in prow.items():
-                if j == pj:
-                    set_entry(i, j, 0)
-                else:
-                    set_entry(i, j, rows.get(i, {}).get(j, 0) + f * val)
-            touched.append(i)
-        for j in list(prow):
-            set_entry(pi, j, 0)
-        for i in list(pcol):
-            if i in rows and pj in rows[i]:
-                set_entry(i, pj, 0)
-        for i in touched:
-            if i in rows:
-                heapq.heappush(heap, (len(rows[i]), i))
-        units += 1
-
-    factors = [1] * units
-    if rows:
-        live_rows = sorted(rows)
-        live_cols = sorted({j for row in rows.values() for j in row})
-        ri = {r: i for i, r in enumerate(live_rows)}
-        ci = {c: i for i, c in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for i, row in rows.items():
-            for j, val in row.items():
-                dense[ri[i]][ci[j]] = val
-        core = smith_normal_form(dense)
-        factors.extend(abs(d) for d in core.diagonal)
+            bd.setdefault(j, {})[~i] = int(val)
+            bd.setdefault(~i, {})
+    factors = [1] * eliminate_units(bd)
+    cols = [faces for faces in bd.values() if faces]
+    if cols:
+        rows = sorted({i for faces in cols for i in faces})
+        dense = [[faces.get(i, 0) for faces in cols] for i in rows]
+        factors.extend(abs(d) for d in smith_normal_form(dense).diagonal)
     factors.sort()
     return tuple(factors)

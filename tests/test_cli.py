@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from coxglue import homology as hm
+from coxglue import pairing as pg
 from coxglue import tables
-from coxglue.cli import main
+from coxglue import verify as vf
+from coxglue.cli import EnvSettingError, _homology_payload, _jobs, main
 
 
 def run(capsys, *argv):
@@ -113,6 +117,39 @@ def test_certify_manifold(capsys):
     assert payload["checks"]["extension_status_matches"] is True
     assert payload["homology"]["homology_encoded"] == \
         list(tables.manifold_record(3).homology)
+
+
+def test_certify_checks_properness_once(capsys, monkeypatch):
+    calls = []
+    check = vf.face_cycles_proper
+
+    def counted(arr):
+        calls.append(arr)
+        return check(arr)
+
+    monkeypatch.setattr(vf, "face_cycles_proper", counted)
+    monkeypatch.setattr(hm, "face_cycles_proper", counted)
+    code, _ = run(capsys, "certify", "--manifold", "5", "--json")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_homology_payload_rejects_improper_array():
+    mut = pg.mutated_pairing(pg.published_pairing(1), random.Random(31))
+    with pytest.raises(hm.ComplexError):
+        _homology_payload(None, mut, False)
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3"])
+def test_report_rejects_bad_jobs(capsys, monkeypatch, value):
+    monkeypatch.setenv("COXGLUE_JOBS", value)
+    with pytest.raises(EnvSettingError, match="COXGLUE_JOBS"):
+        _jobs()
+    code = main(["report"])
+    out, err = capsys.readouterr()
+    assert code != 0 and out == ""
+    assert err.count("\n") == 1
+    assert "COXGLUE_JOBS" in err and repr(value) in err
 
 
 def test_report_all_pass(capsys, monkeypatch):

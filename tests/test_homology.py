@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coxglue import homology as hm
 from coxglue import pairing as pg
 from coxglue import tables
+from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import RowSpan
+from coxglue.smith import smith_normal_form
 
 
 def test_truncated_cell_counts():
@@ -99,14 +104,139 @@ def test_orientable_manifold_has_orientable_cusps():
         assert sec[5].rank == 1
 
 
-def test_homology_invariant_under_relabeling():
-    base = pg.published_pairing(1)
-    want = [hm.homology_groups(hm.build_quotient_complex(base))[d].encode()
-            for d in range(1, 6)]
-    for perm in ([7, 6, 5, 4, 3, 2, 1, 0], [2, 0, 1, 4, 3, 6, 7, 5]):
-        re = base.relabeled(perm)
-        groups = hm.homology_groups(hm.build_quotient_complex(re))
-        assert [groups[d].encode() for d in range(1, 6)] == want
+@settings(max_examples=5, derandomize=True, database=None, deadline=None)
+@given(mid=st.integers(1, 9), perm=st.permutations(range(8)))
+@example(mid=1, perm=[7, 6, 5, 4, 3, 2, 1, 0])
+@example(mid=1, perm=[2, 0, 1, 4, 3, 6, 7, 5])
+def test_homology_invariant_under_relabeling(mid, perm):
+    cx = hm.build_quotient_complex(pg.published_pairing(mid).relabeled(perm))
+    groups = hm.homology_groups(cx)
+    secs = hm.cusp_sections(cx)
+    rec = tables.manifold_record(mid)
+    assert [groups[d].encode() for d in range(1, 6)] == list(rec.homology)
+    assert (str(groups[0]), str(groups[6])) == ("Z", "0")
+    assert len(secs) == rec.cusps
+    assert sorted(tuple(s[d].encode(powers=(2, 4)) for d in range(1, 6))
+                  for s in secs) == sorted(tuple(r) for r in rec.cusp_homology)
+    assert all((str(s[0]), str(s[6])) == ("Z", "0") for s in secs)
+
+
+def _two_torsion(h: hm.HomologyGroups) -> int:
+    return sum(1 for t in h.torsion if t % 2 == 0)
+
+
+@pytest.mark.parametrize("mid", [1, 7])
+def test_homology_mod2_universal_coefficients(mid):
+    """dim H_d(M; F_2) = b_d + t_2(H_d) + t_2(H_{d-1}), with the left side
+    from GF(2) ranks of the full boundary matrices."""
+    cx = hm.build_quotient_complex(pg.published_pairing(mid))
+    groups = hm.homology_groups(cx)
+    pos = {c: i for ix in cx.by_dim.values() for i, c in enumerate(ix)}
+    rank2 = {}
+    for d, mat in cx.boundaries.items():
+        bits = [0] * len(cx.by_dim[d - 1])
+        for (r, c), v in mat.items():
+            if v % 2:
+                bits[pos[r]] |= 1 << pos[c]
+        rank2[d] = Gf2Matrix(len(bits), len(cx.by_dim[d]), tuple(bits)).rank()
+    for d, g in enumerate(groups):
+        dim_f2 = len(cx.by_dim[d]) - rank2.get(d, 0) - rank2.get(d + 1, 0)
+        below = _two_torsion(groups[d - 1]) if d else 0
+        assert dim_f2 == g.rank + _two_torsion(g) + below
+
+
+def _chain_complex(dims, boundaries):
+    """A complex with cells 0.. of the given dimensions; boundaries map
+    (face, cell) to coefficients."""
+    cells = [hm.QuotientCell(i, d, 0, 0, False, 1) for i, d in enumerate(dims)]
+    by_dim, mats = {}, {}
+    for c in cells:
+        by_dim.setdefault(c.dim, []).append(c.index)
+        if c.dim:
+            mats.setdefault(c.dim, {})
+    for (r, c), v in boundaries.items():
+        if v:
+            mats[dims[c]][(r, c)] = v
+    cx = hm.QuotientCellComplex(cells, by_dim, mats)
+    cx.check_dd_zero()
+    return cx
+
+
+def _simplicial_chains(tops):
+    """Cellular chains of the simplicial complex spanned by `tops`."""
+    order = sorted({s for t in tops for k in range(1, len(t) + 1)
+                    for s in itertools.combinations(sorted(t), k)},
+                   key=lambda s: (len(s), s))
+    index = {s: i for i, s in enumerate(order)}
+    return _chain_complex(
+        [len(s) - 1 for s in order],
+        {(index[s[:i] + s[i + 1:]], index[s]): (-1) ** i
+         for s in order if len(s) > 1 for i in range(len(s))})
+
+
+def _simplicial_complex(rng):
+    n = rng.randint(4, 7)
+    return _simplicial_chains([rng.sample(range(n), rng.randint(1, 4))
+                               for _ in range(rng.randint(2, 7))])
+
+
+def _twisted_complex(rng):
+    """Elementary complexes Z -k-> Z and free cells, then random changes
+    of basis, which keep the homology but scatter the coefficients."""
+    dims, pairs = [], []
+    for d in range(4):
+        dims += [d] * rng.randint(1 if d == 0 else 0, 3)
+        for _ in range(rng.randint(0, 3) if d else 0):
+            pairs.append((len(dims), len(dims) + 1, rng.choice([1, 2, 3, 6])))
+            dims += [d - 1, d]
+    mat = [[0] * len(dims) for _ in dims]  # mat[face][cell]
+    for a, b, k in pairs:
+        mat[a][b] = k
+    for _ in range(4 * len(dims)):
+        i, j = rng.randrange(len(dims)), rng.randrange(len(dims))
+        if i == j or dims[i] != dims[j]:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        # new basis e_i + c e_j: column i of the boundary gains c times
+        # column j, row j of the coboundary loses c times row i
+        for row in mat:
+            row[i] += c * row[j]
+        mat[j] = [x - c * y for x, y in zip(mat[j], mat[i])]
+    return _chain_complex(dims, {(r, c): mat[r][c] for r in range(len(dims))
+                                 for c in range(len(dims))})
+
+
+def _snf_homology(cx):
+    top = max(cx.by_dim)
+    rank, torsion = {}, {}
+    for d in range(1, top + 1):
+        rows, cols = cx.by_dim.get(d - 1, []), cx.by_dim.get(d, [])
+        ri = {r: i for i, r in enumerate(rows)}
+        ci = {c: i for i, c in enumerate(cols)}
+        dense = [[0] * len(cols) for _ in rows]
+        for (r, c), v in cx.boundaries.get(d, {}).items():
+            dense[ri[r]][ci[c]] = v
+        diag = [abs(x) for x in smith_normal_form(dense).diagonal]
+        rank[d] = len(diag)
+        torsion[d] = tuple(x for x in diag if x != 1)
+    return [hm.HomologyGroups(
+        len(cx.by_dim.get(d, [])) - rank.get(d, 0) - rank.get(d + 1, 0),
+        torsion.get(d + 1, ())) for d in range(top + 1)]
+
+
+@pytest.mark.parametrize("make", [_simplicial_complex, _twisted_complex])
+def test_small_complexes_match_dense_snf(make):
+    rng = random.Random(f"small:{make.__name__}")
+    for _ in range(60):
+        cx = make(rng)
+        assert hm.homology_groups(cx) == _snf_homology(cx)
+
+
+def test_projective_plane_has_two_torsion():
+    cx = _simplicial_chains([
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)])
+    assert [str(g) for g in hm.homology_groups(cx)] == ["Z", "Z/2", "0"]
 
 
 def test_encode_rejects_unexpected_torsion():

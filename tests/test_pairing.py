@@ -170,6 +170,20 @@ def test_search_infeasible_constraints():
     assert res.solutions == ()
 
 
+def test_search_exhausted_without_solution_is_infeasible():
+    # row 1 of m1 with one twist power changed: the fixed entries agree
+    # with each other, but the 256-node tree holds no proper completion
+    arr = pg.published_pairing(1)
+    fixed = {(0, j): arr.entries[0][j] for j in range(27)}
+    k, p = fixed[(0, 4)]
+    fixed[(0, 4)] = (k, (p + 1) % 8)
+    res = pg.search_pairings(fixed, node_budget=10 ** 5)
+    assert res.complete and not res.budget_exhausted
+    assert res.nodes_used == 256
+    assert res.solutions == ()
+    assert res.infeasible
+
+
 def test_decode_random_codes_validate(q6):
     rng = random.Random(77)
     for _ in range(10):
