@@ -39,7 +39,6 @@ from .pairing import (
     decode_digit,
     decode_q_code,
     develop,
-    develop_to_q,
     encode_digit,
     orientability_of_code,
     parse_8p_pairing,

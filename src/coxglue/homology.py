@@ -9,9 +9,12 @@ integer homogeneous vertex coordinates.  Cut corners contribute cube
 cells: one (k-1)-cube for each ideal vertex of each k-face.
 
 Cells of the glued manifold are orbits of the eight copies' cells under
-the side-pairing identifications; orientations are transported through
-the exact isometries (powers of the order-8 symmetry), and boundary
-matrices are assembled with signs from exact determinants.
+the side-pairing identifications, and orientations are transported
+through the exact isometries (powers of the order-8 symmetry).  Each
+boundary sign is a product of two gluing-independent signs, both fixed
+once by exact determinants on the truncated polytope: the incidence of
+a facet in its cell, and the orientation change of a cell under a power
+of the symmetry.  Assembling a gluing's complex is table lookups.
 
 Homology reduces the whole complex along its +-1 incidences, which
 leaves about 90 of a gluing's 8,891 cells, and takes a dense Smith
@@ -73,10 +76,9 @@ def truncated_cells():
         return got
 
     # cut points along the edges, one per (edge, ideal endpoint)
-    for f in lat.faces:
-        if f.dim != 1 or f.ideal_point:
-            continue
-        ids = lat.vertex_ids(f)
+    ends = {f.index: lat.vertex_ids(f) for f in lat.faces
+            if f.dim == 1 and not f.ideal_point}
+    for eidx, ids in ends.items():
         for wid in ids:
             if wid < n_act:
                 continue
@@ -88,7 +90,7 @@ def truncated_cells():
             else:
                 m = -lorentz_inner(other, w)
                 cut = tuple(p + (4 * m - 1) * q for p, q in zip(other, w))
-            cut_point[(f.index, wid)] = add_point(primitive(cut))
+            cut_point[(eidx, wid)] = add_point(primitive(cut))
 
     # cells: ('f', face) for truncated faces, ('l', wid, face) for cut cubes
     cells: list[tuple] = []
@@ -119,10 +121,7 @@ def truncated_cells():
             f = lat.faces[key[1]]
             pts = [vid for vid in lat.vertex_ids(f) if vid < n_act]
             for eidx in lat.sub_faces(f, 1):
-                e = lat.faces[eidx]
-                if e.ideal_point:
-                    continue
-                for wid in lat.vertex_ids(e):
+                for wid in ends.get(eidx, ()):
                     if wid >= n_act:
                         pts.append(cut_point[(eidx, wid)])
         else:
@@ -130,8 +129,7 @@ def truncated_cells():
             f = lat.faces[fidx]
             pts = []
             for eidx in lat.sub_faces(f, 1):
-                e = lat.faces[eidx]
-                if not e.ideal_point and wid in lat.vertex_ids(e):
+                if wid in ends.get(eidx, ()):
                     pts.append(cut_point[(eidx, wid)])
         cell_points.append(tuple(sorted(set(pts))))
 
@@ -157,6 +155,7 @@ def truncated_cells():
                         out.append(cell_id[("l", wid, g)])
         cell_facets.append(tuple(out))
 
+    ncells = len(cells)
     # frames and their pivot data
     frames: list[tuple[int, ...]] = []
     pivot_cols: list[tuple[int, ...]] = []
@@ -196,10 +195,47 @@ def truncated_cells():
             perm.append(cell_id[img])
         cell_perm.append(tuple(perm))
     for p in range(8):
-        for idx in range(len(cells)):
-            want = tuple(sorted(pt_perm[p][q] for q in cell_points[idx]))
-            if want != cell_points[cell_perm[p][idx]]:
+        move = pt_perm[p].__getitem__
+        for pts, img in zip(cell_points, cell_perm[p]):
+            if tuple(sorted(map(move, pts))) != cell_points[img]:
                 raise ComplexError("symmetry action disagrees on points")
+
+    # orient[t][R]: sign of the change of basis from sigma^t(frame of R)
+    # to the frame of cell_perm[t][R]; the signs compose along the orbit
+    orient1 = []
+    for idx in range(ncells):
+        img = cell_perm[1][idx]
+        rows = [points[pt_perm[1][q]] for q in frames[idx]]
+        orient1.append(_restricted_det_sign(rows, pivot_cols[img])
+                       * frame_sign[img])
+    orient = [(1,) * ncells, tuple(orient1)]
+    for t in range(1, 7):
+        prev, perm = orient[t], cell_perm[t]
+        orient.append(tuple(orient1[perm[r]] * prev[r] for r in range(ncells)))
+
+    # incidence[X][i]: sign of the frame of X's i-th facet b, led by a
+    # point o of X off b, in the frame of X.  Determinants on one cell of
+    # each sigma-orbit; sigma carries the signs along the orbit.
+    incidence: list[tuple[int, ...] | None] = [None] * ncells
+    for x in range(ncells):
+        if incidence[x] is not None:
+            continue
+        own = set(cell_points[x])
+        signs = []
+        for b in cell_facets[x]:
+            o = min(own.difference(cell_points[b]))
+            rows = [points[o]] + [points[q] for q in frames[b]]
+            signs.append(_restricted_det_sign(rows, pivot_cols[x])
+                         * frame_sign[x])
+        incidence[x] = tuple(signs)
+        y, z = x, cell_perm[1][x]
+        while z != x:
+            pos = {b: i for i, b in enumerate(cell_facets[z])}
+            moved = [0] * len(signs)
+            for b, sgn in zip(cell_facets[y], incidence[y]):
+                moved[pos[cell_perm[1][b]]] = orient1[y] * sgn * orient1[b]
+            incidence[z] = tuple(moved)
+            y, z = z, cell_perm[1][z]
 
     sides_cells: list[list[int]] = [[] for _ in range(27)]
     for idx, key in enumerate(cells):
@@ -219,6 +255,8 @@ def truncated_cells():
         "frame_sign": tuple(frame_sign),
         "pt_perm": tuple(pt_perm),
         "cell_perm": tuple(cell_perm),
+        "orient": tuple(orient),
+        "incidence": tuple(incidence),
         "sides_cells": tuple(tuple(x) for x in sides_cells),
     }
 
@@ -336,32 +374,25 @@ def build_quotient_complex(arr: EightPPairing,
                         "orientation transport inconsistency at "
                         f"copy {i + 1}, side {j + 1}")
 
+    # one quotient cell per class, represented by the class root
     roots: dict[int, int] = {}
     qcells: list[QuotientCell] = []
     by_dim: dict[int, list[int]] = {}
-    orbit_size: dict[int, int] = {}
-    for node in range(8 * ncells):
-        r, _ = uf.find(node)
-        orbit_size[r] = orbit_size.get(r, 0) + 1
-    for node in range(8 * ncells):
-        r, _ = uf.find(node)
-        if r in roots or r != node:
+    for r in range(8 * ncells):
+        if uf.parent[r] != r:
             continue
         copy, cidx = divmod(r, ncells)
         q = QuotientCell(len(qcells), dim_of[cidx], copy, cidx,
-                         cells[cidx][0] == "l", orbit_size[r])
+                         cells[cidx][0] == "l", uf.size[r])
         roots[r] = q.index
         qcells.append(q)
         by_dim.setdefault(q.dim, []).append(q.index)
 
-    points = tc["points"]
-    cpoints = tc["cell_points"]
+    # facet b0 of copy c carries the orientation of its class root r
+    # moved by sigma^t, so its sign is incidence * orient[t][cell of r]
     facets = tc["cell_facets"]
-    frames = tc["frames"]
-    pcols = tc["pivot_cols"]
-    fsign = tc["frame_sign"]
-    ptperm = tc["pt_perm"]
-
+    incidence = tc["incidence"]
+    orient = tc["orient"]
     boundaries: dict[int, dict[tuple[int, int], int]] = {
         d: {} for d in by_dim if d > 0}
     for q in qcells:
@@ -369,24 +400,10 @@ def build_quotient_complex(arr: EightPPairing,
             continue
         mat = boundaries[q.dim]
         base = q.copy * ncells
-        parent_pts = set(cpoints[q.cell])
-        cols = pcols[q.cell]
-        psign = fsign[q.cell]
-        for b0 in facets[q.cell]:
+        for b0, sign in zip(facets[q.cell], incidence[q.cell]):
             r, t = uf.find(base + b0)
-            beta = roots[r]
-            rep_cell = qcells[beta].cell
-            perm = ptperm[t]
-            tuple_pts = [perm[pid] for pid in frames[rep_cell]]
-            bset = set(cpoints[b0])
-            o = min(parent_pts - bset)
-            rows = [points[o]] + [points[p] for p in tuple_pts]
-            dd = det(tuple(tuple(row[c] for c in cols) for row in rows))
-            if dd == 0:
-                raise ComplexError("degenerate incidence frame")
-            sign = (1 if dd > 0 else -1) * psign
-            key = (beta, q.index)
-            val = mat.get(key, 0) + sign
+            key = (roots[r], q.index)
+            val = mat.get(key, 0) + sign * orient[t][r % ncells]
             if val:
                 mat[key] = val
             elif key in mat:

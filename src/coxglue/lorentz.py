@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -67,16 +68,14 @@ def transpose(m: Mat) -> Mat:
 def mat_vec(m: Mat, v: Sequence[int]) -> Vec:
     if len(m[0]) != len(v):
         raise DimensionMismatch("matrix/vector size")
-    return tuple(sum(r[i] * v[i] for i in range(len(v))) for r in m)
+    return tuple(sum(map(mul, r, v)) for r in m)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if len(a[0]) != len(b):
         raise DimensionMismatch("matrix sizes")
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_pow(m: Mat, k: int) -> Mat:
@@ -90,12 +89,6 @@ def mat_pow(m: Mat, k: int) -> Mat:
         base = mat_mul(base, base)
         k >>= 1
     return out
-
-
-def mat_neg_rows(m: Mat, rows: set[int]) -> Mat:
-    return tuple(
-        tuple(-e for e in row) if i in rows else row for i, row in enumerate(m)
-    )
 
 
 def is_form_preserving(m: Mat) -> bool:
@@ -147,10 +140,7 @@ def reflection_in(u: Sequence[int], norm: int | None = None) -> Mat:
 
 
 def content(v: Sequence[int]) -> int:
-    g = 0
-    for c in v:
-        g = gcd(g, c)
-    return g
+    return gcd(*v)
 
 
 def primitive(v: Sequence[int]) -> Vec:
@@ -222,11 +212,11 @@ class RowSpan:
         for b, piv in zip(self._basis, self._pivots):
             if r[piv]:
                 bp, rp = b[piv], r[piv]
-                r = tuple(x * bp - y * rp for x, y in zip(r, b))
+                r = tuple([x * bp - y * rp for x, y in zip(r, b)])
         for i, x in enumerate(r):
             if x:
                 g = content(r)
-                self._basis.append(tuple(c // g for c in r))
+                self._basis.append(tuple([c // g for c in r]))
                 self._pivots.append(i)
                 return True
         return False
@@ -234,13 +224,6 @@ class RowSpan:
     @property
     def rank(self) -> int:
         return len(self._basis)
-
-
-def homogeneous_rank(vectors: Iterable[Sequence[int]]) -> int:
-    span = RowSpan()
-    for v in vectors:
-        span.add(v)
-    return span.rank
 
 
 @dataclass(frozen=True)

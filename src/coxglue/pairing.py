@@ -20,7 +20,6 @@ from .lorentz import (
     Mat,
     Vec,
     identity,
-    lorentz_inverse,
     mat_mul,
     mat_vec,
     reflection_in,
@@ -283,146 +282,148 @@ def published_pairing(mid: int) -> EightPPairing:
 
 @dataclass(frozen=True)
 class Development:
-    """Placements of the 64 copies filling the reflected union."""
+    """Placements of the 64 copies filling the reflected union, as
+    (chart, abstract copy) pairs in the order the development reached
+    them."""
 
-    placements: dict[Mat, tuple[Mat, int]]
+    placements: tuple[tuple[Mat, int], ...]
     code: PairingCode
     side_digits: tuple[int, ...]
 
 
-def _copy_key(g: Mat, powers: Sequence[Mat]) -> bytes:
-    return min(repr(mat_mul(g, p)).encode() for p in powers)
+# The centre of the polytope.  Every power of the order-8 symmetry fixes
+# it, so g.z names the copy a chart g places, whatever power it carries.
+CENTER = (1, 1, 1, 1, 1, 1, 3)
 
 
-def _sign_flip_of(g: Mat) -> tuple[int, ...] | None:
-    n = len(g)
-    signs = []
-    for i in range(n):
-        for j in range(n):
-            e = g[i][j]
-            if i == j:
-                if e not in (1, -1):
-                    return None
-                signs.append(e)
-            elif e:
-                return None
-    if signs[-1] != 1:
-        return None
-    return tuple(signs[:-1])
+def _inside_key(g: Mat) -> Vec | None:
+    """g.z when chart g places a copy inside the reflected union, else None.
+
+    Charts lie in W x <sigma>, W the polytope's reflection group, where
+    the polytope's stabiliser is <sigma>.  So g is inside exactly when
+    g = k sigma^a for a sign flip k, that is when g.z = (k_1..k_6, 3).
+    """
+    v = mat_vec(g, CENTER)
+    if v[-1] == 3 and all(c in (1, -1) for c in v[:-1]):
+        return v
+    return None
 
 
-def develop_to_q(arr: EightPPairing) -> PairingCode:
-    return develop(arr).code
+def _sign_flip_between(a: Mat, b: Mat) -> tuple[int, ...] | None:
+    """The signs s with a = diag(s, 1) b, if any: a b^-1 is that flip."""
+    signs = tuple(1 if ra == rb else -1 if ra == tuple(-x for x in rb)
+                  else 0 for ra, rb in zip(a, b))
+    return None if 0 in signs or signs[-1] != 1 else signs[:-1]
+
+
+@lru_cache(maxsize=1)
+def _develop_tables():
+    """Gluing-independent data of development: the crossing step
+    reflection[j] sigma^-p for each side j and power p, the reflected
+    union, and the reflection in each of its walls."""
+    _, _, reflections, powers, _ = standard_context()
+    steps = tuple(tuple(mat_mul(r, powers[-p % 8]) for p in range(8))
+                  for r in reflections)
+    q6 = build_q(6)
+    return steps, q6, tuple(reflection_in(s.normal) for s in q6.sides)
 
 
 def develop(arr: EightPPairing) -> Development:
     """Place copy 1 at the identity and develop the gluing through the
     reflected union; read the code off the boundary walls.
 
-    Raises DevelopmentConflict when two routes place a copy differently or
-    the 64 copies are not covered exactly once.
+    Raises DevelopmentConflict, naming the copy (and the side, during
+    the walk) at fault, when two routes place a copy differently or the
+    64 copies are not covered exactly once.
     """
     arr.validate_involution()
-    p6, sigma, reflections, powers, sigma_pows = standard_context()
-    q6 = build_q(6)
-    inv_powers = tuple(lorentz_inverse(p) for p in powers)
-
-    def inside(g: Mat) -> tuple[int, ...] | None:
-        for p in inv_powers:
-            signs = _sign_flip_of(mat_mul(g, p))
-            if signs is not None:
-                return signs
-        return None
-
-    start = identity(7)
-    placements: dict[bytes, tuple[Mat, int, tuple[int, ...]]] = {}
-    key0 = _copy_key(start, powers)
-    placements[key0] = (start, 0, (1,) * 6)
-    frontier = [key0]
+    normals = standard_context()[0].normals
+    steps, q6, wall_reflections = _develop_tables()
+    placements: dict[Vec, tuple[Mat, int]] = {CENTER: (identity(7), 0)}
+    frontier = [CENTER]
     boundary: list[tuple[Mat, int, int, Mat, int]] = []
     while frontier:
         nxt = []
         for key in frontier:
-            g, i, _ = placements[key]
+            g, i = placements[key]
             for j in range(27):
                 k, p = arr.entry(i, j)
-                neighbor = mat_mul(g, mat_mul(reflections[j], inv_powers[p]))
-                signs = inside(neighbor)
-                nkey = _copy_key(neighbor, powers)
-                if signs is None:
+                neighbor = mat_mul(g, steps[j][p])
+                nkey = _inside_key(neighbor)
+                if nkey is None:
                     boundary.append((g, i, j, neighbor, k))
-                    if nkey in placements:
-                        raise DevelopmentConflict(
-                            "outside placement collides with an inside copy")
                     continue
                 prev = placements.get(nkey)
                 if prev is None:
-                    placements[nkey] = (neighbor, k, signs)
+                    placements[nkey] = (neighbor, k)
                     nxt.append(nkey)
                 elif prev[0] != neighbor or prev[1] != k:
                     raise DevelopmentConflict(
-                        f"copy reached twice with different charts "
-                        f"(abstract {prev[1] + 1} vs {k + 1})")
+                        f"copy {i + 1}, side {j + 1}: copy reached twice "
+                        f"with different charts (abstract {prev[1] + 1} "
+                        f"vs {k + 1})")
         frontier = nxt
-    if len(placements) != 64:
-        raise DevelopmentConflict(
-            f"development covered {len(placements)} copies, expected 64")
     per_abstract = [0] * 8
-    for _, i, _ in placements.values():
+    for _, i in placements.values():
         per_abstract[i] += 1
     if per_abstract != [8] * 8:
+        c = next(c for c in range(8) if per_abstract[c] != 8)
         raise DevelopmentConflict(
-            f"abstract copies not covered 8 times each: {per_abstract}")
+            f"development covered {len(placements)} copies, expected 64: "
+            f"abstract copy {c + 1} placed {per_abstract[c]} times, "
+            f"expected 8")
 
-    by_mod2: dict[tuple[int, bytes], Mat] = {}
-    for g, i, _ in placements.values():
-        key = (i, repr(tuple(tuple(e % 2 for e in row) for row in g)).encode())
+    by_mod2: dict[tuple, Mat] = {}
+    for g, i in placements.values():
+        key = (i, tuple(tuple(e % 2 for e in row) for row in g))
         if key in by_mod2:
-            raise DevelopmentConflict("two inside charts congruent mod two")
+            raise DevelopmentConflict(
+                f"two inside charts of abstract copy {i + 1} are "
+                f"congruent mod two")
         by_mod2[key] = g
 
     side_digits: list[int | None] = [None] * len(q6.sides)
     for g, i, j, neighbor, k in boundary:
-        wall_normal = mat_vec(g, p6.normals[j])
+        where = f"copy {i + 1}, side {j + 1}"
         try:
-            m = q6.side_index_of_normal(wall_normal)
+            m = q6.side_index_of_normal(mat_vec(g, normals[j]))
         except KeyError as exc:
             raise DevelopmentConflict(
-                "boundary crossing does not line up with a wall") from exc
-        key = (k, repr(tuple(tuple(e % 2 for e in row) for row in neighbor)).encode())
-        match = by_mod2.get(key)
+                f"{where}: boundary crossing does not line up with a "
+                f"wall") from exc
+        match = by_mod2.get(
+            (k, tuple(tuple(e % 2 for e in row) for row in neighbor)))
         if match is None:
             raise DevelopmentConflict(
-                "no inside chart matches a boundary crossing mod two")
-        f = mat_mul(neighbor, lorentz_inverse(match))
-        k_mat = mat_mul(reflections_q(q6)[m], f)
-        signs = _sign_flip_of(k_mat)
+                f"{where}: no inside chart matches the boundary crossing "
+                f"mod two")
+        # the wall transform, the reflection in wall m times
+        # neighbor match^-1, must be a sign flip
+        signs = _sign_flip_between(mat_mul(wall_reflections[m], neighbor),
+                                   match)
         if signs is None:
-            raise DevelopmentConflict("wall transform is not a sign flip "
-                                      "composed with the wall reflection")
+            raise DevelopmentConflict(
+                f"{where}: wall transform is not a sign flip composed "
+                f"with the wall reflection")
         value = sum(((1 - s) // 2) << c for c, s in enumerate(signs))
         if side_digits[m] is None:
             side_digits[m] = value
         elif side_digits[m] != value:
-            raise DevelopmentConflict(f"wall {m} received two digits")
-    if any(d is None for d in side_digits):
-        raise DevelopmentConflict("some walls were never crossed")
+            raise DevelopmentConflict(
+                f"{where}: wall {m + 1} received two digits")
+    if None in side_digits:
+        raise DevelopmentConflict(
+            f"wall {side_digits.index(None) + 1} was never crossed")
 
     digits = []
     for grp in range(q6.n_groups):
         vals = {side_digits[s.index] for s in q6.group_members(grp)}
         if len(vals) != 1:
             raise DevelopmentConflict(
-                f"group {grp} walls received distinct digits")
+                f"group {grp + 1} walls received distinct digits")
         digits.append(ALPHABET[vals.pop()])
     code = PairingCode(6, "".join(digits))
-    place_map = {g: (g, i) for g, i, _ in placements.values()}
-    return Development(place_map, code, tuple(side_digits))
-
-
-@lru_cache(maxsize=4)
-def reflections_q(q: QPolytope) -> tuple[Mat, ...]:
-    return tuple(reflection_in(s.normal) for s in q.sides)
+    return Development(tuple(placements.values()), code, tuple(side_digits))
 
 
 # -- restriction to the cross-section ----------------------------------

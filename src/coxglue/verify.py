@@ -55,19 +55,23 @@ class TransportUnionFind:
         self.ident = ident
 
     def find(self, x: int):
-        path = []
-        root = x
-        while self.parent[root] != root:
-            path.append(root)
-            root = self.parent[root]
-        to_root = {root: self.ident}
+        parent, pot = self.parent, self.pot
+        p = parent[x]
+        if p == x:
+            return x, self.ident
+        if parent[p] == p:
+            return p, pot[x]
+        # hang the path from x directly below its root
+        path = [x]
+        while parent[p] != p:
+            path.append(p)
+            p = parent[p]
+        t = pot[path.pop()]
         for node in reversed(path):
-            to_root[node] = self.compose(self.pot[node],
-                                         to_root[self.parent[node]])
-        for node in path:
-            self.parent[node] = root
-            self.pot[node] = to_root[node]
-        return root, to_root[x]
+            t = self.compose(pot[node], t)
+            pot[node] = t
+            parent[node] = p
+        return p, t
 
     def union(self, x: int, y: int, d) -> bool:
         """Impose geometry(y) = d(geometry(x)); False on holonomy conflict."""
@@ -85,13 +89,6 @@ class TransportUnionFind:
             self.pot[ry] = self.compose(self.inverse(ty), want_ty)
             self.size[rx] += self.size[ry]
         return True
-
-    def classes(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            r, _ = self.find(x)
-            out.setdefault(r, []).append(x)
-        return out
 
 
 def _exp_compose(a: int, b: int) -> int:

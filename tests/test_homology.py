@@ -11,8 +11,9 @@ from coxglue import homology as hm
 from coxglue import pairing as pg
 from coxglue import tables
 from coxglue.gf2 import Gf2Matrix
-from coxglue.lorentz import RowSpan
+from coxglue.lorentz import RowSpan, det
 from coxglue.smith import smith_normal_form
+from coxglue.verify import TransportUnionFind, _exp_compose, _exp_inverse
 
 
 def test_truncated_cell_counts():
@@ -74,6 +75,67 @@ def test_quotient_requires_proper_pairing():
         hm.build_quotient_complex(mut)
 
 
+@pytest.mark.parametrize("mid, perm", [(1, None),
+                                       (7, [7, 6, 5, 4, 3, 2, 1, 0])])
+def test_boundary_signs_match_determinants(mid, perm):
+    """Every boundary entry recomputed by exact determinants: the frame
+    of the facet's class representative, moved by its transport sigma^t
+    and led by a point of the cell off the facet, in the cell's frame."""
+    arr = pg.published_pairing(mid)
+    if perm:
+        arr = arr.relabeled(perm)
+    cx = hm.build_quotient_complex(arr, check_proper=False)
+    tc = hm.truncated_cells()
+    n = len(tc["cells"])
+    uf = TransportUnionFind(8 * n, _exp_compose, _exp_inverse, 0)
+    for i in range(8):
+        for j in range(27):
+            k, p = arr.entry(i, j)
+            for c in tc["sides_cells"][j]:
+                assert uf.union(i * n + c, k * n + tc["cell_perm"][p][c], p)
+    index = {q.copy * n + q.cell: q.index for q in cx.cells}
+    points = tc["points"]
+    want: dict[int, dict[tuple[int, int], int]] = {d: {} for d in cx.boundaries}
+    moved = 0
+    for q in cx.cells:
+        x = q.cell
+        for b in tc["cell_facets"][x]:
+            r, t = uf.find(q.copy * n + b)
+            moved += t != 0
+            o = min(set(tc["cell_points"][x]) - set(tc["cell_points"][b]))
+            rows = [points[o]] + [points[tc["pt_perm"][t][v]]
+                                  for v in tc["frames"][r % n]]
+            dd = det(tuple(tuple(row[c] for c in tc["pivot_cols"][x])
+                           for row in rows))
+            assert dd != 0
+            key = (index[r], q.index)
+            want[q.dim][key] = (want[q.dim].get(key, 0)
+                                + (1 if dd > 0 else -1) * tc["frame_sign"][x])
+    assert moved
+    assert cx.boundaries == {d: {key: v for key, v in m.items() if v}
+                             for d, m in want.items()}
+
+
+def test_sign_tables_follow_the_symmetry():
+    tc = hm.truncated_cells()
+    orient, incidence = tc["orient"], tc["incidence"]
+    facets, cperm = tc["cell_facets"], tc["cell_perm"]
+    n = len(tc["cells"])
+    # sigma^8 is the identity, so it carries every frame to itself
+    assert all(orient[1][cperm[7][r]] * orient[7][r] == 1 for r in range(n))
+    # incidence[sX][sb] = orient[1][X] incidence[X][b] orient[1][b]
+    for x in range(n):
+        moved = dict(zip(facets[cperm[1][x]], incidence[cperm[1][x]]))
+        for b, sign in zip(facets[x], incidence[x]):
+            assert moved[cperm[1][b]] == orient[1][x] * sign * orient[1][b]
+    # one copy of the truncated polytope is a cell complex of a ball
+    one_copy = _chain_complex(
+        tc["cell_dim"], {(b, x): sign for x in range(n)
+                         for b, sign in zip(facets[x], incidence[x])})
+    assert [str(g) for g in hm.homology_groups(one_copy)] == \
+        ["Z"] + ["0"] * 6
+
+
 def test_homology_manifold1_matches_record():
     cx = hm.build_quotient_complex(pg.published_pairing(1))
     groups = hm.homology_groups(cx)
@@ -121,8 +183,8 @@ def test_homology_invariant_under_relabeling(mid, perm):
     assert all((str(s[0]), str(s[6])) == ("Z", "0") for s in secs)
 
 
-def _two_torsion(h: hm.HomologyGroups) -> int:
-    return sum(1 for t in h.torsion if t % 2 == 0)
+def _torsion_at(h: hm.HomologyGroups, p: int) -> int:
+    return sum(1 for t in h.torsion if t % p == 0)
 
 
 @pytest.mark.parametrize("mid", [1, 7])
@@ -141,8 +203,48 @@ def test_homology_mod2_universal_coefficients(mid):
         rank2[d] = Gf2Matrix(len(bits), len(cx.by_dim[d]), tuple(bits)).rank()
     for d, g in enumerate(groups):
         dim_f2 = len(cx.by_dim[d]) - rank2.get(d, 0) - rank2.get(d + 1, 0)
-        below = _two_torsion(groups[d - 1]) if d else 0
-        assert dim_f2 == g.rank + _two_torsion(g) + below
+        below = _torsion_at(groups[d - 1], 2) if d else 0
+        assert dim_f2 == g.rank + _torsion_at(g, 2) + below
+
+
+def _rank_mod3(vectors) -> int:
+    """Rank over F_3 of sparse vectors {index: value}, each reduced by
+    the pivots so far, which are keyed by their largest index."""
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        v = {i: x % 3 for i, x in vec.items() if x % 3}
+        while v:
+            low = max(v)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = v
+                break
+            f = v[low] * piv[low] % 3  # piv[low] is its own inverse mod 3
+            for i, x in piv.items():
+                y = (v.get(i, 0) - f * x) % 3
+                if y:
+                    v[i] = y
+                else:
+                    v.pop(i, None)
+    return len(pivots)
+
+
+def test_homology_mod3_universal_coefficients():
+    """dim H_d(M; F_3) = b_d + t_3(H_d) + t_3(H_{d-1}).  Unlike GF(2)
+    ranks, GF(3) ranks depend on the boundary signs."""
+    cx = hm.build_quotient_complex(pg.published_pairing(1))
+    groups = hm.homology_groups(cx)
+    rank3 = {}
+    for d, mat in cx.boundaries.items():
+        rows: dict[int, dict[int, int]] = {}
+        for (r, c), v in mat.items():
+            rows.setdefault(r, {})[c] = v
+        # the rows (coboundaries) reduce with far less fill than columns
+        rank3[d] = _rank_mod3(rows[r] for r in sorted(rows))
+    for d, g in enumerate(groups):
+        dim_f3 = len(cx.by_dim[d]) - rank3.get(d, 0) - rank3.get(d + 1, 0)
+        below = _torsion_at(groups[d - 1], 3) if d else 0
+        assert dim_f3 == g.rank + _torsion_at(g, 3) + below
 
 
 def _chain_complex(dims, boundaries):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 
+import numpy as np
 import pytest
 
 from coxglue import pairing as pg
 from coxglue import tables
-from coxglue.lorentz import identity, mat_mul
+from coxglue.lorentz import identity, lorentz_inverse, mat_mul, mat_vec
 
 
 def test_codec_matches_embedded_table():
@@ -100,10 +102,86 @@ def test_develop_conflict_on_corrupted_array():
     for _ in range(5):
         mut = pg.mutated_pairing(arr, rng)
         try:
-            dev = pg.develop(mut)
-        except pg.DevelopmentConflict:
+            pg.develop(mut)
+        except pg.DevelopmentConflict as exc:
             seen_conflict += 1
+            # the walk names the copy and side it was crossing, 1-based
+            site = re.match(r"copy (\d+), side (\d+): ", str(exc))
+            assert site, str(exc)
+            assert 1 <= int(site[1]) <= 8 and 1 <= int(site[2]) <= 27
     assert seen_conflict >= 1
+
+
+def _old_sign_flip_of(g) -> tuple[int, ...] | None:
+    """Signs s when g = diag(s, 1), else None."""
+    n = len(g)
+    if any(g[i][j] for i in range(n) for j in range(n) if i != j):
+        return None
+    diag = tuple(g[i][i] for i in range(n))
+    if any(e not in (1, -1) for e in diag) or diag[-1] != 1:
+        return None
+    return diag[:-1]
+
+
+def _neighbour_tests(arr):
+    """Walk the development the old way and judge every neighbour of
+    every chart reached by both routes.  Old route: a chart g is inside
+    when g sigma^-p is a sign flip for one of the eight powers, and its
+    copy is named by the smallest repr of g sigma^p; the walk keeps the
+    first chart of each name and ignores conflicts.  Yields (old signs
+    or None, old name, new key)."""
+    _, _, reflections, powers, _ = pg.standard_context()
+    inv = np.array([lorentz_inverse(p) for p in powers], dtype=np.int64)
+    steps = np.einsum("jab,pbc->jpac",
+                      np.array(reflections, dtype=np.int64), inv)
+    start = np.eye(7, dtype=np.int64)
+    charts = {}
+    frontier = [(start, 0)]
+    while frontier:
+        nxt = []
+        for g, i in frontier:
+            for j in range(27):
+                k, p = arr.entry(i, j)
+                nb = g @ steps[j, p]
+                prods = np.einsum("ab,pbc->pac", nb, inv)
+                signs = None
+                for prod in prods:
+                    signs = _old_sign_flip_of(prod.tolist())
+                    if signs is not None:
+                        break
+                # sigma^-p runs over the same eight powers as sigma^p
+                name = min(repr(tuple(map(tuple, prod.tolist()))).encode()
+                           for prod in prods)
+                new = pg._inside_key(tuple(map(tuple, nb.tolist())))
+                yield signs, name, new
+                if signs is not None and name not in charts:
+                    charts[name] = nb
+                    nxt.append((nb, k))
+        frontier = nxt
+
+
+def test_development_keys_match_old_route():
+    """g.z decides inside or outside, and names copies, exactly as the
+    eight products with the powers of sigma did, on the published
+    gluings and on mutated ones (whose walks conflict)."""
+    _, _, _, powers, _ = pg.standard_context()
+    assert all(mat_vec(p, pg.CENTER) == pg.CENTER for p in powers)
+    rng = random.Random(2024)
+    m1 = pg.published_pairing(1)
+    arrays = [pg.published_pairing(mid) for mid in range(1, 10)]
+    arrays += [pg.mutated_pairing(m1, rng) for _ in range(20)]
+    for arr in arrays:
+        old_to_new, new_to_old, outside_names = {}, {}, set()
+        for signs, name, new in _neighbour_tests(arr):
+            if signs is None:
+                assert new is None
+                outside_names.add(name)
+                continue
+            assert new == signs + (3,)
+            assert old_to_new.setdefault(name, new) == new
+            assert new_to_old.setdefault(new, name) == name
+        assert len(old_to_new) <= 64
+        assert not outside_names & set(old_to_new)
 
 
 def test_restriction():
