@@ -122,8 +122,9 @@ def cmd_constants(args) -> int:
 
 
 def _homology_payload(mid: int | None, arr: pg.EightPPairing,
-                      with_complex: bool, proven_proper: bool = False) -> dict:
-    cx = hm.build_quotient_complex(arr, check_proper=not proven_proper)
+                      with_complex: bool,
+                      proper: vf.PropernessCertificate | None = None) -> dict:
+    cx = hm.build_quotient_complex(arr, proper)
     groups = hm.homology_groups(cx)
     secs = hm.cusp_sections(cx)
     payload = {
@@ -163,7 +164,7 @@ def certify_one(mid: int) -> dict:
     rec = tables.manifold_record(mid)
     arr = pg.published_pairing(mid)
     cert = vf.certify_manifold(arr, rec.code)
-    hom = _homology_payload(mid, arr, False, proven_proper=cert.proper.proper)
+    hom = _homology_payload(mid, arr, False, cert.proper)
     expected_extension = "certified" if mid in (1, 3, 4, 5, 6) else "inconclusive"
     checks = {
         "develops_to_code": cert.code == rec.code,

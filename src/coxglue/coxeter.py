@@ -295,11 +295,6 @@ class PiMultiple:
     def __float__(self) -> float:
         return float(self.coefficient) * float(mpmath.pi) ** self.pi_power
 
-    def numeric(self, digits: int = 20) -> mpmath.mpf:
-        with mpmath.workdps(digits + 10):
-            return mpmath.mpf(self.coefficient.numerator) / \
-                self.coefficient.denominator * mpmath.pi ** self.pi_power
-
     def __str__(self) -> str:
         c = self.coefficient
         if self.pi_power == 0:
@@ -351,11 +346,6 @@ class GroupConstants:
     euler_char_gamma2: Fraction
     euler_char_full: Fraction
     kappa: PiMultiple | None
-
-    def vol_text(self) -> str:
-        if self.vol_polytope is not None:
-            return str(self.vol_polytope)
-        return repr(self.vol_polytope_numeric)
 
 
 def _double_factorial(n: int) -> int:

@@ -10,7 +10,10 @@ cells: one (k-1)-cube for each ideal vertex of each k-face.
 
 Cells of the glued manifold are orbits of the eight copies' cells under
 the side-pairing identifications, and orientations are transported
-through the exact isometries (powers of the order-8 symmetry).  Each
+through the exact isometries (powers of the order-8 symmetry).  The
+orbits are lifted from the face classes that the properness check
+traced: a cell's class is the class of the face it lies over, with the
+same transport, so assembling the complex needs no union-find.  Each
 boundary sign is a product of two gluing-independent signs, both fixed
 once by exact determinants on the truncated polytope: the incidence of
 a facet in its cell, and the orientation change of a cell under a power
@@ -23,6 +26,7 @@ normal form of each residual degree; cusp sections likewise.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -37,13 +41,7 @@ from .lorentz import (
 )
 from .pairing import EightPPairing, standard_context
 from .smith import eliminate_units, invariant_factors
-from .verify import (
-    TransportUnionFind,
-    _exp_compose,
-    _exp_inverse,
-    face_cycles_proper,
-    lattice_context,
-)
+from .verify import PropernessCertificate, face_cycles_proper, lattice_context
 
 
 class ComplexError(RuntimeError):
@@ -237,12 +235,6 @@ def truncated_cells():
             incidence[z] = tuple(moved)
             y, z = z, cell_perm[1][z]
 
-    sides_cells: list[list[int]] = [[] for _ in range(27)]
-    for idx, key in enumerate(cells):
-        f = lat.faces[key[1]] if key[0] == "f" else lat.faces[key[2]]
-        for s in f.sides:
-            sides_cells[s].append(idx)
-
     return {
         "lattice": lat,
         "points": tuple(points),
@@ -257,7 +249,7 @@ def truncated_cells():
         "cell_perm": tuple(cell_perm),
         "orient": tuple(orient),
         "incidence": tuple(incidence),
-        "sides_cells": tuple(tuple(x) for x in sides_cells),
+        "cell_face": tuple(key[-1] for key in cells),  # the face under it
     }
 
 
@@ -318,17 +310,15 @@ class QuotientCellComplex:
         for d in sorted(self.boundaries):
             if d + 1 not in self.boundaries:
                 continue
-            lower = self.boundaries[d]
-            upper = self.boundaries[d + 1]
-            by_middle: dict[int, list[tuple[int, int]]] = {}
-            for (r, c), v in lower.items():
-                by_middle.setdefault(c, []).append((r, v))
-            acc: dict[tuple[int, int], int] = {}
-            for (r, c), v in upper.items():
-                for rr, vv in by_middle.get(r, ()):
-                    key = (rr, c)
-                    acc[key] = acc.get(key, 0) + vv * v
-            if any(val for val in acc.values()):
+            faces_of: dict[int, list[tuple[int, int]]] = {}
+            for (r, c), v in self.boundaries[d].items():
+                faces_of.setdefault(c, []).append((r, v))
+            columns: dict[int, dict[int, int]] = {}  # column c of dd
+            for (r, c), v in self.boundaries[d + 1].items():
+                acc = columns.setdefault(c, {})
+                for rr, vv in faces_of.get(r, ()):
+                    acc[rr] = acc.get(rr, 0) + vv * v
+            if any(any(acc.values()) for acc in columns.values()):
                 raise ComplexError(f"boundary squared is nonzero at dim {d + 1}")
 
     def to_json(self) -> dict:
@@ -347,49 +337,48 @@ class QuotientCellComplex:
         }
 
 
-def build_quotient_complex(arr: EightPPairing,
-                           check_proper: bool = True) -> QuotientCellComplex:
+def build_quotient_complex(
+        arr: EightPPairing,
+        proper: PropernessCertificate | None = None) -> QuotientCellComplex:
     """Glue eight truncated copies along the pairing and assemble the
-    signed boundary matrices of the quotient cell complex."""
-    if check_proper:
-        cert = face_cycles_proper(arr)
-        if not cert.proper:
-            raise ComplexError(f"side-pairing is not proper: {cert.violation}")
+    signed boundary matrices of the quotient cell complex.  Cell classes
+    are the classes of the faces under them in `proper` (or in a new
+    `face_cycles_proper(arr)`): if X's face has root in copy r and
+    transport sigma^t, X's root is cell cell_perm[-t][X] of copy r."""
+    if proper is None:
+        proper = face_cycles_proper(arr)
+    if not proper.proper:
+        raise ComplexError(f"side-pairing is not proper: {proper.violation}")
+    classes = proper.classes
+    nf = len(lattice_context()[0].faces)
+    if len(classes or ()) != 8 * nf:
+        raise ComplexError("certificate has no eight-copy face classes")
     tc = truncated_cells()
     cells = tc["cells"]
     ncells = len(cells)
     dim_of = tc["cell_dim"]
-    cperm = tc["cell_perm"]
-    sides_cells = tc["sides_cells"]
+    cell_face = tc["cell_face"]
+    back = [tc["cell_perm"][-t] for t in range(8)]
+    class_size = Counter(r for r, _ in classes)
 
-    uf = TransportUnionFind(8 * ncells, _exp_compose, _exp_inverse, 0)
-    for i in range(8):
-        for j in range(27):
-            k, p = arr.entry(i, j)
-            for cidx in sides_cells[j]:
-                a = i * ncells + cidx
-                b = k * ncells + cperm[p][cidx]
-                if not uf.union(a, b, p):
-                    raise ComplexError(
-                        "orientation transport inconsistency at "
-                        f"copy {i + 1}, side {j + 1}")
-
-    # one quotient cell per class, represented by the class root
-    roots: dict[int, int] = {}
+    # one quotient cell per class, the root, keyed by (face root, cell)
+    roots: dict[tuple[int, int], int] = {}
     qcells: list[QuotientCell] = []
     by_dim: dict[int, list[int]] = {}
-    for r in range(8 * ncells):
-        if uf.parent[r] != r:
-            continue
-        copy, cidx = divmod(r, ncells)
-        q = QuotientCell(len(qcells), dim_of[cidx], copy, cidx,
-                         cells[cidx][0] == "l", uf.size[r])
-        roots[r] = q.index
-        qcells.append(q)
-        by_dim.setdefault(q.dim, []).append(q.index)
+    for copy in range(8):
+        base = copy * nf
+        for cidx in range(ncells):
+            f = base + cell_face[cidx]
+            if classes[f][0] != f:
+                continue
+            q = QuotientCell(len(qcells), dim_of[cidx], copy, cidx,
+                             cells[cidx][0] == "l", class_size[f])
+            roots[f, cidx] = q.index
+            qcells.append(q)
+            by_dim.setdefault(q.dim, []).append(q.index)
 
-    # facet b0 of copy c carries the orientation of its class root r
-    # moved by sigma^t, so its sign is incidence * orient[t][cell of r]
+    # facet b0 of a copy carries the orientation of its class root moved
+    # by sigma^t, so its sign is incidence * orient[t][root cell]
     facets = tc["cell_facets"]
     incidence = tc["incidence"]
     orient = tc["orient"]
@@ -399,11 +388,12 @@ def build_quotient_complex(arr: EightPPairing,
         if q.dim == 0:
             continue
         mat = boundaries[q.dim]
-        base = q.copy * ncells
+        base = q.copy * nf
         for b0, sign in zip(facets[q.cell], incidence[q.cell]):
-            r, t = uf.find(base + b0)
-            key = (roots[r], q.index)
-            val = mat.get(key, 0) + sign * orient[t][r % ncells]
+            r, t = classes[base + cell_face[b0]]
+            rcell = back[t][b0]
+            key = (roots[r, rcell], q.index)
+            val = mat.get(key, 0) + sign * orient[t][rcell]
             if val:
                 mat[key] = val
             elif key in mat:
@@ -444,39 +434,53 @@ def homology_groups(cx: QuotientCellComplex,
     """Integral homology per degree 0..top (optionally of a full
     subcomplex): `eliminate_units` on the whole complex, then
     `invariant_factors` of each residual degree."""
+    part = [0 if cell_subset is None or c in cell_subset else -1
+            for c in range(len(cx.cells))]
+    return _homology_of_parts(cx, part, 1)[0]
+
+
+def _homology_of_parts(cx: QuotientCellComplex, part: list[int],
+                       parts: int) -> list[list[HomologyGroups]]:
+    """Homology of the full subcomplexes on the cells c with part[c] = 0,
+    1, ..., parts - 1 (-1: none), split in one pass over the entries."""
     top = max(cx.by_dim)
-    bd: dict[int, dict[int, int]] = {
-        c: {} for ix in cx.by_dim.values() for c in ix
-        if cell_subset is None or c in cell_subset}
+    bds: list[dict[int, dict[int, int]]] = [{} for _ in range(parts)]
+    for ix in cx.by_dim.values():
+        for c in ix:
+            if part[c] >= 0:
+                bds[part[c]][c] = {}
     for mat in cx.boundaries.values():
         for (r, c), v in mat.items():
-            if c in bd and r in bd:
-                bd[c][r] = v
-    eliminate_units(bd)
-    cells_at: dict[int, list[int]] = {d: [] for d in range(top + 1)}
-    for c in sorted(bd):
-        cells_at[cx.cells[c].dim].append(c)
-    factors = {}
-    for d in range(1, top + 1):
-        rindex = {r: i for i, r in enumerate(cells_at[d - 1])}
-        sparse = {(rindex[r], j): v for j, c in enumerate(cells_at[d])
-                  for r, v in bd[c].items()}
-        factors[d] = invariant_factors(
-            sparse, (len(cells_at[d - 1]), len(cells_at[d])))
+            k = part[c]
+            if k >= 0 and part[r] == k:
+                bds[k][c][r] = v
     out = []
-    for d in range(top + 1):
-        above = factors.get(d + 1, ())
-        betti = len(cells_at[d]) - len(factors.get(d, ())) - len(above)
-        if betti < 0:
-            raise ComplexError("negative Betti number")
-        out.append(HomologyGroups(betti, tuple(f for f in above if f != 1)))
+    for bd in bds:
+        eliminate_units(bd)
+        cells_at: dict[int, list[int]] = {d: [] for d in range(top + 1)}
+        for c in sorted(bd):
+            cells_at[cx.cells[c].dim].append(c)
+        factors = {}
+        for d in range(1, top + 1):
+            rindex = {r: i for i, r in enumerate(cells_at[d - 1])}
+            sparse = {(rindex[r], j): v for j, c in enumerate(cells_at[d])
+                      for r, v in bd[c].items()}
+            factors[d] = invariant_factors(
+                sparse, (len(cells_at[d - 1]), len(cells_at[d])))
+        groups = []
+        for d in range(top + 1):
+            above = factors.get(d + 1, ())
+            betti = len(cells_at[d]) - len(factors.get(d, ())) - len(above)
+            if betti < 0:
+                raise ComplexError("negative Betti number")
+            groups.append(HomologyGroups(betti, tuple(f for f in above if f > 1)))
+        out.append(groups)
     return out
 
 
 def boundary_components(cx: QuotientCellComplex) -> list[set[int]]:
     """Connected components of the boundary subcomplex."""
-    bset = set(cx.boundary_cell_indices())
-    parent = {i: i for i in bset}
+    parent = [c.index if c.boundary_flag else -1 for c in cx.cells]
 
     def find(x):
         while parent[x] != x:
@@ -484,18 +488,24 @@ def boundary_components(cx: QuotientCellComplex) -> list[set[int]]:
             x = parent[x]
         return x
 
-    for d, mat in cx.boundaries.items():
-        for (r, c), _ in mat.items():
-            if r in bset and c in bset:
+    for mat in cx.boundaries.values():
+        for r, c in mat:
+            if parent[r] >= 0 and parent[c] >= 0:
                 rr, rc = find(r), find(c)
                 if rr != rc:
                     parent[rr] = rc
     comps: dict[int, set[int]] = {}
-    for i in bset:
-        comps.setdefault(find(i), set()).add(i)
+    for i, p in enumerate(parent):
+        if p >= 0:
+            comps.setdefault(find(i), set()).add(i)
     return sorted(comps.values(), key=lambda s: sorted(s))
 
 
 def cusp_sections(cx: QuotientCellComplex) -> list[list[HomologyGroups]]:
     """Homology of each boundary component (the cusp cross-sections)."""
-    return [homology_groups(cx, comp) for comp in boundary_components(cx)]
+    comps = boundary_components(cx)
+    part = [-1] * len(cx.cells)
+    for n, comp in enumerate(comps):
+        for c in comp:
+            part[c] = n
+    return _homology_of_parts(cx, part, len(comps))

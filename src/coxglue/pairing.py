@@ -661,13 +661,15 @@ def search_pairings(
     entries: list[list[tuple[int, int] | None]] = [
         [None] * 27 for _ in range(8)]
 
-    def apply_entry(i: int, j: int, k: int, p: int) -> bool:
-        base_i = i * n_local
-        base_k = k * n_local
-        pl = perm_local[p]
+    def union_entry(i: int, j: int, k: int, p: int) -> bool:
+        base_i, base_k, pl = i * n_local, k * n_local, perm_local[p]
         for f in on_side[j]:
             if not cyc.union(base_i + f, base_k + pl[f], p):
                 return False
+        return True
+
+    def cross_entry(i: int, j: int) -> bool:
+        base_i = i * n_local
         for f in on_side[j]:
             if not cyc.cross(base_i + f):
                 return False
@@ -688,10 +690,11 @@ def search_pairings(
                 return False, written
             entries[a][b] = val
             written.append((a, b))
-        for (a, b), val in pairs:
-            if not apply_entry(a, b, *val):
-                return False, written
-        return True, written
+        # the partner's unions would be the inverses of these and change
+        # nothing, so it only records its crossings
+        ok = (union_entry(i, j, k, p) and cross_entry(i, j)
+              and (len(pairs) == 1 or cross_entry(k, j2)))
+        return ok, written
 
     deadline = None if time_budget_s is None else _time.monotonic() + time_budget_s
     state = {"nodes": 0, "exhausted": False}

@@ -308,9 +308,6 @@ class FaceLattice:
     def vertex_ids(self, face: Face) -> tuple[int, ...]:
         return tuple(_bits(face.vertex_mask))
 
-    def face_by_vertices(self, mask: int) -> Face:
-        return self.faces[self.by_vertex_mask[mask]]
-
     def sub_faces(self, face: Face, dim: int) -> tuple[int, ...]:
         """Indices of all dim-d faces below the given face (inclusive)."""
         key = (face.index, dim)

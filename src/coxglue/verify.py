@@ -5,9 +5,10 @@ independence and the order-8 extension obstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Sequence
 
 from .coxeter import constants
@@ -130,13 +131,17 @@ def lattice_context():
                     "vertex and side transport routes disagree")
             perm.append(g.index)
         fperm.append(tuple(perm))
-    sides_faces = [[] for _ in range(27)]
+    return lat, tuple(vperm), tuple(fperm), _sides_faces(lat, 27)
+
+
+def _sides_faces(lat: FaceLattice, sides: int) -> tuple[tuple[int, ...], ...]:
+    """The faces on each side but the ideal points, in face order."""
+    out: list[list[int]] = [[] for _ in range(sides)]
     for f in lat.faces:
-        if f.ideal_point or f.dim == 6:
-            continue
-        for s in f.sides:
-            sides_faces[s].append(f.index)
-    return lat, tuple(vperm), tuple(fperm), tuple(tuple(x) for x in sides_faces)
+        if not f.ideal_point and f.dim != lat.polytope.dim:
+            for s in f.sides:
+                out[s].append(f.index)
+    return tuple(map(tuple, out))
 
 
 # -- properness ----------------------------------------------------------
@@ -147,6 +152,10 @@ class PropernessCertificate:
     proper: bool
     dims: dict[int, dict[str, int]]
     violation: dict | None = None
+    # (root, transport) of face instance copy * faces + face, as traced;
+    # None after a holonomy conflict.  Neither compared nor exported.
+    classes: tuple[tuple[int, object], ...] | None = field(
+        default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {"proper": self.proper,
@@ -168,21 +177,19 @@ def face_cycles_proper(
 
 def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
     arr.validate_involution()
+    sigma_pows = standard_context()[4]
     lat, vperm, fperm, sides_faces = lattice_context()
     nf = len(lat.faces)
     uf = TransportUnionFind(8 * nf, _exp_compose, _exp_inverse, 0)
     violation = None
-    for i in range(8):
-        for j in range(27):
-            k, p = arr.entry(i, j)
-            for fidx in sides_faces[j]:
-                a = i * nf + fidx
-                b = k * nf + fperm[p][fidx]
-                if not uf.union(a, b, p):
-                    violation = {"kind": "holonomy", "copy": i + 1,
-                                 "side": j + 1, "face_dim": lat.faces[fidx].dim}
-                    break
-            if violation:
+    for i, j in product(range(8), range(27)):
+        k, p = arr.entry(i, j)
+        if (k, sigma_pows[p][j]) < (i, j):
+            continue  # the partner entry, met earlier, made the inverse unions
+        for fidx in sides_faces[j]:
+            if not uf.union(i * nf + fidx, k * nf + fperm[p][fidx], p):
+                violation = {"kind": "holonomy", "copy": i + 1,
+                             "side": j + 1, "face_dim": lat.faces[fidx].dim}
                 break
         if violation:
             break
@@ -197,15 +204,9 @@ def _cycles_q(qsp: QSidePairing, lattice: FaceLattice | None) -> PropernessCerti
     nf = len(lat.faces)
     uf = TransportUnionFind(
         nf, lambda a, b: mat_mul(a, b), lorentz_inverse, identity(n + 1))
-    sides_faces: list[list[int]] = [[] for _ in range(len(poly.normals))]
-    for f in lat.faces:
-        if f.ideal_point or f.dim == n:
-            continue
-        for s in f.sides:
-            sides_faces[s].append(f.index)
     inc = poly.incidence_masks()
     violation = None
-    for m, faces in enumerate(sides_faces):
+    for m, faces in enumerate(_sides_faces(lat, len(poly.normals))):
         # points of side m are carried to the partner side by the inverse
         g = qsp.transforms[qsp.partner[m]]
         gv: dict[int, int] = {}
@@ -247,33 +248,28 @@ def _cycle_report(uf: TransportUnionFind, lat: FaceLattice, copies: int,
     dims: dict[int, dict[str, int]] = {
         k: {"faces": 0, "orbits": 0, "expected_cycle": 2 ** (n - k)}
         for k in range(n)}
-    if violation is None:
-        roots: dict[int, int] = {}
-        root_dim: dict[int, int] = {}
-        for i in range(copies):
-            for f in lat.faces:
-                if f.ideal_point or f.dim == n:
-                    continue
-                x = i * nf + f.index
-                r, _ = uf.find(x)
-                roots[r] = roots.get(r, 0) + 1
-                root_dim[r] = f.dim
-                dims[f.dim]["faces"] += 1
-        for r, size in roots.items():
-            k = root_dim[r]
-            dims[k]["orbits"] += 1
-            if size != 2 ** (n - k) and violation is None:
-                member = next(
-                    (i, f.index) for i in range(copies) for f in lat.faces
-                    if not f.ideal_point and f.dim != n
-                    and uf.find(i * nf + f.index)[0] == r)
-                violation = {"kind": "cycle_length", "face_dim": k,
-                             "cycle_length": size,
-                             "expected": 2 ** (n - k),
-                             "witness_copy": member[0] + 1,
-                             "witness_face_sides":
-                                 sorted(s + 1 for s in lat.faces[member[1]].sides)}
-    return PropernessCertificate(violation is None, dims, violation)
+    if violation is not None:
+        return PropernessCertificate(False, dims, violation)
+    classes = tuple(map(uf.find, range(copies * nf)))
+    # the pass traces every face but the ideal points and the polytope
+    traced = [None if f.ideal_point or f.dim == n else f.dim
+              for f in lat.faces]
+    for x, (r, _) in enumerate(classes):
+        k = traced[x % nf]
+        if k is None:
+            continue
+        dims[k]["faces"] += 1
+        dims[k]["orbits"] += r == x
+        if violation is None and uf.size[r] != 2 ** (n - k):
+            # x is the first member of the first such class met
+            copy, fidx = divmod(x, nf)
+            violation = {"kind": "cycle_length", "face_dim": k,
+                         "cycle_length": uf.size[r],
+                         "expected": 2 ** (n - k),
+                         "witness_copy": copy + 1,
+                         "witness_face_sides":
+                             sorted(s + 1 for s in lat.faces[fidx].sides)}
+    return PropernessCertificate(violation is None, dims, violation, classes)
 
 
 # -- algebraic certificates ----------------------------------------------

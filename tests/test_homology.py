@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from coxglue import homology as hm
 from coxglue import pairing as pg
 from coxglue import tables
+from coxglue import verify as vf
 from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import RowSpan, det
 from coxglue.smith import smith_normal_form
@@ -80,19 +82,37 @@ def test_quotient_requires_proper_pairing():
 def test_boundary_signs_match_determinants(mid, perm):
     """Every boundary entry recomputed by exact determinants: the frame
     of the facet's class representative, moved by its transport sigma^t
-    and led by a point of the cell off the facet, in the cell's frame."""
+    and led by a point of the cell off the facet, in the cell's frame.
+    The classes come from a union-find over the cells of the eight
+    copies, which is also the oracle for the classes that the complex
+    lifts from the certificate's face classes."""
     arr = pg.published_pairing(mid)
     if perm:
         arr = arr.relabeled(perm)
-    cx = hm.build_quotient_complex(arr, check_proper=False)
+    cert = vf.face_cycles_proper(arr)
+    cx = hm.build_quotient_complex(arr, cert)
     tc = hm.truncated_cells()
     n = len(tc["cells"])
+    faces = vf.lattice_context()[0].faces
+    nf = len(faces)
+    sides_cells: list[list[int]] = [[] for _ in range(27)]
+    for c in range(n):
+        for s in faces[tc["cell_face"][c]].sides:
+            sides_cells[s].append(c)
     uf = TransportUnionFind(8 * n, _exp_compose, _exp_inverse, 0)
     for i in range(8):
         for j in range(27):
             k, p = arr.entry(i, j)
-            for c in tc["sides_cells"][j]:
+            for c in sides_cells[j]:
                 assert uf.union(i * n + c, k * n + tc["cell_perm"][p][c], p)
+    roots = [r for r in range(8 * n) if uf.find(r)[0] == r]
+    assert [(q.copy * n + q.cell, q.orbit_size) for q in cx.cells] == \
+        [(r, uf.size[r]) for r in roots]
+    for x in range(8 * n):
+        copy, c = divmod(x, n)
+        r, t = cert.classes[copy * nf + tc["cell_face"][c]]
+        lifted = (r // nf * n + tc["cell_perm"][-t][c], t)
+        assert lifted == uf.find(x)
     index = {q.copy * n + q.cell: q.index for q in cx.cells}
     points = tc["points"]
     want: dict[int, dict[tuple[int, int], int]] = {d: {} for d in cx.boundaries}
@@ -114,6 +134,24 @@ def test_boundary_signs_match_determinants(mid, perm):
     assert moved
     assert cx.boundaries == {d: {key: v for key, v in m.items() if v}
                              for d, m in want.items()}
+
+
+def test_dd_check_catches_a_flipped_sign():
+    cx = hm.build_quotient_complex(pg.published_pairing(1))
+    key = next(iter(cx.boundaries[3]))
+    cx.boundaries[3][key] *= -1
+    with pytest.raises(hm.ComplexError, match="at dim 3$"):
+        cx.check_dd_zero()
+
+
+def test_certificate_without_eight_copy_classes_is_refused():
+    arr = pg.published_pairing(1)
+    cert = vf.face_cycles_proper(arr)
+    # a one-copy certificate, as the Q route gives, has too few classes
+    for classes in (cert.classes[:100], None):
+        with pytest.raises(hm.ComplexError, match="eight-copy"):
+            hm.build_quotient_complex(
+                arr, dataclasses.replace(cert, classes=classes))
 
 
 def test_sign_tables_follow_the_symmetry():

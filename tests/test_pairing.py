@@ -248,6 +248,20 @@ def test_search_infeasible_constraints():
     assert res.solutions == ()
 
 
+# m3 with its copy 3 put first also counts the crossings that the
+# partner entry of each assignment records: without them it takes 7,488
+@pytest.mark.parametrize("mid, first, nodes",
+                         [(1, 0, 9856), (9, 0, 5376), (3, 2, 7040)])
+def test_search_from_first_row_rediscovers_published(mid, first, nodes):
+    arr = pg.published_pairing(mid).relabeled(
+        [(x - first) % 8 for x in range(8)])
+    fixed = {(0, j): arr.entries[0][j] for j in range(27)}
+    res = pg.search_pairings(fixed)
+    assert res.complete
+    assert res.nodes_used == nodes
+    assert [s.entries for s in res.solutions] == [arr.entries]
+
+
 def test_search_exhausted_without_solution_is_infeasible():
     # row 1 of m1 with one twist power changed: the fixed entries agree
     # with each other, but the 256-node tree holds no proper completion

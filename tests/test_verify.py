@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -161,3 +162,54 @@ def test_certify_rejects_code_mismatch():
     with pytest.raises(vf.CertificationError):
         vf.certify_manifold(pg.published_pairing(1),
                             tables.manifold_record(2).code)
+
+
+def _cycles_eight_both_ways(arr: pg.EightPPairing) -> vf.PropernessCertificate:
+    """The face pass with every side pair unioned from both of its
+    sides, as an oracle for the pass that unions each pair once."""
+    arr.validate_involution()
+    lat, _, fperm, sides_faces = vf.lattice_context()
+    nf = len(lat.faces)
+    uf = vf.TransportUnionFind(8 * nf, vf._exp_compose, vf._exp_inverse, 0)
+    violation = None
+    for i, j in itertools.product(range(8), range(27)):
+        k, p = arr.entry(i, j)
+        for fidx in sides_faces[j]:
+            if not uf.union(i * nf + fidx, k * nf + fperm[p][fidx], p):
+                violation = {"kind": "holonomy", "copy": i + 1,
+                             "side": j + 1, "face_dim": lat.faces[fidx].dim}
+                break
+        if violation:
+            break
+    return vf._cycle_report(uf, lat, 8, violation)
+
+
+def test_each_side_pair_unioned_once_changes_nothing():
+    # seed 4 draws one mutant (the ninth) that fails by holonomy, which
+    # few mutants do; the others fail by cycle length
+    rng = random.Random(4)
+    arrays = [pg.published_pairing(mid) for mid in range(1, 10)]
+    arrays += [pg.mutated_pairing(arrays[rng.randrange(9)], rng)
+               for _ in range(40)]
+    kinds = set()
+    for arr in arrays:
+        got, want = vf.face_cycles_proper(arr), _cycles_eight_both_ways(arr)
+        assert got == want
+        assert got.classes == want.classes
+        kinds.add(got.violation and got.violation["kind"])
+    assert kinds == {None, "holonomy", "cycle_length"}
+
+
+def test_patch_sites_of_the_traced_benchmark_run():
+    """perfbench/layers.py wraps these module attributes; each name a
+    module imports from another must stay the one shared object."""
+    from coxglue import homology as hm
+    assert hm.face_cycles_proper is vf.face_cycles_proper
+    assert pg.mat_mul is vf.mat_mul
+    assert pg.develop is vf.develop
+    assert pg.standard_context is vf.standard_context is hm.standard_context
+    assert vf.lattice_context is hm.lattice_context
+    for module, name in [(hm, "det"), (pg, "build_q"), (vf, "face_lattice"),
+                         (hm, "invariant_factors"), (hm, "truncated_cells"),
+                         (vf, "columns_independent"), (vf, "gf2_solve")]:
+        assert callable(getattr(module, name))
