@@ -349,9 +349,9 @@ def build_quotient_complex(
         proper = face_cycles_proper(arr)
     if not proper.proper:
         raise ComplexError(f"side-pairing is not proper: {proper.violation}")
-    classes = proper.classes
+    face_root, face_t = proper.roots, proper.transports
     nf = len(lattice_context()[0].faces)
-    if len(classes or ()) != 8 * nf:
+    if len(face_root or ()) != 8 * nf:
         raise ComplexError("certificate has no eight-copy face classes")
     tc = truncated_cells()
     cells = tc["cells"]
@@ -359,7 +359,7 @@ def build_quotient_complex(
     dim_of = tc["cell_dim"]
     cell_face = tc["cell_face"]
     back = [tc["cell_perm"][-t] for t in range(8)]
-    class_size = Counter(r for r, _ in classes)
+    class_size = Counter(face_root)
 
     # one quotient cell per class, the root, keyed by (face root, cell)
     roots: dict[tuple[int, int], int] = {}
@@ -369,7 +369,7 @@ def build_quotient_complex(
         base = copy * nf
         for cidx in range(ncells):
             f = base + cell_face[cidx]
-            if classes[f][0] != f:
+            if face_root[f] != f:
                 continue
             q = QuotientCell(len(qcells), dim_of[cidx], copy, cidx,
                              cells[cidx][0] == "l", class_size[f])
@@ -390,7 +390,8 @@ def build_quotient_complex(
         mat = boundaries[q.dim]
         base = q.copy * nf
         for b0, sign in zip(facets[q.cell], incidence[q.cell]):
-            r, t = classes[base + cell_face[b0]]
+            f = base + cell_face[b0]
+            r, t = face_root[f], face_t[f]
             rcell = back[t][b0]
             key = (roots[r, rcell], q.index)
             val = mat.get(key, 0) + sign * orient[t][rcell]
@@ -429,14 +430,10 @@ class HomologyGroups:
         return " + ".join(parts) if parts else "0"
 
 
-def homology_groups(cx: QuotientCellComplex,
-                    cell_subset: set[int] | None = None) -> list[HomologyGroups]:
-    """Integral homology per degree 0..top (optionally of a full
-    subcomplex): `eliminate_units` on the whole complex, then
-    `invariant_factors` of each residual degree."""
-    part = [0 if cell_subset is None or c in cell_subset else -1
-            for c in range(len(cx.cells))]
-    return _homology_of_parts(cx, part, 1)[0]
+def homology_groups(cx: QuotientCellComplex) -> list[HomologyGroups]:
+    """Integral homology per degree 0..top: `eliminate_units` on the
+    whole complex, then `invariant_factors` of each residual degree."""
+    return _homology_of_parts(cx, [0] * len(cx.cells), 1)[0]
 
 
 def _homology_of_parts(cx: QuotientCellComplex, part: list[int],

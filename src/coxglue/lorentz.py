@@ -8,7 +8,6 @@ pure, so concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -182,21 +181,6 @@ def det(m: Mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
-
-
-def rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer row collection."""
-    basis: list[list[Fraction]] = []
-    for row in rows:
-        r = [Fraction(x) for x in row]
-        for b in basis:
-            piv = next(i for i, x in enumerate(b) if x)
-            if r[piv]:
-                f = r[piv] / b[piv]
-                r = [x - f * y for x, y in zip(r, b)]
-        if any(r):
-            basis.append(r)
-    return len(basis)
 
 
 class RowSpan:

@@ -241,7 +241,7 @@ class EightPPairing:
         return EightPPairing(tuple(rows))
 
 
-def parse_8p_pairing(text: str, validate: bool = True) -> EightPPairing:
+def parse_8p_pairing(text: str) -> EightPPairing:
     """Parse 8 rows of 27 tokens of the form k^p; visual grouping of the
     tokens in triples is accepted and ignored."""
     rows = []
@@ -267,8 +267,7 @@ def parse_8p_pairing(text: str, validate: bool = True) -> EightPPairing:
     if len(rows) != 8:
         raise PairingError(f"expected 8 rows, got {len(rows)}")
     arr = EightPPairing(tuple(rows))
-    if validate:
-        arr.validate_involution()
+    arr.validate_involution()
     return arr
 
 
@@ -546,96 +545,17 @@ class SearchResult:
         }
 
 
-class _RollbackCycles:
-    """Union-find over tracked face instances with exponent transports,
-    orbit size caps, and crossing completion counts; fully undoable."""
-
-    def __init__(self, n_local: int, caps, cpf) -> None:
-        n = 8 * n_local
-        self.n_local = n_local
-        self.parent = list(range(n))
-        self.pot = [0] * n
-        self.size = [1] * n
-        self.asg = [0] * n
-        self.caps = [caps[x % n_local] for x in range(n)]
-        self.cpf = [cpf[x % n_local] for x in range(n)]
-        self.journal: list[tuple] = []
-
-    def mark(self) -> int:
-        return len(self.journal)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.journal) > mark:
-            op = self.journal.pop()
-            if op[0] == "u":
-                _, child, absorbed = op
-                self.parent[child] = child
-                self.pot[child] = 0
-                self.size[absorbed] -= self.size[child]
-                self.asg[absorbed] -= self.asg[child]
-            else:
-                _, root = op
-                self.asg[root] -= 1
-
-    def find(self, x: int) -> tuple[int, int]:
-        t = 0
-        while self.parent[x] != x:
-            t = (self.pot[x] + t) % 8
-            x = self.parent[x]
-        return x, t
-
-    def _closed_bad(self, root: int) -> bool:
-        return (self.asg[root] == self.cpf[root] * self.size[root]
-                and self.size[root] != self.caps[root])
-
-    def union(self, x: int, y: int, d: int) -> bool:
-        rx, tx = self.find(x)
-        ry, ty = self.find(y)
-        delta = (d + tx - ty) % 8  # geometry(ry) = delta applied to rx's
-        if rx == ry:
-            return delta == 0
-        if self.size[rx] < self.size[ry]:
-            rx, ry, delta = ry, rx, (-delta) % 8
-        if self.size[rx] + self.size[ry] > self.caps[rx]:
-            return False
-        self.parent[ry] = rx
-        self.pot[ry] = delta
-        self.size[rx] += self.size[ry]
-        self.asg[rx] += self.asg[ry]
-        self.journal.append(("u", ry, rx))
-        return not self._closed_bad(rx)
-
-    def cross(self, x: int) -> bool:
-        root, _ = self.find(x)
-        self.asg[root] += 1
-        self.journal.append(("a", root))
-        return not self._closed_bad(root)
-
-
 @lru_cache(maxsize=1)
 def _search_tables():
+    """Per face of the lattice, its cycle length 2^(6 - dim) and its wall
+    count; per side, its actual vertices, which next_slot scores."""
     from .verify import lattice_context
-    lat, vperm, fperm, sides_faces = lattice_context()
-    # track the full lattice, lowest dimensions first: small-cap orbits
-    # (ridges close in cycles of 4, sides in 2) catch contradictions first
-    tracked: dict[int, list[int]] = {d: [] for d in range(6)}
-    for f in lat.faces:
-        if f.ideal_point or f.dim == 6:
-            continue
-        tracked[f.dim].append(f.index)
-    order = [f for d in range(6) for f in tracked[d]]
-    local = {fidx: i for i, fidx in enumerate(order)}
-    caps = [2 ** (6 - lat.faces[f].dim) for f in order]
-    cpf = [len(lat.faces[f].sides) for f in order]
-    perm_local = []
-    for p in range(8):
-        perm_local.append(tuple(local[fperm[p][f]] for f in order))
-    on_side: list[tuple[int, ...]] = []
-    for j in range(27):
-        # small-cap (high dimension) faces first, to fail fast
-        members = sorted((local[f] for f in sides_faces[j]), reverse=True)
-        on_side.append(tuple(members))
-    return len(order), caps, cpf, tuple(perm_local), tuple(on_side)
+    lat, _, _, sides_faces = lattice_context()
+    caps = tuple(2 ** (6 - f.dim) for f in lat.faces)
+    walls = tuple(len(f.sides) for f in lat.faces)
+    side_vertices = tuple(tuple(f for f in faces if lat.faces[f].dim == 0)
+                          for faces in sides_faces)
+    return caps, walls, side_vertices
 
 
 def search_pairings(
@@ -646,32 +566,48 @@ def search_pairings(
 ) -> SearchResult:
     """Backtracking search over the symmetry-restricted gluing arrays.
 
-    Assignments respect the involution law by construction; partial
-    assignments are pruned through the vertex and edge cycle conditions
-    (orbit caps, transport holonomy, and early-closure detection).
+    Assignments respect the involution law by construction.  Each
+    assignment unions the faces of its side pair in `verify.FaceCycles`,
+    the engine the properness certificate runs, on the same face
+    numbering, and counts its wall crossings; it is pruned on a holonomy
+    conflict, a class longer than its cycle length 2^(6 - dim), or a
+    class closed (every wall of every member crossed) short of it.  The
+    lattice numbers faces highest dimension first, so sides and ridges,
+    whose cycles are shortest, are unioned first and fail fast.
     Completed arrays are confirmed with the full properness checker.
     Exhausting the node or time budget is reported, never an error; a
     search that completes without a solution is reported infeasible.
     """
     import time as _time
 
-    _, sigma, _, _, sigma_pows = standard_context()
-    n_local, caps, cpf, perm_local, on_side = _search_tables()
-    cyc = _RollbackCycles(n_local, caps, cpf)
+    from .verify import FaceCycles, lattice_context
+
+    sigma_pows = standard_context()[4]
+    lat, _, fperm, sides_faces = lattice_context()
+    nf = len(lat.faces)
+    caps, walls, side_vertices = _search_tables()
+    cyc = FaceCycles(8 * nf)
+    size, asg = cyc.size, cyc.asg
     entries: list[list[tuple[int, int] | None]] = [
         [None] * 27 for _ in range(8)]
 
+    def pruned(root: int) -> bool:
+        f = root % nf
+        return size[root] > caps[f] or (
+            asg[root] == walls[f] * size[root] and size[root] != caps[f])
+
     def union_entry(i: int, j: int, k: int, p: int) -> bool:
-        base_i, base_k, pl = i * n_local, k * n_local, perm_local[p]
-        for f in on_side[j]:
-            if not cyc.union(base_i + f, base_k + pl[f], p):
+        base_i, base_k, fp = i * nf, k * nf, fperm[p]
+        for f in sides_faces[j]:
+            root = cyc.union(base_i + f, base_k + fp[f], p)
+            if root < 0 or pruned(root):
                 return False
         return True
 
     def cross_entry(i: int, j: int) -> bool:
-        base_i = i * n_local
-        for f in on_side[j]:
-            if not cyc.cross(base_i + f):
+        base_i = i * nf
+        for f in sides_faces[j]:
+            if pruned(cyc.cross(base_i + f)):
                 return False
         return True
 
@@ -700,7 +636,6 @@ def search_pairings(
     state = {"nodes": 0, "exhausted": False}
     solutions: dict[tuple, EightPPairing] = {}
 
-    mark0 = cyc.mark()
     if fixed:
         for (i, j), (k, p) in sorted(fixed.items()):
             if entries[i][j] is not None:
@@ -712,9 +647,6 @@ def search_pairings(
                 return SearchResult((), 0, False, True, True)
 
     slots = [(i, j) for i in range(8) for j in range(27)]
-    vert_count = sum(1 for c in cpf if c == 6)
-    vert_on_side = [tuple(f for f in on_side[j] if f < vert_count)
-                    for j in range(27)]
 
     def next_slot() -> tuple[int, int] | None:
         """Most-constrained free slot: the one whose wall vertices sit in
@@ -724,11 +656,10 @@ def search_pairings(
         for i, j in slots:
             if entries[i][j] is not None:
                 continue
-            base = i * n_local
+            base = i * nf
             score = 0
-            for f in vert_on_side[j]:
-                root, _ = cyc.find(base + f)
-                score += cyc.asg[root]
+            for f in side_vertices[j]:
+                score += asg[cyc.find(base + f)[0]]
             if score > best_score:
                 best, best_score = (i, j), score
         return best
@@ -766,7 +697,6 @@ def search_pairings(
         return True
 
     complete = dfs() and not state["exhausted"]
-    cyc.rollback(mark0)
     return SearchResult(
         tuple(solutions[key] for key in sorted(solutions)),
         state["nodes"],

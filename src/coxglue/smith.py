@@ -228,25 +228,19 @@ def eliminate_units(bd: dict[int, dict[int, int]]) -> int:
 
 
 def invariant_factors(
-    entries: Mapping[tuple[int, int], int] | Sequence[Sequence[int]],
-    shape: tuple[int, int] | None = None,
+    entries: Mapping[tuple[int, int], int],
+    shape: tuple[int, int],
 ) -> tuple[int, ...]:
     """Invariant factors (nonzero SNF diagonal) without transforms.
 
-    Accepts a dense row list or a sparse {(row, col): value} mapping with
-    an explicit shape.  The matrix is reduced by `eliminate_units` as a
-    two-term complex, and its residue by `smith_normal_form`.
+    Takes a sparse {(row, col): value} mapping and the (rows, columns)
+    shape of the matrix; rows and columns with no entry add no factor.
+    The matrix is reduced by `eliminate_units` as a two-term complex, and
+    its residue by `smith_normal_form`.
     """
-    if isinstance(entries, Mapping):
-        if shape is None:
-            raise ValueError("sparse input needs an explicit shape")
-        items = entries.items()
-    else:
-        items = (((i, j), val) for i, row in enumerate(entries)
-                 for j, val in enumerate(row))
     # column j is cell j, row i is cell ~i (negative, so they never meet)
     bd: dict[int, dict[int, int]] = {}
-    for (i, j), val in items:
+    for (i, j), val in entries.items():
         if val:
             bd.setdefault(j, {})[~i] = int(val)
             bd.setdefault(~i, {})

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
 from .coxeter import constants
 from .gf2 import Gf2Matrix, columns_independent, gf2_solve
@@ -37,7 +37,9 @@ class InvarianceError(CertificationError):
 
 
 class TransportUnionFind:
-    """Union-find whose edges carry identification transports.
+    """Union-find whose edges carry identification transports from any
+    group, given by its composition and inverse: the Q route's isometry
+    matrices.  Eight-copy gluings use FaceCycles.
 
     find(x) returns (root, t) with geometry(x) = t applied to the root's
     geometry; union(x, y, d) asserts geometry(y) = d applied to
@@ -92,12 +94,76 @@ class TransportUnionFind:
         return True
 
 
-def _exp_compose(a: int, b: int) -> int:
-    return (a + b) % 8
+class FaceCycles:
+    """The face-cycle engine: union-find over face instances
+    copy * faces + face whose links carry powers of the order-8 symmetry,
+    with crossing counts and an undo journal.  The eight-copy properness
+    pass runs it on a whole array, the search on partial arrays, which it
+    rolls back; so search pruning and certification read the same cycles.
 
+    find(x) returns (root, t) with face x = sigma^t of the root's face;
+    union(x, y, d) imposes face y = sigma^d of face x.  Union by size,
+    y's root below x's on a tie, as in TransportUnionFind.  There is no
+    path compression, so that rollback finds every link intact.
+    """
 
-def _exp_inverse(a: int) -> int:
-    return (-a) % 8
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.pot = [0] * n  # x = sigma^pot[x] of parent[x]
+        self.size = [1] * n
+        self.asg = [0] * n  # crossings counted on each class, at its root
+        # the linked child of each union, ~root of each crossing
+        self.journal: list[int] = []
+
+    def find(self, x: int) -> tuple[int, int]:
+        parent, pot = self.parent, self.pot
+        t = 0
+        while parent[x] != x:
+            t += pot[x]
+            x = parent[x]
+        return x, t % 8
+
+    def union(self, x: int, y: int, d: int) -> int:
+        """Impose y = sigma^d x; the class root, or -1 on a holonomy
+        conflict."""
+        rx, tx = self.find(x)
+        ry, ty = self.find(y)
+        delta = (d + tx - ty) % 8  # ry = sigma^delta rx
+        if rx == ry:
+            return -1 if delta else rx
+        size = self.size
+        if size[rx] < size[ry]:
+            rx, ry, delta = ry, rx, -delta % 8
+        self.parent[ry] = rx
+        self.pot[ry] = delta
+        size[rx] += size[ry]
+        self.asg[rx] += self.asg[ry]
+        self.journal.append(ry)
+        return rx
+
+    def cross(self, x: int) -> int:
+        """Count one wall crossing on x's class; its root."""
+        root = self.find(x)[0]
+        self.asg[root] += 1
+        self.journal.append(~root)
+        return root
+
+    def mark(self) -> int:
+        return len(self.journal)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every union and crossing made since mark."""
+        parent, journal = self.parent, self.journal
+        while len(journal) > mark:
+            x = journal.pop()
+            if x < 0:
+                self.asg[~x] -= 1
+                continue
+            root = parent[x]
+            parent[x] = x
+            self.pot[x] = 0
+            self.size[root] -= self.size[x]
+            self.asg[root] -= self.asg[x]
 
 
 # -- shared exact action of the order-8 symmetry on the face lattice ----
@@ -152,10 +218,12 @@ class PropernessCertificate:
     proper: bool
     dims: dict[int, dict[str, int]]
     violation: dict | None = None
-    # (root, transport) of face instance copy * faces + face, as traced;
-    # None after a holonomy conflict.  Neither compared nor exported.
-    classes: tuple[tuple[int, object], ...] | None = field(
+    # root and transport of each face instance copy * faces + face, as
+    # traced; None after a holonomy conflict.  Neither compared nor
+    # exported.
+    roots: tuple[int, ...] | None = field(
         default=None, compare=False, repr=False)
+    transports: tuple | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {"proper": self.proper,
@@ -180,14 +248,14 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
     sigma_pows = standard_context()[4]
     lat, vperm, fperm, sides_faces = lattice_context()
     nf = len(lat.faces)
-    uf = TransportUnionFind(8 * nf, _exp_compose, _exp_inverse, 0)
+    uf = FaceCycles(8 * nf)
     violation = None
     for i, j in product(range(8), range(27)):
         k, p = arr.entry(i, j)
         if (k, sigma_pows[p][j]) < (i, j):
             continue  # the partner entry, met earlier, made the inverse unions
         for fidx in sides_faces[j]:
-            if not uf.union(i * nf + fidx, k * nf + fperm[p][fidx], p):
+            if uf.union(i * nf + fidx, k * nf + fperm[p][fidx], p) < 0:
                 violation = {"kind": "holonomy", "copy": i + 1,
                              "side": j + 1, "face_dim": lat.faces[fidx].dim}
                 break
@@ -241,8 +309,9 @@ def _cycles_q(qsp: QSidePairing, lattice: FaceLattice | None) -> PropernessCerti
     return _cycle_report(uf, lat, 1, violation)
 
 
-def _cycle_report(uf: TransportUnionFind, lat: FaceLattice, copies: int,
-                  violation: dict | None) -> PropernessCertificate:
+def _cycle_report(uf: FaceCycles | TransportUnionFind, lat: FaceLattice,
+                  copies: int, violation: dict | None
+                  ) -> PropernessCertificate:
     n = lat.polytope.dim
     nf = len(lat.faces)
     dims: dict[int, dict[str, int]] = {
@@ -250,11 +319,15 @@ def _cycle_report(uf: TransportUnionFind, lat: FaceLattice, copies: int,
         for k in range(n)}
     if violation is not None:
         return PropernessCertificate(False, dims, violation)
-    classes = tuple(map(uf.find, range(copies * nf)))
+    roots, transports = [], []
+    for x in range(copies * nf):
+        r, t = uf.find(x)
+        roots.append(r)
+        transports.append(t)
     # the pass traces every face but the ideal points and the polytope
     traced = [None if f.ideal_point or f.dim == n else f.dim
               for f in lat.faces]
-    for x, (r, _) in enumerate(classes):
+    for x, r in enumerate(roots):
         k = traced[x % nf]
         if k is None:
             continue
@@ -269,7 +342,8 @@ def _cycle_report(uf: TransportUnionFind, lat: FaceLattice, copies: int,
                          "witness_copy": copy + 1,
                          "witness_face_sides":
                              sorted(s + 1 for s in lat.faces[fidx].sides)}
-    return PropernessCertificate(violation is None, dims, violation, classes)
+    return PropernessCertificate(violation is None, dims, violation,
+                                 tuple(roots), tuple(transports))
 
 
 # -- algebraic certificates ----------------------------------------------
@@ -390,13 +464,11 @@ def _orbit_representatives(lat, fperm, verts, edges) -> list[tuple[int, ...]]:
     return reps
 
 
-def pair_space_action(cmx: CodeMatrix, sigma: Sequence[int] | None = None
-                      ) -> Gf2Matrix:
+def pair_space_action(cmx: CodeMatrix) -> Gf2Matrix:
     """Matrix, on the 21 relator images, of the automorphism induced by
     the order-8 side permutation; raises InvarianceError if the span is
     not preserved."""
-    if sigma is None:
-        sigma = standard_context()[1]
+    sigma = standard_context()[1]
     w = [cmx.column_bits(j) for j in range(27)]
     basis = [w[j] | (1 << j) for j in range(6, 27)]
 
@@ -433,7 +505,7 @@ def extension_torsion_certificate(
     solution among the relator images."""
     sigma = standard_context()[1]
     if action is None:
-        action = pair_space_action(cmx, sigma)
+        action = pair_space_action(cmx)
     target = 0
     s = 1  # wall with index 2 in one-based terms
     for _ in range(8):

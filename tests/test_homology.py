@@ -15,7 +15,7 @@ from coxglue import verify as vf
 from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import RowSpan, det
 from coxglue.smith import smith_normal_form
-from coxglue.verify import TransportUnionFind, _exp_compose, _exp_inverse
+from coxglue.verify import TransportUnionFind
 
 
 def test_truncated_cell_counts():
@@ -99,7 +99,8 @@ def test_boundary_signs_match_determinants(mid, perm):
     for c in range(n):
         for s in faces[tc["cell_face"][c]].sides:
             sides_cells[s].append(c)
-    uf = TransportUnionFind(8 * n, _exp_compose, _exp_inverse, 0)
+    uf = TransportUnionFind(8 * n, lambda a, b: (a + b) % 8,
+                            lambda a: -a % 8, 0)
     for i in range(8):
         for j in range(27):
             k, p = arr.entry(i, j)
@@ -110,7 +111,8 @@ def test_boundary_signs_match_determinants(mid, perm):
         [(r, uf.size[r]) for r in roots]
     for x in range(8 * n):
         copy, c = divmod(x, n)
-        r, t = cert.classes[copy * nf + tc["cell_face"][c]]
+        f = copy * nf + tc["cell_face"][c]
+        r, t = cert.roots[f], cert.transports[f]
         lifted = (r // nf * n + tc["cell_perm"][-t][c], t)
         assert lifted == uf.find(x)
     index = {q.copy * n + q.cell: q.index for q in cx.cells}
@@ -148,10 +150,10 @@ def test_certificate_without_eight_copy_classes_is_refused():
     arr = pg.published_pairing(1)
     cert = vf.face_cycles_proper(arr)
     # a one-copy certificate, as the Q route gives, has too few classes
-    for classes in (cert.classes[:100], None):
+    for cut in (cert.roots[:100], None):
         with pytest.raises(hm.ComplexError, match="eight-copy"):
             hm.build_quotient_complex(
-                arr, dataclasses.replace(cert, classes=classes))
+                arr, dataclasses.replace(cert, roots=cut, transports=cut))
 
 
 def test_sign_tables_follow_the_symmetry():

@@ -19,7 +19,6 @@ from coxglue.lorentz import (
     mat_mul,
     mat_vec,
     primitive,
-    rank,
     reflection_in,
 )
 
@@ -120,7 +119,6 @@ def test_det_and_rank():
     assert det(((2, 0), (0, 3))) == 6
     assert det(identity(5)) == 1
     assert det(((1, 2), (2, 4))) == 0
-    assert rank([(1, 2, 3), (2, 4, 6), (0, 1, 1)]) == 2
     span = RowSpan()
     assert span.add((1, 0, 2))
     assert not span.add((2, 0, 4))

@@ -276,6 +276,28 @@ def test_search_exhausted_without_solution_is_infeasible():
     assert res.infeasible
 
 
+def test_search_pruning_agrees_with_certification(monkeypatch):
+    """With all 216 entries fixed and the confirming check stubbed out,
+    the search keeps an array exactly when its pruning passes it, and
+    that must be exactly when the face pass certifies it proper."""
+    from coxglue import verify as vf
+    monkeypatch.setattr(pg, "_confirmed_proper", lambda arr: True)
+    # seed 4 draws a mutant that fails by holonomy (the ninth) among
+    # mutants that fail by cycle length
+    rng = random.Random(4)
+    arrays = [pg.published_pairing(mid) for mid in range(1, 10)]
+    arrays += [pg.mutated_pairing(arrays[rng.randrange(9)], rng)
+               for _ in range(20)]
+    for n, arr in enumerate(arrays):
+        fixed = {(i, j): arr.entries[i][j] for i in range(8) for j in range(27)}
+        res = pg.search_pairings(fixed)
+        assert res.complete and res.nodes_used == 0
+        proper = vf.face_cycles_proper(arr).proper
+        assert proper == (n < 9)
+        assert [s.entries for s in res.solutions] == \
+            ([arr.entries] if proper else [])
+
+
 def test_decode_random_codes_validate(q6):
     rng = random.Random(77)
     for _ in range(10):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxglue import pairing as pg
 from coxglue import tables
@@ -13,8 +15,16 @@ from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import identity, mat_mul
 
 
+def _exp_compose(a: int, b: int) -> int:
+    return (a + b) % 8
+
+
+def _exp_inverse(a: int) -> int:
+    return -a % 8
+
+
 def test_transport_union_find_exponents():
-    uf = vf.TransportUnionFind(4, vf._exp_compose, vf._exp_inverse, 0)
+    uf = vf.TransportUnionFind(4, _exp_compose, _exp_inverse, 0)
     assert uf.union(0, 1, 3)
     assert uf.union(1, 2, 2)
     root0, t0 = uf.find(0)
@@ -35,6 +45,62 @@ def test_transport_union_find_matrices():
     _, t0 = uf.find(0)
     assert uf.union(0, 2, i2)
     assert not uf.union(0, 2, a)
+
+
+N_UF = 10
+element = st.integers(0, N_UF - 1)
+union_op = st.tuples(element, element, st.integers(0, 7))
+unions = st.lists(union_op, max_size=30)
+# each a union (x, y, d) or a crossing x
+cycle_ops = st.lists(st.one_of(union_op, element), max_size=30)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(unions)
+def test_face_cycles_match_transport_union_find(ops):
+    fc = vf.FaceCycles(N_UF)
+    uf = vf.TransportUnionFind(N_UF, _exp_compose, _exp_inverse, 0)
+    for x, y, d in ops:
+        root = fc.union(x, y, d)
+        assert (root >= 0) == uf.union(x, y, d)
+        if root >= 0:
+            assert root == uf.find(x)[0]
+    finds = [uf.find(x) for x in range(N_UF)]
+    assert [fc.find(x) for x in range(N_UF)] == finds
+    assert [fc.size[r] for r, _ in finds] == [uf.size[r] for r, _ in finds]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(cycle_ops, cycle_ops)
+def test_face_cycles_rollback_restores_state(before, after):
+    fc = vf.FaceCycles(N_UF)
+
+    def run(ops):
+        for op in ops:
+            if isinstance(op, tuple):
+                fc.union(*op)
+            else:
+                fc.cross(op)
+
+    run(before)
+    mark = fc.mark()
+    state = (fc.parent[:], fc.pot[:], fc.size[:], fc.asg[:])
+    run(after)
+    fc.rollback(mark)
+    assert (fc.parent, fc.pot, fc.size, fc.asg) == state
+    assert fc.mark() == mark
+
+
+def test_lattice_numbers_faces_highest_dimension_first():
+    """The search's fail-fast order: on each side, the faces with the
+    shortest cycles come first."""
+    lat, _, _, sides_faces = vf.lattice_context()
+    dims = [f.dim for f in lat.faces]
+    assert dims == sorted(dims, reverse=True)
+    ideal = [f.ideal_point for f in lat.faces]
+    assert ideal == [False] * (len(ideal) - 27) + [True] * 27
+    for faces in sides_faces:
+        assert list(faces) == sorted(faces)
 
 
 def test_code_matrix_matches_embedded(p6):
@@ -170,7 +236,7 @@ def _cycles_eight_both_ways(arr: pg.EightPPairing) -> vf.PropernessCertificate:
     arr.validate_involution()
     lat, _, fperm, sides_faces = vf.lattice_context()
     nf = len(lat.faces)
-    uf = vf.TransportUnionFind(8 * nf, vf._exp_compose, vf._exp_inverse, 0)
+    uf = vf.TransportUnionFind(8 * nf, _exp_compose, _exp_inverse, 0)
     violation = None
     for i, j in itertools.product(range(8), range(27)):
         k, p = arr.entry(i, j)
@@ -195,7 +261,8 @@ def test_each_side_pair_unioned_once_changes_nothing():
     for arr in arrays:
         got, want = vf.face_cycles_proper(arr), _cycles_eight_both_ways(arr)
         assert got == want
-        assert got.classes == want.classes
+        assert got.roots == want.roots
+        assert got.transports == want.transports
         kinds.add(got.violation and got.violation["kind"])
     assert kinds == {None, "holonomy", "cycle_length"}
 
