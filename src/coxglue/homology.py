@@ -19,16 +19,16 @@ once by exact determinants on the truncated polytope: the incidence of
 a facet in its cell, and the orientation change of a cell under a power
 of the symmetry.  Assembling a gluing's complex is table lookups.
 
-Homology reduces the whole complex along its +-1 incidences, which
-leaves about 90 of a gluing's 8,891 cells, and takes a dense Smith
-normal form of each residual degree; cusp sections likewise.
+Homology reduces the complex once along its +-1 incidences, boundary
+cells first, which leaves each cusp section's own residue, then the
+rest; a dense Smith normal form of each residual degree finishes both.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .lorentz import (
@@ -291,11 +291,27 @@ class QuotientCell:
 
 @dataclass
 class QuotientCellComplex:
-    """Cells of the glued manifold with signed boundary matrices."""
+    """Cells of the glued manifold with signed boundary matrices.  The
+    homology is kept from the first `homology_groups` or `cusp_sections`:
+    change no cell or boundary entry after that."""
 
     cells: list[QuotientCell]
     by_dim: dict[int, list[int]]
     boundaries: dict[int, dict[tuple[int, int], int]]
+
+    @cached_property
+    def _homology(self):
+        # boundary cells pivot first, and are closed under faces
+        bd: dict[int, dict[int, int]] = {c.index: {} for c in self.cells}
+        for mat in self.boundaries.values():
+            for (r, c), v in mat.items():
+                bd[c][r] = v
+        comps = boundary_components(self)
+        eliminate_units(bd, {c for comp in comps for c in comp})
+        parts = [{c: dict(bd[c]) for c in comp if c in bd} for comp in comps]
+        eliminate_units(bd)
+        return (_residue_homology(self, bd),
+                [_residue_homology(self, part) for part in parts])
 
     def counts(self) -> dict[int, int]:
         return {d: len(ix) for d, ix in sorted(self.by_dim.items())}
@@ -431,48 +447,34 @@ class HomologyGroups:
 
 
 def homology_groups(cx: QuotientCellComplex) -> list[HomologyGroups]:
-    """Integral homology per degree 0..top: `eliminate_units` on the
-    whole complex, then `invariant_factors` of each residual degree."""
-    return _homology_of_parts(cx, [0] * len(cx.cells), 1)[0]
+    """Integral homology per degree 0..top: the reduction `cusp_sections`
+    shares, then `invariant_factors` of each residual degree."""
+    return list(cx._homology[0])
 
 
-def _homology_of_parts(cx: QuotientCellComplex, part: list[int],
-                       parts: int) -> list[list[HomologyGroups]]:
-    """Homology of the full subcomplexes on the cells c with part[c] = 0,
-    1, ..., parts - 1 (-1: none), split in one pass over the entries."""
+def _residue_homology(cx: QuotientCellComplex,
+                      bd: dict[int, dict[int, int]]) -> list[HomologyGroups]:
+    """Homology per degree 0..top of `cx`, read from `bd`, a residue of
+    `eliminate_units` on some of the cells of `cx`."""
     top = max(cx.by_dim)
-    bds: list[dict[int, dict[int, int]]] = [{} for _ in range(parts)]
-    for ix in cx.by_dim.values():
-        for c in ix:
-            if part[c] >= 0:
-                bds[part[c]][c] = {}
-    for mat in cx.boundaries.values():
-        for (r, c), v in mat.items():
-            k = part[c]
-            if k >= 0 and part[r] == k:
-                bds[k][c][r] = v
-    out = []
-    for bd in bds:
-        eliminate_units(bd)
-        cells_at: dict[int, list[int]] = {d: [] for d in range(top + 1)}
-        for c in sorted(bd):
-            cells_at[cx.cells[c].dim].append(c)
-        factors = {}
-        for d in range(1, top + 1):
-            rindex = {r: i for i, r in enumerate(cells_at[d - 1])}
-            sparse = {(rindex[r], j): v for j, c in enumerate(cells_at[d])
-                      for r, v in bd[c].items()}
-            factors[d] = invariant_factors(
-                sparse, (len(cells_at[d - 1]), len(cells_at[d])))
-        groups = []
-        for d in range(top + 1):
-            above = factors.get(d + 1, ())
-            betti = len(cells_at[d]) - len(factors.get(d, ())) - len(above)
-            if betti < 0:
-                raise ComplexError("negative Betti number")
-            groups.append(HomologyGroups(betti, tuple(f for f in above if f > 1)))
-        out.append(groups)
-    return out
+    cells_at: dict[int, list[int]] = {d: [] for d in range(top + 1)}
+    for c in sorted(bd):
+        cells_at[cx.cells[c].dim].append(c)
+    factors = {}
+    for d in range(1, top + 1):
+        rindex = {r: i for i, r in enumerate(cells_at[d - 1])}
+        sparse = {(rindex[r], j): v for j, c in enumerate(cells_at[d])
+                  for r, v in bd[c].items()}
+        factors[d] = invariant_factors(
+            sparse, (len(cells_at[d - 1]), len(cells_at[d])))
+    groups = []
+    for d in range(top + 1):
+        above = factors.get(d + 1, ())
+        betti = len(cells_at[d]) - len(factors.get(d, ())) - len(above)
+        if betti < 0:
+            raise ComplexError("negative Betti number")
+        groups.append(HomologyGroups(betti, tuple(f for f in above if f > 1)))
+    return groups
 
 
 def boundary_components(cx: QuotientCellComplex) -> list[set[int]]:
@@ -499,10 +501,6 @@ def boundary_components(cx: QuotientCellComplex) -> list[set[int]]:
 
 
 def cusp_sections(cx: QuotientCellComplex) -> list[list[HomologyGroups]]:
-    """Homology of each boundary component (the cusp cross-sections)."""
-    comps = boundary_components(cx)
-    part = [-1] * len(cx.cells)
-    for n, comp in enumerate(comps):
-        for c in comp:
-            part[c] = n
-    return _homology_of_parts(cx, part, len(comps))
+    """Homology of each boundary component (the cusp cross-sections),
+    from what the shared reduction leaves of it before the interior."""
+    return [list(groups) for groups in cx._homology[1]]

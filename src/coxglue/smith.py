@@ -1,8 +1,8 @@
 """Smith normal form over the integers.
 
 `eliminate_units` reduces a sparse chain complex along its +-1
-incidences; homology runs it on the whole complex and finishes the
-small residue, which has no unit entries, with the dense
+incidences; homology runs it boundary cells first, and finishes the
+small residues, which have no unit entries, with the dense
 `smith_normal_form` (with unimodular transforms; also the reference the
 tests use).  `invariant_factors` does the same for one matrix.
 All arithmetic is on Python ints, so entry growth is harmless.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import heapq
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,8 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def eliminate_units(bd: dict[int, dict[int, int]]) -> int:
+def eliminate_units(bd: dict[int, dict[int, int]],
+                    pivots: Container[int] | None = None) -> int:
     """Reduce a chain complex in place along its +-1 incidences.
 
     `bd` maps every cell to its boundary {face: coefficient}, and every
@@ -183,13 +184,17 @@ def eliminate_units(bd: dict[int, dict[int, int]]) -> int:
     b pairs with its +-1 face a of fewest cofaces.  The Schur update
     clears a from the other cofaces of a, then b leaves the boundaries
     of its cofaces and a its own.  Homology is unchanged; on return `bd`
-    holds the residue, which has no +-1 entry.  Returns the pair count.
+    holds the residue.  Only cells in `pivots` (default: all) pair, and
+    none of them keeps a +-1 face.  Returns the pair count.  An update
+    adds faces of b only, so if `pivots` is closed under faces, the
+    pivots left in `bd` are the residue of their subcomplex alone.
     """
     cobd: dict[int, dict[int, int]] = {c: {} for c in bd}
     for b, faces in bd.items():
         for a, v in faces.items():
             cobd[a][b] = v
-    heap = [(len(faces), b) for b, faces in bd.items() if faces]
+    allowed = bd if pivots is None else pivots  # every live cell is in bd
+    heap = [(len(f), b) for b, f in bd.items() if f and b in allowed]
     heapq.heapify(heap)
     pairs = 0
     while heap:
@@ -213,13 +218,15 @@ def eliminate_units(bd: dict[int, dict[int, int]]) -> int:
                     row[a2] = cobd[a2][b2] = x
                 else:
                     del row[a2], cobd[a2][b2]
-            heapq.heappush(heap, (len(row), b2))
+            if b2 in allowed:
+                heapq.heappush(heap, (len(row), b2))
         for a2 in bd.pop(b):
             del cobd[a2][b]
         for e in cobd.pop(b):
             row = bd[e]
             del row[b]
-            heapq.heappush(heap, (len(row), e))
+            if e in allowed:
+                heapq.heappush(heap, (len(row), e))
         for a2 in bd.pop(a):
             del cobd[a2][a]
         del cobd[a]
@@ -233,14 +240,16 @@ def invariant_factors(
 ) -> tuple[int, ...]:
     """Invariant factors (nonzero SNF diagonal) without transforms.
 
-    Takes a sparse {(row, col): value} mapping and the (rows, columns)
-    shape of the matrix; rows and columns with no entry add no factor.
-    The matrix is reduced by `eliminate_units` as a two-term complex, and
-    its residue by `smith_normal_form`.
+    Takes a sparse {(row, col): value} mapping inside the (rows, columns)
+    shape of the matrix, else ValueError; rows and columns with no entry
+    add no factor.  The matrix is reduced by `eliminate_units` as a
+    two-term complex, and its residue by `smith_normal_form`.
     """
     # column j is cell j, row i is cell ~i (negative, so they never meet)
     bd: dict[int, dict[int, int]] = {}
     for (i, j), val in entries.items():
+        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+            raise ValueError(f"entry {(i, j)} lies outside the shape {shape}")
         if val:
             bd.setdefault(j, {})[~i] = int(val)
             bd.setdefault(~i, {})

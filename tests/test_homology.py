@@ -14,7 +14,7 @@ from coxglue import tables
 from coxglue import verify as vf
 from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import RowSpan, det
-from coxglue.smith import smith_normal_form
+from coxglue.smith import eliminate_units, invariant_factors, smith_normal_form
 from coxglue.verify import TransportUnionFind
 
 
@@ -206,6 +206,73 @@ def test_orientable_manifold_has_orientable_cusps():
         assert sec[5].rank == 1
 
 
+def _homology_of_parts(cx, part, parts):
+    """Homology of the full subcomplexes on the cells c with part[c] = 0,
+    1, ..., parts - 1 (-1: none), each reduced on its own by a fresh
+    `eliminate_units` over all its cells."""
+    top = max(cx.by_dim)
+    bds = [{} for _ in range(parts)]
+    for ix in cx.by_dim.values():
+        for c in ix:
+            if part[c] >= 0:
+                bds[part[c]][c] = {}
+    for mat in cx.boundaries.values():
+        for (r, c), v in mat.items():
+            k = part[c]
+            if k >= 0 and part[r] == k:
+                bds[k][c][r] = v
+    out = []
+    for bd in bds:
+        eliminate_units(bd)
+        cells_at = {d: [] for d in range(top + 1)}
+        for c in sorted(bd):
+            cells_at[cx.cells[c].dim].append(c)
+        factors = {}
+        for d in range(1, top + 1):
+            rindex = {r: i for i, r in enumerate(cells_at[d - 1])}
+            sparse = {(rindex[r], j): v for j, c in enumerate(cells_at[d])
+                      for r, v in bd[c].items()}
+            factors[d] = invariant_factors(
+                sparse, (len(cells_at[d - 1]), len(cells_at[d])))
+        groups = []
+        for d in range(top + 1):
+            above = factors.get(d + 1, ())
+            betti = len(cells_at[d]) - len(factors.get(d, ())) - len(above)
+            assert betti >= 0
+            groups.append(hm.HomologyGroups(
+                betti, tuple(f for f in above if f > 1)))
+        out.append(groups)
+    return out
+
+
+def _per_part_homology(cx):
+    """Homology of the whole complex and of each boundary component, each
+    reduced apart from the others: the oracle for the one reduction that
+    `homology_groups` and `cusp_sections` share."""
+    comps = hm.boundary_components(cx)
+    part = [-1] * len(cx.cells)
+    for n, comp in enumerate(comps):
+        for c in comp:
+            part[c] = n
+    return (_homology_of_parts(cx, [0] * len(cx.cells), 1)[0],
+            _homology_of_parts(cx, part, len(comps)))
+
+
+@pytest.mark.parametrize("mid", range(1, 10))
+def test_one_reduction_matches_the_per_part_oracle(mid):
+    """Cusp sections asked first, then homology, then both again (the
+    relabeling test below asks homology first): the same groups as
+    reducing the whole complex and each cusp apart."""
+    cx = hm.build_quotient_complex(pg.published_pairing(mid))
+    groups, secs = _per_part_homology(cx)
+    assert hm.cusp_sections(cx) == secs
+    assert hm.homology_groups(cx) == groups
+    hm.homology_groups(cx).clear()  # the caller's copy, not the kept one
+    hm.cusp_sections(cx)[0].clear()
+    assert hm.cusp_sections(cx) == secs
+    assert hm.homology_groups(cx) == groups
+
+
 @settings(max_examples=5, derandomize=True, database=None, deadline=None)
 @given(mid=st.integers(1, 9), perm=st.permutations(range(8)))
 @example(mid=1, perm=[7, 6, 5, 4, 3, 2, 1, 0])
@@ -214,6 +281,7 @@ def test_homology_invariant_under_relabeling(mid, perm):
     cx = hm.build_quotient_complex(pg.published_pairing(mid).relabeled(perm))
     groups = hm.homology_groups(cx)
     secs = hm.cusp_sections(cx)
+    assert (groups, secs) == _per_part_homology(cx)
     rec = tables.manifold_record(mid)
     assert [groups[d].encode() for d in range(1, 6)] == list(rec.homology)
     assert (str(groups[0]), str(groups[6])) == ("Z", "0")
@@ -287,10 +355,12 @@ def test_homology_mod3_universal_coefficients():
         assert dim_f3 == g.rank + _torsion_at(g, 3) + below
 
 
-def _chain_complex(dims, boundaries):
+def _chain_complex(dims, boundaries, boundary=frozenset()):
     """A complex with cells 0.. of the given dimensions; boundaries map
-    (face, cell) to coefficients."""
-    cells = [hm.QuotientCell(i, d, 0, 0, False, 1) for i, d in enumerate(dims)]
+    (face, cell) to coefficients, and the cells in `boundary` are
+    flagged as boundary cells."""
+    cells = [hm.QuotientCell(i, d, 0, 0, i in boundary, 1)
+             for i, d in enumerate(dims)]
     by_dim, mats = {}, {}
     for c in cells:
         by_dim.setdefault(c.dim, []).append(c.index)
@@ -304,8 +374,9 @@ def _chain_complex(dims, boundaries):
     return cx
 
 
-def _simplicial_chains(tops):
-    """Cellular chains of the simplicial complex spanned by `tops`."""
+def _simplicial_chains(tops, marked=()):
+    """Cellular chains of the simplicial complex spanned by `tops`, with
+    the simplices on the vertices in `marked` as boundary cells."""
     order = sorted({s for t in tops for k in range(1, len(t) + 1)
                     for s in itertools.combinations(sorted(t), k)},
                    key=lambda s: (len(s), s))
@@ -313,13 +384,15 @@ def _simplicial_chains(tops):
     return _chain_complex(
         [len(s) - 1 for s in order],
         {(index[s[:i] + s[i + 1:]], index[s]): (-1) ** i
-         for s in order if len(s) > 1 for i in range(len(s))})
+         for s in order if len(s) > 1 for i in range(len(s))},
+        {index[s] for s in order if set(s) <= set(marked)})
 
 
 def _simplicial_complex(rng):
     n = rng.randint(4, 7)
-    return _simplicial_chains([rng.sample(range(n), rng.randint(1, 4))
-                               for _ in range(rng.randint(2, 7))])
+    tops = [rng.sample(range(n), rng.randint(1, 4))
+            for _ in range(rng.randint(2, 7))]
+    return _simplicial_chains(tops, rng.sample(range(n), rng.randint(0, n)))
 
 
 def _twisted_complex(rng):
@@ -344,8 +417,17 @@ def _twisted_complex(rng):
         for row in mat:
             row[i] += c * row[j]
         mat[j] = [x - c * y for x, y in zip(mat[j], mat[i])]
+    # boundary cells: a random set of cells and all the faces below them
+    marked = {c for c in range(len(dims)) if rng.random() < 0.3}
+    todo = list(marked)
+    while todo:
+        c = todo.pop()
+        for r in range(len(dims)):
+            if mat[r][c] and r not in marked:
+                marked.add(r)
+                todo.append(r)
     return _chain_complex(dims, {(r, c): mat[r][c] for r in range(len(dims))
-                                 for c in range(len(dims))})
+                                 for c in range(len(dims))}, marked)
 
 
 def _snf_homology(cx):
@@ -366,12 +448,37 @@ def _snf_homology(cx):
         torsion.get(d + 1, ())) for d in range(top + 1)]
 
 
+def _component(cx, comp):
+    """The subcomplex on the cells of `comp`, which is closed under faces,
+    as a complex of its own."""
+    index = {c: i for i, c in enumerate(sorted(comp))}
+    return _chain_complex(
+        [cx.cells[c].dim for c in sorted(comp)],
+        {(index[r], index[c]): v for mat in cx.boundaries.values()
+         for (r, c), v in mat.items() if c in index})
+
+
 @pytest.mark.parametrize("make", [_simplicial_complex, _twisted_complex])
 def test_small_complexes_match_dense_snf(make):
+    """The whole complex, and each boundary component from the residue
+    that the boundary-first phase leaves of it, against a dense SNF of
+    that complex alone."""
     rng = random.Random(f"small:{make.__name__}")
+    mixed = split = 0
     for _ in range(60):
         cx = make(rng)
         assert hm.homology_groups(cx) == _snf_homology(cx)
+        top = max(cx.by_dim)
+        want = []
+        for comp in hm.boundary_components(cx):
+            groups = _snf_homology(_component(cx, comp))
+            want.append(groups + [hm.HomologyGroups(0, ())] *
+                        (top + 1 - len(groups)))
+        assert hm.cusp_sections(cx) == want
+        assert (hm.homology_groups(cx), want) == _per_part_homology(cx)
+        mixed += 0 < len(cx.boundary_cell_indices()) < len(cx.cells)
+        split += len(want) > 1
+    assert mixed >= 30 and split >= 10  # interior cells and several cusps
 
 
 def test_projective_plane_has_two_torsion():

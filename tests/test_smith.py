@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from coxglue.smith import SmithDecomposition, invariant_factors, smith_normal_form
 
 
@@ -113,6 +115,15 @@ def test_sparse_input_matches_dense():
               for _ in range(c)] for _ in range(r)]
         sparse = {(i, j): a[i][j] for i in range(r) for j in range(c) if a[i][j]}
         assert invariant_factors(sparse, (r, c)) == oracle_invariant_factors(a)
+
+
+@pytest.mark.parametrize("key", [(2, 0), (0, 3), (-1, 1), (1, -1)])
+def test_invariant_factors_rejects_an_entry_outside_the_shape(key):
+    for val in (1, 0):
+        with pytest.raises(ValueError, match=rf"entry \({key[0]}, {key[1]}\)"
+                                             r" lies outside the shape \(2, 3\)"):
+            invariant_factors({(0, 0): 2, (1, 2): 3, key: val}, (2, 3))
+    assert invariant_factors({(0, 0): 2, (1, 2): 3}, (2, 3)) == (1, 6)
 
 
 def test_unimodular_transforms():
