@@ -25,8 +25,6 @@ from .homology import (
     homology_groups,
 )
 from .lorentz import (
-    LorentzMatrix,
-    LorentzVector,
     is_positive_lorentzian,
     lorentz_inner,
     reflection_in,

@@ -367,7 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnvSettingError as exc:
+    except (EnvSettingError, OSError, pg.PairingError, pg.DevelopmentConflict,
+            pg.CrossSectionError, vf.CertificationError, hm.ComplexError) as exc:
+        # bad input: one line on stderr, never a traceback
         print(f"coxglue {args.command}: {exc}", file=sys.stderr)
         return 2
 

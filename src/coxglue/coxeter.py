@@ -7,7 +7,7 @@ on column vectors in R^{n,1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -109,20 +109,6 @@ def product_order(a: Mat, b: Mat, cap: int = 64) -> int:
     raise ProductOrderUnbounded(f"order exceeds {cap}")
 
 
-def coxeter_table(gens: Sequence[Mat], cap: int = 64) -> list[list[int | None]]:
-    """Symmetric table of pairwise product orders; None marks unbounded."""
-    k = len(gens)
-    table: list[list[int | None]] = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            try:
-                o = product_order(gens[i], gens[j], cap)
-            except ProductOrderUnbounded:
-                o = None
-            table[i][j] = table[j][i] = o
-    return table
-
-
 def symmetry_generator_indices(n: int) -> tuple[int, ...]:
     """Indices (0-based) of the simplex generators spanning the finite
     symmetry group: all but the reflection negating the n-th coordinate,
@@ -192,7 +178,6 @@ class FiniteSymmetryGroup:
     dim: int
     elements: list[Mat]
     generator_indices: tuple[int, ...]
-    side_action: dict[Mat, tuple[int, ...]] = field(default_factory=dict)
 
     @classmethod
     def build(cls, n: int, bound: int = 10 ** 7) -> "FiniteSymmetryGroup":
@@ -202,12 +187,6 @@ class FiniteSymmetryGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def attach_side_action(self, normals: Sequence[Vec],
-                           vertices: Sequence[Vec],
-                           elements: Sequence[Mat] | None = None) -> None:
-        for g in (self.elements if elements is None else elements):
-            self.side_action[g] = sigma_permutation(g, normals, vertices)
 
 
 def outward_canonical(v: Vec, vertices: Sequence[Vec]) -> Vec:

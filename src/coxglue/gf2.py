@@ -69,12 +69,6 @@ class Gf2Matrix:
             out |= ((b >> j) & 1) << i
         return out
 
-    def submatrix_columns(self, columns: Sequence[int]) -> "Gf2Matrix":
-        bits = []
-        for b in self.bits:
-            bits.append(sum(((b >> c) & 1) << j for j, c in enumerate(columns)))
-        return Gf2Matrix(self.rows, len(columns), tuple(bits))
-
     def transpose(self) -> "Gf2Matrix":
         return Gf2Matrix(self.cols, self.rows,
                          tuple(self.column(j) for j in range(self.cols)))

@@ -51,12 +51,38 @@ class ComplexError(RuntimeError):
 # -- the truncated polytope ----------------------------------------------
 
 
+@dataclass(frozen=True)
+class TruncatedCells:
+    """Cells of the truncated polytope and the symmetry's action on them."""
+
+    points: tuple[Vec, ...]
+    cells: tuple[tuple, ...]
+    cell_dim: tuple[int, ...]
+    cell_points: tuple[tuple[int, ...], ...]
+    cell_facets: tuple[tuple[int, ...], ...]
+    frames: tuple[tuple[int, ...], ...]
+    pivot_cols: tuple[tuple[int, ...], ...]
+    frame_sign: tuple[int, ...]
+    pt_perm: tuple[tuple[int, ...], ...]
+    cell_perm: tuple[tuple[int, ...], ...]
+    orient: tuple[tuple[int, ...], ...]
+    incidence: tuple[tuple[int, ...], ...]
+    cell_face: tuple[int, ...]
+
+
 @lru_cache(maxsize=1)
-def truncated_cells():
-    """Cell structure of the truncated polytope, with the exact action of
-    the order-8 symmetry on points and cells."""
-    p6, sigma, reflections, powers, sigma_pows = standard_context()
-    lat, vperm, fperm, _ = lattice_context()
+def truncated_cells() -> TruncatedCells:
+    """Cell structure of the truncated polytope: `points`, the actual
+    vertices then the cut points; cell i, `cells[i]` = ('f', face) or
+    ('l', ideal vertex, face), of dimension `cell_dim[i]` over face
+    `cell_face[i]`, with `cell_points[i]`, `cell_facets[i]`, and a frame
+    `frames[i]` of d + 1 points, nonsingular on columns `pivot_cols[i]`
+    with sign `frame_sign[i]`; the symmetry's power t on points
+    `pt_perm[t]`, on cells `cell_perm[t]`, and its orientation signs
+    `orient[t]`; and the facet signs `incidence[i]`."""
+    ctx, lctx = standard_context(), lattice_context()
+    p6, powers = ctx.polytope, ctx.powers
+    lat, vperm, fperm = lctx.lattice, lctx.vperm, lctx.fperm
     n = p6.dim
     verts = p6.vertices
     n_act = p6.n_actual
@@ -235,22 +261,11 @@ def truncated_cells():
             incidence[z] = tuple(moved)
             y, z = z, cell_perm[1][z]
 
-    return {
-        "lattice": lat,
-        "points": tuple(points),
-        "cells": tuple(cells),
-        "cell_dim": tuple(cell_dim),
-        "cell_points": tuple(cell_points),
-        "cell_facets": tuple(cell_facets),
-        "frames": tuple(frames),
-        "pivot_cols": tuple(pivot_cols),
-        "frame_sign": tuple(frame_sign),
-        "pt_perm": tuple(pt_perm),
-        "cell_perm": tuple(cell_perm),
-        "orient": tuple(orient),
-        "incidence": tuple(incidence),
-        "cell_face": tuple(key[-1] for key in cells),  # the face under it
-    }
+    return TruncatedCells(
+        tuple(points), tuple(cells), tuple(cell_dim), tuple(cell_points),
+        tuple(cell_facets), tuple(frames), tuple(pivot_cols),
+        tuple(frame_sign), tuple(pt_perm), tuple(cell_perm), tuple(orient),
+        tuple(incidence), tuple(key[-1] for key in cells))
 
 
 def _pivot_columns(rows: Sequence[Vec]) -> tuple[int, ...]:
@@ -347,7 +362,7 @@ class QuotientCellComplex:
                 for d, mat in self.boundaries.items()},
             "cells": [
                 {"index": c.index, "dim": c.dim, "copy": c.copy + 1,
-                 "cell": list(truncated_cells()["cells"][c.cell]),
+                 "cell": list(truncated_cells().cells[c.cell]),
                  "boundary": c.boundary_flag, "orbit": c.orbit_size}
                 for c in self.cells],
         }
@@ -366,15 +381,13 @@ def build_quotient_complex(
     if not proper.proper:
         raise ComplexError(f"side-pairing is not proper: {proper.violation}")
     face_root, face_t = proper.roots, proper.transports
-    nf = len(lattice_context()[0].faces)
+    nf = len(lattice_context().lattice.faces)
     if len(face_root or ()) != 8 * nf:
         raise ComplexError("certificate has no eight-copy face classes")
     tc = truncated_cells()
-    cells = tc["cells"]
+    cells, cell_face, orient = tc.cells, tc.cell_face, tc.orient
     ncells = len(cells)
-    dim_of = tc["cell_dim"]
-    cell_face = tc["cell_face"]
-    back = [tc["cell_perm"][-t] for t in range(8)]
+    back = [tc.cell_perm[-t] for t in range(8)]
     class_size = Counter(face_root)
 
     # one quotient cell per class, the root, keyed by (face root, cell)
@@ -387,7 +400,7 @@ def build_quotient_complex(
             f = base + cell_face[cidx]
             if face_root[f] != f:
                 continue
-            q = QuotientCell(len(qcells), dim_of[cidx], copy, cidx,
+            q = QuotientCell(len(qcells), tc.cell_dim[cidx], copy, cidx,
                              cells[cidx][0] == "l", class_size[f])
             roots[f, cidx] = q.index
             qcells.append(q)
@@ -395,9 +408,6 @@ def build_quotient_complex(
 
     # facet b0 of a copy carries the orientation of its class root moved
     # by sigma^t, so its sign is incidence * orient[t][root cell]
-    facets = tc["cell_facets"]
-    incidence = tc["incidence"]
-    orient = tc["orient"]
     boundaries: dict[int, dict[tuple[int, int], int]] = {
         d: {} for d in by_dim if d > 0}
     for q in qcells:
@@ -405,7 +415,7 @@ def build_quotient_complex(
             continue
         mat = boundaries[q.dim]
         base = q.copy * nf
-        for b0, sign in zip(facets[q.cell], incidence[q.cell]):
+        for b0, sign in zip(tc.cell_facets[q.cell], tc.incidence[q.cell]):
             f = base + cell_face[b0]
             r, t = face_root[f], face_t[f]
             rcell = back[t][b0]

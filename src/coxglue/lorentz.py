@@ -7,7 +7,6 @@ pure, so concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -18,10 +17,6 @@ Mat = tuple[tuple[int, ...], ...]
 
 class DimensionMismatch(ValueError):
     pass
-
-
-def vec(coords: Iterable[int]) -> Vec:
-    return tuple(int(c) for c in coords)
 
 
 def mat(rows: Iterable[Iterable[int]]) -> Mat:
@@ -208,55 +203,3 @@ class RowSpan:
     @property
     def rank(self) -> int:
         return len(self._basis)
-
-
-@dataclass(frozen=True)
-class LorentzVector:
-    """Integer vector in R^{n,1}; coords has length ambient_dim + 1."""
-
-    coords: Vec
-    ambient_dim: int
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.ambient_dim + 1:
-            raise DimensionMismatch("coords length must be ambient_dim + 1")
-        object.__setattr__(self, "coords", vec(self.coords))
-
-    @classmethod
-    def of(cls, coords: Iterable[int]) -> "LorentzVector":
-        c = vec(coords)
-        return cls(c, len(c) - 1)
-
-    def inner(self, other: "LorentzVector") -> int:
-        return lorentz_inner(self.coords, other.coords)
-
-    def classify(self) -> str:
-        return classify(self.coords)
-
-
-@dataclass(frozen=True)
-class LorentzMatrix:
-    """Integer (n+1) x (n+1) matrix acting on R^{n,1}."""
-
-    entries: Mat
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", mat(self.entries))
-
-    def is_form_preserving(self) -> bool:
-        return is_form_preserving(self.entries)
-
-    def is_positive(self) -> bool:
-        return is_positive_lorentzian(self.entries)
-
-    def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
-        return LorentzMatrix(mat_mul(self.entries, other.entries))
-
-    def apply(self, v: LorentzVector) -> LorentzVector:
-        return LorentzVector.of(mat_vec(self.entries, v.coords))
-
-    def inverse(self) -> "LorentzMatrix":
-        return LorentzMatrix(lorentz_inverse(self.entries))
-
-    def det(self) -> int:
-        return det(self.entries)

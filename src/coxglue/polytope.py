@@ -275,10 +275,6 @@ class FaceLattice:
             face.covers.sort()
 
     # -- queries ---------------------------------------------------------
-    @property
-    def top(self) -> Face:
-        return self.faces[0]
-
     def genuine_faces(self, dim: int) -> list[Face]:
         return [f for f in self.faces
                 if f.dim == dim and not f.ideal_point]

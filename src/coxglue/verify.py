@@ -169,12 +169,24 @@ class FaceCycles:
 # -- shared exact action of the order-8 symmetry on the face lattice ----
 
 
+@dataclass(frozen=True)
+class LatticeContext:
+    """The dimension-6 face lattice with the exact order-8 symmetry action."""
+
+    lattice: FaceLattice
+    vperm: tuple[tuple[int, ...], ...]
+    fperm: tuple[tuple[int, ...], ...]
+    sides_faces: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=1)
-def lattice_context():
-    """The dimension-6 lattice with the exact order-8 symmetry action:
-    vertex and face permutations for each power, cross-checked between the
-    vertex route and the side-set route."""
-    p6, sigma, reflections, powers, sigma_pows = standard_context()
+def lattice_context() -> LatticeContext:
+    """The dimension-6 `lattice`; the vertex (`vperm`) and face (`fperm`)
+    permutations of each power 0..7 of the symmetry, cross-checked between
+    the vertex route and the side-set route; and `sides_faces`, the faces
+    on each side but the ideal points."""
+    ctx = standard_context()
+    p6, powers = ctx.polytope, ctx.powers
     lat = face_lattice(p6)
     vindex = {v: i for i, v in enumerate(p6.vertices)}
     vperm = []
@@ -192,12 +204,13 @@ def lattice_context():
                 mask |= 1 << vperm[p][low.bit_length() - 1]
                 m ^= low
             g = lat.faces[lat.by_vertex_mask[mask]]
-            if frozenset(sigma_pows[p][s] for s in f.sides) != g.sides:
+            if frozenset(ctx.sigma_pows[p][s] for s in f.sides) != g.sides:
                 raise CertificationError(
                     "vertex and side transport routes disagree")
             perm.append(g.index)
         fperm.append(tuple(perm))
-    return lat, tuple(vperm), tuple(fperm), _sides_faces(lat, 27)
+    return LatticeContext(lat, tuple(vperm), tuple(fperm),
+                          _sides_faces(lat, 27))
 
 
 def _sides_faces(lat: FaceLattice, sides: int) -> tuple[tuple[int, ...], ...]:
@@ -245,8 +258,9 @@ def face_cycles_proper(
 
 def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
     arr.validate_involution()
-    sigma_pows = standard_context()[4]
-    lat, vperm, fperm, sides_faces = lattice_context()
+    sigma_pows = standard_context().sigma_pows
+    ctx = lattice_context()
+    lat, fperm = ctx.lattice, ctx.fperm
     nf = len(lat.faces)
     uf = FaceCycles(8 * nf)
     violation = None
@@ -254,7 +268,7 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
         k, p = arr.entry(i, j)
         if (k, sigma_pows[p][j]) < (i, j):
             continue  # the partner entry, met earlier, made the inverse unions
-        for fidx in sides_faces[j]:
+        for fidx in ctx.sides_faces[j]:
             if uf.union(i * nf + fidx, k * nf + fperm[p][fidx], p) < 0:
                 violation = {"kind": "holonomy", "copy": i + 1,
                              "side": j + 1, "face_dim": lat.faces[fidx].dim}
@@ -415,10 +429,10 @@ def torsion_free_H(cmx: CodeMatrix, mode: str = "full") -> TorsionCertificate:
     vertex (six columns) and along each two-ended ideal edge (five
     columns); in reduced mode only on representatives of the free order-8
     symmetry orbits."""
-    lat, vperm, fperm, _ = lattice_context()
-    verts, edges = _vertex_edge_sets(lat)
+    ctx = lattice_context()
+    verts, edges = _vertex_edge_sets(ctx.lattice)
     if mode == "reduced":
-        items = _orbit_representatives(lat, fperm, verts, edges)
+        items = _orbit_representatives(ctx.lattice, ctx.fperm, verts, edges)
     elif mode == "full":
         items = [sides for _, sides in verts] + [sides for _, sides in edges]
     else:
@@ -468,7 +482,7 @@ def pair_space_action(cmx: CodeMatrix) -> Gf2Matrix:
     """Matrix, on the 21 relator images, of the automorphism induced by
     the order-8 side permutation; raises InvarianceError if the span is
     not preserved."""
-    sigma = standard_context()[1]
+    sigma = standard_context().sigma
     w = [cmx.column_bits(j) for j in range(27)]
     basis = [w[j] | (1 << j) for j in range(6, 27)]
 
@@ -503,7 +517,7 @@ def extension_torsion_certificate(
     """Decide whether the order-8 extension has an order-two obstruction:
     certified when v + action^4(v) = (orbit sum of wall two) has no
     solution among the relator images."""
-    sigma = standard_context()[1]
+    sigma = standard_context().sigma
     if action is None:
         action = pair_space_action(cmx)
     target = 0

@@ -109,6 +109,40 @@ def test_missing_input_is_an_error(capsys):
         main(["develop"])
 
 
+def _array_file(tmp_path, rows):
+    path = tmp_path / "arr.txt"
+    path.write_text("\n".join(" ".join(f"{k + 1}^{p}" for k, p in row)
+                              for row in rows))
+    return str(path)
+
+
+def _short_row_file(tmp_path):
+    rows = list(pg.published_pairing(1).entries)
+    rows[3] = rows[3][:2]
+    return _array_file(tmp_path, rows)
+
+
+def _mutated_file(tmp_path):
+    mut = pg.mutated_pairing(pg.published_pairing(1), random.Random(31))
+    return _array_file(tmp_path, mut.entries)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["decode", "XYZ"], "digits"),
+    (["restrict", "0000"], "digits"),
+    (["verify", "/nonexistent"], "No such file"),
+    (["verify", _short_row_file], "row has 2 entries"),
+    (["homology", _mutated_file], "not proper"),
+])
+def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv, what):
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and what in err
+    assert err.startswith(f"coxglue {argv[0]}: ")
+
+
 def test_certify_manifold(capsys):
     code, out = run(capsys, "certify", "--manifold", "3", "--json")
     assert code == 0

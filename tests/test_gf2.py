@@ -82,7 +82,6 @@ def test_matrix_algebra():
     assert i3.power(5).bits == i3.bits
     assert a.transpose().row_list() == [[1, 0], [1, 1], [0, 1]]
     assert a.column(1) == 0b11
-    assert a.submatrix_columns([2, 0]).row_list() == [[0, 1], [1, 0]]
 
 
 def test_columns_independent():

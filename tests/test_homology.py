@@ -21,37 +21,37 @@ from coxglue.verify import TransportUnionFind
 def test_truncated_cell_counts():
     tc = hm.truncated_cells()
     by_dim: dict[int, int] = {}
-    for d in tc["cell_dim"]:
+    for d in tc.cell_dim:
         by_dim[d] = by_dim.get(d, 0) + 1
     assert by_dim == {0: 936, 1: 2808, 2: 3240, 3: 1800, 4: 486, 5: 54, 6: 1}
-    assert len(tc["points"]) == 72 + 432 + 2 * 216
+    assert len(tc.points) == 72 + 432 + 2 * 216
 
 
 def test_truncated_cells_are_flat_of_right_dimension():
     tc = hm.truncated_cells()
-    points = tc["points"]
+    points = tc.points
     rng = random.Random(6)
-    idxs = rng.sample(range(len(tc["cells"])), 400)
+    idxs = rng.sample(range(len(tc.cells)), 400)
     for idx in idxs:
         span = RowSpan()
-        for pid in tc["cell_points"][idx]:
+        for pid in tc.cell_points[idx]:
             span.add(points[pid])
-        assert span.rank == tc["cell_dim"][idx] + 1
+        assert span.rank == tc.cell_dim[idx] + 1
 
 
 def test_cut_points_avoid_vertices():
     tc = hm.truncated_cells()
-    seen = set(tc["points"])
-    assert len(seen) == len(tc["points"])
+    seen = set(tc.points)
+    assert len(seen) == len(tc.points)
 
 
 def test_facet_counts_of_cut_cubes():
     tc = hm.truncated_cells()
-    for idx, key in enumerate(tc["cells"]):
+    for idx, key in enumerate(tc.cells):
         if key[0] == "l":
-            d = tc["cell_dim"][idx]
-            assert len(tc["cell_facets"][idx]) == (2 * d if d else 0)
-            assert len(tc["cell_points"][idx]) == 2 ** d
+            d = tc.cell_dim[idx]
+            assert len(tc.cell_facets[idx]) == (2 * d if d else 0)
+            assert len(tc.cell_points[idx]) == 2 ** d
 
 
 def test_quotient_complex_manifold1():
@@ -92,12 +92,12 @@ def test_boundary_signs_match_determinants(mid, perm):
     cert = vf.face_cycles_proper(arr)
     cx = hm.build_quotient_complex(arr, cert)
     tc = hm.truncated_cells()
-    n = len(tc["cells"])
-    faces = vf.lattice_context()[0].faces
+    n = len(tc.cells)
+    faces = vf.lattice_context().lattice.faces
     nf = len(faces)
     sides_cells: list[list[int]] = [[] for _ in range(27)]
     for c in range(n):
-        for s in faces[tc["cell_face"][c]].sides:
+        for s in faces[tc.cell_face[c]].sides:
             sides_cells[s].append(c)
     uf = TransportUnionFind(8 * n, lambda a, b: (a + b) % 8,
                             lambda a: -a % 8, 0)
@@ -105,34 +105,34 @@ def test_boundary_signs_match_determinants(mid, perm):
         for j in range(27):
             k, p = arr.entry(i, j)
             for c in sides_cells[j]:
-                assert uf.union(i * n + c, k * n + tc["cell_perm"][p][c], p)
+                assert uf.union(i * n + c, k * n + tc.cell_perm[p][c], p)
     roots = [r for r in range(8 * n) if uf.find(r)[0] == r]
     assert [(q.copy * n + q.cell, q.orbit_size) for q in cx.cells] == \
         [(r, uf.size[r]) for r in roots]
     for x in range(8 * n):
         copy, c = divmod(x, n)
-        f = copy * nf + tc["cell_face"][c]
+        f = copy * nf + tc.cell_face[c]
         r, t = cert.roots[f], cert.transports[f]
-        lifted = (r // nf * n + tc["cell_perm"][-t][c], t)
+        lifted = (r // nf * n + tc.cell_perm[-t][c], t)
         assert lifted == uf.find(x)
     index = {q.copy * n + q.cell: q.index for q in cx.cells}
-    points = tc["points"]
+    points = tc.points
     want: dict[int, dict[tuple[int, int], int]] = {d: {} for d in cx.boundaries}
     moved = 0
     for q in cx.cells:
         x = q.cell
-        for b in tc["cell_facets"][x]:
+        for b in tc.cell_facets[x]:
             r, t = uf.find(q.copy * n + b)
             moved += t != 0
-            o = min(set(tc["cell_points"][x]) - set(tc["cell_points"][b]))
-            rows = [points[o]] + [points[tc["pt_perm"][t][v]]
-                                  for v in tc["frames"][r % n]]
-            dd = det(tuple(tuple(row[c] for c in tc["pivot_cols"][x])
+            o = min(set(tc.cell_points[x]) - set(tc.cell_points[b]))
+            rows = [points[o]] + [points[tc.pt_perm[t][v]]
+                                  for v in tc.frames[r % n]]
+            dd = det(tuple(tuple(row[c] for c in tc.pivot_cols[x])
                            for row in rows))
             assert dd != 0
             key = (index[r], q.index)
             want[q.dim][key] = (want[q.dim].get(key, 0)
-                                + (1 if dd > 0 else -1) * tc["frame_sign"][x])
+                                + (1 if dd > 0 else -1) * tc.frame_sign[x])
     assert moved
     assert cx.boundaries == {d: {key: v for key, v in m.items() if v}
                              for d, m in want.items()}
@@ -158,9 +158,9 @@ def test_certificate_without_eight_copy_classes_is_refused():
 
 def test_sign_tables_follow_the_symmetry():
     tc = hm.truncated_cells()
-    orient, incidence = tc["orient"], tc["incidence"]
-    facets, cperm = tc["cell_facets"], tc["cell_perm"]
-    n = len(tc["cells"])
+    orient, incidence = tc.orient, tc.incidence
+    facets, cperm = tc.cell_facets, tc.cell_perm
+    n = len(tc.cells)
     # sigma^8 is the identity, so it carries every frame to itself
     assert all(orient[1][cperm[7][r]] * orient[7][r] == 1 for r in range(n))
     # incidence[sX][sb] = orient[1][X] incidence[X][b] orient[1][b]
@@ -170,7 +170,7 @@ def test_sign_tables_follow_the_symmetry():
             assert moved[cperm[1][b]] == orient[1][x] * sign * orient[1][b]
     # one copy of the truncated polytope is a cell complex of a ball
     one_copy = _chain_complex(
-        tc["cell_dim"], {(b, x): sign for x in range(n)
+        tc.cell_dim, {(b, x): sign for x in range(n)
                          for b, sign in zip(facets[x], incidence[x])})
     assert [str(g) for g in hm.homology_groups(one_copy)] == \
         ["Z"] + ["0"] * 6

@@ -130,10 +130,10 @@ def _neighbour_tests(arr):
     copy is named by the smallest repr of g sigma^p; the walk keeps the
     first chart of each name and ignores conflicts.  Yields (old signs
     or None, old name, new key)."""
-    _, _, reflections, powers, _ = pg.standard_context()
-    inv = np.array([lorentz_inverse(p) for p in powers], dtype=np.int64)
+    ctx = pg.standard_context()
+    inv = np.array([lorentz_inverse(p) for p in ctx.powers], dtype=np.int64)
     steps = np.einsum("jab,pbc->jpac",
-                      np.array(reflections, dtype=np.int64), inv)
+                      np.array(ctx.reflections, dtype=np.int64), inv)
     start = np.eye(7, dtype=np.int64)
     charts = {}
     frontier = [(start, 0)]
@@ -164,7 +164,7 @@ def test_development_keys_match_old_route():
     """g.z decides inside or outside, and names copies, exactly as the
     eight products with the powers of sigma did, on the published
     gluings and on mutated ones (whose walks conflict)."""
-    _, _, _, powers, _ = pg.standard_context()
+    powers = pg.standard_context().powers
     assert all(mat_vec(p, pg.CENTER) == pg.CENTER for p in powers)
     rng = random.Random(2024)
     m1 = pg.published_pairing(1)
@@ -276,12 +276,11 @@ def test_search_exhausted_without_solution_is_infeasible():
     assert res.infeasible
 
 
-def test_search_pruning_agrees_with_certification(monkeypatch):
-    """With all 216 entries fixed and the confirming check stubbed out,
-    the search keeps an array exactly when its pruning passes it, and
-    that must be exactly when the face pass certifies it proper."""
+def test_search_pruning_agrees_with_certification():
+    """With all 216 entries fixed, the search keeps an array exactly when
+    its pruning passes it, and that must be exactly when the face pass
+    certifies it proper: the search makes no second check."""
     from coxglue import verify as vf
-    monkeypatch.setattr(pg, "_confirmed_proper", lambda arr: True)
     # seed 4 draws a mutant that fails by holonomy (the ninth) among
     # mutants that fail by cycle length
     rng = random.Random(4)

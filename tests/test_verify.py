@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coxglue import pairing as pg
 from coxglue import tables
 from coxglue import verify as vf
+from coxglue.coxeter import sigma_permutation
 from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import identity, mat_mul
 
@@ -94,13 +95,30 @@ def test_face_cycles_rollback_restores_state(before, after):
 def test_lattice_numbers_faces_highest_dimension_first():
     """The search's fail-fast order: on each side, the faces with the
     shortest cycles come first."""
-    lat, _, _, sides_faces = vf.lattice_context()
-    dims = [f.dim for f in lat.faces]
+    ctx = vf.lattice_context()
+    dims = [f.dim for f in ctx.lattice.faces]
     assert dims == sorted(dims, reverse=True)
-    ideal = [f.ideal_point for f in lat.faces]
+    ideal = [f.ideal_point for f in ctx.lattice.faces]
     assert ideal == [False] * (len(ideal) - 27) + [True] * 27
-    for faces in sides_faces:
+    for faces in ctx.sides_faces:
         assert list(faces) == sorted(faces)
+
+
+def test_context_fields_agree():
+    """Each named field of the two contexts is a power of the one
+    symmetry, so a swapped or reordered field fails here and not in a
+    certificate."""
+    ctx, lctx = pg.standard_context(), vf.lattice_context()
+    normals, vertices = ctx.polytope.normals, ctx.polytope.vertices
+    assert ctx.sigma_pows[1] == ctx.sigma
+    for p in range(8):
+        assert sigma_permutation(ctx.powers[p], normals, vertices) == \
+            ctx.sigma_pows[p]
+    for perms in (lctx.fperm, lctx.vperm):
+        power = tuple(range(len(perms[1])))
+        for p in range(8):
+            assert perms[p] == power
+            power = tuple(perms[1][x] for x in power)
 
 
 def test_code_matrix_matches_embedded(p6):
@@ -234,14 +252,15 @@ def _cycles_eight_both_ways(arr: pg.EightPPairing) -> vf.PropernessCertificate:
     """The face pass with every side pair unioned from both of its
     sides, as an oracle for the pass that unions each pair once."""
     arr.validate_involution()
-    lat, _, fperm, sides_faces = vf.lattice_context()
+    ctx = vf.lattice_context()
+    lat = ctx.lattice
     nf = len(lat.faces)
     uf = vf.TransportUnionFind(8 * nf, _exp_compose, _exp_inverse, 0)
     violation = None
     for i, j in itertools.product(range(8), range(27)):
         k, p = arr.entry(i, j)
-        for fidx in sides_faces[j]:
-            if not uf.union(i * nf + fidx, k * nf + fperm[p][fidx], p):
+        for fidx in ctx.sides_faces[j]:
+            if not uf.union(i * nf + fidx, k * nf + ctx.fperm[p][fidx], p):
                 violation = {"kind": "holonomy", "copy": i + 1,
                              "side": j + 1, "face_dim": lat.faces[fidx].dim}
                 break
