@@ -262,10 +262,12 @@ def truncated_cells() -> TruncatedCells:
             y, z = z, cell_perm[1][z]
 
     return TruncatedCells(
-        tuple(points), tuple(cells), tuple(cell_dim), tuple(cell_points),
-        tuple(cell_facets), tuple(frames), tuple(pivot_cols),
-        tuple(frame_sign), tuple(pt_perm), tuple(cell_perm), tuple(orient),
-        tuple(incidence), tuple(key[-1] for key in cells))
+        points=tuple(points), cells=tuple(cells), cell_dim=tuple(cell_dim),
+        cell_points=tuple(cell_points), cell_facets=tuple(cell_facets),
+        frames=tuple(frames), pivot_cols=tuple(pivot_cols),
+        frame_sign=tuple(frame_sign), pt_perm=tuple(pt_perm),
+        cell_perm=tuple(cell_perm), orient=tuple(orient),
+        incidence=tuple(incidence), cell_face=tuple(k[-1] for k in cells))
 
 
 def _pivot_columns(rows: Sequence[Vec]) -> tuple[int, ...]:
@@ -386,6 +388,7 @@ def build_quotient_complex(
         raise ComplexError("certificate has no eight-copy face classes")
     tc = truncated_cells()
     cells, cell_face, orient = tc.cells, tc.cell_face, tc.orient
+    dim_of, facets, incidence = tc.cell_dim, tc.cell_facets, tc.incidence
     ncells = len(cells)
     back = [tc.cell_perm[-t] for t in range(8)]
     class_size = Counter(face_root)
@@ -400,7 +403,7 @@ def build_quotient_complex(
             f = base + cell_face[cidx]
             if face_root[f] != f:
                 continue
-            q = QuotientCell(len(qcells), tc.cell_dim[cidx], copy, cidx,
+            q = QuotientCell(len(qcells), dim_of[cidx], copy, cidx,
                              cells[cidx][0] == "l", class_size[f])
             roots[f, cidx] = q.index
             qcells.append(q)
@@ -415,7 +418,7 @@ def build_quotient_complex(
             continue
         mat = boundaries[q.dim]
         base = q.copy * nf
-        for b0, sign in zip(tc.cell_facets[q.cell], tc.incidence[q.cell]):
+        for b0, sign in zip(facets[q.cell], incidence[q.cell]):
             f = base + cell_face[b0]
             r, t = face_root[f], face_t[f]
             rcell = back[t][b0]

@@ -34,15 +34,6 @@ def lorentz_inner(x: Sequence[int], y: Sequence[int]) -> int:
     return s - 2 * x[-1] * y[-1]
 
 
-def classify(v: Sequence[int]) -> str:
-    q = lorentz_inner(v, v)
-    if q < 0:
-        return "timelike"
-    if q == 0:
-        return "lightlike"
-    return "spacelike"
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -582,9 +582,7 @@ def search_pairings(
     class closed (every wall of every member crossed) short of it.  The
     lattice numbers faces highest dimension first, so sides and ridges,
     whose cycles are shortest, are unioned first and fail fast.
-    A completed array has closed every class at its cycle length with
-    no holonomy conflict, which is what the properness certificate
-    checks, so it is a solution as it stands.
+    Completed arrays are confirmed with the full properness checker.
     Exhausting the node or time budget is reported, never an error; a
     search that completes without a solution is reported infeasible.
     """
@@ -683,8 +681,11 @@ def search_pairings(
         slot = next_slot()
         if slot is None:
             arr = EightPPairing(tuple(tuple(row) for row in entries))
-            solutions[arr.entries] = arr
-            return max_solutions is None or len(solutions) < max_solutions
+            if _confirmed_proper(arr):
+                solutions[arr.entries] = arr
+                if max_solutions is not None and len(solutions) >= max_solutions:
+                    return False
+            return True
         i, j = slot
         for k in range(8):
             for p in range(8):
@@ -711,3 +712,11 @@ def search_pairings(
         complete and not solutions,
         complete,
     )
+
+
+def _confirmed_proper(arr: EightPPairing) -> bool:
+    from .verify import face_cycles_proper
+    try:
+        return face_cycles_proper(arr).proper
+    except PairingError:
+        return False

@@ -39,6 +39,28 @@ def test_truncated_cells_are_flat_of_right_dimension():
         assert span.rank == tc.cell_dim[idx] + 1
 
 
+def test_truncated_cell_fields_agree():
+    """The named fields describe the same cells in the same order, and
+    the permutation tables are powers of the one symmetry, so a swapped
+    field fails here and not in a homology table."""
+    tc = hm.truncated_cells()
+    n = len(tc.cells)
+    for field in (tc.cell_dim, tc.cell_points, tc.cell_facets, tc.frames,
+                  tc.pivot_cols, tc.frame_sign, tc.incidence, tc.cell_face):
+        assert len(field) == n
+    assert tc.cell_face == tuple(key[-1] for key in tc.cells)
+    for i in range(n):
+        assert len(tc.frames[i]) == len(tc.pivot_cols[i]) == tc.cell_dim[i] + 1
+        assert len(tc.incidence[i]) == len(tc.cell_facets[i])
+    assert tc.orient[0] == (1,) * n
+    for perms, size in ((tc.pt_perm, len(tc.points)), (tc.cell_perm, n)):
+        assert len(perms) == 8
+        power = tuple(range(size))
+        for p in range(8):
+            assert perms[p] == power
+            power = tuple(perms[1][x] for x in power)
+
+
 def test_cut_points_avoid_vertices():
     tc = hm.truncated_cells()
     seen = set(tc.points)
