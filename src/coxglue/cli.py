@@ -26,6 +26,10 @@ class EnvSettingError(ValueError):
     """An environment variable holds a value the command cannot use."""
 
 
+class MissingInputError(ValueError):
+    """The command was given no gluing to work on."""
+
+
 def _jobs() -> int:
     raw = os.environ.get(JOBS_ENV, "1")
     if not raw.strip().isdecimal() or int(raw) < 1:
@@ -47,7 +51,7 @@ def _load_array(args) -> pg.EightPPairing:
     if getattr(args, "file", None):
         with open(args.file) as fh:
             return pg.parse_8p_pairing(fh.read())
-    raise SystemExit("need --manifold N or an array file")
+    raise MissingInputError("need --manifold N or an array file")
 
 
 def cmd_build(args) -> int:
@@ -351,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--budget", type=int, default=10 ** 6)
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--max-solutions", type=int, default=None)
-    p.add_argument("--fix-rows", type=int, default=0,
+    p.add_argument("--fix-rows", type=int, default=0, choices=range(9),
                    help="seed the first rows from a published gluing")
     p.add_argument("--fix-rows-from", type=int, default=1,
                    choices=range(1, 10))
@@ -367,8 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EnvSettingError, OSError, pg.PairingError, pg.DevelopmentConflict,
-            pg.CrossSectionError, vf.CertificationError, hm.ComplexError) as exc:
+    except (EnvSettingError, MissingInputError, OSError, pg.PairingError,
+            pg.DevelopmentConflict, pg.CrossSectionError,
+            vf.CertificationError, hm.ComplexError) as exc:
         # bad input: one line on stderr, never a traceback
         print(f"coxglue {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -282,7 +282,7 @@ def _pivot_columns(rows: Sequence[Vec]) -> tuple[int, ...]:
             if len(cols) == k:
                 break
     if len(cols) != k:
-        raise ComplexError("rows are dependent")
+        raise AssertionError("rows are dependent")
     return tuple(cols)
 
 
@@ -352,7 +352,7 @@ class QuotientCellComplex:
                 for rr, vv in faces_of.get(r, ()):
                     acc[rr] = acc.get(rr, 0) + vv * v
             if any(any(acc.values()) for acc in columns.values()):
-                raise ComplexError(f"boundary squared is nonzero at dim {d + 1}")
+                raise AssertionError(f"boundary squared is nonzero at dim {d + 1}")
 
     def to_json(self) -> dict:
         return {
@@ -485,7 +485,7 @@ def _residue_homology(cx: QuotientCellComplex,
         above = factors.get(d + 1, ())
         betti = len(cells_at[d]) - len(factors.get(d, ())) - len(above)
         if betti < 0:
-            raise ComplexError("negative Betti number")
+            raise AssertionError("negative Betti number")
         groups.append(HomologyGroups(betti, tuple(f for f in above if f > 1)))
     return groups
 

@@ -58,9 +58,10 @@ class RightAngledPolytope:
             out.append(m)
         return out
 
-    def side_masks(self) -> list[int]:
-        """Per vertex, the bitmask of incident sides."""
-        inc = self.incidence_masks()
+    def side_masks(self, incidence: list[int] | None = None) -> list[int]:
+        """Per vertex, the bitmask of incident sides, transposed from
+        `incidence` (per side, as incidence_masks gives) when at hand."""
+        inc = self.incidence_masks() if incidence is None else incidence
         out = [0] * len(self.vertices)
         for j, m in enumerate(inc):
             while m:
@@ -159,7 +160,7 @@ class FaceLattice:
         n = poly.dim
         nsides = len(poly.normals)
         inc = poly.incidence_masks()
-        smask = poly.side_masks()
+        smask = poly.side_masks(inc)
         nv = len(poly.vertices)
         all_verts = (1 << nv) - 1
         perp = [0] * nsides
@@ -167,8 +168,6 @@ class FaceLattice:
             for j in range(nsides):
                 if i != j and lorentz_inner(poly.normals[i], poly.normals[j]) == 0:
                     perp[i] |= 1 << j
-        self._inc = inc
-        self._smask = smask
 
         homog = list(poly.vertices)
 

@@ -1,6 +1,9 @@
 """Certification of side-pairings: geometric properness through face
 cycles, and the algebraic torsion-freeness route through GF(2) column
 independence and the order-8 extension obstruction.
+
+Both properness routes, on the eight copies and on the reflected union,
+trace their face cycles with the one engine, FaceCycles.
 """
 
 from __future__ import annotations
@@ -9,11 +12,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable
 
 from .coxeter import constants
 from .gf2 import Gf2Matrix, columns_independent, gf2_solve
-from .lorentz import identity, lorentz_inverse, mat_mul, mat_vec
+# mat_mul is unused here but stays importable: perfbench/layers.py patches it
+from .lorentz import Vec, mat_mul, mat_vec  # noqa: F401
 from .pairing import (
     EightPPairing,
     PairingCode,
@@ -33,65 +36,7 @@ class InvarianceError(CertificationError):
     """The relation subspace is not preserved by the side permutation."""
 
 
-# -- transported union-find --------------------------------------------
-
-
-class TransportUnionFind:
-    """Union-find whose edges carry identification transports from any
-    group, given by its composition and inverse: the Q route's isometry
-    matrices.  Eight-copy gluings use FaceCycles.
-
-    find(x) returns (root, t) with geometry(x) = t applied to the root's
-    geometry; union(x, y, d) asserts geometry(y) = d applied to
-    geometry(x) and reports a holonomy conflict when the constraint
-    contradicts the existing classes.
-    """
-
-    def __init__(self, n: int, compose: Callable, inverse: Callable,
-                 ident) -> None:
-        self.parent = list(range(n))
-        # pot[x]: geometry(x) = pot[x] applied to geometry(parent[x])
-        self.pot = [ident] * n
-        self.size = [1] * n
-        self.compose = compose  # compose(a, b) = "apply b, then a"
-        self.inverse = inverse
-        self.ident = ident
-
-    def find(self, x: int):
-        parent, pot = self.parent, self.pot
-        p = parent[x]
-        if p == x:
-            return x, self.ident
-        if parent[p] == p:
-            return p, pot[x]
-        # hang the path from x directly below its root
-        path = [x]
-        while parent[p] != p:
-            path.append(p)
-            p = parent[p]
-        t = pot[path.pop()]
-        for node in reversed(path):
-            t = self.compose(pot[node], t)
-            pot[node] = t
-            parent[node] = p
-        return p, t
-
-    def union(self, x: int, y: int, d) -> bool:
-        """Impose geometry(y) = d(geometry(x)); False on holonomy conflict."""
-        rx, tx = self.find(x)
-        ry, ty = self.find(y)
-        want_ty = self.compose(d, tx)
-        if rx == ry:
-            return ty == want_ty
-        if self.size[rx] < self.size[ry]:
-            self.parent[rx] = ry
-            self.pot[rx] = self.compose(self.inverse(want_ty), ty)
-            self.size[ry] += self.size[rx]
-        else:
-            self.parent[ry] = rx
-            self.pot[ry] = self.compose(self.inverse(ty), want_ty)
-            self.size[rx] += self.size[ry]
-        return True
+# -- the face-cycle engine ------------------------------------------------
 
 
 class FaceCycles:
@@ -103,8 +48,10 @@ class FaceCycles:
 
     find(x) returns (root, t) with face x = sigma^t of the root's face;
     union(x, y, d) imposes face y = sigma^d of face x.  Union by size,
-    y's root below x's on a tie, as in TransportUnionFind.  There is no
-    path compression, so that rollback finds every link intact.
+    y's root below x's on a tie.  There is no path compression, so that
+    rollback finds every link intact.  The reflected-union pass runs it
+    with every d = 0, as a plain union-find, and checks its isometries
+    over the spanning forest afterwards.
     """
 
     def __init__(self, n: int) -> None:
@@ -205,7 +152,7 @@ def lattice_context() -> LatticeContext:
                 m ^= low
             g = lat.faces[lat.by_vertex_mask[mask]]
             if frozenset(ctx.sigma_pows[p][s] for s in f.sides) != g.sides:
-                raise CertificationError(
+                raise AssertionError(
                     "vertex and side transport routes disagree")
             perm.append(g.index)
         fperm.append(tuple(perm))
@@ -231,9 +178,10 @@ class PropernessCertificate:
     proper: bool
     dims: dict[int, dict[str, int]]
     violation: dict | None = None
-    # root and transport of each face instance copy * faces + face, as
-    # traced; None after a holonomy conflict.  Neither compared nor
-    # exported.
+    # root and transport (a power of the symmetry) of each face instance
+    # copy * faces + face, as traced by the eight-copy pass, which the
+    # quotient complex reads; None after a holonomy conflict and on the
+    # reflected union.  Neither compared nor exported.
     roots: tuple[int, ...] | None = field(
         default=None, compare=False, repr=False)
     transports: tuple | None = field(default=None, compare=False, repr=False)
@@ -279,51 +227,89 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
 
 
 def _cycles_q(qsp: QSidePairing, lattice: FaceLattice | None) -> PropernessCertificate:
+    """The face pass on the reflected union, as a plain union-find.
+
+    Transports lie in the polytope's reflection group W, which acts freely,
+    and z = (1, ..., 1, 3), pairing.CENTER in dimension 6, is strictly
+    inside the polytope (<u, z> < 0 for every side normal u), so a
+    transport t is known by t . z.  Each face carries that vector down
+    the spanning forest of the unions, and the edges that close a cycle
+    are checked against it in edge order: the forest grows in that order,
+    so the first failure is the edge that a union-find composing
+    transports as it goes would reject.
+    """
     lat = lattice if lattice is not None else face_lattice(qsp.q)
     poly = lat.polytope
-    n = poly.dim
     vindex = {v: i for i, v in enumerate(poly.vertices)}
     nf = len(lat.faces)
-    uf = TransportUnionFind(
-        nf, lambda a, b: mat_mul(a, b), lorentz_inverse, identity(n + 1))
-    inc = poly.incidence_masks()
-    violation = None
+    partner, transforms = qsp.partner, qsp.transforms
+    uf = FaceCycles(nf)
+    moved: dict[tuple[int, Vec], Vec] = {}
+
+    def carry(s: int, v: Vec) -> Vec:
+        """transforms[s] . v; few of these are distinct."""
+        w = moved.get((s, v))
+        if w is None:
+            w = moved[s, v] = mat_vec(transforms[s], v)
+        return w
+
+    # forest[x]: the (y, s) with face y = transforms[s] of face x
+    forest: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
+    closing: list[tuple[int, int, int]] = []  # (face, image, side)
     for m, faces in enumerate(_sides_faces(lat, len(poly.normals))):
+        if partner[m] < m:
+            continue  # the partner side made the inverse unions
         # points of side m are carried to the partner side by the inverse
-        g = qsp.transforms[qsp.partner[m]]
-        gv: dict[int, int] = {}
-        mm = inc[m]
-        while mm:
-            low = mm & -mm
-            vid = low.bit_length() - 1
+        g = transforms[partner[m]]
+        gv: dict[int, int] = {}  # vertex -> bit of its image
+        for vid in lat.vertex_ids(lat.faces[lat.by_sides[frozenset((m,))]]):
             image = vindex.get(mat_vec(g, poly.vertices[vid]))
             if image is None:
                 raise CertificationError(
                     "pairing map does not carry a side vertex to a vertex")
-            gv[vid] = image
-            mm ^= low
+            gv[vid] = 1 << image
         for fidx in faces:
-            f = lat.faces[fidx]
             mask = 0
-            mm = f.vertex_mask
-            while mm:
-                low = mm & -mm
-                mask |= 1 << gv[low.bit_length() - 1]
-                mm ^= low
+            for vid in lat.vertex_ids(lat.faces[fidx]):
+                mask |= gv[vid]
             target = lat.by_vertex_mask.get(mask)
             if target is None:
                 raise CertificationError("pairing map does not carry a face "
                                          "to a face")
-            if not uf.union(fidx, target, g):
-                violation = {"kind": "holonomy", "side": m + 1,
-                             "face_dim": f.dim}
-                break
-        if violation:
+            mark = uf.mark()
+            uf.union(fidx, target, 0)
+            if uf.mark() > mark:
+                forest[fidx].append((target, partner[m]))
+                forest[target].append((fidx, m))
+            else:
+                closing.append((fidx, target, m))
+    # t . z of every face, the roots' transports being the identity
+    z = (1,) * poly.dim + (3,)
+    point: list[Vec | None] = [None] * nf
+    for r in range(nf):
+        if uf.parent[r] != r:
+            continue
+        point[r] = z
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            for y, s in forest[x]:
+                if point[y] is None:
+                    point[y] = carry(s, point[x])
+                    stack.append(y)
+    violation = None
+    for fidx, target, m in closing:
+        if carry(partner[m], point[fidx]) != point[target]:
+            violation = {"kind": "holonomy", "side": m + 1,
+                         "face_dim": lat.faces[fidx].dim}
             break
-    return _cycle_report(uf, lat, 1, violation)
+    # the face classes carry no transports, and only the eight-copy
+    # complex reads classes
+    return replace(_cycle_report(uf, lat, 1, violation),
+                   roots=None, transports=None)
 
 
-def _cycle_report(uf: FaceCycles | TransportUnionFind, lat: FaceLattice,
+def _cycle_report(uf: FaceCycles, lat: FaceLattice,
                   copies: int, violation: dict | None
                   ) -> PropernessCertificate:
     n = lat.polytope.dim
@@ -474,7 +460,7 @@ def _orbit_representatives(lat, fperm, verts, edges) -> list[tuple[int, ...]]:
             reps.append(sides_of[rep])
             count += 1
         if count != expected:
-            raise CertificationError("unexpected orbit count")
+            raise AssertionError("unexpected orbit count")
     return reps
 
 

@@ -104,9 +104,14 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-def test_missing_input_is_an_error(capsys):
-    with pytest.raises(SystemExit):
-        main(["develop"])
+def test_search_fixes_at_most_eight_rows(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--fix-rows", "9", "--budget", "0"])
+    assert exc.value.code == 2
+    assert "--fix-rows" in capsys.readouterr().err
+    code, out = run(capsys, "search", "--fix-rows", "8", "--budget", "0",
+                    "--json")
+    assert code == 0 and json.loads(out)["budget_exhausted"] is True
 
 
 def _array_file(tmp_path, rows):
@@ -133,6 +138,7 @@ def _mutated_file(tmp_path):
     (["verify", "/nonexistent"], "No such file"),
     (["verify", _short_row_file], "row has 2 entries"),
     (["homology", _mutated_file], "not proper"),
+    (["develop"], "need --manifold N or an array file"),
 ])
 def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv, what):
     argv = [a(tmp_path) if callable(a) else a for a in argv]

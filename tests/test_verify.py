@@ -13,7 +13,10 @@ from coxglue import tables
 from coxglue import verify as vf
 from coxglue.coxeter import sigma_permutation
 from coxglue.gf2 import Gf2Matrix
-from coxglue.lorentz import identity, mat_mul
+from coxglue.lorentz import identity, lorentz_inner, mat_mul
+from coxglue.polytope import build_polytope
+
+from transport_union_find import TransportUnionFind
 
 
 def _exp_compose(a: int, b: int) -> int:
@@ -25,7 +28,7 @@ def _exp_inverse(a: int) -> int:
 
 
 def test_transport_union_find_exponents():
-    uf = vf.TransportUnionFind(4, _exp_compose, _exp_inverse, 0)
+    uf = TransportUnionFind(4, _exp_compose, _exp_inverse, 0)
     assert uf.union(0, 1, 3)
     assert uf.union(1, 2, 2)
     root0, t0 = uf.find(0)
@@ -39,7 +42,7 @@ def test_transport_union_find_exponents():
 def test_transport_union_find_matrices():
     a = ((0, 1), (1, 0))
     i2 = identity(2)
-    uf = vf.TransportUnionFind(3, mat_mul, lambda m: m, i2)
+    uf = TransportUnionFind(3, mat_mul, lambda m: m, i2)
     assert uf.union(0, 1, a)
     assert uf.union(1, 2, a)
     _, t = uf.find(2)
@@ -60,7 +63,7 @@ cycle_ops = st.lists(st.one_of(union_op, element), max_size=30)
 @given(unions)
 def test_face_cycles_match_transport_union_find(ops):
     fc = vf.FaceCycles(N_UF)
-    uf = vf.TransportUnionFind(N_UF, _exp_compose, _exp_inverse, 0)
+    uf = TransportUnionFind(N_UF, _exp_compose, _exp_inverse, 0)
     for x, y, d in ops:
         root = fc.union(x, y, d)
         assert (root >= 0) == uf.union(x, y, d)
@@ -209,18 +212,57 @@ def test_properness_rejects_mutations():
         assert cert.violation is not None
 
 
-def test_properness_q_route(q6, q6_lattice):
-    qsp = pg.decode_q_code(tables.manifold_record(1).code, q6)
+@pytest.mark.parametrize("mid", range(1, 10))
+def test_properness_q_route(q6, q6_lattice, mid):
+    """The reflected-union route, the oracle for the eight-copy route:
+    the same verdict, on faces of the union rather than of the copies."""
+    qsp = pg.decode_q_code(tables.manifold_record(mid).code, q6)
     cert = vf.face_cycles_proper(qsp, q6_lattice)
     assert cert.proper
-    assert cert.dims[0]["orbits"] == 1344 // 64
-    assert cert.dims[5]["orbits"] == 252 // 2
+    assert [cert.dims[k]["faces"] for k in range(6)] == \
+        [1344, 14208, 23040, 13920, 3360, 252]
+    assert [cert.dims[k]["orbits"] for k in range(6)] == \
+        [21, 444, 1440, 1740, 840, 126]
+    assert cert.roots is None and cert.transports is None
+    assert vf.face_cycles_proper(pg.published_pairing(mid)).proper
 
 
 def test_identity_code_improper(q6, q6_lattice):
     qsp = pg.decode_q_code("0" * 21, q6)
     cert = vf.face_cycles_proper(qsp, q6_lattice)
     assert not cert.proper
+    assert cert.violation == {"kind": "holonomy", "side": 1, "face_dim": 5}
+
+
+# one-digit mutants of published codes, with the first side pair whose
+# face cycle does not close
+@pytest.mark.parametrize("code, side, face_dim", [
+    ("l65OoFIcN9YEdXHYIO6l3", 157, 1),
+    ("MVCtfMSJGgJgWDtD2fV84", 29, 2),
+    ("l65OMFIcN9YEdXHYIO7l3", 157, 3),
+    ("fx5UMF4cN9aEdXHaKUyf3", 25, 5),
+])
+def test_q_route_holonomy_witness(q6, q6_lattice, code, side, face_dim):
+    cert = vf.face_cycles_proper(pg.decode_q_code(code, q6), q6_lattice)
+    assert not cert.proper
+    assert cert.violation == {"kind": "holonomy", "side": side,
+                              "face_dim": face_dim}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_center_is_inside_the_polytope(n):
+    """The reflected-union route names each transport t by t . z, z =
+    (1, ..., 1, 3), which needs z strictly inside the polytope."""
+    z = (1,) * n + (3,)
+    assert {lorentz_inner(u, z) for u in build_polytope(n).normals} == {-1}
+    assert n != 6 or z == pg.CENTER
+
+
+def test_properness_q_route_cross_section():
+    qsp = pg.decode_q_code(pg.restrict_code(tables.manifold_record(1).code))
+    cert = vf.face_cycles_proper(qsp)
+    assert cert.proper
+    assert [cert.dims[k]["orbits"] for k in range(5)] == [5, 70, 170, 140, 36]
 
 
 def test_certify_manifold_bundles():
@@ -255,7 +297,7 @@ def _cycles_eight_both_ways(arr: pg.EightPPairing) -> vf.PropernessCertificate:
     ctx = vf.lattice_context()
     lat = ctx.lattice
     nf = len(lat.faces)
-    uf = vf.TransportUnionFind(8 * nf, _exp_compose, _exp_inverse, 0)
+    uf = TransportUnionFind(8 * nf, _exp_compose, _exp_inverse, 0)
     violation = None
     for i, j in itertools.product(range(8), range(27)):
         k, p = arr.entry(i, j)
