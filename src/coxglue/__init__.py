@@ -6,7 +6,6 @@ codes, properness and torsion certificates, and integral homology.
 from .coxeter import (
     DECK_GENERATOR,
     ORDER8_SYMMETRY,
-    FiniteSymmetryGroup,
     GroupConstants,
     SimplexGroupData,
     bernoulli,

@@ -17,7 +17,7 @@ from . import pairing as pg
 from . import tables
 from . import verify as vf
 from .coxeter import constants
-from .polytope import build_polytope, build_q, face_lattice
+from .polytope import DimensionError, build_polytope, build_q, face_lattice
 
 JOBS_ENV = "COXGLUE_JOBS"
 
@@ -80,7 +80,7 @@ def cmd_decode(args) -> int:
     payload = {
         "code": args.code,
         "dim": qsp.q.dim,
-        "orientable": pg.orientability_of_code(qsp.code, qsp.q.dim)
+        "orientable": pg.orientability_of_code(qsp.code)
         if qsp.q.dim == 6 else None,
         "partners": [p + 1 for p in qsp.partner],
         "transformations": [[list(r) for r in g] for g in qsp.transforms],
@@ -371,8 +371,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EnvSettingError, MissingInputError, OSError, pg.PairingError,
-            pg.DevelopmentConflict, pg.CrossSectionError,
+    except (EnvSettingError, MissingInputError, DimensionError, OSError,
+            pg.PairingError, pg.DevelopmentConflict, pg.CrossSectionError,
             vf.CertificationError, hm.ComplexError) as exc:
         # bad input: one line on stderr, never a traceback
         print(f"coxglue {args.command}: {exc}", file=sys.stderr)

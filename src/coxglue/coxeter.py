@@ -171,24 +171,6 @@ def group_orbit(
     return tuple(sorted(seen))
 
 
-@dataclass
-class FiniteSymmetryGroup:
-    """The finite symmetry group of the right-angled polytope, as matrices."""
-
-    dim: int
-    elements: list[Mat]
-    generator_indices: tuple[int, ...]
-
-    @classmethod
-    def build(cls, n: int, bound: int = 10 ** 7) -> "FiniteSymmetryGroup":
-        els = group_closure(symmetry_generators(n), bound)
-        return cls(n, els, symmetry_generator_indices(n))
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
 def outward_canonical(v: Vec, vertices: Sequence[Vec]) -> Vec:
     """Scale to primitive and orient so <u, p> <= 0 for every vertex p."""
     w = primitive(v)

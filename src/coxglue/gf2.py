@@ -59,9 +59,6 @@ class Gf2Matrix:
     def row_list(self) -> list[list[int]]:
         return [[(b >> j) & 1 for j in range(self.cols)] for b in self.bits]
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.bits[i] >> j) & 1
-
     def column(self, j: int) -> int:
         """Column j packed as an int (bit i = row i)."""
         out = 0

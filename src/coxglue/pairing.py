@@ -72,10 +72,6 @@ class KElement:
         return self.signs.count(-1) % 2 == 1
 
     @classmethod
-    def identity(cls, n: int) -> "KElement":
-        return cls((1,) * n)
-
-    @classmethod
     def from_value(cls, value: int, n: int) -> "KElement":
         if not 0 <= value < (1 << n):
             raise PairingError(f"value {value} out of range for {n} signs")
@@ -118,10 +114,10 @@ class PairingCode:
         return self.digits
 
 
-def orientability_of_code(code: PairingCode | str, dim: int = 6) -> bool:
+def orientability_of_code(code: PairingCode | str) -> bool:
     """Orientable iff every digit is an orientation-reversing sign flip."""
     if isinstance(code, str):
-        code = PairingCode(dim, code)
+        code = PairingCode(6, code)
     return all(k.reverses_orientation() for k in code.k_elements())
 
 
@@ -150,14 +146,11 @@ class QSidePairing:
                 raise PairingError("group members carry distinct sign flips")
 
 
-def decode_q_code(code: PairingCode | str, q: QPolytope | None = None) -> QSidePairing:
+def decode_q_code(code: PairingCode | str) -> QSidePairing:
     """Assign each side its sign flip, partner and pairing transform."""
     if isinstance(code, str):
         code = PairingCode(6 if len(code) == 21 else 5, code)
-    if q is None:
-        q = build_q(code.dim)
-    if code.dim != q.dim:
-        raise PairingError("code length does not match the polytope")
+    q = build_q(code.dim)
     ks = code.k_elements()
     partner = []
     transforms = []

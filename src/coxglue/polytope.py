@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
 
 from . import tables
@@ -25,6 +25,10 @@ from .lorentz import RowSpan, Vec, lorentz_inner
 
 class LatticeError(RuntimeError):
     """Face lattice construction met inconsistent incidence data."""
+
+
+class DimensionError(ValueError):
+    """No polytope of the requested kind exists in that dimension."""
 
 
 @dataclass(frozen=True)
@@ -98,14 +102,16 @@ def _side_sort_key(u: Vec) -> tuple:
     return (u[-1], tuple(sorted(support, reverse=True)))
 
 
+@lru_cache(maxsize=None)
 def build_polytope(n: int) -> RightAngledPolytope:
-    """The right-angled polytope in dimension n, 2 <= n <= 7.
+    """The right-angled polytope in dimension n, 2 <= n <= 7, built once
+    per process.
 
     For n = 6 the generated data is cross-checked entry by entry against
     the embedded canonical tables.
     """
     if not 2 <= n <= 7:
-        raise ValueError("dimension must be between 2 and 7")
+        raise DimensionError("dimension must be between 2 and 7")
     gens = symmetry_generators(n)
     e_time = tuple([0] * n + [1])
     actual = group_orbit(gens, [e_time])
@@ -346,7 +352,10 @@ def _bits(m: int) -> Iterable[int]:
         m ^= low
 
 
+@lru_cache(maxsize=None)
 def face_lattice(poly: RightAngledPolytope | "QPolytope") -> FaceLattice:
+    """The face lattice of a polytope or reflected union, built once per
+    process for each."""
     if isinstance(poly, QPolytope):
         return FaceLattice(poly.as_polytope())
     return FaceLattice(poly)
@@ -390,13 +399,9 @@ class QPolytope:
     def side_index_of_normal(self, normal: Vec) -> int:
         return self._normal_index[normal]
 
-    @property
+    @cached_property
     def _normal_index(self) -> dict[Vec, int]:
-        idx = getattr(self, "_nidx", None)
-        if idx is None:
-            idx = {s.normal: s.index for s in self.sides}
-            object.__setattr__(self, "_nidx", idx)
-        return idx
+        return {s.normal: s.index for s in self.sides}
 
     def as_polytope(self) -> RightAngledPolytope:
         return RightAngledPolytope(
@@ -408,15 +413,17 @@ def _apply_signs(signs: Sequence[int], v: Vec) -> Vec:
     return tuple(s * c for s, c in zip(signs, v)) + (v[-1],)
 
 
+@lru_cache(maxsize=None)
 def build_q(n: int) -> QPolytope:
-    """The reflected union with its standard side order.
+    """The reflected union with its standard side order, built once per
+    process.
 
     Sides come in groups, one group per non-coordinate base side, listing
     sign patterns on the nonzero coordinates in ascending binary order with
     the lowest coordinate as the least significant bit.
     """
     if n not in (5, 6):
-        raise ValueError("the reflected union is built in dimension 5 or 6")
+        raise DimensionError("the reflected union is built in dimension 5 or 6")
     base = build_polytope(n)
     sides: list[QSide] = []
     group = -1

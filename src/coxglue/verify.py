@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Callable
 
 from .coxeter import constants
 from .gf2 import Gf2Matrix, columns_independent, gf2_solve
@@ -194,14 +195,13 @@ class PropernessCertificate:
 
 def face_cycles_proper(
     pairing: EightPPairing | QSidePairing,
-    lattice: FaceLattice | None = None,
 ) -> PropernessCertificate:
     """Trace every face orbit through the exact side-pairing isometries;
     proper iff each k-face class has exactly 2^(n-k) members and all
     transports around cycles are trivial."""
     if isinstance(pairing, EightPPairing):
         return _cycles_eight(pairing)
-    return _cycles_q(pairing, lattice)
+    return _cycles_q(pairing)
 
 
 def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
@@ -226,7 +226,7 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
     return _cycle_report(uf, lat, 8, violation)
 
 
-def _cycles_q(qsp: QSidePairing, lattice: FaceLattice | None) -> PropernessCertificate:
+def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     """The face pass on the reflected union, as a plain union-find.
 
     Transports lie in the polytope's reflection group W, which acts freely,
@@ -238,7 +238,7 @@ def _cycles_q(qsp: QSidePairing, lattice: FaceLattice | None) -> PropernessCerti
     so the first failure is the edge that a union-find composing
     transports as it goes would reject.
     """
-    lat = lattice if lattice is not None else face_lattice(qsp.q)
+    lat = face_lattice(qsp.q)
     poly = lat.polytope
     vindex = {v: i for i, v in enumerate(poly.vertices)}
     nf = len(lat.faces)
@@ -464,13 +464,32 @@ def _orbit_representatives(lat, fperm, verts, edges) -> list[tuple[int, ...]]:
     return reps
 
 
+def _relator_span(
+        cmx: CodeMatrix) -> tuple[list[int], Callable[[int], int | None]]:
+    """The 21 relator images, wall j's column with bit j set for the
+    wall itself (j = 6..26), and the map from a 27-bit vector to its
+    coefficients over them, bit r for relator r + 7, or None when the
+    vector is outside their span.  Each relator carries its own wall
+    bit, so the coefficients can only be the vector's bits 6..26."""
+    basis = [cmx.column_bits(j) | (1 << j) for j in range(6, 27)]
+
+    def coefficients(y: int) -> int | None:
+        coeff = y >> 6
+        total = 0
+        for r in range(21):
+            if (coeff >> r) & 1:
+                total ^= basis[r]
+        return coeff if total == y else None
+
+    return basis, coefficients
+
+
 def pair_space_action(cmx: CodeMatrix) -> Gf2Matrix:
     """Matrix, on the 21 relator images, of the automorphism induced by
     the order-8 side permutation; raises InvarianceError if the span is
     not preserved."""
     sigma = standard_context().sigma
-    w = [cmx.column_bits(j) for j in range(27)]
-    basis = [w[j] | (1 << j) for j in range(6, 27)]
+    basis, coefficients = _relator_span(cmx)
 
     def act(x: int) -> int:
         out = 0
@@ -483,13 +502,8 @@ def pair_space_action(cmx: CodeMatrix) -> Gf2Matrix:
 
     cols = []
     for j in range(21):
-        y = act(basis[j])
-        coeff = y >> 6
-        total = 0
-        for r in range(21):
-            if (coeff >> r) & 1:
-                total ^= basis[r]
-        if total != y:
+        coeff = coefficients(act(basis[j]))
+        if coeff is None:
             raise InvarianceError(
                 f"image of relator {j + 7} leaves the relator span")
         cols.append([(coeff >> r) & 1 for r in range(21)])
@@ -511,14 +525,9 @@ def extension_torsion_certificate(
     for _ in range(8):
         target ^= 1 << s
         s = sigma[s]
-    w = [cmx.column_bits(j) for j in range(27)]
-    basis = [w[j] | (1 << j) for j in range(6, 27)]
-    coeff = target >> 6
-    total = 0
-    for r in range(21):
-        if (coeff >> r) & 1:
-            total ^= basis[r]
-    if total != target:
+    _, coefficients = _relator_span(cmx)
+    coeff = coefficients(target)
+    if coeff is None:
         return {"status": "certified", "reason": "target outside relator span",
                 "solution": None, "target_coefficients": None}
     m = action.power(4) + Gf2Matrix.identity(21)

@@ -139,6 +139,8 @@ def _mutated_file(tmp_path):
     (["verify", _short_row_file], "row has 2 entries"),
     (["homology", _mutated_file], "not proper"),
     (["develop"], "need --manifold N or an array file"),
+    (["build", "4", "--doubled"], "dimension 5 or 6"),
+    (["build", "7", "--doubled"], "dimension 5 or 6"),
 ])
 def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv, what):
     argv = [a(tmp_path) if callable(a) else a for a in argv]

@@ -15,6 +15,7 @@ from coxglue.lorentz import (
     mat_pow,
     mat_vec,
 )
+from coxglue.polytope import build_polytope
 
 BORDERED_N2 = ((-1, -2, 2), (-2, -1, 2), (-2, -2, 3))
 BORDERED_N3 = ((0, -1, -1, 1), (-1, 0, -1, 1), (-1, -1, 0, 1), (-1, -1, -1, 2))
@@ -102,8 +103,8 @@ def test_product_order_unbounded_dim2():
 
 def test_symmetry_orders_small():
     for n in (2, 3, 4, 5):
-        grp = cx.FiniteSymmetryGroup.build(n)
-        assert grp.order == cx.SYMMETRY_ORDERS[n]
+        group = cx.group_closure(cx.symmetry_generators(n))
+        assert len(group) == cx.SYMMETRY_ORDERS[n]
 
 
 def test_group_orbit_dim6():
@@ -141,7 +142,8 @@ def test_order8_symmetry_invariants():
     assert mat_mul(flip2, abar) == cx.DECK_GENERATOR
 
 
-def test_side_cycles_match_published(p6):
+def test_side_cycles_match_published():
+    p6 = build_polytope(6)
     sigma = cx.sigma_permutation(cx.ORDER8_SYMMETRY, p6.normals, p6.vertices)
     assert sigma[0] == 0  # the first side is invariant
     assert sigma[2 - 1] == 11 - 1
@@ -149,15 +151,16 @@ def test_side_cycles_match_published(p6):
     assert sorted(cycles_of(sigma)) == sorted(PUBLISHED_SIDE_CYCLES)
 
 
-def test_sigma_rejects_non_symmetry(p6):
+def test_sigma_rejects_non_symmetry():
+    p6 = build_polytope(6)
     bad = tuple(tuple((-1 if i == 0 else 1) if i == j else 0
                       for j in range(7)) for i in range(7))
     with pytest.raises(ValueError):
         cx.sigma_permutation(bad, p6.normals, p6.vertices)
 
 
-def test_side_permutation_is_adjacency_automorphism(p6):
-    grp = cx.FiniteSymmetryGroup.build(4)
+def test_side_permutation_is_adjacency_automorphism():
+    group = cx.group_closure(cx.symmetry_generators(4))
     poly4_normals = cx.group_orbit(
         cx.symmetry_generators(4), [(0, 0, 0, -1, 0)],
         canonical=lambda v: cx.outward_canonical(v, _p4_vertices()))
@@ -166,7 +169,7 @@ def test_side_permutation_is_adjacency_automorphism(p6):
             for i in range(len(poly4_normals))
             for j in range(len(poly4_normals))
             if i != j and lorentz_inner(poly4_normals[i], poly4_normals[j]) == 0}
-    for g in grp.elements:
+    for g in group:
         perm = cx.sigma_permutation(g, poly4_normals, verts)
         assert {(perm[i], perm[j]) for i, j in perp} == perp
 
@@ -252,18 +255,17 @@ def test_symmetry_group_fixes_center():
     for n in (3, 4):
         data = cx.simplex_generators(n)
         center = data.simplex_vertices[n - 1]  # opposite the n-th side
-        grp = cx.FiniteSymmetryGroup.build(n)
-        for g in grp.elements:
+        for g in cx.group_closure(cx.symmetry_generators(n)):
             assert mat_vec(g, center) == center
 
 
-def test_symmetry_order_dim6_and_side_permutations(p6):
-    grp = cx.FiniteSymmetryGroup.build(6)
-    assert grp.order == 51840
+def test_symmetry_order_dim6_and_side_permutations():
+    p6 = build_polytope(6)
+    els = cx.group_closure(cx.symmetry_generators(6))
+    assert len(els) == 51840
     # sampled side permutations must be automorphisms of the adjacency graph
     rng = __import__("random").Random(9)
     sample = list(cx.symmetry_generators(6))
-    els = grp.elements
     sample += [els[rng.randrange(len(els))] for _ in range(40)]
     perp = {(i, j) for i in range(27) for j in range(27)
             if i != j and lorentz_inner(p6.normals[i], p6.normals[j]) == 0}

@@ -20,6 +20,7 @@ from coxglue.lorentz import (
     primitive,
     reflection_in,
 )
+from coxglue.polytope import build_polytope
 
 E7 = (0, 0, 0, 0, 0, 0, 1)
 U7 = (1, 1, 0, 0, 0, 0, 1)
@@ -146,8 +147,9 @@ def test_random_dets_against_expansion():
         assert det(tuple(tuple(r) for r in m)) == naive(m)
 
 
-def test_all_side_reflections_are_involutions(p6):
+def test_all_side_reflections_are_involutions():
     from coxglue.lorentz import mat_mul, mat_vec, identity
+    p6 = build_polytope(6)
     for u in p6.normals:
         r = reflection_in(u, norm=1)
         assert mat_mul(r, r) == identity(7)

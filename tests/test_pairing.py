@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coxglue import pairing as pg
-from coxglue import tables
+from coxglue import polytope, tables
 from coxglue.lorentz import identity, lorentz_inverse, mat_mul, mat_vec
 
 
@@ -38,21 +38,21 @@ def test_code_validation():
     assert str(pg.PairingCode(5, "EKB98LLG6R2")) == "EKB98LLG6R2"
 
 
-def test_decode_published_code(q6):
+def test_decode_published_code():
     rec = tables.manifold_record(1)
-    qsp = pg.decode_q_code(rec.code, q6)
+    qsp = pg.decode_q_code(rec.code)
     # the first wall pairs to the wall whose normal has the second sign
     # flipped: index 2 in the standard order
     assert qsp.partner[0] == 2
     assert qsp.k_elements[0] == pg.decode_digit("M")
-    for s in q6.sides:
+    for s in qsp.q.sides:
         i, j = s.index, qsp.partner[s.index]
         assert qsp.partner[j] == i
         assert mat_mul(qsp.transforms[i], qsp.transforms[j]) == identity(7)
 
 
-def test_decode_identity_code(q6):
-    qsp = pg.decode_q_code("0" * 21, q6)
+def test_decode_identity_code():
+    qsp = pg.decode_q_code("0" * 21)
     assert all(qsp.partner[i] == i for i in range(252))
 
 
@@ -194,17 +194,41 @@ def test_restriction():
     assert restricted == {"2B7JB47JG81"}
 
 
-def test_restriction_invariance_check(q6):
-    qsp = pg.decode_q_code(tables.manifold_record(1).code, q6)
+def test_builders_return_one_object_per_input():
+    q6 = polytope.build_q(6)
+    assert polytope.build_q(6) is q6
+    assert polytope.face_lattice(polytope.build_q(6)) is \
+        polytope.face_lattice(q6)
+    code = tables.manifold_record(1).code
+    assert pg.decode_q_code(code).q is pg.decode_q_code(code).q is q6
+
+
+def test_restrict_code_builds_no_new_polytope_or_lattice(monkeypatch):
+    code = tables.manifold_record(1).code
+    want = pg.restrict_code(code)
+    built = []
+    for cls in (polytope.QPolytope, polytope.FaceLattice):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert pg.restrict_code(code) == want
+    assert built == []
+    polytope.build_q.__wrapped__(5)  # the counter does see a build
+    assert built == ["QPolytope"]
+
+
+def test_restriction_invariance_check():
+    qsp = pg.decode_q_code(tables.manifold_record(1).code)
     pg.restrict_check(qsp)
     # tamper with a cross-section wall transform: swap coordinate one out
     swap = tuple(tuple(1 if (i, j) in ((0, 2), (2, 0)) else
                        (1 if i == j and i not in (0, 2) else 0)
                        for j in range(7)) for i in range(7))
-    bad_idx = next(s.index for s in q6.sides if s.normal[0] == 0)
+    bad_idx = next(s.index for s in qsp.q.sides if s.normal[0] == 0)
     transforms = list(qsp.transforms)
     transforms[bad_idx] = mat_mul(swap, transforms[bad_idx])
-    tampered = pg.QSidePairing(q6, qsp.code, qsp.partner,
+    tampered = pg.QSidePairing(qsp.q, qsp.code, qsp.partner,
                                qsp.k_elements, tuple(transforms))
     with pytest.raises(pg.CrossSectionError):
         pg.restrict_check(tampered)
@@ -298,12 +322,12 @@ def test_search_pruning_agrees_with_certification(monkeypatch):
             ([arr.entries] if proper else [])
 
 
-def test_decode_random_codes_validate(q6):
+def test_decode_random_codes_validate():
     rng = random.Random(77)
     for _ in range(10):
         code = "".join(pg.ALPHABET[rng.randrange(64)] for _ in range(21))
-        qsp = pg.decode_q_code(code, q6)  # validates involution internally
+        qsp = pg.decode_q_code(code)  # validates involution internally
         groups = {}
-        for s in q6.sides:
+        for s in qsp.q.sides:
             groups.setdefault(s.group, set()).add(qsp.k_elements[s.index])
         assert all(len(ks) == 1 for ks in groups.values())

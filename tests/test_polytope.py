@@ -12,15 +12,16 @@ from coxglue.polytope import (
 )
 
 
-def test_polytope6_matches_published_tables(p6):
+def test_polytope6_matches_published_tables():
+    p6 = build_polytope(6)
     assert p6.normals == tables.p6_side_normals()
     want_actual, want_ideal = tables.p6_vertices()
     assert p6.actual_vertices == want_actual
     assert p6.ideal_vertices == want_ideal
 
 
-def test_polytope6_census(p6_lattice):
-    c = p6_lattice.census()
+def test_polytope6_census():
+    c = face_lattice(build_polytope(6)).census()
     assert c["actual_vertices"] == 72
     assert c["ideal_vertices"] == 27
     assert c["ray_edges"] == 432
@@ -47,7 +48,8 @@ def test_side_counts():
         build_polytope(8)
 
 
-def test_normal_inner_products_and_perpendicular_pairs(p6):
+def test_normal_inner_products_and_perpendicular_pairs():
+    p6 = build_polytope(6)
     values = set()
     for i in range(27):
         for j in range(i + 1, 27):
@@ -56,7 +58,8 @@ def test_normal_inner_products_and_perpendicular_pairs(p6):
     assert len(p6.perpendicular_pairs()) == 216
 
 
-def test_side_adjacency_graph_is_16_regular(p6):
+def test_side_adjacency_graph_is_16_regular():
+    p6 = build_polytope(6)
     degree = {i: 0 for i in range(27)}
     for i, j in p6.perpendicular_pairs():
         degree[i] += 1
@@ -64,22 +67,24 @@ def test_side_adjacency_graph_is_16_regular(p6):
     assert set(degree.values()) == {16}
 
 
-def test_vertex_side_counts(p6):
+def test_vertex_side_counts():
+    p6 = build_polytope(6)
     smask = p6.side_masks()
     for vid in range(len(p6.vertices)):
         count = bin(smask[vid]).count("1")
         assert count == (6 if p6.is_actual(vid) else 10)
 
 
-def test_face_side_sets_are_perpendicular(p6_lattice):
-    p6_lattice.validate()
+def test_face_side_sets_are_perpendicular():
+    face_lattice(build_polytope(6)).validate()
 
 
-def test_covers_are_graded(p6_lattice):
-    for f in p6_lattice.faces:
+def test_covers_are_graded():
+    lat = face_lattice(build_polytope(6))
+    for f in lat.faces:
         for g in f.covers:
-            assert p6_lattice.faces[g].dim == f.dim - 1
-            assert p6_lattice.faces[g].sides > f.sides
+            assert lat.faces[g].dim == f.dim - 1
+            assert lat.faces[g].sides > f.sides
 
 
 def test_face_identities():
@@ -94,7 +99,8 @@ def test_face_identities():
     assert ridge["count"] == 216 and ridge["sides_times_subcount"] == 27 * 16
 
 
-def test_reflected_union_structure(q6):
+def test_reflected_union_structure():
+    q6 = build_q(6)
     assert len(q6.sides) == 252
     assert q6.n_groups == 21
     assert sum(1 for s in q6.sides if s.large) == 60
@@ -108,8 +114,8 @@ def test_reflected_union_structure(q6):
         assert len(q6.group_members(g)) == 32
 
 
-def test_reflected_union_face_counts(q6_lattice):
-    counts = q6_lattice.counts()
+def test_reflected_union_face_counts():
+    counts = face_lattice(build_q(6)).counts()
     assert [counts[d] for d in range(6)] == [1344, 14208, 23040, 13920, 3360, 252]
 
 

@@ -124,7 +124,7 @@ def test_context_fields_agree():
             power = tuple(perms[1][x] for x in power)
 
 
-def test_code_matrix_matches_embedded(p6):
+def test_code_matrix_matches_embedded():
     cmx = vf.build_code_matrix(tables.manifold_record(1).code)
     assert cmx.matrix.row_list() == [list(r) for r in tables.code_matrix_m1()]
     assert cmx.column_bits(6) == (1 << 1) | (1 << 2) | (1 << 4)
@@ -213,11 +213,11 @@ def test_properness_rejects_mutations():
 
 
 @pytest.mark.parametrize("mid", range(1, 10))
-def test_properness_q_route(q6, q6_lattice, mid):
+def test_properness_q_route(mid):
     """The reflected-union route, the oracle for the eight-copy route:
     the same verdict, on faces of the union rather than of the copies."""
-    qsp = pg.decode_q_code(tables.manifold_record(mid).code, q6)
-    cert = vf.face_cycles_proper(qsp, q6_lattice)
+    qsp = pg.decode_q_code(tables.manifold_record(mid).code)
+    cert = vf.face_cycles_proper(qsp)
     assert cert.proper
     assert [cert.dims[k]["faces"] for k in range(6)] == \
         [1344, 14208, 23040, 13920, 3360, 252]
@@ -227,9 +227,9 @@ def test_properness_q_route(q6, q6_lattice, mid):
     assert vf.face_cycles_proper(pg.published_pairing(mid)).proper
 
 
-def test_identity_code_improper(q6, q6_lattice):
-    qsp = pg.decode_q_code("0" * 21, q6)
-    cert = vf.face_cycles_proper(qsp, q6_lattice)
+def test_identity_code_improper():
+    qsp = pg.decode_q_code("0" * 21)
+    cert = vf.face_cycles_proper(qsp)
     assert not cert.proper
     assert cert.violation == {"kind": "holonomy", "side": 1, "face_dim": 5}
 
@@ -242,8 +242,8 @@ def test_identity_code_improper(q6, q6_lattice):
     ("l65OMFIcN9YEdXHYIO7l3", 157, 3),
     ("fx5UMF4cN9aEdXHaKUyf3", 25, 5),
 ])
-def test_q_route_holonomy_witness(q6, q6_lattice, code, side, face_dim):
-    cert = vf.face_cycles_proper(pg.decode_q_code(code, q6), q6_lattice)
+def test_q_route_holonomy_witness(code, side, face_dim):
+    cert = vf.face_cycles_proper(pg.decode_q_code(code))
     assert not cert.proper
     assert cert.violation == {"kind": "holonomy", "side": side,
                               "face_dim": face_dim}
