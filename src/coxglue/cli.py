@@ -30,11 +30,18 @@ class MissingInputError(ValueError):
     """The command was given no gluing to work on."""
 
 
+def _positive_int(raw: str) -> int:
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer")
+    return int(raw)
+
+
 def _jobs() -> int:
     raw = os.environ.get(JOBS_ENV, "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise EnvSettingError(f"{JOBS_ENV}={raw!r} is not a positive integer")
-    return int(raw)
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise EnvSettingError(f"{JOBS_ENV}={exc}") from None
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -354,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("search", help="search for symmetry-restricted gluings")
     p.add_argument("--budget", type=int, default=10 ** 6)
     p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--max-solutions", type=int, default=None)
+    p.add_argument("--max-solutions", type=_positive_int, default=None)
     p.add_argument("--fix-rows", type=int, default=0, choices=range(9),
                    help="seed the first rows from a published gluing")
     p.add_argument("--fix-rows-from", type=int, default=1,

@@ -16,14 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .coxeter import ORDER8_SYMMETRY, sigma_permutation
-from .lorentz import (
-    Mat,
-    Vec,
-    identity,
-    mat_mul,
-    mat_vec,
-    reflection_in,
-)
+from .lorentz import Mat, Vec, identity, mat_mul, mat_vec, reflection_in
 from .polytope import QPolytope, RightAngledPolytope, build_polytope, build_q
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz@$"
@@ -149,7 +142,11 @@ class QSidePairing:
 def decode_q_code(code: PairingCode | str) -> QSidePairing:
     """Assign each side its sign flip, partner and pairing transform."""
     if isinstance(code, str):
-        code = PairingCode(6 if len(code) == 21 else 5, code)
+        dim = {21: 6, 11: 5}.get(len(code))
+        if dim is None:
+            raise PairingError(
+                f"expected 21 or 11 digits, got {len(code)}")
+        code = PairingCode(dim, code)
     q = build_q(code.dim)
     ks = code.k_elements()
     partner = []
@@ -181,7 +178,6 @@ class StandardContext:
 
     polytope: RightAngledPolytope
     sigma: tuple[int, ...]
-    reflections: tuple[Mat, ...]
     powers: tuple[Mat, ...]
     sigma_pows: tuple[tuple[int, ...], ...]
 
@@ -189,11 +185,10 @@ class StandardContext:
 @lru_cache(maxsize=1)
 def standard_context() -> StandardContext:
     """The `polytope`, its side permutation `sigma` under the order-8
-    symmetry, its side `reflections`, and the symmetry's `powers` 0..7
-    as matrices and, in `sigma_pows`, as side permutations."""
+    symmetry, and the symmetry's `powers` 0..7 as matrices and, in
+    `sigma_pows`, as side permutations."""
     p6 = build_polytope(6)
     sigma = sigma_permutation(ORDER8_SYMMETRY, p6.normals, p6.vertices)
-    reflections = tuple(reflection_in(u) for u in p6.normals)
     powers = [identity(7)]
     for _ in range(7):
         powers.append(mat_mul(ORDER8_SYMMETRY, powers[-1]))
@@ -201,8 +196,7 @@ def standard_context() -> StandardContext:
     for _ in range(7):
         prev = sigma_pows[-1]
         sigma_pows.append(tuple(sigma[x] for x in prev))
-    return StandardContext(p6, sigma, reflections, tuple(powers),
-                           tuple(sigma_pows))
+    return StandardContext(p6, sigma, tuple(powers), tuple(sigma_pows))
 
 
 @dataclass(frozen=True)
@@ -282,86 +276,87 @@ def published_pairing(mid: int) -> EightPPairing:
 @dataclass(frozen=True)
 class Development:
     """Placements of the 64 copies filling the reflected union, as
-    (chart, abstract copy) pairs in the order the development reached
-    them."""
+    (k, power, copy) triples in the order the development reached them:
+    the abstract copy sits at the chart diag(k, 1) sigma^power, k a sign
+    flip given by its digit value."""
 
-    placements: tuple[tuple[Mat, int], ...]
+    placements: tuple[tuple[int, int, int], ...]
     code: PairingCode
     side_digits: tuple[int, ...]
 
 
-# The centre of the polytope.  Every power of the order-8 symmetry fixes
-# it, so g.z names the copy a chart g places, whatever power it carries.
-CENTER = (1, 1, 1, 1, 1, 1, 3)
-
-
-def _inside_key(g: Mat) -> Vec | None:
-    """g.z when chart g places a copy inside the reflected union, else None.
-
-    Charts lie in W x <sigma>, W the polytope's reflection group, where
-    the polytope's stabiliser is <sigma>.  So g is inside exactly when
-    g = k sigma^a for a sign flip k, that is when g.z = (k_1..k_6, 3).
-    """
-    v = mat_vec(g, CENTER)
-    if v[-1] == 3 and all(c in (1, -1) for c in v[:-1]):
-        return v
-    return None
-
-
-def _sign_flip_between(a: Mat, b: Mat) -> tuple[int, ...] | None:
-    """The signs s with a = diag(s, 1) b, if any: a b^-1 is that flip."""
-    signs = tuple(1 if ra == rb else -1 if ra == tuple(-x for x in rb)
-                  else 0 for ra, rb in zip(a, b))
-    return None if 0 in signs or signs[-1] != 1 else signs[:-1]
-
-
 @lru_cache(maxsize=1)
 def _develop_tables():
-    """Gluing-independent data of development: the crossing step
-    reflection[j] sigma^-p for each side j and power p, the reflected
-    union, and the reflection in each of its walls."""
-    ctx = standard_context()
-    steps = tuple(tuple(mat_mul(r, ctx.powers[-p % 8]) for p in range(8))
-                  for r in ctx.reflections)
+    """Gluing-independent data of development: the coordinate bit of each
+    side (0 off the coordinate walls); for each side s and sign flip k,
+    the reflected union's wall k . u_s (None on the coordinate walls);
+    and the reflected union."""
     q6 = build_q(6)
-    return steps, q6, tuple(reflection_in(s.normal) for s in q6.sides)
+    bits, walls = [], []
+    for u in standard_context().polytope.normals:
+        support = [c for c in range(6) if u[c]]
+        coordinate = len(support) == 1
+        bits.append(1 << support[0] if coordinate else 0)
+        walls.append(tuple(
+            None if coordinate else
+            q6.side_index_of_normal(KElement.from_value(k, 6).apply(u))
+            for k in range(64)))
+    return tuple(bits), tuple(walls), q6
+
+
+def _walk(arr: EightPPairing) -> tuple[dict[int, tuple[int, int]], list]:
+    """Place copy 1 at the identity and walk the gluing through the
+    reflected union.
+
+    Every chart inside the union is k sigma^a, and crossing side j of
+    the copy there, with entry (c, p), reaches k r_s sigma^(a - p) for
+    s = sigma^a(j).  Off the coordinate walls that chart lies across the
+    union's wall k . u_s; on one it is the inside chart (k xor bit(s),
+    a - p).  Returns the power and copy placed at each k, and the
+    boundary crossings as (copy, side, wall, k, partner, power).
+    """
+    arr.validate_involution()
+    sigma_pows = standard_context().sigma_pows
+    bits, walls, _ = _develop_tables()
+    placements = {0: (0, 0)}
+    frontier = [0]
+    boundary = []
+    while frontier:
+        nxt = []
+        for k in frontier:
+            a, i = placements[k]
+            for j in range(27):
+                c, p = arr.entry(i, j)
+                s, b = sigma_pows[a][j], (a - p) % 8
+                if not bits[s]:
+                    boundary.append((i, j, walls[s][k], k, c, b))
+                    continue
+                nk = k ^ bits[s]
+                prev = placements.get(nk)
+                if prev is None:
+                    placements[nk] = (b, c)
+                    nxt.append(nk)
+                elif prev != (b, c):
+                    raise DevelopmentConflict(
+                        f"copy {i + 1}, side {j + 1}: copy reached twice "
+                        f"with different charts (abstract {prev[1] + 1} "
+                        f"vs {c + 1})")
+        frontier = nxt
+    return placements, boundary
 
 
 def develop(arr: EightPPairing) -> Development:
-    """Place copy 1 at the identity and develop the gluing through the
-    reflected union; read the code off the boundary walls.
+    """Develop the gluing through the reflected union and read the code
+    off its walls.
 
+    The wall k . u_s crossed into the copy c whose chart has power a - p
+    carries the sign flip k xor k'', k'' sigma^(a - p) being that chart.
     Raises DevelopmentConflict, naming the copy (and the side, during
     the walk) at fault, when two routes place a copy differently or the
     64 copies are not covered exactly once.
     """
-    arr.validate_involution()
-    normals = standard_context().polytope.normals
-    steps, q6, wall_reflections = _develop_tables()
-    placements: dict[Vec, tuple[Mat, int]] = {CENTER: (identity(7), 0)}
-    frontier = [CENTER]
-    boundary: list[tuple[Mat, int, int, Mat, int]] = []
-    while frontier:
-        nxt = []
-        for key in frontier:
-            g, i = placements[key]
-            for j in range(27):
-                k, p = arr.entry(i, j)
-                neighbor = mat_mul(g, steps[j][p])
-                nkey = _inside_key(neighbor)
-                if nkey is None:
-                    boundary.append((g, i, j, neighbor, k))
-                    continue
-                prev = placements.get(nkey)
-                if prev is None:
-                    placements[nkey] = (neighbor, k)
-                    nxt.append(nkey)
-                elif prev[0] != neighbor or prev[1] != k:
-                    raise DevelopmentConflict(
-                        f"copy {i + 1}, side {j + 1}: copy reached twice "
-                        f"with different charts (abstract {prev[1] + 1} "
-                        f"vs {k + 1})")
-        frontier = nxt
+    placements, boundary = _walk(arr)
+    q6 = _develop_tables()[2]
     per_abstract = [0] * 8
     for _, i in placements.values():
         per_abstract[i] += 1
@@ -372,44 +367,26 @@ def develop(arr: EightPPairing) -> Development:
             f"abstract copy {c + 1} placed {per_abstract[c]} times, "
             f"expected 8")
 
-    by_mod2: dict[tuple, Mat] = {}
-    for g, i in placements.values():
-        key = (i, tuple(tuple(e % 2 for e in row) for row in g))
-        if key in by_mod2:
+    # sign flips are the identity mod two and the powers of sigma are
+    # not congruent, so charts of one copy are congruent when they share
+    # a power; once none do, each (copy, power) has exactly one chart
+    flip_of: dict[tuple[int, int], int] = {}
+    for k, (a, i) in placements.items():
+        if (i, a) in flip_of:
             raise DevelopmentConflict(
                 f"two inside charts of abstract copy {i + 1} are "
                 f"congruent mod two")
-        by_mod2[key] = g
+        flip_of[i, a] = k
 
     side_digits: list[int | None] = [None] * len(q6.sides)
-    for g, i, j, neighbor, k in boundary:
-        where = f"copy {i + 1}, side {j + 1}"
-        try:
-            m = q6.side_index_of_normal(mat_vec(g, normals[j]))
-        except KeyError as exc:
-            raise DevelopmentConflict(
-                f"{where}: boundary crossing does not line up with a "
-                f"wall") from exc
-        match = by_mod2.get(
-            (k, tuple(tuple(e % 2 for e in row) for row in neighbor)))
-        if match is None:
-            raise DevelopmentConflict(
-                f"{where}: no inside chart matches the boundary crossing "
-                f"mod two")
-        # the wall transform, the reflection in wall m times
-        # neighbor match^-1, must be a sign flip
-        signs = _sign_flip_between(mat_mul(wall_reflections[m], neighbor),
-                                   match)
-        if signs is None:
-            raise DevelopmentConflict(
-                f"{where}: wall transform is not a sign flip composed "
-                f"with the wall reflection")
-        value = sum(((1 - s) // 2) << c for c, s in enumerate(signs))
+    for i, j, m, k, c, b in boundary:
+        value = k ^ flip_of[c, b]
         if side_digits[m] is None:
             side_digits[m] = value
         elif side_digits[m] != value:
             raise DevelopmentConflict(
-                f"{where}: wall {m + 1} received two digits")
+                f"copy {i + 1}, side {j + 1}: wall {m + 1} received two "
+                f"digits")
     if None in side_digits:
         raise DevelopmentConflict(
             f"wall {side_digits.index(None) + 1} was never crossed")
@@ -422,7 +399,8 @@ def develop(arr: EightPPairing) -> Development:
                 f"group {grp + 1} walls received distinct digits")
         digits.append(ALPHABET[vals.pop()])
     code = PairingCode(6, "".join(digits))
-    return Development(tuple(placements.values()), code, tuple(side_digits))
+    placed = tuple((k, a, i) for k, (a, i) in placements.items())
+    return Development(placed, code, tuple(side_digits))
 
 
 # -- restriction to the cross-section ----------------------------------
@@ -583,6 +561,9 @@ def search_pairings(
 
     from .verify import FaceCycles, lattice_context
 
+    if max_solutions is not None and max_solutions < 1:
+        raise ValueError(f"max_solutions must be at least 1, got "
+                         f"{max_solutions}")
     sigma_pows = standard_context().sigma_pows
     ctx = lattice_context()
     nf = len(ctx.lattice.faces)

@@ -114,6 +114,18 @@ def test_search_fixes_at_most_eight_rows(capsys):
     assert code == 0 and json.loads(out)["budget_exhausted"] is True
 
 
+def test_search_wants_at_least_one_solution(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--fix-rows", "8", "--max-solutions", "0"])
+    assert exc.value.code == 2
+    assert "--max-solutions" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="max_solutions"):
+        pg.search_pairings(None, max_solutions=0)
+    code, out = run(capsys, "search", "--fix-rows", "8", "--max-solutions",
+                    "1", "--json")
+    assert code == 0 and len(json.loads(out)["solutions"]) == 1
+
+
 def _array_file(tmp_path, rows):
     path = tmp_path / "arr.txt"
     path.write_text("\n".join(" ".join(f"{k + 1}^{p}" for k, p in row)
@@ -141,6 +153,7 @@ def _mutated_file(tmp_path):
     (["develop"], "need --manifold N or an array file"),
     (["build", "4", "--doubled"], "dimension 5 or 6"),
     (["build", "7", "--doubled"], "dimension 5 or 6"),
+    (["decode", "0" * 20], "expected 21 or 11 digits, got 20"),
 ])
 def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv, what):
     argv = [a(tmp_path) if callable(a) else a for a in argv]

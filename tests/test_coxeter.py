@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -260,15 +261,35 @@ def test_symmetry_group_fixes_center():
 
 
 def test_symmetry_order_dim6_and_side_permutations():
+    """The symmetry group closes to 51,840 side permutations; sampled
+    words, multiplied out as matrices, permute the sides as their
+    composed permutations do, preserving the perpendicularity graph."""
     p6 = build_polytope(6)
-    els = cx.group_closure(cx.symmetry_generators(6))
-    assert len(els) == 51840
-    # sampled side permutations must be automorphisms of the adjacency graph
-    rng = __import__("random").Random(9)
-    sample = list(cx.symmetry_generators(6))
-    sample += [els[rng.randrange(len(els))] for _ in range(40)]
+    gens = cx.symmetry_generators(6)
+    side_perms = [cx.sigma_permutation(g, p6.normals, p6.vertices)
+                  for g in gens]
+    seen = {tuple(range(27))}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for g in side_perms:
+            for m in frontier:
+                q = tuple(g[x] for x in m)
+                if q not in seen:
+                    seen.add(q)
+                    new.append(q)
+        frontier = new
+    assert len(seen) == 51840
+    rng = random.Random(9)
+    words = [[i] for i in range(len(gens))]
+    words += [[rng.randrange(len(gens)) for _ in range(rng.randrange(2, 30))]
+              for _ in range(40)]
     perp = {(i, j) for i in range(27) for j in range(27)
             if i != j and lorentz_inner(p6.normals[i], p6.normals[j]) == 0}
-    for g in sample:
-        perm = cx.sigma_permutation(g, p6.normals, p6.vertices)
+    for word in words:
+        g, perm = identity(7), tuple(range(27))
+        for i in word:
+            g = mat_mul(gens[i], g)
+            perm = tuple(side_perms[i][x] for x in perm)
+        assert cx.sigma_permutation(g, p6.normals, p6.vertices) == perm
         assert {(perm[i], perm[j]) for i, j in perp} == perp

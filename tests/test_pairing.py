@@ -8,7 +8,7 @@ import pytest
 
 from coxglue import pairing as pg
 from coxglue import polytope, tables
-from coxglue.lorentz import identity, lorentz_inverse, mat_mul, mat_vec
+from coxglue.lorentz import identity, lorentz_inverse, mat_mul, reflection_in
 
 
 def test_codec_matches_embedded_table():
@@ -123,19 +123,27 @@ def _old_sign_flip_of(g) -> tuple[int, ...] | None:
     return diag[:-1]
 
 
+def _chart_name(g, inv) -> bytes:
+    """The smallest repr of g sigma^-p over the eight powers: one name
+    for every chart that places the same copy."""
+    return min(repr(tuple(map(tuple, prod.tolist()))).encode()
+               for prod in np.einsum("ab,pbc->pac", g, inv))
+
+
 def _neighbour_tests(arr):
-    """Walk the development the old way and judge every neighbour of
-    every chart reached by both routes.  Old route: a chart g is inside
-    when g sigma^-p is a sign flip for one of the eight powers, and its
-    copy is named by the smallest repr of g sigma^p; the walk keeps the
-    first chart of each name and ignores conflicts.  Yields (old signs
-    or None, old name, new key)."""
+    """Walk the development with 7 x 7 charts, the old way.  A chart g
+    is inside when g sigma^-p is a sign flip for one of the eight powers,
+    and its copy is named by _chart_name; the walk keeps the first chart
+    of each name.  Returns the chart and abstract copy first placed under
+    each name, and whether a later arrival disagreed with one."""
     ctx = pg.standard_context()
     inv = np.array([lorentz_inverse(p) for p in ctx.powers], dtype=np.int64)
+    reflections = [reflection_in(u) for u in ctx.polytope.normals]
     steps = np.einsum("jab,pbc->jpac",
-                      np.array(ctx.reflections, dtype=np.int64), inv)
+                      np.array(reflections, dtype=np.int64), inv)
     start = np.eye(7, dtype=np.int64)
-    charts = {}
+    charts = {_chart_name(start, inv): (start, 0)}
+    conflict = False
     frontier = [(start, 0)]
     while frontier:
         nxt = []
@@ -143,45 +151,75 @@ def _neighbour_tests(arr):
             for j in range(27):
                 k, p = arr.entry(i, j)
                 nb = g @ steps[j, p]
-                prods = np.einsum("ab,pbc->pac", nb, inv)
-                signs = None
-                for prod in prods:
-                    signs = _old_sign_flip_of(prod.tolist())
-                    if signs is not None:
-                        break
-                # sigma^-p runs over the same eight powers as sigma^p
-                name = min(repr(tuple(map(tuple, prod.tolist()))).encode()
-                           for prod in prods)
-                new = pg._inside_key(tuple(map(tuple, nb.tolist())))
-                yield signs, name, new
-                if signs is not None and name not in charts:
-                    charts[name] = nb
+                if all(_old_sign_flip_of(prod.tolist()) is None
+                       for prod in np.einsum("ab,pbc->pac", nb, inv)):
+                    continue
+                name = _chart_name(nb, inv)
+                prev = charts.get(name)
+                if prev is None:
+                    charts[name] = (nb, k)
                     nxt.append((nb, k))
+                elif prev[1] != k or not np.array_equal(prev[0], nb):
+                    conflict = True
         frontier = nxt
+    return charts, conflict
 
 
 def test_development_keys_match_old_route():
-    """g.z decides inside or outside, and names copies, exactly as the
-    eight products with the powers of sigma did, on the published
-    gluings and on mutated ones (whose walks conflict)."""
-    powers = pg.standard_context().powers
-    assert all(mat_vec(p, pg.CENTER) == pg.CENTER for p in powers)
+    """Each copy the integer walk places at (k, a) sits at the chart
+    diag(k, 1) sigma^a that the matrix walk reaches for that copy, on the
+    published gluings and on mutated ones; the integer walk raises
+    exactly when the matrix walk meets a copy twice with different
+    charts."""
+    ctx = pg.standard_context()
+    powers = np.array(ctx.powers, dtype=np.int64)
+    inv = np.array([lorentz_inverse(p) for p in ctx.powers], dtype=np.int64)
     rng = random.Random(2024)
     m1 = pg.published_pairing(1)
     arrays = [pg.published_pairing(mid) for mid in range(1, 10)]
     arrays += [pg.mutated_pairing(m1, rng) for _ in range(20)]
+    walked = 0
     for arr in arrays:
-        old_to_new, new_to_old, outside_names = {}, {}, set()
-        for signs, name, new in _neighbour_tests(arr):
-            if signs is None:
-                assert new is None
-                outside_names.add(name)
-                continue
-            assert new == signs + (3,)
-            assert old_to_new.setdefault(name, new) == new
-            assert new_to_old.setdefault(new, name) == name
-        assert len(old_to_new) <= 64
-        assert not outside_names & set(old_to_new)
+        charts, conflict = _neighbour_tests(arr)
+        try:
+            placements, _ = pg._walk(arr)
+        except pg.DevelopmentConflict as exc:
+            assert conflict and "reached twice" in str(exc)
+            continue
+        assert not conflict and len(charts) == len(placements) == 64
+        walked += 1
+        for k, (a, i) in placements.items():
+            flip = pg.KElement.from_value(k, 6).matrix()
+            chart = np.array(flip, dtype=np.int64) @ powers[a]
+            old_chart, old_copy = charts[_chart_name(chart, inv)]
+            assert np.array_equal(old_chart, chart) and old_copy == i
+    assert walked > 9  # some mutants walk through and fail later
+
+
+def test_chart_facts_of_the_integer_walk():
+    """Conjugating a side reflection by a power of sigma reflects in the
+    permuted side; the coordinate walls reflect by flipping their one
+    coordinate, and every other side lies on the reflected union's walls
+    k . u_s; the powers of sigma are pairwise incongruent mod two."""
+    ctx = pg.standard_context()
+    reflections = [reflection_in(u) for u in ctx.polytope.normals]
+    for a, g in enumerate(ctx.powers):
+        g_inv = lorentz_inverse(g)
+        for j, r in enumerate(reflections):
+            assert mat_mul(mat_mul(g, r), g_inv) == \
+                reflections[ctx.sigma_pows[a][j]]
+    bits, walls, q6 = pg._develop_tables()
+    assert sorted(b for b in bits if b) == [1 << c for c in range(6)]
+    for u, r, bit, row in zip(ctx.polytope.normals, reflections, bits,
+                              walls):
+        if bit:
+            assert r == pg.KElement.from_value(bit, 6).matrix()
+            assert row == (None,) * 64
+            continue
+        for k, m in enumerate(row):
+            assert q6.sides[m].normal == pg.KElement.from_value(k, 6).apply(u)
+    mod2 = {tuple(tuple(e % 2 for e in row) for row in g) for g in ctx.powers}
+    assert len(mod2) == 8
 
 
 def test_restriction():
