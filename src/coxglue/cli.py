@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +35,24 @@ def _positive_int(raw: str) -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer")
     return int(raw)
+
+
+def _nonnegative_int(raw: str) -> int:
+    if not raw.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"{raw!r} is not a non-negative integer")
+    return int(raw)
+
+
+def _seconds(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{raw!r} is not a finite number of seconds >= 0")
+    return value
 
 
 def _jobs() -> int:
@@ -359,8 +378,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("search", help="search for symmetry-restricted gluings")
-    p.add_argument("--budget", type=int, default=10 ** 6)
-    p.add_argument("--time-budget", type=float, default=None)
+    p.add_argument("--budget", type=_nonnegative_int, default=10 ** 6)
+    p.add_argument("--time-budget", type=_seconds, default=None)
     p.add_argument("--max-solutions", type=_positive_int, default=None)
     p.add_argument("--fix-rows", type=int, default=0, choices=range(9),
                    help="seed the first rows from a published gluing")

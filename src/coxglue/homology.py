@@ -1,23 +1,29 @@
 """Quotient cell complexes of glued eight-copy manifolds and their
 integral homology.
 
-The polytope is truncated at every ideal vertex by an exact, symmetry
-equivariant flat cut (the hyperplane <x, w> = <x, z>/8, with z the fixed
-center of the symmetry group and w the primitive lightlike vertex), so
-every cell of the truncated polytope is a flat convex polytope with
-integer homogeneous vertex coordinates.  Cut corners contribute cube
-cells: one (k-1)-cube for each ideal vertex of each k-face.
+The polytope is truncated at every ideal vertex by a cut wall that the
+symmetry permutes with the vertices.  The truncated polytope is simple:
+a cell of dimension d lies in exactly 6 - d walls, among the 27 sides
+and the cut walls.  Its cells are the faces ('f', face), cut back, and
+the cut corners ('l', ideal vertex, face), one (k-1)-cube for each ideal
+vertex of each k-face.
+
+Each cell is oriented by the sorted tuple of its walls (the normals of
+the walls in that order, then the cell, orient the polytope, up to a
+sign per dimension), so every sign is combinatorial.  The facet of X on
+wall j has the Koszul sign (-1)^#(walls of X below j), which makes
+boundary squared zero by construction, and the power sigma^t carries X
+onto its image with sign (-1)^t (det sigma = -1) times the sign of the
+permutation by which it reorders the walls of X.
 
 Cells of the glued manifold are orbits of the eight copies' cells under
 the side-pairing identifications, and orientations are transported
-through the exact isometries (powers of the order-8 symmetry).  The
-orbits are lifted from the face classes that the properness check
-traced: a cell's class is the class of the face it lies over, with the
-same transport, so assembling the complex needs no union-find.  Each
-boundary sign is a product of two gluing-independent signs, both fixed
-once by exact determinants on the truncated polytope: the incidence of
-a facet in its cell, and the orientation change of a cell under a power
-of the symmetry.  Assembling a gluing's complex is table lookups.
+through the powers of the order-8 symmetry.  The orbits are lifted from
+the face classes that the properness check traced: a cell's class is
+the class of the face it lies over, with the same transport, so
+assembling the complex needs no union-find.  Each boundary sign is a
+product of the two gluing-independent signs above, so assembling a
+gluing's complex is table lookups.
 
 Homology reduces the complex once along its +-1 incidences, boundary
 cells first, which leaves each cusp section's own residue, then the
@@ -26,19 +32,15 @@ rest; a dense Smith normal form of each residual degree finishes both.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Sequence
 
-from .lorentz import (
-    RowSpan,
-    Vec,
-    det,
-    lorentz_inner,
-    mat_vec,
-    primitive,
-)
+# det is unused here but stays importable: perfbench/layers.py patches it
+from .lorentz import det  # noqa: F401
 from .pairing import EightPPairing, standard_context
 from .smith import eliminate_units, invariant_factors
 from .verify import PropernessCertificate, face_cycles_proper, lattice_context
@@ -53,17 +55,12 @@ class ComplexError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncatedCells:
-    """Cells of the truncated polytope and the symmetry's action on them."""
+    """Cells of the truncated polytope, their facets with signs, and the
+    symmetry's action on them."""
 
-    points: tuple[Vec, ...]
     cells: tuple[tuple, ...]
     cell_dim: tuple[int, ...]
-    cell_points: tuple[tuple[int, ...], ...]
     cell_facets: tuple[tuple[int, ...], ...]
-    frames: tuple[tuple[int, ...], ...]
-    pivot_cols: tuple[tuple[int, ...], ...]
-    frame_sign: tuple[int, ...]
-    pt_perm: tuple[tuple[int, ...], ...]
     cell_perm: tuple[tuple[int, ...], ...]
     orient: tuple[tuple[int, ...], ...]
     incidence: tuple[tuple[int, ...], ...]
@@ -72,90 +69,29 @@ class TruncatedCells:
 
 @lru_cache(maxsize=1)
 def truncated_cells() -> TruncatedCells:
-    """Cell structure of the truncated polytope: `points`, the actual
-    vertices then the cut points; cell i, `cells[i]` = ('f', face) or
-    ('l', ideal vertex, face), of dimension `cell_dim[i]` over face
-    `cell_face[i]`, with `cell_points[i]`, `cell_facets[i]`, and a frame
-    `frames[i]` of d + 1 points, nonsingular on columns `pivot_cols[i]`
-    with sign `frame_sign[i]`; the symmetry's power t on points
-    `pt_perm[t]`, on cells `cell_perm[t]`, and its orientation signs
-    `orient[t]`; and the facet signs `incidence[i]`."""
+    """Cell structure of the truncated polytope, from the face lattice:
+    cell i, `cells[i]` = ('f', face) or ('l', ideal vertex, face), of
+    dimension `cell_dim[i]` over face `cell_face[i]`, with facets
+    `cell_facets[i]` and their signs `incidence[i]`; the symmetry's power
+    t on cells `cell_perm[t]`, and its orientation signs `orient[t]`."""
     ctx, lctx = standard_context(), lattice_context()
-    p6, powers = ctx.polytope, ctx.powers
     lat, vperm, fperm = lctx.lattice, lctx.vperm, lctx.fperm
-    n = p6.dim
-    verts = p6.vertices
-    n_act = p6.n_actual
-
-    points: list[Vec] = [v for v in p6.actual_vertices]
-    point_id: dict[Vec, int] = {v: i for i, v in enumerate(points)}
-    cut_point: dict[tuple[int, int], int] = {}
-
-    def add_point(v: Vec) -> int:
-        got = point_id.get(v)
-        if got is None:
-            got = len(points)
-            points.append(v)
-            point_id[v] = got
-        return got
-
-    # cut points along the edges, one per (edge, ideal endpoint)
-    ends = {f.index: lat.vertex_ids(f) for f in lat.faces
-            if f.dim == 1 and not f.ideal_point}
-    for eidx, ids in ends.items():
-        for wid in ids:
-            if wid < n_act:
-                continue
-            w = verts[wid]
-            other = verts[ids[0] if ids[1] == wid else ids[1]]
-            if lorentz_inner(other, other) < 0:
-                a = -lorentz_inner(other, w)
-                cut = tuple(2 * p + (8 * a - 3) * q for p, q in zip(other, w))
-            else:
-                m = -lorentz_inner(other, w)
-                cut = tuple(p + (4 * m - 1) * q for p, q in zip(other, w))
-            cut_point[(eidx, wid)] = add_point(primitive(cut))
+    n_act, nsides = ctx.polytope.n_actual, len(ctx.sigma)
 
     # cells: ('f', face) for truncated faces, ('l', wid, face) for cut cubes
     cells: list[tuple] = []
-    cell_id: dict[tuple, int] = {}
     cell_dim: list[int] = []
-
-    def add_cell(key: tuple, dim: int) -> int:
-        idx = len(cells)
-        cells.append(key)
-        cell_id[key] = idx
-        cell_dim.append(dim)
-        return idx
-
     for f in lat.faces:
-        if f.ideal_point:
-            continue
-        add_cell(("f", f.index), f.dim)
+        if not f.ideal_point:
+            cells.append(("f", f.index))
+            cell_dim.append(f.dim)
     for f in lat.faces:
         if f.ideal_point or f.dim == 0:
             continue
         for wid in lat.ideal_vertex_ids(f):
-            add_cell(("l", wid, f.index), f.dim - 1)
-
-    # point sets
-    cell_points: list[tuple[int, ...]] = []
-    for key in cells:
-        if key[0] == "f":
-            f = lat.faces[key[1]]
-            pts = [vid for vid in lat.vertex_ids(f) if vid < n_act]
-            for eidx in lat.sub_faces(f, 1):
-                for wid in ends.get(eidx, ()):
-                    if wid >= n_act:
-                        pts.append(cut_point[(eidx, wid)])
-        else:
-            _, wid, fidx = key
-            f = lat.faces[fidx]
-            pts = []
-            for eidx in lat.sub_faces(f, 1):
-                if wid in ends.get(eidx, ()):
-                    pts.append(cut_point[(eidx, wid)])
-        cell_points.append(tuple(sorted(set(pts))))
+            cells.append(("l", wid, f.index))
+            cell_dim.append(f.dim - 1)
+    cell_id = {key: i for i, key in enumerate(cells)}
 
     # facets
     cell_facets: list[tuple[int, ...]] = []
@@ -179,35 +115,6 @@ def truncated_cells() -> TruncatedCells:
                         out.append(cell_id[("l", wid, g)])
         cell_facets.append(tuple(out))
 
-    ncells = len(cells)
-    # frames and their pivot data
-    frames: list[tuple[int, ...]] = []
-    pivot_cols: list[tuple[int, ...]] = []
-    frame_sign: list[int] = []
-    for idx, key in enumerate(cells):
-        d = cell_dim[idx]
-        span = RowSpan()
-        frame = []
-        for pid in cell_points[idx]:
-            if span.add(points[pid]):
-                frame.append(pid)
-            if len(frame) == d + 1:
-                break
-        if len(frame) != d + 1:
-            raise ComplexError(f"cell {key} does not span dimension {d}")
-        cols = _pivot_columns([points[p] for p in frame])
-        sgn = _restricted_det_sign([points[p] for p in frame], cols)
-        frames.append(tuple(frame))
-        pivot_cols.append(cols)
-        frame_sign.append(sgn)
-
-    # symmetry action on points and cells
-    pt_perm = []
-    for p in range(8):
-        perm = []
-        for v in points:
-            perm.append(point_id[primitive(mat_vec(powers[p], v))])
-        pt_perm.append(tuple(perm))
     cell_perm = []
     for p in range(8):
         perm = []
@@ -218,79 +125,37 @@ def truncated_cells() -> TruncatedCells:
                 img = ("l", vperm[p][key[1]], fperm[p][key[2]])
             perm.append(cell_id[img])
         cell_perm.append(tuple(perm))
-    for p in range(8):
-        move = pt_perm[p].__getitem__
-        for pts, img in zip(cell_points, cell_perm[p]):
-            if tuple(sorted(map(move, pts))) != cell_points[img]:
-                raise ComplexError("symmetry action disagrees on points")
 
-    # orient[t][R]: sign of the change of basis from sigma^t(frame of R)
-    # to the frame of cell_perm[t][R]; the signs compose along the orbit
-    orient1 = []
-    for idx in range(ncells):
-        img = cell_perm[1][idx]
-        rows = [points[pt_perm[1][q]] for q in frames[idx]]
-        orient1.append(_restricted_det_sign(rows, pivot_cols[img])
-                       * frame_sign[img])
-    orient = [(1,) * ncells, tuple(orient1)]
-    for t in range(1, 7):
-        prev, perm = orient[t], cell_perm[t]
-        orient.append(tuple(orient1[perm[r]] * prev[r] for r in range(ncells)))
-
-    # incidence[X][i]: sign of the frame of X's i-th facet b, led by a
-    # point o of X off b, in the frame of X.  Determinants on one cell of
-    # each sigma-orbit; sigma carries the signs along the orbit.
-    incidence: list[tuple[int, ...] | None] = [None] * ncells
-    for x in range(ncells):
-        if incidence[x] is not None:
-            continue
-        own = set(cell_points[x])
+    # the walls of each cell, sorted: its sides, then the cut wall of a
+    # cut cube, numbered after the sides
+    sides = [sorted(f.sides) for f in lat.faces]
+    walls = [sides[key[-1]] + ([nsides + key[1] - n_act] if key[0] == "l"
+                               else []) for key in cells]
+    incidence = []
+    for x, own in enumerate(walls):
         signs = []
         for b in cell_facets[x]:
-            o = min(own.difference(cell_points[b]))
-            rows = [points[o]] + [points[q] for q in frames[b]]
-            signs.append(_restricted_det_sign(rows, pivot_cols[x])
-                         * frame_sign[x])
-        incidence[x] = tuple(signs)
-        y, z = x, cell_perm[1][x]
-        while z != x:
-            pos = {b: i for i, b in enumerate(cell_facets[z])}
-            moved = [0] * len(signs)
-            for b, sgn in zip(cell_facets[y], incidence[y]):
-                moved[pos[cell_perm[1][b]]] = orient1[y] * sgn * orient1[b]
-            incidence[z] = tuple(moved)
-            y, z = z, cell_perm[1][z]
+            (j,) = set(walls[b]).difference(own)
+            signs.append(-1 if bisect_left(own, j) % 2 else 1)
+        incidence.append(tuple(signs))
+
+    # orient[t][X]: det sigma^t = (-1)^t times the sign of the permutation
+    # that sorts sigma^t(walls of X); sigma^t keeps the cut walls after
+    # the sides, so only the sides of X's face can come out of order
+    orient = []
+    for t, moved in enumerate(ctx.sigma_pows):
+        face_sign = []
+        for own in sides:
+            img = [moved[s] for s in own]
+            swaps = sum(a > b for a, b in combinations(img, 2))
+            face_sign.append(-1 if (t + swaps) % 2 else 1)
+        orient.append(tuple(face_sign[key[-1]] for key in cells))
 
     return TruncatedCells(
-        points=tuple(points), cells=tuple(cells), cell_dim=tuple(cell_dim),
-        cell_points=tuple(cell_points), cell_facets=tuple(cell_facets),
-        frames=tuple(frames), pivot_cols=tuple(pivot_cols),
-        frame_sign=tuple(frame_sign), pt_perm=tuple(pt_perm),
-        cell_perm=tuple(cell_perm), orient=tuple(orient),
-        incidence=tuple(incidence), cell_face=tuple(k[-1] for k in cells))
-
-
-def _pivot_columns(rows: Sequence[Vec]) -> tuple[int, ...]:
-    """Column subset on which the row collection is nonsingular."""
-    k = len(rows)
-    cols: list[int] = []
-    col_vectors = list(zip(*rows))
-    cspan = RowSpan()
-    for c in range(len(rows[0])):
-        if cspan.add(col_vectors[c]):
-            cols.append(c)
-            if len(cols) == k:
-                break
-    if len(cols) != k:
-        raise AssertionError("rows are dependent")
-    return tuple(cols)
-
-
-def _restricted_det_sign(rows: Sequence[Vec], cols: Sequence[int]) -> int:
-    d = det(tuple(tuple(r[c] for c in cols) for r in rows))
-    if d == 0:
-        raise ComplexError("degenerate frame")
-    return 1 if d > 0 else -1
+        cells=tuple(cells), cell_dim=tuple(cell_dim),
+        cell_facets=tuple(cell_facets), cell_perm=tuple(cell_perm),
+        orient=tuple(orient), incidence=tuple(incidence),
+        cell_face=tuple(key[-1] for key in cells))
 
 
 # -- quotient complex -----------------------------------------------------

@@ -157,7 +157,6 @@ class FaceLattice:
         self.faces: list[Face] = []
         self.by_sides: dict[frozenset, int] = {}
         self.by_vertex_mask: dict[int, int] = {}
-        self._sub_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._build()
 
     # -- construction ---------------------------------------------------
@@ -308,24 +307,6 @@ class FaceLattice:
 
     def vertex_ids(self, face: Face) -> tuple[int, ...]:
         return tuple(_bits(face.vertex_mask))
-
-    def sub_faces(self, face: Face, dim: int) -> tuple[int, ...]:
-        """Indices of all dim-d faces below the given face (inclusive)."""
-        key = (face.index, dim)
-        got = self._sub_cache.get(key)
-        if got is not None:
-            return got
-        if face.dim < dim:
-            out: tuple[int, ...] = ()
-        elif face.dim == dim:
-            out = (face.index,)
-        else:
-            acc: set[int] = set()
-            for c in face.covers:
-                acc.update(self.sub_faces(self.faces[c], dim))
-            out = tuple(sorted(acc))
-        self._sub_cache[key] = out
-        return out
 
     def ideal_vertex_ids(self, face: Face) -> tuple[int, ...]:
         poly = self.polytope

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -96,6 +97,24 @@ def test_search_budget_zero(capsys):
     payload = json.loads(out)
     assert payload["budget_exhausted"] is True
     assert payload["solutions"] == []
+    code, out = run(capsys, "search", "--budget", "0", "--time-budget", "0",
+                    "--json")
+    assert code == 0 and json.loads(out)["budget_exhausted"] is True
+
+
+@pytest.mark.parametrize("option, value", [("--budget", "-5"),
+                                           ("--budget", "1.5"),
+                                           ("--budget", "many"),
+                                           ("--time-budget", "nan"),
+                                           ("--time-budget", "-1"),
+                                           ("--time-budget", "inf"),
+                                           ("--time-budget", "soon")])
+def test_search_rejects_bad_budgets(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", option, value, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert option in captured.err and not captured.out
 
 
 def test_usage_error_exit_code(capsys):
@@ -187,6 +206,26 @@ def test_certify_checks_properness_once(capsys, monkeypatch):
     code, _ = run(capsys, "certify", "--manifold", "5", "--json")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_serialized_complex_reads_back(capsys):
+    """The boundaries that `homology --complex --json` writes form a
+    chain complex (boundary squared zero) on the counted cells."""
+    code, out = run(capsys, "homology", "--manifold", "1", "--complex",
+                    "--json")
+    assert code == 0
+    payload = json.loads(out)
+    cx = payload["complex"]
+    dims = [c["dim"] for c in cx["cells"]]
+    assert [c["index"] for c in cx["cells"]] == list(range(len(dims)))
+    assert Counter(map(str, dims)) == cx["counts"] == payload["cell_counts"]
+    bd = {int(d): {(r, c): v for r, c, v in entries}
+          for d, entries in cx["boundaries"].items()}
+    assert set(bd) == set(range(1, 7))
+    for d, mat in bd.items():
+        assert all(v and dims[r] == d - 1 and dims[c] == d
+                   for (r, c), v in mat.items())
+    hm.QuotientCellComplex([], {}, bd).check_dd_zero()
 
 
 def test_homology_payload_rejects_improper_array():

@@ -17,6 +17,7 @@ from coxglue.lorentz import RowSpan, det
 from coxglue.smith import eliminate_units, invariant_factors, smith_normal_form
 
 from transport_union_find import TransportUnionFind
+from truncated_geometry import cell_gauge, facet_sign, truncated_geometry
 
 
 def test_truncated_cell_counts():
@@ -25,36 +26,39 @@ def test_truncated_cell_counts():
     for d in tc.cell_dim:
         by_dim[d] = by_dim.get(d, 0) + 1
     assert by_dim == {0: 936, 1: 2808, 2: 3240, 3: 1800, 4: 486, 5: 54, 6: 1}
-    assert len(tc.points) == 72 + 432 + 2 * 216
+    assert len(truncated_geometry().points) == 72 + 432 + 2 * 216
 
 
 def test_truncated_cells_are_flat_of_right_dimension():
-    tc = hm.truncated_cells()
-    points = tc.points
+    tc, geo = hm.truncated_cells(), truncated_geometry()
     rng = random.Random(6)
     idxs = rng.sample(range(len(tc.cells)), 400)
     for idx in idxs:
         span = RowSpan()
-        for pid in tc.cell_points[idx]:
-            span.add(points[pid])
+        for pid in geo.cell_points[idx]:
+            span.add(geo.points[pid])
         assert span.rank == tc.cell_dim[idx] + 1
 
 
 def test_truncated_cell_fields_agree():
     """The named fields describe the same cells in the same order, and
     the permutation tables are powers of the one symmetry, so a swapped
-    field fails here and not in a homology table."""
-    tc = hm.truncated_cells()
+    field fails here and not in a homology table.  The same holds for
+    the fields of the geometric oracle."""
+    tc, geo = hm.truncated_cells(), truncated_geometry()
     n = len(tc.cells)
-    for field in (tc.cell_dim, tc.cell_points, tc.cell_facets, tc.frames,
-                  tc.pivot_cols, tc.frame_sign, tc.incidence, tc.cell_face):
+    for field in (tc.cell_dim, tc.cell_facets, tc.incidence, tc.cell_face,
+                  geo.cell_points, geo.frames, geo.pivot_cols,
+                  geo.frame_sign):
         assert len(field) == n
     assert tc.cell_face == tuple(key[-1] for key in tc.cells)
     for i in range(n):
-        assert len(tc.frames[i]) == len(tc.pivot_cols[i]) == tc.cell_dim[i] + 1
+        assert len(geo.frames[i]) == len(geo.pivot_cols[i]) \
+            == tc.cell_dim[i] + 1
         assert len(tc.incidence[i]) == len(tc.cell_facets[i])
     assert tc.orient[0] == (1,) * n
-    for perms, size in ((tc.pt_perm, len(tc.points)), (tc.cell_perm, n)):
+    assert len(tc.orient) == 8
+    for perms, size in ((geo.pt_perm, len(geo.points)), (tc.cell_perm, n)):
         assert len(perms) == 8
         power = tuple(range(size))
         for p in range(8):
@@ -63,18 +67,50 @@ def test_truncated_cell_fields_agree():
 
 
 def test_cut_points_avoid_vertices():
-    tc = hm.truncated_cells()
-    seen = set(tc.points)
-    assert len(seen) == len(tc.points)
+    points = truncated_geometry().points
+    assert len(set(points)) == len(points)
 
 
 def test_facet_counts_of_cut_cubes():
-    tc = hm.truncated_cells()
+    tc, geo = hm.truncated_cells(), truncated_geometry()
     for idx, key in enumerate(tc.cells):
         if key[0] == "l":
             d = tc.cell_dim[idx]
             assert len(tc.cell_facets[idx]) == (2 * d if d else 0)
-            assert len(tc.cell_points[idx]) == 2 ** d
+            assert len(geo.cell_points[idx]) == 2 ** d
+
+
+def test_cells_are_oriented_by_their_walls():
+    """The truncated polytope is simple, and its sign tables are closed
+    formulas in the walls: a cell of dimension d lies in 6 - d walls, the
+    27 sides and a cut wall 27 + (w - n_actual) per ideal vertex w; a
+    facet adds one wall j, with the sign (-1)^#(walls of the cell below
+    j); sigma^t changes orientation by det sigma^t = (-1)^t times the
+    sign of the permutation that sorts the images of the walls."""
+    tc, ctx, lctx = hm.truncated_cells(), pg.standard_context(), \
+        vf.lattice_context()
+    faces, n_act = lctx.lattice.faces, ctx.polytope.n_actual
+    assert det(ctx.powers[1]) == -1
+    walls = []
+    for key, d in zip(tc.cells, tc.cell_dim):
+        own = sorted(faces[key[-1]].sides)
+        if key[0] == "l":
+            own.append(27 + key[1] - n_act)
+        assert len(own) == 6 - d
+        walls.append(own)
+    for x, own in enumerate(walls):
+        for b, sign in zip(tc.cell_facets[x], tc.incidence[x]):
+            (j,) = set(walls[b]) - set(own)
+            assert len(walls[b]) == len(own) + 1
+            assert sign == (-1) ** sum(w < j for w in own)
+    for t in range(8):
+        sides, verts = ctx.sigma_pows[t], lctx.vperm[t]
+        for x, own in enumerate(walls):
+            img = [sides[w] if w < 27 else 27 + verts[w - 27 + n_act] - n_act
+                   for w in own]
+            assert sorted(img) == walls[tc.cell_perm[t][x]]
+            swaps = sum(a > b for a, b in itertools.combinations(img, 2))
+            assert tc.orient[t][x] == (-1) ** (t + swaps)
 
 
 def test_quotient_complex_manifold1():
@@ -106,15 +142,21 @@ def test_boundary_signs_match_determinants(mid, perm):
     """Every boundary entry recomputed by exact determinants: the frame
     of the facet's class representative, moved by its transport sigma^t
     and led by a point of the cell off the facet, in the cell's frame.
-    The classes come from a union-find over the cells of the eight
-    copies, which is also the oracle for the classes that the complex
-    lifts from the certificate's face classes."""
+    The wall orientations differ from the frames' by one sign c[X] per
+    cell X of the truncated polytope, the same for every gluing, so the
+    complex is the determinant complex conjugated by the diagonal matrix
+    of c[cell of q] over quotient cells q.  The classes come from a
+    union-find over the cells of the eight copies, which is also the
+    oracle for the classes that the complex lifts from the certificate's
+    face classes."""
     arr = pg.published_pairing(mid)
     if perm:
         arr = arr.relabeled(perm)
     cert = vf.face_cycles_proper(arr)
     cx = hm.build_quotient_complex(arr, cert)
-    tc = hm.truncated_cells()
+    tc, geo = hm.truncated_cells(), truncated_geometry()
+    gauge, conflicts = cell_gauge()
+    assert conflicts == 0
     n = len(tc.cells)
     faces = vf.lattice_context().lattice.faces
     nf = len(faces)
@@ -139,7 +181,6 @@ def test_boundary_signs_match_determinants(mid, perm):
         lifted = (r // nf * n + tc.cell_perm[-t][c], t)
         assert lifted == uf.find(x)
     index = {q.copy * n + q.cell: q.index for q in cx.cells}
-    points = tc.points
     want: dict[int, dict[tuple[int, int], int]] = {d: {} for d in cx.boundaries}
     moved = 0
     for q in cx.cells:
@@ -147,18 +188,14 @@ def test_boundary_signs_match_determinants(mid, perm):
         for b in tc.cell_facets[x]:
             r, t = uf.find(q.copy * n + b)
             moved += t != 0
-            o = min(set(tc.cell_points[x]) - set(tc.cell_points[b]))
-            rows = [points[o]] + [points[tc.pt_perm[t][v]]
-                                  for v in tc.frames[r % n]]
-            dd = det(tuple(tuple(row[c] for c in tc.pivot_cols[x])
-                           for row in rows))
-            assert dd != 0
             key = (index[r], q.index)
             want[q.dim][key] = (want[q.dim].get(key, 0)
-                                + (1 if dd > 0 else -1) * tc.frame_sign[x])
+                                + facet_sign(geo, x, b, r % n, t))
     assert moved
-    assert cx.boundaries == {d: {key: v for key, v in m.items() if v}
-                             for d, m in want.items()}
+    flip = [gauge[q.cell] for q in cx.cells]
+    assert cx.boundaries == {
+        d: {(r, c): flip[r] * flip[c] * v for (r, c), v in m.items() if v}
+        for d, m in want.items()}
 
 
 def test_dd_check_catches_a_flipped_sign():
