@@ -25,9 +25,10 @@ assembling the complex needs no union-find.  Each boundary sign is a
 product of the two gluing-independent signs above, so assembling a
 gluing's complex is table lookups.
 
-Homology reduces the complex once along its +-1 incidences, boundary
-cells first, which leaves each cusp section's own residue, then the
-rest; a dense Smith normal form of each residual degree finishes both.
+Homology reduces the complex once along its +-1 incidences (coreductions,
+then a heap), boundary cells first, which leaves each cusp section's own
+residue, then the rest; a dense Smith normal form of each residual degree
+finishes both.
 """
 
 from __future__ import annotations
@@ -216,8 +217,13 @@ class QuotientCellComplex:
                 acc = columns.setdefault(c, {})
                 for rr, vv in faces_of.get(r, ()):
                     acc[rr] = acc.get(rr, 0) + vv * v
-            if any(any(acc.values()) for acc in columns.values()):
-                raise AssertionError(f"boundary squared is nonzero at dim {d + 1}")
+            for c, acc in columns.items():
+                if any(acc.values()):
+                    q = self.cells[c]
+                    raise AssertionError(
+                        f"boundary squared is nonzero on column {c} (copy "
+                        f"{q.copy + 1}, cell {truncated_cells().cells[q.cell]})"
+                        f" at dim {d + 1}")
 
     def to_json(self) -> dict:
         return {
