@@ -23,12 +23,15 @@ the face classes that the properness check traced: a cell's class is
 the class of the face it lies over, with the same transport, so
 assembling the complex needs no union-find.  Each boundary sign is a
 product of the two gluing-independent signs above, so assembling a
-gluing's complex is table lookups.
+gluing's complex is table lookups.  The complex is stored by columns,
+the boundary {face: coefficient} of each cell: assembly writes them, the
+boundary-squared check and the reduction read them, and the per-degree
+boundary matrices are derived from them only when asked for.
 
-Homology reduces the complex once along its +-1 incidences (coreductions,
-then a heap), boundary cells first, which leaves each cusp section's own
-residue, then the rest; a dense Smith normal form of each residual degree
-finishes both.
+Homology reduces a copy of the columns once along its +-1 incidences
+(coreductions, then a heap), boundary cells first, which leaves each
+cusp section's own residue, then the rest; a dense Smith normal form of
+each residual degree finishes both.
 """
 
 from __future__ import annotations
@@ -174,21 +177,30 @@ class QuotientCell:
 
 @dataclass
 class QuotientCellComplex:
-    """Cells of the glued manifold with signed boundary matrices.  The
-    homology is kept from the first `homology_groups` or `cusp_sections`:
-    change no cell or boundary entry after that."""
+    """Cells of the glued manifold and their signed boundaries, stored by
+    columns: `columns[c]` is the boundary {face: coefficient} of cell c,
+    and `boundaries` derives the per-degree matrices from them.  The
+    homology is kept from the first `homology_groups` or
+    `cusp_sections`: change no cell or column after that."""
 
     cells: list[QuotientCell]
     by_dim: dict[int, list[int]]
-    boundaries: dict[int, dict[tuple[int, int], int]]
+    columns: list[dict[int, int]]
+
+    @property
+    def boundaries(self) -> dict[int, dict[tuple[int, int], int]]:
+        """The boundary matrices {(face, cell): coefficient} per degree,
+        derived anew from the columns on each call."""
+        mats: dict = {d: {} for d in self.by_dim if d > 0}
+        for c, col in enumerate(self.columns):
+            for r, v in col.items():
+                mats[self.cells[c].dim][r, c] = v
+        return mats
 
     @cached_property
     def _homology(self):
         # boundary cells pivot first, and are closed under faces
-        bd: dict[int, dict[int, int]] = {c.index: {} for c in self.cells}
-        for mat in self.boundaries.values():
-            for (r, c), v in mat.items():
-                bd[c][r] = v
+        bd = {c: dict(col) for c, col in enumerate(self.columns)}
         comps = boundary_components(self)
         eliminate_units(bd, {c for comp in comps for c in comp})
         parts = [{c: dict(bd[c]) for c in comp if c in bd} for comp in comps]
@@ -206,24 +218,21 @@ class QuotientCellComplex:
         return [c.index for c in self.cells if c.boundary_flag]
 
     def check_dd_zero(self) -> None:
-        for d in sorted(self.boundaries):
-            if d + 1 not in self.boundaries:
-                continue
-            faces_of: dict[int, list[tuple[int, int]]] = {}
-            for (r, c), v in self.boundaries[d].items():
-                faces_of.setdefault(c, []).append((r, v))
-            columns: dict[int, dict[int, int]] = {}  # column c of dd
-            for (r, c), v in self.boundaries[d + 1].items():
-                acc = columns.setdefault(c, {})
-                for rr, vv in faces_of.get(r, ()):
-                    acc[rr] = acc.get(rr, 0) + vv * v
-            for c, acc in columns.items():
+        """Raise AssertionError naming the first cell, by degree then
+        index, whose boundary has a nonzero boundary."""
+        columns = self.columns
+        for d in sorted(self.by_dim):
+            for c in self.by_dim[d]:
+                acc: dict[int, int] = {}
+                for r, v in columns[c].items():
+                    for rr, vv in columns[r].items():
+                        acc[rr] = acc.get(rr, 0) + vv * v
                 if any(acc.values()):
                     q = self.cells[c]
                     raise AssertionError(
                         f"boundary squared is nonzero on column {c} (copy "
                         f"{q.copy + 1}, cell {truncated_cells().cells[q.cell]})"
-                        f" at dim {d + 1}")
+                        f" at dim {d}")
 
     def to_json(self) -> dict:
         return {
@@ -245,7 +254,7 @@ def build_quotient_complex(
         arr: EightPPairing,
         proper: PropernessCertificate | None = None) -> QuotientCellComplex:
     """Glue eight truncated copies along the pairing and assemble the
-    signed boundary matrices of the quotient cell complex.  Cell classes
+    signed boundary columns of the quotient cell complex.  Cell classes
     are the classes of the faces under them in `proper` (or in a new
     `face_cycles_proper(arr)`): if X's face has root in copy r and
     transport sigma^t, X's root is cell cell_perm[-t][X] of copy r."""
@@ -264,8 +273,8 @@ def build_quotient_complex(
     back = [tc.cell_perm[-t] for t in range(8)]
     class_size = Counter(face_root)
 
-    # one quotient cell per class, the root, keyed by (face root, cell)
-    roots: dict[tuple[int, int], int] = {}
+    # one quotient cell per class, the root: qindex[copy * ncells + cell]
+    qindex = [-1] * (8 * ncells)
     qcells: list[QuotientCell] = []
     by_dim: dict[int, list[int]] = {}
     for copy in range(8):
@@ -276,30 +285,28 @@ def build_quotient_complex(
                 continue
             q = QuotientCell(len(qcells), dim_of[cidx], copy, cidx,
                              cells[cidx][0] == "l", class_size[f])
-            roots[f, cidx] = q.index
+            qindex[copy * ncells + cidx] = q.index
             qcells.append(q)
             by_dim.setdefault(q.dim, []).append(q.index)
 
     # facet b0 of a copy carries the orientation of its class root moved
     # by sigma^t, so its sign is incidence * orient[t][root cell]
-    boundaries: dict[int, dict[tuple[int, int], int]] = {
-        d: {} for d in by_dim if d > 0}
+    columns: list[dict[int, int]] = []
     for q in qcells:
-        if q.dim == 0:
-            continue
-        mat = boundaries[q.dim]
+        col: dict[int, int] = {}
         base = q.copy * nf
         for b0, sign in zip(facets[q.cell], incidence[q.cell]):
             f = base + cell_face[b0]
             r, t = face_root[f], face_t[f]
             rcell = back[t][b0]
-            key = (roots[r, rcell], q.index)
-            val = mat.get(key, 0) + sign * orient[t][rcell]
+            r = qindex[r // nf * ncells + rcell]
+            val = col.get(r, 0) + sign * orient[t][rcell]
             if val:
-                mat[key] = val
-            elif key in mat:
-                del mat[key]
-    cx = QuotientCellComplex(qcells, by_dim, boundaries)
+                col[r] = val
+            else:
+                del col[r]
+        columns.append(col)
+    cx = QuotientCellComplex(qcells, by_dim, columns)
     cx.check_dd_zero()
     return cx
 
@@ -362,7 +369,8 @@ def _residue_homology(cx: QuotientCellComplex,
 
 
 def boundary_components(cx: QuotientCellComplex) -> list[set[int]]:
-    """Connected components of the boundary subcomplex."""
+    """Connected components of the boundary subcomplex, which is closed
+    under faces, so the columns of its cells hold all its incidences."""
     parent = [c.index if c.boundary_flag else -1 for c in cx.cells]
 
     def find(x):
@@ -371,12 +379,15 @@ def boundary_components(cx: QuotientCellComplex) -> list[set[int]]:
             x = parent[x]
         return x
 
-    for mat in cx.boundaries.values():
-        for r, c in mat:
-            if parent[r] >= 0 and parent[c] >= 0:
-                rr, rc = find(r), find(c)
-                if rr != rc:
-                    parent[rr] = rc
+    for c, col in enumerate(cx.columns):
+        if parent[c] >= 0:
+            rc = find(c)  # stays a root: only other roots move below it
+            for r in col:
+                if parent[r] >= 0:
+                    while parent[r] != r:  # find(r), inline
+                        parent[r] = parent[parent[r]]
+                        r = parent[r]
+                    parent[r] = rc
     comps: dict[int, set[int]] = {}
     for i, p in enumerate(parent):
         if p >= 0:

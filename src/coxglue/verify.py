@@ -74,20 +74,25 @@ class FaceCycles:
     def union(self, x: int, y: int, d: int) -> int:
         """Impose y = sigma^d x; the class root, or -1 on a holonomy
         conflict."""
-        rx, tx = self.find(x)
-        ry, ty = self.find(y)
-        delta = (d + tx - ty) % 8  # ry = sigma^delta rx
-        if rx == ry:
-            return -1 if delta else rx
+        parent, pot = self.parent, self.pot
+        while parent[x] != x:  # find(x) and find(y), inline
+            d += pot[x]
+            x = parent[x]
+        while parent[y] != y:
+            d -= pot[y]
+            y = parent[y]
+        delta = d % 8  # now roots, with y = sigma^delta x
+        if x == y:
+            return -1 if delta else x
         size = self.size
-        if size[rx] < size[ry]:
-            rx, ry, delta = ry, rx, -delta % 8
-        self.parent[ry] = rx
-        self.pot[ry] = delta
-        size[rx] += size[ry]
-        self.asg[rx] += self.asg[ry]
-        self.journal.append(ry)
-        return rx
+        if size[x] < size[y]:
+            x, y, delta = y, x, -delta % 8
+        parent[y] = x
+        pot[y] = delta
+        size[x] += size[y]
+        self.asg[x] += self.asg[y]
+        self.journal.append(y)
+        return x
 
     def cross(self, x: int) -> int:
         """Count one wall crossing on x's class; its root."""

@@ -1,0 +1,81 @@
+"""An oracle for coxglue.homology.build_quotient_complex: the assembly of
+the quotient cell complex into per-degree boundary matrices
+{(face, cell): coefficient}, through a dict of class roots keyed by
+(face root, truncated cell), and the boundary-squared check on those
+matrices, which regroups each degree by columns.
+
+coxglue stores the complex by columns and checks boundary squared zero
+on the columns; the tests compare both with these.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from coxglue import homology as hm
+from coxglue.verify import PropernessCertificate, lattice_context
+
+Matrices = dict[int, dict[tuple[int, int], int]]
+
+
+def assemble(proper: PropernessCertificate
+             ) -> tuple[list[hm.QuotientCell], dict[int, list[int]], Matrices]:
+    """Cells, cell indices per dimension and boundary matrices of the
+    quotient complex whose face classes `proper` traced."""
+    face_root, face_t = proper.roots, proper.transports
+    nf = len(lattice_context().lattice.faces)
+    tc = hm.truncated_cells()
+    back = [tc.cell_perm[-t] for t in range(8)]
+    class_size = Counter(face_root)
+
+    roots: dict[tuple[int, int], int] = {}
+    cells: list[hm.QuotientCell] = []
+    by_dim: dict[int, list[int]] = {}
+    for copy in range(8):
+        for x in range(len(tc.cells)):
+            f = copy * nf + tc.cell_face[x]
+            if face_root[f] != f:
+                continue
+            q = hm.QuotientCell(len(cells), tc.cell_dim[x], copy, x,
+                                tc.cells[x][0] == "l", class_size[f])
+            roots[f, x] = q.index
+            cells.append(q)
+            by_dim.setdefault(q.dim, []).append(q.index)
+
+    mats: Matrices = {d: {} for d in by_dim if d > 0}
+    for q in cells:
+        for b0, sign in zip(tc.cell_facets[q.cell], tc.incidence[q.cell]):
+            f = q.copy * nf + tc.cell_face[b0]
+            r, t = face_root[f], face_t[f]
+            rcell = back[t][b0]
+            key = (roots[r, rcell], q.index)
+            val = mats[q.dim].get(key, 0) + sign * tc.orient[t][rcell]
+            if val:
+                mats[q.dim][key] = val
+            else:
+                mats[q.dim].pop(key, None)
+    return cells, by_dim, mats
+
+
+def check_dd_zero(cells: list[hm.QuotientCell], mats: Matrices) -> None:
+    """Raise AssertionError, worded as the complex's own check, on the
+    first column by degree, then by first entry, where boundary squared
+    is nonzero."""
+    for d in sorted(mats):
+        if d + 1 not in mats:
+            continue
+        faces_of: dict[int, list[tuple[int, int]]] = {}
+        for (r, c), v in mats[d].items():
+            faces_of.setdefault(c, []).append((r, v))
+        columns: dict[int, dict[int, int]] = {}  # column c of dd
+        for (r, c), v in mats[d + 1].items():
+            acc = columns.setdefault(c, {})
+            for rr, vv in faces_of.get(r, ()):
+                acc[rr] = acc.get(rr, 0) + vv * v
+        for c, acc in columns.items():
+            if any(acc.values()):
+                q = cells[c]
+                raise AssertionError(
+                    f"boundary squared is nonzero on column {c} (copy "
+                    f"{q.copy + 1}, cell {hm.truncated_cells().cells[q.cell]})"
+                    f" at dim {d + 1}")

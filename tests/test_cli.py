@@ -222,10 +222,20 @@ def test_serialized_complex_reads_back(capsys):
     bd = {int(d): {(r, c): v for r, c, v in entries}
           for d, entries in cx["boundaries"].items()}
     assert set(bd) == set(range(1, 7))
+    columns: list[dict[int, int]] = [{} for _ in dims]
     for d, mat in bd.items():
         assert all(v and dims[r] == d - 1 and dims[c] == d
                    for (r, c), v in mat.items())
-    hm.QuotientCellComplex([], {}, bd).check_dd_zero()
+        for (r, c), v in mat.items():
+            columns[c][r] = v
+    cell_id = {key: i for i, key in enumerate(hm.truncated_cells().cells)}
+    cells = [hm.QuotientCell(c["index"], c["dim"], c["copy"] - 1,
+                             cell_id[tuple(c["cell"])], c["boundary"],
+                             c["orbit"]) for c in cx["cells"]]
+    by_dim: dict[int, list[int]] = {}
+    for c in cells:
+        by_dim.setdefault(c.dim, []).append(c.index)
+    hm.QuotientCellComplex(cells, by_dim, columns).check_dd_zero()
 
 
 def test_homology_payload_rejects_improper_array():

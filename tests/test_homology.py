@@ -18,6 +18,7 @@ from coxglue.lorentz import RowSpan, det
 from coxglue.smith import smith_normal_form
 
 from heap_elimination import heap_elimination
+import quotient_assembly
 from transport_union_find import TransportUnionFind
 from truncated_geometry import cell_gauge, facet_sign, truncated_geometry
 
@@ -205,14 +206,62 @@ def test_dd_check_catches_a_flipped_sign():
     index, its copy (1-based, as in `to_json`) and its truncated cell."""
     cx = hm.build_quotient_complex(pg.published_pairing(1))
     for r, c in itertools.islice(cx.boundaries[3], 0, 3000, 1000):
-        cx.boundaries[3][r, c] *= -1
+        cx.columns[c][r] *= -1
         q = cx.cells[c]
         cell = re.escape(str(hm.truncated_cells().cells[q.cell]))
         with pytest.raises(AssertionError, match=rf"nonzero on column {c} "
                            rf"\(copy {q.copy + 1}, cell {cell}\) at dim 3$"):
             cx.check_dd_zero()
-        cx.boundaries[3][r, c] *= -1
+        cx.columns[c][r] *= -1
     cx.check_dd_zero()
+
+
+def _flip_a_face(cx, c):
+    """Negate an entry of column c whose face has a nonzero boundary, so
+    that boundary squared fails on c."""
+    r = next(r for r in cx.columns[c] if cx.columns[r])
+    cx.columns[c][r] *= -1
+
+
+def test_dd_check_names_the_lowest_degree():
+    """With bad columns in degrees 2 and 4, the one in degree 2 is named,
+    although the one in degree 4 has the lower index."""
+    cx = hm.build_quotient_complex(pg.published_pairing(1))
+    c4, c2 = cx.by_dim[4][0], cx.by_dim[2][-1]
+    assert c4 < c2
+    _flip_a_face(cx, c4)
+    _flip_a_face(cx, c2)
+    with pytest.raises(AssertionError,
+                       match=rf"nonzero on column {c2} .* at dim 2$"):
+        cx.check_dd_zero()
+
+
+@pytest.mark.parametrize("mid, perm", [
+    *((mid, None) for mid in range(1, 10)),
+    (1, random.Random(13).sample(range(8), 8))])
+def test_columns_match_the_tuple_keyed_assembly(mid, perm):
+    """The column table gives the cells and, entry for entry, the boundary
+    matrices of the tuple-keyed assembly in tests/quotient_assembly.py,
+    and on a complex corrupted in two degrees the two boundary-squared
+    checks name the same column."""
+    arr = pg.published_pairing(mid)
+    if perm:
+        arr = arr.relabeled(perm)
+    cert = vf.face_cycles_proper(arr)
+    cx = hm.build_quotient_complex(arr, cert)
+    cells, by_dim, mats = quotient_assembly.assemble(cert)
+    assert (cx.cells, cx.by_dim) == (cells, by_dim)
+    assert len(cx.columns) == len(cells)
+    assert cx.boundaries == mats
+    quotient_assembly.check_dd_zero(cells, mats)
+    rng = random.Random(f"corrupt:{mid}")
+    for d in rng.sample(range(2, 7), 2):
+        _flip_a_face(cx, rng.choice(by_dim[d]))
+    with pytest.raises(AssertionError) as new:
+        cx.check_dd_zero()
+    with pytest.raises(AssertionError) as old:
+        quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
+    assert str(new.value) == str(old.value)
 
 
 def test_certificate_without_eight_copy_classes_is_refused():
@@ -429,15 +478,15 @@ def _chain_complex(dims, boundaries, boundary=frozenset()):
     flagged as boundary cells."""
     cells = [hm.QuotientCell(i, d, 0, 0, i in boundary, 1)
              for i, d in enumerate(dims)]
-    by_dim, mats = {}, {}
+    by_dim: dict[int, list[int]] = {}
     for c in cells:
         by_dim.setdefault(c.dim, []).append(c.index)
-        if c.dim:
-            mats.setdefault(c.dim, {})
+    columns: list[dict[int, int]] = [{} for _ in cells]
     for (r, c), v in boundaries.items():
         if v:
-            mats[dims[c]][(r, c)] = v
-    cx = hm.QuotientCellComplex(cells, by_dim, mats)
+            assert dims[r] == dims[c] - 1
+            columns[c][r] = v
+    cx = hm.QuotientCellComplex(cells, by_dim, columns)
     cx.check_dd_zero()
     return cx
 
