@@ -526,7 +526,9 @@ class SearchResult:
 @lru_cache(maxsize=1)
 def _search_tables():
     """Per face of the lattice, its cycle length 2^(6 - dim) and its wall
-    count; per side, its actual vertices, which next_slot scores."""
+    count; per side, its actual vertices.  next_slot resolves the class
+    of every actual-vertex instance of a copy in one pass and scores
+    each free slot by the crossings on its side's vertices."""
     from .verify import lattice_context
     ctx = lattice_context()
     faces = ctx.lattice.faces
@@ -548,14 +550,18 @@ def search_pairings(
     Assignments respect the involution law by construction.  Each
     assignment unions the faces of its side pair in `verify.FaceCycles`,
     the engine the properness certificate runs, on the same face
-    numbering, and counts its wall crossings; it is pruned on a holonomy
-    conflict, a class longer than its cycle length 2^(6 - dim), or a
-    class closed (every wall of every member crossed) short of it.  The
-    lattice numbers faces highest dimension first, so sides and ridges,
-    whose cycles are shortest, are unioned first and fail fast.
+    numbering; each union counts its face's wall crossings, 2 or 1 for a
+    side paired with itself, on the class it returns.  It is pruned on a
+    holonomy conflict, a class longer than its cycle length 2^(6 - dim),
+    or a class closed (every wall of every member crossed) short of it.
+    The lattice numbers faces highest dimension first, so sides and
+    ridges, whose cycles are shortest, are unioned first and fail fast.
+    Free slots are scored from one pass over the actual-vertex instances.
     Completed arrays are confirmed with the full properness checker.
     Exhausting the node or time budget is reported, never an error; a
     search that completes without a solution is reported infeasible.
+    A `fixed` slot outside the 8 x 27 array or entry outside 0..7 raises
+    ValueError.
     """
     import time as _time
 
@@ -564,34 +570,22 @@ def search_pairings(
     if max_solutions is not None and max_solutions < 1:
         raise ValueError(f"max_solutions must be at least 1, got "
                          f"{max_solutions}")
+    for key, val in (fixed or {}).items():
+        for x, what, top in ((key, "slot", 27), (val, "entry", 8)):
+            if not (type(x) is tuple and len(x) == 2 and all(
+                    type(c) is int and 0 <= c < t
+                    for c, t in zip(x, (8, top)))):
+                raise ValueError(f"fixed {what} {x!r} is not a pair of ints "
+                                 f"below (8, {top})")
     sigma_pows = standard_context().sigma_pows
     ctx = lattice_context()
     nf = len(ctx.lattice.faces)
     caps, walls, side_vertices = _search_tables()
+    vertices = sorted({v for on_side in side_vertices for v in on_side})
     cyc = FaceCycles(8 * nf)
-    size, asg = cyc.size, cyc.asg
+    union, parent, size, asg = cyc.union, cyc.parent, cyc.size, cyc.asg
     entries: list[list[tuple[int, int] | None]] = [
         [None] * 27 for _ in range(8)]
-
-    def pruned(root: int) -> bool:
-        f = root % nf
-        return size[root] > caps[f] or (
-            asg[root] == walls[f] * size[root] and size[root] != caps[f])
-
-    def union_entry(i: int, j: int, k: int, p: int) -> bool:
-        base_i, base_k, fp = i * nf, k * nf, ctx.fperm[p]
-        for f in ctx.sides_faces[j]:
-            root = cyc.union(base_i + f, base_k + fp[f], p)
-            if root < 0 or pruned(root):
-                return False
-        return True
-
-    def cross_entry(i: int, j: int) -> bool:
-        base_i = i * nf
-        for f in ctx.sides_faces[j]:
-            if pruned(cyc.cross(base_i + f)):
-                return False
-        return True
 
     def assign(i: int, j: int, k: int, p: int) -> tuple[bool, list]:
         """Set entry and its involution partner; returns (ok, written)."""
@@ -609,10 +603,17 @@ def search_pairings(
             entries[a][b] = val
             written.append((a, b))
         # the partner's unions would be the inverses of these and change
-        # nothing, so it only records its crossings
-        ok = (union_entry(i, j, k, p) and cross_entry(i, j)
-              and (len(pairs) == 1 or cross_entry(k, j2)))
-        return ok, written
+        # nothing, so each union also counts the partner face's crossing
+        crossings = len(pairs)
+        base_i, base_k, fp = i * nf, k * nf, ctx.fperm[p]
+        for f in ctx.sides_faces[j]:
+            root = union(base_i + f, base_k + fp[f], p, crossings)
+            if root < 0:
+                return False, written
+            g, n = root % nf, size[root]
+            if n > caps[g] or (asg[root] == walls[g] * n and n != caps[g]):
+                return False, written
+        return True, written
 
     deadline = None if time_budget_s is None else _time.monotonic() + time_budget_s
     state = {"nodes": 0, "exhausted": False}
@@ -628,22 +629,26 @@ def search_pairings(
             if not ok:
                 return SearchResult((), 0, False, True, True)
 
-    slots = [(i, j) for i in range(8) for j in range(27)]
-
     def next_slot() -> tuple[int, int] | None:
         """Most-constrained free slot: the one whose wall vertices sit in
-        the largest partially-built orbits."""
+        the largest partially-built orbits, read off the crossings on the
+        class of each actual-vertex instance of its copy."""
         best = None
         best_score = -1
-        for i, j in slots:
-            if entries[i][j] is not None:
+        for i, row in enumerate(entries):
+            if None not in row:
                 continue
-            base = i * nf
-            score = 0
-            for f in side_vertices[j]:
-                score += asg[cyc.find(base + f)[0]]
-            if score > best_score:
-                best, best_score = (i, j), score
+            counted = {}
+            for v in vertices:
+                x = i * nf + v
+                while parent[x] != x:  # find(x), inline
+                    x = parent[x]
+                counted[v] = asg[x]
+            for j in range(27):
+                if row[j] is None:
+                    score = sum(map(counted.__getitem__, side_vertices[j]))
+                    if score > best_score:
+                        best, best_score = (i, j), score
         return best
 
     def dfs() -> bool:

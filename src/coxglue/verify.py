@@ -48,8 +48,10 @@ class FaceCycles:
     rolls back; so search pruning and certification read the same cycles.
 
     find(x) returns (root, t) with face x = sigma^t of the root's face;
-    union(x, y, d) imposes face y = sigma^d of face x.  Union by size,
-    y's root below x's on a tie.  There is no path compression, so that
+    union(x, y, d, c) imposes face y = sigma^d of face x and counts c
+    wall crossings on the class it returns, so the search counts each
+    face's crossings on the root it has just found.  Union by size, y's
+    root below x's on a tie.  There is no path compression, so that
     rollback finds every link intact.  The reflected-union pass runs it
     with every d = 0, as a plain union-find, and checks its isometries
     over the spanning forest afterwards.
@@ -60,7 +62,9 @@ class FaceCycles:
         self.pot = [0] * n  # x = sigma^pot[x] of parent[x]
         self.size = [1] * n
         self.asg = [0] * n  # crossings counted on each class, at its root
-        # the linked child of each union, ~root of each crossing
+        # one entry per union that changed anything: 4 * child + c for a
+        # link that also counted c crossings on the new root, ~(4 * root
+        # + c) for c crossings counted on a class that was already one
         self.journal: list[int] = []
 
     def find(self, x: int) -> tuple[int, int]:
@@ -71,8 +75,9 @@ class FaceCycles:
             x = parent[x]
         return x, t % 8
 
-    def union(self, x: int, y: int, d: int) -> int:
-        """Impose y = sigma^d x; the class root, or -1 on a holonomy
+    def union(self, x: int, y: int, d: int, c: int = 0) -> int:
+        """Impose y = sigma^d x and count c (0 to 3) crossings on the
+        class; its root, or -1, counting nothing, on a holonomy
         conflict."""
         parent, pot = self.parent, self.pot
         while parent[x] != x:  # find(x) and find(y), inline
@@ -83,6 +88,9 @@ class FaceCycles:
             y = parent[y]
         delta = d % 8  # now roots, with y = sigma^delta x
         if x == y:
+            if c and not delta:
+                self.asg[x] += c
+                self.journal.append(~(4 * x + c))
             return -1 if delta else x
         size = self.size
         if size[x] < size[y]:
@@ -90,33 +98,27 @@ class FaceCycles:
         parent[y] = x
         pot[y] = delta
         size[x] += size[y]
-        self.asg[x] += self.asg[y]
-        self.journal.append(y)
+        self.asg[x] += self.asg[y] + c
+        self.journal.append(4 * y + c)
         return x
-
-    def cross(self, x: int) -> int:
-        """Count one wall crossing on x's class; its root."""
-        root = self.find(x)[0]
-        self.asg[root] += 1
-        self.journal.append(~root)
-        return root
 
     def mark(self) -> int:
         return len(self.journal)
 
     def rollback(self, mark: int) -> None:
         """Undo every union and crossing made since mark."""
-        parent, journal = self.parent, self.journal
+        parent, journal, asg = self.parent, self.journal, self.asg
         while len(journal) > mark:
-            x = journal.pop()
-            if x < 0:
-                self.asg[~x] -= 1
+            e = journal.pop()
+            if e < 0:
+                asg[~e >> 2] -= ~e & 3
                 continue
+            x = e >> 2
             root = parent[x]
             parent[x] = x
             self.pot[x] = 0
             self.size[root] -= self.size[x]
-            self.asg[root] -= self.asg[x]
+            asg[root] -= asg[x] + (e & 3)
 
 
 # -- shared exact action of the order-8 symmetry on the face lattice ----
@@ -231,12 +233,16 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
     if violation is not None:
         return _cycle_report(uf, lat, (), violation)
     # two flat lists: a list of (root, power) pairs held at once raises
-    # the search's peak RSS from 37 to 94 MB
+    # the search's peak RSS from 37 to 94 MB; each walk is find(), inline
+    parent, pot = uf.parent, uf.pot
     roots, transports = [], []
     for x in range(8 * nf):
-        r, t = uf.find(x)
+        r, t = x, 0
+        while parent[r] != r:
+            t += pot[r]
+            r = parent[r]
         roots.append(r)
-        transports.append(t)
+        transports.append(t % 8)
     return replace(_cycle_report(uf, lat, roots, None), roots=tuple(roots),
                    transports=tuple(transports))
 

@@ -10,6 +10,8 @@ from coxglue import pairing as pg
 from coxglue import polytope, tables
 from coxglue.lorentz import identity, lorentz_inverse, mat_mul, reflection_in
 
+from search_oracle import oracle_search
+
 
 def test_codec_matches_embedded_table():
     for ch, row in tables.digit_signs().items():
@@ -310,8 +312,8 @@ def test_search_infeasible_constraints():
     assert res.solutions == ()
 
 
-# m3 with its copy 3 put first also counts the crossings that the
-# partner entry of each assignment records: without them it takes 7,488
+# m3 with its copy 3 put first also counts the crossings of the partner
+# entry of each assignment: without them it takes 7,488
 @pytest.mark.parametrize("mid, first, nodes",
                          [(1, 0, 9856), (9, 0, 5376), (3, 2, 7040)])
 def test_search_from_first_row_rediscovers_published(mid, first, nodes):
@@ -336,6 +338,68 @@ def test_search_exhausted_without_solution_is_infeasible():
     assert res.nodes_used == 256
     assert res.solutions == ()
     assert res.infeasible
+
+
+def _m9_row_with_negative_power() -> dict:
+    arr = pg.published_pairing(9)
+    fixed = {(0, j): arr.entries[0][j] for j in range(27)}
+    fixed[(0, 1)] = (0, -1)
+    return fixed
+
+
+@pytest.mark.parametrize("fixed, named", [
+    ({(0, 0): (9, 0)}, "(9, 0)"),
+    ({(8, 0): (0, 0)}, "(8, 0)"),
+    ({(0, 27): (0, 0)}, "(0, 27)"),
+    ({(1.0, 0): (0, 0)}, "(1.0, 0)"),
+    ({(0, 0): (1.0, 0)}, "(1.0, 0)"),
+    (_m9_row_with_negative_power(), "(0, -1)"),
+])
+def test_search_rejects_bad_fixed_entries(fixed, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        pg.search_pairings(fixed, node_budget=10)
+
+
+def _first_row(mid: int, seed: int | None) -> dict:
+    """Row 1 of the gluing with its copies shuffled by the seed, or with
+    copy 3 put first when the seed is None."""
+    perm = [(x - 2) % 8 for x in range(8)]
+    if seed is not None:
+        perm = list(range(8))
+        random.Random(seed).shuffle(perm)
+    arr = pg.published_pairing(mid).relabeled(perm)
+    return {(0, j): arr.entries[0][j] for j in range(27)}
+
+
+def _infeasible_row() -> dict:
+    """Row 1 of m1 with one twist power changed: the 256-node tree."""
+    row = pg.published_pairing(1).entries[0]
+    fixed = {(0, j): e for j, e in enumerate(row)}
+    k, p = fixed[(0, 4)]
+    fixed[(0, 4)] = (k, (p + 1) % 8)
+    return fixed
+
+
+@pytest.mark.parametrize("fixed, budget, solved", [
+    (_first_row(1, 11), 10 ** 6, True),
+    (_first_row(1, 12), 10 ** 6, True),
+    (_first_row(9, 11), 10 ** 6, True),
+    (_first_row(9, 12), 10 ** 6, True),
+    # the one of these that needs the partner entry's crossings
+    (_first_row(3, None), 10 ** 6, True),
+    (_infeasible_row(), 10 ** 5, False),
+    (None, 2000, False),
+    (None, 10000, False),
+], ids=["m1-11", "m1-12", "m9-11", "m9-12", "m3-copy3", "infeasible",
+        "probe-2000", "probe-10000"])
+def test_search_matches_the_oracle(fixed, budget, solved):
+    """Counting crossings at each union and scoring slots from one pass
+    over the vertex instances prune, choose and find exactly what
+    counting them after the unions and scoring by finds does."""
+    res = pg.search_pairings(fixed, node_budget=budget)
+    assert res == oracle_search(fixed, node_budget=budget)
+    assert res.complete == (fixed is not None)
+    assert bool(res.solutions) == solved
 
 
 def test_search_pruning_agrees_with_certification(monkeypatch):

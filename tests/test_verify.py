@@ -56,8 +56,11 @@ N_UF = 10
 element = st.integers(0, N_UF - 1)
 union_op = st.tuples(element, element, st.integers(0, 7))
 unions = st.lists(union_op, max_size=30)
-# each a union (x, y, d) or a crossing x
-cycle_ops = st.lists(st.one_of(union_op, element), max_size=30)
+# each a union (x, y, d, c) counting c crossings on its class, or c
+# crossings (x, c) counted on x's class by a union of x with itself
+cycle_ops = st.lists(st.one_of(
+    st.tuples(element, element, st.integers(0, 7), st.sampled_from((0, 1, 2))),
+    st.tuples(element, st.sampled_from((1, 2)))), max_size=30)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -78,14 +81,20 @@ def test_face_cycles_match_transport_union_find(ops):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(cycle_ops, cycle_ops)
 def test_face_cycles_rollback_restores_state(before, after):
+    """Each class holds the crossings counted on its members, and
+    rollback to a mark restores every field."""
     fc = vf.FaceCycles(N_UF)
+    counted = [0] * N_UF
 
     def run(ops):
         for op in ops:
-            if isinstance(op, tuple):
-                fc.union(*op)
-            else:
-                fc.cross(op)
+            x, y, d, c = op if len(op) == 4 else (op[0], op[0], 0, op[1])
+            if fc.union(x, y, d, c) >= 0:
+                counted[x] += c
+        for r in range(N_UF):
+            if fc.parent[r] == r:
+                assert fc.asg[r] == sum(
+                    counted[x] for x in range(N_UF) if fc.find(x)[0] == r)
 
     run(before)
     mark = fc.mark()
@@ -94,6 +103,24 @@ def test_face_cycles_rollback_restores_state(before, after):
     fc.rollback(mark)
     assert (fc.parent, fc.pot, fc.size, fc.asg) == state
     assert fc.mark() == mark
+
+
+def test_union_links_and_counts_in_one_journal_entry():
+    fc = vf.FaceCycles(4)
+    assert fc.union(0, 1, 3, 1) == 0
+    mark = fc.mark()
+    state = (fc.parent[:], fc.pot[:], fc.size[:], fc.asg[:])
+    # 1 = sigma^3 0 and 1 = sigma^5 2 give 2 = sigma^6 0
+    root = fc.union(2, 1, 5, 2)
+    assert root == 0 and fc.find(2) == (0, 6)
+    assert fc.size[0] == 3 and fc.asg[0] == 3
+    assert fc.mark() == mark + 1
+    # a holonomy conflict counts nothing and journals nothing
+    assert fc.union(0, 2, 5, 2) == -1
+    assert fc.asg[0] == 3 and fc.mark() == mark + 1
+    assert fc.union(0, 2, 6, 1) == 0 and fc.asg[0] == 4
+    fc.rollback(mark)
+    assert (fc.parent, fc.pot, fc.size, fc.asg) == state
 
 
 def test_lattice_numbers_faces_highest_dimension_first():
