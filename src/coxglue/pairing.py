@@ -550,8 +550,8 @@ def search_pairings(
     Assignments respect the involution law by construction.  Each
     assignment unions the faces of its side pair in `verify.FaceCycles`,
     the engine the properness certificate runs, on the same face
-    numbering; each union counts its face's wall crossings, 2 or 1 for a
-    side paired with itself, on the class it returns.  It is pruned on a
+    numbering; each union counts its face's wall crossings, 2, or 1 on
+    a side paired with itself, on the class it returns.  It is pruned on a
     holonomy conflict, a class longer than its cycle length 2^(6 - dim),
     or a class closed (every wall of every member crossed) short of it.
     The lattice numbers faces highest dimension first, so sides and
