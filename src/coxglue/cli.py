@@ -27,8 +27,8 @@ class EnvSettingError(ValueError):
     """An environment variable holds a value the command cannot use."""
 
 
-class MissingInputError(ValueError):
-    """The command was given no gluing to work on."""
+class InputError(ValueError):
+    """The command was given no gluing it can read."""
 
 
 def _positive_int(raw: str) -> int:
@@ -75,9 +75,13 @@ def _load_array(args) -> pg.EightPPairing:
     if getattr(args, "manifold", None):
         return pg.published_pairing(args.manifold)
     if getattr(args, "file", None):
-        with open(args.file) as fh:
-            return pg.parse_8p_pairing(fh.read())
-    raise MissingInputError("need --manifold N or an array file")
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                return pg.parse_8p_pairing(fh.read())
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{args.file} is not UTF-8 text ({exc.reason}"
+                             f" at byte {exc.start})") from None
+    raise InputError("need --manifold N or an array file")
 
 
 def cmd_build(args) -> int:
@@ -325,6 +329,13 @@ def cmd_report(args) -> int:
     return 0 if ok else 1
 
 
+def _add_gluing_input(p: argparse.ArgumentParser) -> None:
+    """An array file or a published manifold, not both."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("file", nargs="?")
+    group.add_argument("--manifold", type=int, choices=range(1, 10))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="coxglue",
@@ -346,8 +357,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("develop",
                        help="develop an eight-copy gluing into its code")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--manifold", type=int, choices=range(1, 10))
+    _add_gluing_input(p)
     p.set_defaults(func=cmd_develop)
 
     p = sub.add_parser("restrict",
@@ -356,19 +366,16 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_restrict)
 
     p = sub.add_parser("verify", help="check properness of a gluing")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--manifold", type=int, choices=range(1, 10))
+    _add_gluing_input(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="full certification of a gluing")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--manifold", type=int, choices=range(1, 10))
+    _add_gluing_input(p)
     p.add_argument("--code", help="expected code for a gluing file")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("homology", help="homology of a glued manifold")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--manifold", type=int, choices=range(1, 10))
+    _add_gluing_input(p)
     p.add_argument("--complex", action="store_true",
                    help="include the full cell complex")
     p.set_defaults(func=cmd_homology)
@@ -395,9 +402,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="machine-readable output")
 
     args = parser.parse_args(argv)
+    if (args.command == "certify" and args.code is not None
+            and args.file is None):
+        sub.choices["certify"].error("argument --code: " + (
+            "not allowed with argument --manifold" if args.manifold
+            else "needs an array file"))
     try:
         return args.func(args)
-    except (EnvSettingError, MissingInputError, DimensionError, OSError,
+    except (EnvSettingError, InputError, DimensionError, OSError,
             pg.PairingError, pg.DevelopmentConflict, pg.CrossSectionError,
             vf.CertificationError, hm.ComplexError) as exc:
         # bad input: one line on stderr, never a traceback

@@ -2,10 +2,10 @@
 
 `eliminate_units` reduces a sparse chain complex along its +-1
 incidences, by a coreduction queue and then a heap for what the queue
-leaves; homology runs it boundary cells first, and finishes the small
-residues, which have no unit entries, with the dense
-`smith_normal_form` (with unimodular transforms; also the reference the
-tests use).  `invariant_factors` does the same for one matrix.
+leaves; homology runs it boundary cells first.  The small residues,
+which have no unit entries, are finished by `invariant_factors`, a
+sparse-to-dense wrapper around `smith_normal_form`: one pass of pivot
+reduction with unimodular transforms, also the reference the tests use.
 All arithmetic is on Python ints, so entry growth is harmless.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 import heapq
-from math import gcd
 from typing import Container, Mapping, Sequence
 
 
@@ -47,7 +46,14 @@ def _mul(a, b):
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Dense SNF with transforms, classical pivot reduction."""
+    """Dense SNF with transforms, by one pass of pivot reduction.
+
+    Each pivot is the least nonzero entry left.  Once it has cleared its
+    row and column, a pivot above 1 that does not divide some entry of
+    the rest has that entry's row added to its own, and the step repeats
+    with a smaller remainder.  So each pivot divides all that is left and
+    the diagonal, all positive, meets the divisibility chain as it comes.
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     m = [[int(x) for x in row] for row in a]
@@ -80,19 +86,21 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
         m[i] = [-x for x in m[i]]
         u[i] = [-x for x in u[i]]
 
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # find a nonzero pivot of least magnitude
+    def least(t):
+        """The first nonzero entry of least magnitude in the rest."""
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
                 x = m[i][j]
                 if x and (best is None or abs(x) < abs(m[best[0]][best[1]])):
                     best = (i, j)
+        return best
+
+    for t in range(min(rows, cols)):
+        best = least(t)
         if best is None:
             break
-        while True:
+        while best is not None:
             i, j = best
             if i != t:
                 swap_rows(t, i)
@@ -112,69 +120,17 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
                     add_col(t, j, -(m[t][j] // p))
                     if m[t][j]:
                         dirty = True
-            if not dirty:
-                break
-            best = (t, t)
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    x = m[i][j]
-                    if x and abs(x) < abs(m[best[0]][best[1]]):
-                        best = (i, j)
-        t += 1
+            if not dirty and p > 1:
+                bad = next((i for i in range(t + 1, rows)
+                            if any(x % p for x in m[i][t + 1:])), None)
+                if bad is not None:
+                    add_row(bad, t, 1)
+                    dirty = True
+            best = least(t) if dirty else None
 
-    diag = [m[i][i] for i in range(limit) if m[i][i]]
-    # enforce the divisibility chain: gcd/lcm sweeps move factors left
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a_, b_ = diag[i], diag[i + 1]
-            if b_ % a_:
-                g = gcd(a_, b_)
-                l = a_ * b_ // g
-                _chain_fix(m, u, v, i, i + 1, g, l)
-                diag[i], diag[i + 1] = g, l
-                changed = True
-    return SmithDecomposition(tuple(diag), tuple(tuple(r) for r in u),
+    diag = tuple(m[i][i] for i in range(min(rows, cols)) if m[i][i])
+    return SmithDecomposition(diag, tuple(tuple(r) for r in u),
                               tuple(tuple(r) for r in v), (rows, cols))
-
-
-def _chain_fix(m, u, v, i, j, g, l):
-    """Replace diag entries (a, b) at i, j by (gcd, lcm) via unimodular ops."""
-    a, b = m[i][i], m[j][j]
-    # x*a + y*b = g
-    x, y = _bezout(a, b)
-    # row_i += row_j ; col arrangement mirrors the 2x2 identity
-    # [[x, y], [-b/g, a/g]] * diag(a,b) * [[1, -y*b/g], [1, x*a/g]] = diag(g, l)
-    bg, ag = b // g, a // g
-    for col in range(len(m[0])):
-        ri, rj = m[i][col], m[j][col]
-        m[i][col] = x * ri + y * rj
-        m[j][col] = -bg * ri + ag * rj
-    for col in range(len(u[0])):
-        ri, rj = u[i][col], u[j][col]
-        u[i][col] = x * ri + y * rj
-        u[j][col] = -bg * ri + ag * rj
-    for row in range(len(m)):
-        ci, cj = m[row][i], m[row][j]
-        m[row][i] = ci + cj
-        m[row][j] = -y * bg * ci + x * ag * cj
-    for row in range(len(v)):
-        ci, cj = v[row][i], v[row][j]
-        v[row][i] = ci + cj
-        v[row][j] = -y * bg * ci + x * ag * cj
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
 
 
 def eliminate_units(bd: dict[int, dict[int, int]],
@@ -282,26 +238,20 @@ def invariant_factors(
     entries: Mapping[tuple[int, int], int],
     shape: tuple[int, int],
 ) -> tuple[int, ...]:
-    """Invariant factors (nonzero SNF diagonal) without transforms.
+    """Invariant factors (nonzero SNF diagonal, ascending) of one matrix.
 
     Takes a sparse {(row, col): value} mapping inside the (rows, columns)
-    shape of the matrix, else ValueError; rows and columns with no entry
-    add no factor.  The matrix is reduced by `eliminate_units` as a
-    two-term complex, and its residue by `smith_normal_form`.
+    shape of the matrix, else ValueError.  The rows and columns with an
+    entry are made dense and reduced by `smith_normal_form`; the others
+    add no factor.
     """
-    # column j is cell j, row i is cell ~i (negative, so they never meet)
-    bd: dict[int, dict[int, int]] = {}
-    for (i, j), val in entries.items():
+    for i, j in entries:
         if not (0 <= i < shape[0] and 0 <= j < shape[1]):
             raise ValueError(f"entry {(i, j)} lies outside the shape {shape}")
-        if val:
-            bd.setdefault(j, {})[~i] = int(val)
-            bd.setdefault(~i, {})
-    factors = [1] * eliminate_units(bd)
-    cols = [faces for faces in bd.values() if faces]
-    if cols:
-        rows = sorted({i for faces in cols for i in faces})
-        dense = [[faces.get(i, 0) for faces in cols] for i in rows]
-        factors.extend(abs(d) for d in smith_normal_form(dense).diagonal)
-    factors.sort()
-    return tuple(factors)
+    nonzero = {k: val for k, val in entries.items() if val}
+    rows = {i: n for n, i in enumerate(sorted({i for i, _ in nonzero}))}
+    cols = {j: n for n, j in enumerate(sorted({j for _, j in nonzero}))}
+    dense = [[0] * len(cols) for _ in rows]
+    for (i, j), val in nonzero.items():
+        dense[rows[i]][cols[j]] = val
+    return smith_normal_form(dense).diagonal

@@ -397,7 +397,6 @@ class TorsionCertificate:
     failures: tuple[tuple[int, ...], ...]
     representative_sets: tuple[frozenset[int], ...]
     extension: str | None = None
-    sigma_star: Gf2Matrix | None = None
 
     def to_json(self) -> dict:
         return {
@@ -604,13 +603,11 @@ def certify_manifold(
     full = torsion_free_H(cmx, "full")
     reduced = torsion_free_H(cmx, "reduced")
     try:
-        action = pair_space_action(cmx)
-        ext = extension_torsion_certificate(cmx, action)
+        ext = extension_torsion_certificate(cmx, pair_space_action(cmx))
     except InvarianceError as exc:
-        action = None
         ext = {"status": "inconclusive", "reason": str(exc),
                "solution": None, "target_coefficients": None}
-    reduced = replace(reduced, extension=ext["status"], sigma_star=action)
+    reduced = replace(reduced, extension=ext["status"])
     c6 = constants(6)
     chi_congruence = c6.euler_char_gamma2
     chi_h = chi_congruence * 64

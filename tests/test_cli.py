@@ -117,10 +117,23 @@ def test_search_rejects_bad_budgets(capsys, option, value):
     assert option in captured.err and not captured.out
 
 
-def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["certify", "--manifold", "10"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(tmp_path, capsys):
+    """Out-of-range and conflicting inputs are usage errors that name
+    the options: a file or --manifold, and --code only with a file."""
+    path = _array_file(tmp_path, pg.published_pairing(1).entries)
+    cases = [(["certify", "--manifold", "10"], ["--manifold"]),
+             (["certify", "--manifold", "1", "--code", "ABC"],
+              ["--code", "--manifold"]),
+             (["certify", "--code", "ABC"], ["--code", "array file"])]
+    cases += [([cmd, path, "--manifold", "2"], ["file", "--manifold"])
+              for cmd in ("develop", "verify", "certify", "homology")]
+    for argv, names in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert all(name in captured.err for name in names), captured.err
 
 
 def test_search_fixes_at_most_eight_rows(capsys):
@@ -163,6 +176,12 @@ def _mutated_file(tmp_path):
     return _array_file(tmp_path, mut.entries)
 
 
+def _non_utf8_file(tmp_path):
+    path = tmp_path / "arr.txt"
+    path.write_bytes(b"\xff\xfe" + tables.pairing_array_text(1).encode())
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, what", [
     (["decode", "XYZ"], "digits"),
     (["restrict", "0000"], "digits"),
@@ -173,6 +192,7 @@ def _mutated_file(tmp_path):
     (["build", "4", "--doubled"], "dimension 5 or 6"),
     (["build", "7", "--doubled"], "dimension 5 or 6"),
     (["decode", "0" * 20], "expected 21 or 11 digits, got 20"),
+    (["develop", _non_utf8_file], "arr.txt is not UTF-8 text"),
 ])
 def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv, what):
     argv = [a(tmp_path) if callable(a) else a for a in argv]

@@ -89,10 +89,18 @@ def test_transforms_reconstruct():
 
 
 def test_divisibility_chain():
-    dec = smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]])
-    assert dec.diagonal == (2, 2, 60)
-    for d, dn in zip(dec.diagonal, dec.diagonal[1:]):
-        assert dn % d == 0
+    """A pivot that does not divide what is left gets that row added,
+    and the transforms survive every such fix-up: diag(6, 10, 15) needs
+    two."""
+    for diag, want in [((4, 6, 10), (2, 2, 60)), ((2, 3), (1, 6)),
+                       ((6, 10, 15), (1, 30, 30))]:
+        a = [[x if i == j else 0 for j in range(len(diag))]
+             for i, x in enumerate(diag)]
+        dec = smith_normal_form(a)
+        assert dec.diagonal == want
+        assert dec.verify(a)
+        for d, dn in zip(dec.diagonal, dec.diagonal[1:]):
+            assert dn % d == 0
 
 
 def test_against_oracle():
