@@ -156,9 +156,8 @@ def cmd_constants(args) -> int:
 
 
 def _homology_payload(mid: int | None, arr: pg.EightPPairing,
-                      with_complex: bool,
-                      proper: vf.PropernessCertificate | None = None) -> dict:
-    cx = hm.build_quotient_complex(arr, proper)
+                      with_complex: bool) -> dict:
+    cx = hm.build_quotient_complex(arr)
     groups = hm.homology_groups(cx)
     secs = hm.cusp_sections(cx)
     payload = {
@@ -198,7 +197,7 @@ def certify_one(mid: int) -> dict:
     rec = tables.manifold_record(mid)
     arr = pg.published_pairing(mid)
     cert = vf.certify_manifold(arr, rec.code)
-    hom = _homology_payload(mid, arr, False, cert.proper)
+    hom = _homology_payload(mid, arr, False)
     expected_extension = "certified" if mid in (1, 3, 4, 5, 6) else "inconclusive"
     checks = {
         "develops_to_code": cert.code == rec.code,
@@ -235,7 +234,7 @@ def cmd_certify(args) -> int:
 def cmd_search(args) -> int:
     fixed = {}
     if args.fix_rows:
-        arr = pg.published_pairing(args.fix_rows_from)
+        arr = pg.published_pairing(args.fix_rows_from or 1)
         for i in range(args.fix_rows):
             for j in range(27):
                 fixed[(i, j)] = arr.entries[i][j]
@@ -309,7 +308,7 @@ def cmd_report(args) -> int:
     items = _report_static_items()
     mids = list(range(1, 10))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(mids))) as pool:
             results = list(pool.map(certify_one, mids))
     else:
         results = [certify_one(m) for m in mids]
@@ -345,10 +344,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("build", help="build a polytope and its face lattice")
     p.add_argument("dim", type=int, choices=range(2, 8), metavar="DIM")
-    p.add_argument("--doubled", action="store_true",
-                   help="the reflected union instead of the base polytope")
-    p.add_argument("--lattice", action="store_true",
-                   help="include every face in the output")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--doubled", action="store_true",
+                       help="the reflected union instead of the base polytope")
+    group.add_argument("--lattice", action="store_true",
+                       help="include every face of the base polytope")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("decode", help="decode a side-pairing code")
@@ -390,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--max-solutions", type=_positive_int, default=None)
     p.add_argument("--fix-rows", type=int, default=0, choices=range(9),
                    help="seed the first rows from a published gluing")
-    p.add_argument("--fix-rows-from", type=int, default=1,
-                   choices=range(1, 10))
+    p.add_argument("--fix-rows-from", type=int, choices=range(1, 10),
+                   help="the published gluing to fix rows from (default 1)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("report", help="run the full reproduction report")
@@ -407,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
         sub.choices["certify"].error("argument --code: " + (
             "not allowed with argument --manifold" if args.manifold
             else "needs an array file"))
+    if args.command == "search" and args.fix_rows_from and not args.fix_rows:
+        sub.choices["search"].error(
+            "argument --fix-rows-from: needs --fix-rows 1 or more")
     try:
         return args.func(args)
     except (EnvSettingError, InputError, DimensionError, OSError,

@@ -47,7 +47,7 @@ from typing import Sequence
 from .lorentz import det  # noqa: F401
 from .pairing import EightPPairing, standard_context
 from .smith import eliminate_units, invariant_factors
-from .verify import PropernessCertificate, face_cycles_proper, lattice_context
+from .verify import face_cycles_proper, lattice_context
 
 
 class ComplexError(RuntimeError):
@@ -250,22 +250,18 @@ class QuotientCellComplex:
         }
 
 
-def build_quotient_complex(
-        arr: EightPPairing,
-        proper: PropernessCertificate | None = None) -> QuotientCellComplex:
+def build_quotient_complex(arr: EightPPairing) -> QuotientCellComplex:
     """Glue eight truncated copies along the pairing and assemble the
     signed boundary columns of the quotient cell complex.  Cell classes
-    are the classes of the faces under them in `proper` (or in a new
-    `face_cycles_proper(arr)`): if X's face has root in copy r and
-    transport sigma^t, X's root is cell cell_perm[-t][X] of copy r."""
-    if proper is None:
-        proper = face_cycles_proper(arr)
+    are the classes of the faces under them in `face_cycles_proper(arr)`,
+    cached for the last gluing, so no second pass after certification:
+    if X's face has root in copy r and transport sigma^t, X's root is
+    cell cell_perm[-t][X] of copy r."""
+    proper = face_cycles_proper(arr)
     if not proper.proper:
         raise ComplexError(f"side-pairing is not proper: {proper.violation}")
     face_root, face_t = proper.roots, proper.transports
     nf = len(lattice_context().lattice.faces)
-    if len(face_root or ()) != 8 * nf:
-        raise ComplexError("certificate has no eight-copy face classes")
     tc = truncated_cells()
     cells, cell_face, orient = tc.cells, tc.cell_face, tc.orient
     dim_of, facets, incidence = tc.cell_dim, tc.cell_facets, tc.incidence

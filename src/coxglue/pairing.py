@@ -11,10 +11,12 @@ gluing through the reflected union recovers the code.
 from __future__ import annotations
 
 import re
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from . import tables
 from .coxeter import ORDER8_SYMMETRY, sigma_permutation
 from .lorentz import Mat, Vec, identity, mat_mul, mat_vec, reflection_in
 from .polytope import QPolytope, RightAngledPolytope, build_polytope, build_q
@@ -266,7 +268,6 @@ def parse_8p_pairing(text: str) -> EightPPairing:
 
 
 def published_pairing(mid: int) -> EightPPairing:
-    from . import tables
     return parse_8p_pairing(tables.pairing_array_text(mid))
 
 
@@ -563,8 +564,6 @@ def search_pairings(
     A `fixed` slot outside the 8 x 27 array or entry outside 0..7 raises
     ValueError.
     """
-    import time as _time
-
     from .verify import FaceCycles, lattice_context
 
     if max_solutions is not None and max_solutions < 1:
@@ -615,7 +614,7 @@ def search_pairings(
                 return False, written
         return True, written
 
-    deadline = None if time_budget_s is None else _time.monotonic() + time_budget_s
+    deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
     state = {"nodes": 0, "exhausted": False}
     solutions: dict[tuple, EightPPairing] = {}
 
@@ -654,7 +653,7 @@ def search_pairings(
     def dfs() -> bool:
         """Returns False when the search should stop globally."""
         if state["nodes"] >= node_budget or (
-                deadline is not None and _time.monotonic() > deadline):
+                deadline is not None and time.monotonic() > deadline):
             state["exhausted"] = True
             return False
         slot = next_slot()
@@ -669,7 +668,7 @@ def search_pairings(
         for k in range(8):
             for p in range(8):
                 if state["nodes"] >= node_budget or (
-                        deadline is not None and _time.monotonic() > deadline):
+                        deadline is not None and time.monotonic() > deadline):
                     state["exhausted"] = True
                     return False
                 state["nodes"] += 1
@@ -694,6 +693,8 @@ def search_pairings(
 
 
 def _confirmed_proper(arr: EightPPairing) -> bool:
+    # looked up at call time: perfbench/layers.py counts the calls by
+    # wrapping verify.face_cycles_proper
     from .verify import face_cycles_proper
     try:
         return face_cycles_proper(arr).proper

@@ -187,9 +187,10 @@ class PropernessCertificate:
     dims: dict[int, dict[str, int]]
     violation: dict | None = None
     # root and transport (a power of the symmetry) of each face instance
-    # copy * faces + face, as traced by the eight-copy pass, which the
-    # quotient complex reads; None after a holonomy conflict and on the
-    # reflected union.  Neither compared nor exported.
+    # copy * faces + face, as traced by the eight-copy pass, which
+    # homology.build_quotient_complex reads; None after a holonomy
+    # conflict and on the reflected union.  Neither compared nor exported.
+    # That pass is cached, so its callers share one certificate.
     roots: tuple[int, ...] | None = field(
         default=None, compare=False, repr=False)
     transports: tuple | None = field(default=None, compare=False, repr=False)
@@ -211,6 +212,7 @@ def face_cycles_proper(
     return _cycles_q(pairing)
 
 
+@lru_cache(maxsize=1)  # the quotient complex reuses certification's pass
 def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
     arr.validate_involution()
     sigma_pows = standard_context().sigma_pows
@@ -523,16 +525,12 @@ def pair_space_action(cmx: CodeMatrix) -> Gf2Matrix:
     return Gf2Matrix.from_columns(cols, 21)
 
 
-def extension_torsion_certificate(
-    cmx: CodeMatrix,
-    action: Gf2Matrix | None = None,
-) -> dict:
+def extension_torsion_certificate(cmx: CodeMatrix) -> dict:
     """Decide whether the order-8 extension has an order-two obstruction:
     certified when v + action^4(v) = (orbit sum of wall two) has no
-    solution among the relator images."""
+    solution among the relator images, action = pair_space_action(cmx)."""
     sigma = standard_context().sigma
-    if action is None:
-        action = pair_space_action(cmx)
+    action = pair_space_action(cmx)
     target = 0
     s = 1  # wall with index 2 in one-based terms
     for _ in range(8):
@@ -603,7 +601,7 @@ def certify_manifold(
     full = torsion_free_H(cmx, "full")
     reduced = torsion_free_H(cmx, "reduced")
     try:
-        ext = extension_torsion_certificate(cmx, pair_space_action(cmx))
+        ext = extension_torsion_certificate(cmx)
     except InvarianceError as exc:
         ext = {"status": "inconclusive", "reason": str(exc),
                "solution": None, "target_coefficients": None}

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from coxglue import cli
 from coxglue import homology as hm
 from coxglue import pairing as pg
 from coxglue import tables
@@ -119,12 +120,20 @@ def test_search_rejects_bad_budgets(capsys, option, value):
 
 def test_usage_error_exit_code(tmp_path, capsys):
     """Out-of-range and conflicting inputs are usage errors that name
-    the options: a file or --manifold, and --code only with a file."""
+    the options: a file or --manifold, --code only with a file,
+    --fix-rows-from only with rows to fix, and no --lattice of the
+    reflected union."""
     path = _array_file(tmp_path, pg.published_pairing(1).entries)
     cases = [(["certify", "--manifold", "10"], ["--manifold"]),
              (["certify", "--manifold", "1", "--code", "ABC"],
               ["--code", "--manifold"]),
-             (["certify", "--code", "ABC"], ["--code", "array file"])]
+             (["certify", "--code", "ABC"], ["--code", "array file"]),
+             (["search", "--fix-rows-from", "3"],
+              ["--fix-rows-from", "--fix-rows "]),
+             (["search", "--fix-rows", "0", "--fix-rows-from", "9"],
+              ["--fix-rows-from", "--fix-rows "]),
+             (["build", "5", "--doubled", "--lattice"],
+              ["--doubled", "--lattice"])]
     cases += [([cmd, path, "--manifold", "2"], ["file", "--manifold"])
               for cmd in ("develop", "verify", "certify", "homology")]
     for argv, names in cases:
@@ -213,19 +222,19 @@ def test_certify_manifold(capsys):
         list(tables.manifold_record(3).homology)
 
 
-def test_certify_checks_properness_once(capsys, monkeypatch):
-    calls = []
-    check = vf.face_cycles_proper
-
-    def counted(arr):
-        calls.append(arr)
-        return check(arr)
-
-    monkeypatch.setattr(vf, "face_cycles_proper", counted)
-    monkeypatch.setattr(hm, "face_cycles_proper", counted)
+def test_certify_checks_properness_once(capsys):
+    """One eight-copy face pass per gluing: for `certify --manifold 5`,
+    and for the benchmark's order, certification and then the complex
+    of a relabeled gluing."""
+    vf._cycles_eight.cache_clear()
     code, _ = run(capsys, "certify", "--manifold", "5", "--json")
     assert code == 0
-    assert len(calls) == 1
+    assert vf._cycles_eight.cache_info().misses == 1
+    perm = random.Random(7).sample(range(8), 8)
+    arr = pg.published_pairing(7).relabeled(perm)
+    vf.certify_manifold(arr, tables.manifold_record(7).code)
+    hm.build_quotient_complex(arr)
+    assert vf._cycles_eight.cache_info().misses == 2
 
 
 def test_serialized_complex_reads_back(capsys):
@@ -262,6 +271,37 @@ def test_homology_payload_rejects_improper_array():
     mut = pg.mutated_pairing(pg.published_pairing(1), random.Random(31))
     with pytest.raises(hm.ComplexError):
         _homology_payload(None, mut, False)
+
+
+@pytest.mark.parametrize("jobs, workers", [("100000", 9), ("2", 2)])
+def test_report_pool_has_at_most_one_worker_per_gluing(capsys, monkeypatch,
+                                                       jobs, workers):
+    """COXGLUE_JOBS above the nine gluings starts nine workers; a fake
+    pool records the size asked for and maps serially."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_report_static_items", dict)
+    monkeypatch.setattr(cli, "certify_one",
+                        lambda mid: {"id": mid, "ok": True, "checks": {}})
+    monkeypatch.setenv("COXGLUE_JOBS", jobs)
+    code, out = run(capsys, "report", "--json")
+    assert code == 0 and asked == [workers]
+    assert json.loads(out)["items"] == {f"manifold_{m}": True
+                                        for m in range(1, 10)}
 
 
 @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3"])

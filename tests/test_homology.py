@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import re
@@ -156,7 +155,7 @@ def test_boundary_signs_match_determinants(mid, perm):
     if perm:
         arr = arr.relabeled(perm)
     cert = vf.face_cycles_proper(arr)
-    cx = hm.build_quotient_complex(arr, cert)
+    cx = hm.build_quotient_complex(arr)
     tc, geo = hm.truncated_cells(), truncated_geometry()
     gauge, conflicts = cell_gauge()
     assert conflicts == 0
@@ -248,7 +247,7 @@ def test_columns_match_the_tuple_keyed_assembly(mid, perm):
     if perm:
         arr = arr.relabeled(perm)
     cert = vf.face_cycles_proper(arr)
-    cx = hm.build_quotient_complex(arr, cert)
+    cx = hm.build_quotient_complex(arr)
     cells, by_dim, mats = quotient_assembly.assemble(cert)
     assert (cx.cells, cx.by_dim) == (cells, by_dim)
     assert len(cx.columns) == len(cells)
@@ -264,14 +263,30 @@ def test_columns_match_the_tuple_keyed_assembly(mid, perm):
     assert str(new.value) == str(old.value)
 
 
-def test_certificate_without_eight_copy_classes_is_refused():
-    arr = pg.published_pairing(1)
-    cert = vf.face_cycles_proper(arr)
-    # a one-copy certificate, as the Q route gives, has too few classes
-    for cut in (cert.roots[:100], None):
-        with pytest.raises(hm.ComplexError, match="eight-copy"):
-            hm.build_quotient_complex(
-                arr, dataclasses.replace(cert, roots=cut, transports=cut))
+def test_one_face_pass_per_gluing_in_turn():
+    """Certification and then the complex, on gluings in turn (m1, m2,
+    m1 relabeled, m1): each change of gluing costs one eight-copy face
+    pass, which the complex shares, each gluing gets its own tables, and
+    the relabeled array its own classes."""
+    perm = random.Random(16).sample(range(8), 8)
+    m1 = pg.published_pairing(1)
+    vf._cycles_eight.cache_clear()
+    roots = []
+    for passes, (mid, arr) in enumerate(
+            [(1, m1), (2, pg.published_pairing(2)), (1, m1.relabeled(perm)),
+             (1, pg.published_pairing(1))], 1):
+        rec = tables.manifold_record(mid)
+        cert = vf.certify_manifold(arr, rec.code)
+        cx = hm.build_quotient_complex(arr)
+        assert vf.face_cycles_proper(arr) is cert.proper
+        assert vf._cycles_eight.cache_info().misses == passes
+        groups, secs = hm.homology_groups(cx), hm.cusp_sections(cx)
+        assert tuple(groups[d].encode() for d in range(1, 6)) == rec.homology
+        assert len(secs) == rec.cusps
+        assert sorted(tuple(s[d].encode(powers=(2, 4)) for d in range(1, 6))
+                      for s in secs) == sorted(rec.cusp_homology)
+        roots.append(cert.proper.roots)
+    assert roots[2] != roots[0] == roots[3]
 
 
 def test_sign_tables_follow_the_symmetry():
