@@ -22,6 +22,7 @@ from .lorentz import (
     mat_mul,
     mat_vec,
     primitive,
+    reflection_in,
 )
 
 SYMMETRY_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040,
@@ -75,17 +76,8 @@ def simplex_generators(n: int) -> SimplexGroupData:
     gens.append(_diag([1] * (n - 1) + [-1, 1]))
     # bordered involution: reflection in e_1 + ... + e_k + e_{n+1}, k = min(3, n)
     k = min(3, n)
-    u = tuple(1 if (i < k or i == n) else 0 for i in range(size))
-    q = lorentz_inner(u, u)
-    last = []
-    for r in range(size):
-        row = []
-        for c in range(size):
-            s = -1 if c == n else 1
-            num = 2 * u[r] * u[c] * s
-            row.append((1 if r == c else 0) - num // q)
-        last.append(tuple(row))
-    gens.append(tuple(last))
+    gens.append(reflection_in(
+        tuple(1 if (i < k or i == n) else 0 for i in range(size))))
 
     verts: list[Vec] = [tuple(1 if i in (0, n) else 0 for i in range(size))]
     if n >= 2:
@@ -265,9 +257,9 @@ class PiMultiple:
         return num if c.denominator == 1 else f"{num}/{c.denominator}"
 
 
-def dirichlet_beta(s: int, dps: int = 30) -> mpmath.mpf:
-    """L(s) = 1 - 3^-s + 5^-s - ..., via Hurwitz zeta."""
-    with mpmath.workdps(dps):
+def dirichlet_beta(s: int) -> mpmath.mpf:
+    """L(s) = 1 - 3^-s + 5^-s - ..., via Hurwitz zeta, to 30 digits."""
+    with mpmath.workdps(30):
         val = (mpmath.zeta(s, mpmath.mpf(1) / 4)
                - mpmath.zeta(s, mpmath.mpf(3) / 4)) / 4 ** s
         return +val

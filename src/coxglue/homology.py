@@ -21,9 +21,11 @@ the side-pairing identifications, and orientations are transported
 through the powers of the order-8 symmetry.  The orbits are lifted from
 the face classes that the properness check traced: a cell's class is
 the class of the face it lies over, with the same transport, so
-assembling the complex needs no union-find.  Each boundary sign is a
-product of the two gluing-independent signs above, so assembling a
-gluing's complex is table lookups.  The complex is stored by columns,
+assembling the complex needs no union-find.  The cusps are the classes
+of the ideal points in that pass, and a cut corner's cusp is the class
+of its ideal vertex, so the cusp cross-sections are read off the cells.
+Each boundary sign is a product of the two gluing-independent signs
+above, so assembling a gluing's complex is table lookups.  The complex is stored by columns,
 the boundary {face: coefficient} of each cell: assembly writes them, the
 boundary-squared check and the reduction read them, and the per-degree
 boundary matrices are derived from them only when asked for.
@@ -171,7 +173,7 @@ class QuotientCell:
     dim: int
     copy: int
     cell: int
-    boundary_flag: bool
+    cusp: int  # a cut corner's: its ideal point's class root; else -1
     orbit_size: int
 
 
@@ -215,7 +217,7 @@ class QuotientCellComplex:
         return sum((-1) ** d * len(ix) for d, ix in self.by_dim.items())
 
     def boundary_cell_indices(self) -> list[int]:
-        return [c.index for c in self.cells if c.boundary_flag]
+        return [c.index for c in self.cells if c.cusp >= 0]
 
     def check_dd_zero(self) -> None:
         """Raise AssertionError naming the first cell, by degree then
@@ -245,7 +247,7 @@ class QuotientCellComplex:
             "cells": [
                 {"index": c.index, "dim": c.dim, "copy": c.copy + 1,
                  "cell": list(truncated_cells().cells[c.cell]),
-                 "boundary": c.boundary_flag, "orbit": c.orbit_size}
+                 "boundary": c.cusp >= 0, "orbit": c.orbit_size}
                 for c in self.cells],
         }
 
@@ -256,12 +258,17 @@ def build_quotient_complex(arr: EightPPairing) -> QuotientCellComplex:
     are the classes of the faces under them in `face_cycles_proper(arr)`,
     cached for the last gluing, so no second pass after certification:
     if X's face has root in copy r and transport sigma^t, X's root is
-    cell cell_perm[-t][X] of copy r."""
+    cell cell_perm[-t][X] of copy r.  A cut corner ('l', w, face) is on
+    the cusp of the class of ideal point w."""
+    if not isinstance(arr, EightPPairing):
+        raise ComplexError(f"the quotient complex needs an EightPPairing, "
+                           f"not a {type(arr).__name__}")
     proper = face_cycles_proper(arr)
     if not proper.proper:
         raise ComplexError(f"side-pairing is not proper: {proper.violation}")
     face_root, face_t = proper.roots, proper.transports
-    nf = len(lattice_context().lattice.faces)
+    lat = lattice_context().lattice
+    nf = len(lat.faces)
     tc = truncated_cells()
     cells, cell_face, orient = tc.cells, tc.cell_face, tc.orient
     dim_of, facets, incidence = tc.cell_dim, tc.cell_facets, tc.incidence
@@ -279,8 +286,11 @@ def build_quotient_complex(arr: EightPPairing) -> QuotientCellComplex:
             f = base + cell_face[cidx]
             if face_root[f] != f:
                 continue
-            q = QuotientCell(len(qcells), dim_of[cidx], copy, cidx,
-                             cells[cidx][0] == "l", class_size[f])
+            key = cells[cidx]
+            cusp = (face_root[base + lat.by_vertex_mask[1 << key[1]]]
+                    if key[0] == "l" else -1)
+            q = QuotientCell(len(qcells), dim_of[cidx], copy, cidx, cusp,
+                             class_size[f])
             qindex[copy * ncells + cidx] = q.index
             qcells.append(q)
             by_dim.setdefault(q.dim, []).append(q.index)
@@ -365,30 +375,13 @@ def _residue_homology(cx: QuotientCellComplex,
 
 
 def boundary_components(cx: QuotientCellComplex) -> list[set[int]]:
-    """Connected components of the boundary subcomplex, which is closed
-    under faces, so the columns of its cells hold all its incidences."""
-    parent = [c.index if c.boundary_flag else -1 for c in cx.cells]
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c, col in enumerate(cx.columns):
-        if parent[c] >= 0:
-            rc = find(c)  # stays a root: only other roots move below it
-            for r in col:
-                if parent[r] >= 0:
-                    while parent[r] != r:  # find(r), inline
-                        parent[r] = parent[parent[r]]
-                        r = parent[r]
-                    parent[r] = rc
+    """The cells of each cusp, in order of their first cells: the
+    components of the boundary subcomplex, which is closed under faces."""
     comps: dict[int, set[int]] = {}
-    for i, p in enumerate(parent):
-        if p >= 0:
-            comps.setdefault(find(i), set()).add(i)
-    return sorted(comps.values(), key=lambda s: sorted(s))
+    for c in cx.cells:
+        if c.cusp >= 0:
+            comps.setdefault(c.cusp, set()).add(c.index)
+    return list(comps.values())
 
 
 def cusp_sections(cx: QuotientCellComplex) -> list[list[HomologyGroups]]:

@@ -99,15 +99,13 @@ def lorentz_inverse(m: Mat) -> Mat:
     return inv
 
 
-def reflection_in(u: Sequence[int], norm: int | None = None) -> Mat:
+def reflection_in(u: Sequence[int]) -> Mat:
     """Matrix of the reflection x -> x - 2 <u,x>/<u,u> u.
 
     Integral whenever <u,u> divides 2*u_i*u_j entrywise; the unit (norm 1)
     and norm 2 normals used throughout satisfy that.
     """
     q = lorentz_inner(u, u)
-    if norm is not None and q != norm:
-        raise ValueError(f"normal has <u,u> = {q}, expected {norm}")
     if q <= 0:
         raise ValueError("reflection normal must be spacelike")
     n = len(u)

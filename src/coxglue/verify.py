@@ -46,6 +46,8 @@ class FaceCycles:
     with crossing counts and an undo journal.  The eight-copy properness
     pass runs it on a whole array, the search on partial arrays, which it
     rolls back; so search pruning and certification read the same cycles.
+    It is the only union-find in coxglue: the eight-copy pass also unions
+    the ideal points, whose classes are the cusps of the glued manifold.
 
     find(x) returns (root, t) with face x = sigma^t of the root's face;
     union(x, y, d, c) imposes face y = sigma^d of face x and counts c
@@ -132,14 +134,16 @@ class LatticeContext:
     vperm: tuple[tuple[int, ...], ...]
     fperm: tuple[tuple[int, ...], ...]
     sides_faces: tuple[tuple[int, ...], ...]
+    sides_ideal: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=1)
 def lattice_context() -> LatticeContext:
     """The dimension-6 `lattice`; the vertex (`vperm`) and face (`fperm`)
     permutations of each power 0..7 of the symmetry, cross-checked between
-    the vertex route and the side-set route; and `sides_faces`, the faces
-    on each side but the ideal points."""
+    the vertex route and the side-set route; `sides_faces`, the faces on
+    each side but the ideal points; and `sides_ideal`, the ideal points
+    on each side."""
     ctx = standard_context()
     p6, powers = ctx.polytope, ctx.powers
     lat = face_lattice(p6)
@@ -164,8 +168,11 @@ def lattice_context() -> LatticeContext:
                     "vertex and side transport routes disagree")
             perm.append(g.index)
         fperm.append(tuple(perm))
+    ideal = [f for f in lat.faces if f.ideal_point]
     return LatticeContext(lat, tuple(vperm), tuple(fperm),
-                          _sides_faces(lat, 27))
+                          _sides_faces(lat, 27),
+                          tuple(tuple(f.index for f in ideal if s in f.sides)
+                                for s in range(27)))
 
 
 def _sides_faces(lat: FaceLattice, sides: int) -> tuple[tuple[int, ...], ...]:
@@ -188,7 +195,8 @@ class PropernessCertificate:
     violation: dict | None = None
     # root and transport (a power of the symmetry) of each face instance
     # copy * faces + face, as traced by the eight-copy pass, which
-    # homology.build_quotient_complex reads; None after a holonomy
+    # homology.build_quotient_complex reads; the ideal points too, with
+    # transport 0, so their classes are the cusps.  None after a holonomy
     # conflict and on the reflected union.  Neither compared nor exported.
     # That pass is cached, so its callers share one certificate.
     roots: tuple[int, ...] | None = field(
@@ -232,6 +240,10 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
                 break
         if violation:
             break
+        # the cusps: ideal points, which the report skips, with transport
+        # 0; their classes hold no other face, so they never conflict
+        for fidx in ctx.sides_ideal[j]:
+            uf.union(i * nf + fidx, k * nf + fperm[p][fidx], 0)
     if violation is not None:
         return _cycle_report(uf, lat, (), violation)
     # two flat lists: a list of (root, power) pairs held at once raises

@@ -23,7 +23,8 @@ def assemble(proper: PropernessCertificate
     """Cells, cell indices per dimension and boundary matrices of the
     quotient complex whose face classes `proper` traced."""
     face_root, face_t = proper.roots, proper.transports
-    nf = len(lattice_context().lattice.faces)
+    lat = lattice_context().lattice
+    nf = len(lat.faces)
     tc = hm.truncated_cells()
     back = [tc.cell_perm[-t] for t in range(8)]
     class_size = Counter(face_root)
@@ -36,8 +37,13 @@ def assemble(proper: PropernessCertificate
             f = copy * nf + tc.cell_face[x]
             if face_root[f] != f:
                 continue
-            q = hm.QuotientCell(len(cells), tc.cell_dim[x], copy, x,
-                                tc.cells[x][0] == "l", class_size[f])
+            # a cut corner ('l', w, face) is on the cusp of ideal point w
+            cusp = -1
+            if tc.cells[x][0] == "l":
+                w = lat.by_vertex_mask[1 << tc.cells[x][1]]
+                cusp = face_root[copy * nf + w]
+            q = hm.QuotientCell(len(cells), tc.cell_dim[x], copy, x, cusp,
+                                class_size[f])
             roots[f, x] = q.index
             cells.append(q)
             by_dim.setdefault(q.dim, []).append(q.index)

@@ -258,9 +258,11 @@ def test_serialized_complex_reads_back(capsys):
         for (r, c), v in mat.items():
             columns[c][r] = v
     cell_id = {key: i for i, key in enumerate(hm.truncated_cells().cells)}
+    # the export flags boundary cells but does not name their cusps
     cells = [hm.QuotientCell(c["index"], c["dim"], c["copy"] - 1,
-                             cell_id[tuple(c["cell"])], c["boundary"],
-                             c["orbit"]) for c in cx["cells"]]
+                             cell_id[tuple(c["cell"])],
+                             0 if c["boundary"] else -1, c["orbit"])
+             for c in cx["cells"]]
     by_dim: dict[int, list[int]] = {}
     for c in cells:
         by_dim.setdefault(c.dim, []).append(c.index)

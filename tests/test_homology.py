@@ -16,6 +16,7 @@ from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import RowSpan, det
 from coxglue.smith import smith_normal_form
 
+import cusp_union_find
 from heap_elimination import heap_elimination
 import quotient_assembly
 from transport_union_find import TransportUnionFind
@@ -122,9 +123,9 @@ def test_quotient_complex_manifold1():
     assert cx.euler_characteristic() == -1
     assert len(cx.boundary_cell_indices()) == 6912
     # top cells: one per abstract copy; interior wall orbits pair up
-    interior5 = [c for c in cx.cells if c.dim == 5 and not c.boundary_flag]
+    interior5 = [c for c in cx.cells if c.dim == 5 and c.cusp < 0]
     assert len(interior5) == 108
-    cusp5 = [c for c in cx.cells if c.dim == 5 and c.boundary_flag]
+    cusp5 = [c for c in cx.cells if c.dim == 5 and c.cusp >= 0]
     assert len(cusp5) == 216
     assert all(c.orbit_size == 2 for c in interior5)
     assert all(c.orbit_size == 1 for c in cusp5)
@@ -136,6 +137,17 @@ def test_quotient_requires_proper_pairing():
     mut = pg.mutated_pairing(pg.published_pairing(1), rng)
     with pytest.raises(hm.ComplexError):
         hm.build_quotient_complex(mut)
+
+
+def test_quotient_names_a_reflected_union(monkeypatch):
+    """The reflected-union pairing of a code is refused by its type,
+    before any face is traced."""
+    qsp = pg.decode_q_code(tables.manifold_record(1).code)
+    monkeypatch.setattr(hm, "face_cycles_proper",
+                        lambda arr: pytest.fail("traced the faces"))
+    with pytest.raises(hm.ComplexError, match="EightPPairing, not a "
+                       "QSidePairing$"):
+        hm.build_quotient_complex(qsp)
 
 
 @pytest.mark.parametrize("mid, perm", [(1, None),
@@ -380,8 +392,12 @@ def _homology_of_parts(cx, part, parts):
 def _per_part_homology(cx):
     """Homology of the whole complex and of each boundary component, each
     reduced apart from the others: the oracle for the one reduction that
-    `homology_groups` and `cusp_sections` share."""
+    `homology_groups` and `cusp_sections` share.  The components, read
+    off the cells' cusps, are checked against a union-find over the
+    boundary cells' columns."""
     comps = hm.boundary_components(cx)
+    assert comps == cusp_union_find.boundary_components(
+        [c.cusp >= 0 for c in cx.cells], cx.columns)
     part = [-1] * len(cx.cells)
     for n, comp in enumerate(comps):
         for c in comp:
@@ -490,17 +506,23 @@ def test_homology_mod3_universal_coefficients():
 def _chain_complex(dims, boundaries, boundary=frozenset()):
     """A complex with cells 0.. of the given dimensions; boundaries map
     (face, cell) to coefficients, and the cells in `boundary` are
-    flagged as boundary cells."""
-    cells = [hm.QuotientCell(i, d, 0, 0, i in boundary, 1)
-             for i, d in enumerate(dims)]
-    by_dim: dict[int, list[int]] = {}
-    for c in cells:
-        by_dim.setdefault(c.dim, []).append(c.index)
-    columns: list[dict[int, int]] = [{} for _ in cells]
+    boundary cells, whose cusps are the components that the column
+    union-find oracle finds, each labeled by its first cell."""
+    columns: list[dict[int, int]] = [{} for _ in dims]
     for (r, c), v in boundaries.items():
         if v:
             assert dims[r] == dims[c] - 1
             columns[c][r] = v
+    cusp = [-1] * len(dims)
+    for comp in cusp_union_find.boundary_components(
+            [i in boundary for i in range(len(dims))], columns):
+        for c in comp:
+            cusp[c] = min(comp)
+    cells = [hm.QuotientCell(i, d, 0, 0, cusp[i], 1)
+             for i, d in enumerate(dims)]
+    by_dim: dict[int, list[int]] = {}
+    for c in cells:
+        by_dim.setdefault(c.dim, []).append(c.index)
     cx = hm.QuotientCellComplex(cells, by_dim, columns)
     cx.check_dd_zero()
     return cx

@@ -81,9 +81,12 @@ def test_reflection_displays():
 
 
 def test_reflection_rejects_non_unit():
-    with pytest.raises(ValueError):
-        reflection_in((1, 1, 0, 0, 0, 0, 0), norm=1)
-    with pytest.raises(ValueError):
+    """A normal of norm 2 is no unit, which its caller checks; reflection_in
+    rejects only normals without an integral reflection."""
+    assert lorentz_inner((1, 1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0)) == 2
+    with pytest.raises(ValueError, match="non-integral"):
+        reflection_in((1, 1, 1, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="spacelike"):
         reflection_in(E7)
 
 
@@ -151,7 +154,8 @@ def test_all_side_reflections_are_involutions():
     from coxglue.lorentz import mat_mul, mat_vec, identity
     p6 = build_polytope(6)
     for u in p6.normals:
-        r = reflection_in(u, norm=1)
+        assert lorentz_inner(u, u) == 1
+        r = reflection_in(u)
         assert mat_mul(r, r) == identity(7)
         assert is_positive_lorentzian(r)
         for v in p6.vertices:

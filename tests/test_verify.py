@@ -135,6 +135,9 @@ def test_lattice_numbers_faces_highest_dimension_first():
     assert ideal == [False] * (len(ideal) - 27) + [True] * 27
     for faces in ctx.sides_faces:
         assert list(faces) == sorted(faces)
+    points = [f for f in ctx.lattice.faces if f.ideal_point]
+    for s, on_side in enumerate(ctx.sides_ideal):
+        assert on_side == tuple(f.index for f in points if s in f.sides)
 
 
 def test_context_fields_agree():
@@ -321,7 +324,8 @@ def test_certify_rejects_code_mismatch():
 
 def _cycles_eight_both_ways(arr: pg.EightPPairing) -> vf.PropernessCertificate:
     """The face pass with every side pair unioned from both of its
-    sides, as an oracle for the pass that unions each pair once."""
+    sides, as an oracle for the pass that unions each pair once; the
+    ideal points too, with the identity transport."""
     arr.validate_involution()
     ctx = vf.lattice_context()
     lat = ctx.lattice
@@ -337,6 +341,8 @@ def _cycles_eight_both_ways(arr: pg.EightPPairing) -> vf.PropernessCertificate:
                 break
         if violation:
             break
+        for fidx in ctx.sides_ideal[j]:
+            assert uf.union(i * nf + fidx, k * nf + ctx.fperm[p][fidx], 0)
     if violation is not None:
         return vf._cycle_report(uf, lat, (), violation)
     found = [uf.find(x) for x in range(8 * nf)]
