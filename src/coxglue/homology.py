@@ -332,6 +332,11 @@ class HomologyGroups:
         if sum(counts[1:]) != len(self.torsion):
             raise ComplexError(
                 f"torsion {self.torsion} does not fit the encoding")
+        for name, c in zip(["rank"] + [f"Z/{p} count" for p in powers],
+                           counts):
+            if c > 9:
+                raise ComplexError(f"{name} {c} of {self} does not fit one "
+                                   f"digit of the encoding")
         return "".join(str(c) for c in counts)
 
     def __str__(self) -> str:

@@ -208,12 +208,21 @@ class EightPPairing:
     entries: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != 8 or any(len(r) != 27 for r in self.entries):
+        """Store the entries as nested tuples of ints in 0..7, so the array
+        hashes for the face-pass cache; it need not be an involution."""
+        rows = self.entries
+        if not (isinstance(rows, Sequence) and len(rows) == 8 and all(
+                isinstance(r, Sequence) and len(r) == 27 for r in rows)):
             raise PairingError("expected an 8 x 27 array")
-        for row in self.entries:
-            for k, p in row:
-                if not (0 <= k < 8 and 0 <= p < 8):
-                    raise PairingError(f"entry ({k + 1},{p}) out of range")
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if not (isinstance(e, Sequence) and len(e) == 2 and all(
+                        type(c) is int and 0 <= c < 8 for c in e)):
+                    raise PairingError(
+                        f"entry {e!r} at copy {i + 1}, side {j + 1} is not "
+                        f"a pair of ints in 0..7")
+        object.__setattr__(self, "entries",
+                           tuple(tuple(map(tuple, r)) for r in rows))
 
     def entry(self, i: int, j: int) -> tuple[int, int]:
         return self.entries[i][j]
@@ -524,22 +533,6 @@ class SearchResult:
         }
 
 
-@lru_cache(maxsize=1)
-def _search_tables():
-    """Per face of the lattice, its cycle length 2^(6 - dim) and its wall
-    count; per side, its actual vertices.  next_slot resolves the class
-    of every actual-vertex instance of a copy in one pass and scores
-    each free slot by the crossings on its side's vertices."""
-    from .verify import lattice_context
-    ctx = lattice_context()
-    faces = ctx.lattice.faces
-    caps = tuple(2 ** (6 - f.dim) for f in faces)
-    walls = tuple(len(f.sides) for f in faces)
-    side_vertices = tuple(tuple(f for f in on_side if faces[f].dim == 0)
-                          for on_side in ctx.sides_faces)
-    return caps, walls, side_vertices
-
-
 def search_pairings(
     fixed: dict[tuple[int, int], tuple[int, int]] | None = None,
     node_budget: int = 10 ** 6,
@@ -558,6 +551,7 @@ def search_pairings(
     The lattice numbers faces highest dimension first, so sides and
     ridges, whose cycles are shortest, are unioned first and fail fast.
     Free slots are scored from one pass over the actual-vertex instances.
+    Every table it reads is built once, in `verify.lattice_context()`.
     Completed arrays are confirmed with the full properness checker.
     Exhausting the node or time budget is reported, never an error; a
     search that completes without a solution is reported infeasible.
@@ -579,8 +573,8 @@ def search_pairings(
     sigma_pows = standard_context().sigma_pows
     ctx = lattice_context()
     nf = len(ctx.lattice.faces)
-    caps, walls, side_vertices = _search_tables()
-    vertices = sorted({v for on_side in side_vertices for v in on_side})
+    caps, walls = ctx.cycle_lengths, ctx.wall_counts
+    vertices, side_vertices = ctx.vertices, ctx.side_vertices
     cyc = FaceCycles(8 * nf)
     union, parent, size, asg = cyc.union, cyc.parent, cyc.size, cyc.asg
     entries: list[list[tuple[int, int] | None]] = [

@@ -169,10 +169,9 @@ class FaceLattice:
         nv = len(poly.vertices)
         all_verts = (1 << nv) - 1
         perp = [0] * nsides
-        for i in range(nsides):
-            for j in range(nsides):
-                if i != j and lorentz_inner(poly.normals[i], poly.normals[j]) == 0:
-                    perp[i] |= 1 << j
+        for i, j in poly.perpendicular_pairs():
+            perp[i] |= 1 << j
+            perp[j] |= 1 << i
 
         homog = list(poly.vertices)
 

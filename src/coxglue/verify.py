@@ -128,13 +128,20 @@ class FaceCycles:
 
 @dataclass(frozen=True)
 class LatticeContext:
-    """The dimension-6 face lattice with the exact order-8 symmetry action."""
+    """The dimension-6 face lattice with the exact order-8 symmetry action,
+    and the tables the search and the torsion check read off it."""
 
     lattice: FaceLattice
     vperm: tuple[tuple[int, ...], ...]
     fperm: tuple[tuple[int, ...], ...]
     sides_faces: tuple[tuple[int, ...], ...]
     sides_ideal: tuple[tuple[int, ...], ...]
+    vertices: tuple[int, ...]
+    side_vertices: tuple[tuple[int, ...], ...]
+    cycle_lengths: tuple[int, ...]
+    wall_counts: tuple[int, ...]
+    torsion_conditions: tuple[tuple[int, ...], ...]
+    torsion_representatives: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=1)
@@ -143,10 +150,16 @@ def lattice_context() -> LatticeContext:
     permutations of each power 0..7 of the symmetry, cross-checked between
     the vertex route and the side-set route; `sides_faces`, the faces on
     each side but the ideal points; and `sides_ideal`, the ideal points
-    on each side."""
+    on each side.  The search reads `vertices`, the actual vertices as
+    faces, and `side_vertices`, those on each side, and each face's cycle
+    length 2^(6 - dim) and wall count.  The torsion check reads the sorted sides of its 288
+    conditions, the actual vertices then the line edges in face order,
+    and of its 36 representatives: per orbit of the symmetry, in the
+    order met, the member with the least vertex ids."""
     ctx = standard_context()
     p6, powers = ctx.polytope, ctx.powers
     lat = face_lattice(p6)
+    faces = lat.faces
     vindex = {v: i for i, v in enumerate(p6.vertices)}
     vperm = []
     for p in range(8):
@@ -155,24 +168,52 @@ def lattice_context() -> LatticeContext:
     fperm = []
     for p in range(8):
         perm = []
-        for f in lat.faces:
+        for f in faces:
             mask = 0
             m = f.vertex_mask
             while m:
                 low = m & -m
                 mask |= 1 << vperm[p][low.bit_length() - 1]
                 m ^= low
-            g = lat.faces[lat.by_vertex_mask[mask]]
+            g = faces[lat.by_vertex_mask[mask]]
             if frozenset(ctx.sigma_pows[p][s] for s in f.sides) != g.sides:
                 raise AssertionError(
                     "vertex and side transport routes disagree")
             perm.append(g.index)
         fperm.append(tuple(perm))
-    ideal = [f for f in lat.faces if f.ideal_point]
-    return LatticeContext(lat, tuple(vperm), tuple(fperm),
-                          _sides_faces(lat, 27),
-                          tuple(tuple(f.index for f in ideal if s in f.sides)
-                                for s in range(27)))
+    sides_faces = _sides_faces(lat, 27)
+    ideal = [f for f in faces if f.ideal_point]
+    vertices = tuple(f.index for f in faces
+                     if f.dim == 0 and not f.ideal_point)
+    lines = tuple(f.index for f in faces if f.edge_kind == "line")
+    reps = []
+    for pool, total in ((vertices, 9), (lines, 36)):  # orbits so far
+        seen: set[int] = set()
+        for f in pool:
+            if f in seen:
+                continue
+            orbit = {fperm[p][f] for p in range(8)}
+            if len(orbit) != 8:
+                raise AssertionError("the order-8 symmetry does not act "
+                                     "freely on the torsion conditions")
+            seen |= orbit
+            reps.append(min(orbit, key=lambda g: lat.vertex_ids(faces[g])))
+        if len(reps) != total:
+            raise AssertionError("unexpected orbit count")
+
+    def sides_of(fs) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(faces[f].sides)) for f in fs)
+
+    return LatticeContext(
+        lat, tuple(vperm), tuple(fperm), sides_faces,
+        tuple(tuple(f.index for f in ideal if s in f.sides)
+              for s in range(27)),
+        vertices,
+        tuple(tuple(f for f in on_side if faces[f].dim == 0)
+              for on_side in sides_faces),
+        tuple(2 ** (6 - f.dim) for f in faces),
+        tuple(len(f.sides) for f in faces),
+        sides_of(vertices + lines), sides_of(reps))
 
 
 def _sides_faces(lat: FaceLattice, sides: int) -> tuple[tuple[int, ...], ...]:
@@ -422,34 +463,16 @@ class TorsionCertificate:
         }
 
 
-def _vertex_edge_sets(lat: FaceLattice) -> tuple[list[tuple[int, ...]],
-                                                 list[tuple[int, ...]]]:
-    verts = []
-    for f in lat.faces:
-        if f.dim == 0 and not f.ideal_point:
-            verts.append((f.index, tuple(sorted(f.sides))))
-    edges = []
-    for f in lat.faces:
-        if f.dim == 1 and f.edge_kind == "line":
-            edges.append((f.index, tuple(sorted(f.sides))))
-    verts.sort()
-    edges.sort()
-    return verts, edges
-
-
 def torsion_free_H(cmx: CodeMatrix, mode: str = "full") -> TorsionCertificate:
     """Check GF(2) independence of the wall columns meeting at each actual
     vertex (six columns) and along each two-ended ideal edge (five
     columns); in reduced mode only on representatives of the free order-8
     symmetry orbits."""
-    ctx = lattice_context()
-    verts, edges = _vertex_edge_sets(ctx.lattice)
-    if mode == "reduced":
-        items = _orbit_representatives(ctx.lattice, ctx.fperm, verts, edges)
-    elif mode == "full":
-        items = [sides for _, sides in verts] + [sides for _, sides in edges]
-    else:
+    if mode not in ("full", "reduced"):
         raise ValueError("mode must be 'full' or 'reduced'")
+    ctx = lattice_context()
+    items = (ctx.torsion_conditions if mode == "full"
+             else ctx.torsion_representatives)
     failures = []
     for sides in items:
         if not columns_independent(cmx.matrix, sides):
@@ -460,35 +483,6 @@ def torsion_free_H(cmx: CodeMatrix, mode: str = "full") -> TorsionCertificate:
         mode=mode,
         failures=tuple(failures),
         representative_sets=tuple(frozenset(s) for s in items))
-
-
-def _orbit_representatives(lat, fperm, verts, edges) -> list[tuple[int, ...]]:
-    reps: list[tuple[int, ...]] = []
-    for pool, expected in ((verts, 9), (edges, 27)):
-        sides_of = dict(pool)
-        seen: set[int] = set()
-        count = 0
-        for fidx, _ in pool:
-            if fidx in seen:
-                continue
-            orbit = {fidx}
-            x = fidx
-            while True:
-                x = fperm[1][x]
-                if x == fidx:
-                    break
-                orbit.add(x)
-            if len(orbit) != 8:
-                raise CertificationError(
-                    "order-8 symmetry does not act freely; the reduced "
-                    "check is unavailable")
-            seen.update(orbit)
-            rep = min(orbit, key=lambda f: tuple(lat.vertex_ids(lat.faces[f])))
-            reps.append(sides_of[rep])
-            count += 1
-        if count != expected:
-            raise AssertionError("unexpected orbit count")
-    return reps
 
 
 def _relator_span(

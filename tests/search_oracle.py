@@ -24,7 +24,8 @@ def oracle_search(
     sigma_pows = pg.standard_context().sigma_pows
     ctx = lattice_context()
     nf = len(ctx.lattice.faces)
-    caps, walls, side_vertices = pg._search_tables()
+    caps, walls = ctx.cycle_lengths, ctx.wall_counts
+    side_vertices = ctx.side_vertices
     cyc = FaceCycles(8 * nf)
     size, asg = cyc.size, cyc.asg
     entries: list[list[tuple[int, int] | None]] = [

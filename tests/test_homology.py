@@ -646,6 +646,12 @@ def test_encode_rejects_unexpected_torsion():
     h = hm.HomologyGroups(1, (3,))
     with pytest.raises(hm.ComplexError):
         h.encode()
+    # one decimal digit per count: Z + 10 Z/2 + Z/4 would read as
+    # Z^11 + Z/4
+    for h, name in ((hm.HomologyGroups(10, ()), "rank 10"),
+                    (hm.HomologyGroups(1, (2,) * 10 + (4,)), "Z/2 count 10")):
+        with pytest.raises(hm.ComplexError, match=name):
+            h.encode()
 
 
 def test_complex_export_shape():

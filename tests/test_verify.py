@@ -155,6 +155,20 @@ def test_context_fields_agree():
         for p in range(8):
             assert perms[p] == power
             power = tuple(perms[1][x] for x in power)
+    # the sigma-orbits of the 36 torsion representatives partition the
+    # 288 conditions, eight to an orbit
+    orbits = [{tuple(sorted(sigma[s] for s in rep))
+               for sigma in ctx.sigma_pows}
+              for rep in lctx.torsion_representatives]
+    assert len(lctx.torsion_representatives) == 36
+    assert all(len(o) == 8 for o in orbits)
+    assert sorted(c for o in orbits for c in o) == \
+        sorted(lctx.torsion_conditions)
+    assert len(set(lctx.torsion_conditions)) == 288
+    for f in lctx.lattice.faces:
+        if not f.ideal_point:
+            assert lctx.cycle_lengths[f.index] == \
+                2 ** lctx.wall_counts[f.index]
 
 
 def test_code_matrix_matches_embedded():
@@ -314,6 +328,25 @@ def test_certify_manifold_bundles():
     assert cert2.proper.proper and cert2.orientable
     assert cert2.extension["status"] == "inconclusive"
     assert cert2.torsion_full.h_torsion_free
+
+
+def test_certify_an_array_built_from_lists():
+    """Lists are stored as tuples, so the cached face pass can hash the
+    array; anything but an 8 x 27 array of int pairs in 0..7 is refused."""
+    rows = [[list(e) for e in row] for row in pg.published_pairing(1).entries]
+    arr = pg.EightPPairing(rows)
+    assert arr == pg.published_pairing(1)
+    assert vf.certify_manifold(arr, tables.manifold_record(1).code) == \
+        vf.certify_manifold(pg.published_pairing(1))
+    for bad in ([0], [0, 1, 2], [0, 8], [-1, 0], [0, 1.0], [True, 0], "ab",
+                5):
+        broken = [list(row) for row in rows]
+        broken[3][4] = bad
+        with pytest.raises(pg.PairingError, match="copy 4, side 5"):
+            pg.EightPPairing(broken)
+    for bad in (rows[:7], [row[:26] for row in rows], 5, [5] * 8):
+        with pytest.raises(pg.PairingError, match="8 x 27"):
+            pg.EightPPairing(bad)
 
 
 def test_certify_rejects_code_mismatch():
