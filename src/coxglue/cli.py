@@ -155,6 +155,14 @@ def cmd_constants(args) -> int:
     return 0
 
 
+def _encoded(group: hm.HomologyGroups, **powers) -> str | None:
+    """The group's one-digit-per-count code, or None where it has none."""
+    try:
+        return group.encode(**powers)
+    except hm.ComplexError:
+        return None
+
+
 def _homology_payload(mid: int | None, arr: pg.EightPPairing,
                       with_complex: bool) -> dict:
     cx = hm.build_quotient_complex(arr)
@@ -164,11 +172,12 @@ def _homology_payload(mid: int | None, arr: pg.EightPPairing,
         "euler_characteristic": cx.euler_characteristic(),
         "cell_counts": {str(d): c for d, c in cx.counts().items()},
         "homology": {f"H{d}": str(g) for d, g in enumerate(groups)},
-        "homology_encoded": [groups[d].encode() for d in range(1, 6)],
+        "homology_encoded": [_encoded(groups[d]) for d in range(1, 6)],
         "cusp_components": len(secs),
         "cusp_homology": sorted(
-            [sec[d].encode(powers=(2, 4)) for d in range(1, 6)]
-            for sec in secs),
+            ([_encoded(sec[d], powers=(2, 4)) for d in range(1, 6)]
+             for sec in secs),
+            key=lambda codes: [c or "" for c in codes]),
     }
     if mid is not None:
         rec = tables.manifold_record(mid)

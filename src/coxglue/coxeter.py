@@ -7,11 +7,10 @@ on column vectors in R^{n,1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
-
-import mpmath
 
 from .lorentz import (
     Mat,
@@ -246,7 +245,7 @@ class PiMultiple:
     pi_power: int
 
     def __float__(self) -> float:
-        return float(self.coefficient) * float(mpmath.pi) ** self.pi_power
+        return float(self.coefficient) * math.pi ** self.pi_power
 
     def __str__(self) -> str:
         c = self.coefficient
@@ -259,6 +258,7 @@ class PiMultiple:
 
 def dirichlet_beta(s: int) -> mpmath.mpf:
     """L(s) = 1 - 3^-s + 5^-s - ..., via Hurwitz zeta, to 30 digits."""
+    import mpmath
     with mpmath.workdps(30):
         val = (mpmath.zeta(s, mpmath.mpf(1) / 4)
                - mpmath.zeta(s, mpmath.mpf(3) / 4)) / 4 ** s
@@ -334,6 +334,7 @@ def constants(n: int) -> GroupConstants:
             euler_char_gamma2=chi_gamma2,
             euler_char_full=chi_gamma2 / index,
             kappa=kappa)
+    import mpmath  # odd dimensions only: the gluing path never loads it
     with mpmath.workdps(30):
         if n == 3:
             vol_num = dirichlet_beta(2)

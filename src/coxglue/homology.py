@@ -79,89 +79,75 @@ def truncated_cells() -> TruncatedCells:
     cell i, `cells[i]` = ('f', face) or ('l', ideal vertex, face), of
     dimension `cell_dim[i]` over face `cell_face[i]`, with facets
     `cell_facets[i]` and their signs `incidence[i]`; the symmetry's power
-    t on cells `cell_perm[t]`, and its orientation signs `orient[t]`."""
+    t on cells `cell_perm[t]`, and its orientation signs `orient[t]`.
+    Each facet sign is read once per cover pair (f, g): ('l', w, f) ->
+    ('l', w, g) has the sign of ('f', f) -> ('f', g), and ('f', f) ->
+    ('l', w, f), whose new wall is the cut wall, last, (-1)^|sides(f)|."""
     ctx, lctx = standard_context(), lattice_context()
     lat, vperm, fperm = lctx.lattice, lctx.vperm, lctx.fperm
-    n_act, nsides = ctx.polytope.n_actual, len(ctx.sigma)
+    faces = lat.faces
 
-    # cells: ('f', face) for truncated faces, ('l', wid, face) for cut cubes
-    cells: list[tuple] = []
-    cell_dim: list[int] = []
-    for f in lat.faces:
-        if not f.ideal_point:
-            cells.append(("f", f.index))
-            cell_dim.append(f.dim)
-    for f in lat.faces:
-        if f.ideal_point or f.dim == 0:
-            continue
-        for wid in lat.ideal_vertex_ids(f):
-            cells.append(("l", wid, f.index))
-            cell_dim.append(f.dim - 1)
-    cell_id = {key: i for i, key in enumerate(cells)}
+    # cells: ('f', face) for the truncated faces, then ('l', w, face) for
+    # the cut corners; face f is cell fcell[f], its corner at w corner[f][w]
+    tops = [f.index for f in faces if not f.ideal_point]
+    corners = [(w, f.index) for f in faces if f.dim and not f.ideal_point
+               for w in lat.ideal_vertex_ids(f)]
+    fcell = {f: i for i, f in enumerate(tops)}
+    corner: list[dict[int, int]] = [{} for _ in faces]
+    for i, (w, f) in enumerate(corners, len(tops)):
+        corner[f][w] = i
 
-    # facets
+    # the truncated covers g of each face f with the sign of ('f', f) ->
+    # ('f', g): (-1)^#(sides of f below the one new wall of g)
+    down: list[list[tuple[int, int]]] = []
+    for f in faces:
+        own = sorted(f.sides)
+        pairs = []
+        for g in f.covers:
+            if not faces[g].ideal_point:
+                (j,) = faces[g].sides - f.sides
+                pairs.append((g, -1 if bisect_left(own, j) % 2 else 1))
+        down.append(pairs)
+
     cell_facets: list[tuple[int, ...]] = []
-    for key in cells:
-        out = []
-        if key[0] == "f":
-            f = lat.faces[key[1]]
-            for g in f.covers:
-                if not lat.faces[g].ideal_point:
-                    out.append(cell_id[("f", g)])
-            if f.dim >= 1:
-                for wid in lat.ideal_vertex_ids(f):
-                    out.append(cell_id[("l", wid, f.index)])
-        else:
-            _, wid, fidx = key
-            f = lat.faces[fidx]
-            if f.dim >= 2:
-                for g in f.covers:
-                    gf = lat.faces[g]
-                    if not gf.ideal_point and (gf.vertex_mask >> wid) & 1:
-                        out.append(cell_id[("l", wid, g)])
-        cell_facets.append(tuple(out))
+    incidence: list[tuple[int, ...]] = []
+    for f in tops:
+        cut = -1 if len(faces[f].sides) % 2 else 1
+        cell_facets.append(tuple([fcell[g] for g, _ in down[f]]
+                                 + list(corner[f].values())))
+        incidence.append(tuple([s for _, s in down[f]]
+                               + [cut] * len(corner[f])))
+    for w, f in corners:
+        pairs = [(corner[g][w], s) for g, s in down[f] if w in corner[g]]
+        cell_facets.append(tuple(c for c, _ in pairs))
+        incidence.append(tuple(s for _, s in pairs))
 
-    cell_perm = []
-    for p in range(8):
-        perm = []
-        for key in cells:
-            if key[0] == "f":
-                img = ("f", fperm[p][key[1]])
-            else:
-                img = ("l", vperm[p][key[1]], fperm[p][key[2]])
-            perm.append(cell_id[img])
-        cell_perm.append(tuple(perm))
-
-    # the walls of each cell, sorted: its sides, then the cut wall of a
-    # cut cube, numbered after the sides
-    sides = [sorted(f.sides) for f in lat.faces]
-    walls = [sides[key[-1]] + ([nsides + key[1] - n_act] if key[0] == "l"
-                               else []) for key in cells]
-    incidence = []
-    for x, own in enumerate(walls):
-        signs = []
-        for b in cell_facets[x]:
-            (j,) = set(walls[b]).difference(own)
-            signs.append(-1 if bisect_left(own, j) % 2 else 1)
-        incidence.append(tuple(signs))
+    cell_perm = tuple(
+        tuple([fcell[fp[f]] for f in tops]
+              + [corner[fp[f]][vp[w]] for w, f in corners])
+        for vp, fp in zip(vperm, fperm))
 
     # orient[t][X]: det sigma^t = (-1)^t times the sign of the permutation
     # that sorts sigma^t(walls of X); sigma^t keeps the cut walls after
-    # the sides, so only the sides of X's face can come out of order
-    orient = []
-    for t, moved in enumerate(ctx.sigma_pows):
-        face_sign = []
-        for own in sides:
-            img = [moved[s] for s in own]
-            swaps = sum(a > b for a, b in combinations(img, 2))
-            face_sign.append(-1 if (t + swaps) % 2 else 1)
-        orient.append(tuple(face_sign[key[-1]] for key in cells))
+    # the sides, so only the sides of X's face can come out of order.
+    # Along sigma^t = sigma sigma^(t-1) these signs multiply: sigma^t's
+    # parity on face f sums sigma's on f, sigma f, ..., sigma^(t-1) f
+    cell_face = tuple(tops + [f for _, f in corners])
+    flips = [sum(a > b for a, b in combinations(
+        [ctx.sigma[s] for s in sorted(f.sides)], 2)) % 2 for f in faces]
+    orient, parity = [], [0] * len(faces)
+    for t, fp in enumerate(fperm):
+        orient.append(tuple([-1 if (t + parity[f]) % 2 else 1
+                             for f in cell_face]))
+        parity = [p ^ flips[fp[f]] for f, p in enumerate(parity)]
 
     return TruncatedCells(
-        cells=tuple(cells), cell_dim=tuple(cell_dim),
-        cell_facets=tuple(cell_facets), cell_perm=tuple(cell_perm),
-        orient=tuple(orient), incidence=tuple(incidence),
-        cell_face=tuple(key[-1] for key in cells))
+        cells=tuple([("f", f) for f in tops]
+                    + [("l", w, f) for w, f in corners]),
+        cell_dim=tuple([faces[f].dim for f in tops]
+                       + [faces[f].dim - 1 for _, f in corners]),
+        cell_facets=tuple(cell_facets), cell_perm=cell_perm,
+        orient=tuple(orient), incidence=tuple(incidence), cell_face=cell_face)
 
 
 # -- quotient complex -----------------------------------------------------

@@ -147,40 +147,42 @@ class LatticeContext:
 @lru_cache(maxsize=1)
 def lattice_context() -> LatticeContext:
     """The dimension-6 `lattice`; the vertex (`vperm`) and face (`fperm`)
-    permutations of each power 0..7 of the symmetry, cross-checked between
-    the vertex route and the side-set route; `sides_faces`, the faces on
-    each side but the ideal points; and `sides_ideal`, the ideal points
-    on each side.  The search reads `vertices`, the actual vertices as
-    faces, and `side_vertices`, those on each side, and each face's cycle
-    length 2^(6 - dim) and wall count.  The torsion check reads the sorted sides of its 288
+    permutations of each power 0..7 of the symmetry sigma: sigma's own
+    through its matrix, each face cross-checked between the vertex route
+    and the side-set route, then composed, with sigma^8 the identity;
+    `sides_faces`, the faces on each side but the ideal points; and
+    `sides_ideal`, the ideal points on each side.  The search reads
+    `vertices`, the actual vertices as faces, and `side_vertices`, those
+    on each side, and each face's cycle length 2^(6 - dim) and wall
+    count.  The torsion check reads the sorted sides of its 288
     conditions, the actual vertices then the line edges in face order,
     and of its 36 representatives: per orbit of the symmetry, in the
     order met, the member with the least vertex ids."""
     ctx = standard_context()
-    p6, powers = ctx.polytope, ctx.powers
+    p6 = ctx.polytope
     lat = face_lattice(p6)
     faces = lat.faces
     vindex = {v: i for i, v in enumerate(p6.vertices)}
-    vperm = []
-    for p in range(8):
-        vperm.append(tuple(vindex[mat_vec(powers[p], v)]
-                           for v in p6.vertices))
-    fperm = []
-    for p in range(8):
-        perm = []
-        for f in faces:
-            mask = 0
-            m = f.vertex_mask
-            while m:
-                low = m & -m
-                mask |= 1 << vperm[p][low.bit_length() - 1]
-                m ^= low
-            g = faces[lat.by_vertex_mask[mask]]
-            if frozenset(ctx.sigma_pows[p][s] for s in f.sides) != g.sides:
-                raise AssertionError(
-                    "vertex and side transport routes disagree")
-            perm.append(g.index)
-        fperm.append(tuple(perm))
+    vsigma = [vindex[mat_vec(ctx.powers[1], v)] for v in p6.vertices]
+    fsigma = []
+    for f in faces:
+        mask = 0
+        m = f.vertex_mask
+        while m:
+            low = m & -m
+            mask |= 1 << vsigma[low.bit_length() - 1]
+            m ^= low
+        g = faces[lat.by_vertex_mask[mask]]
+        if frozenset(ctx.sigma_pows[1][s] for s in f.sides) != g.sides:
+            raise AssertionError("vertex and side transport routes disagree")
+        fsigma.append(g.index)
+    vperm = [tuple(range(len(vsigma)))]
+    fperm = [tuple(range(len(faces)))]
+    for perms, sigma in ((vperm, vsigma), (fperm, fsigma)):
+        for _ in range(8):
+            perms.append(tuple([sigma[x] for x in perms[-1]]))
+        if perms.pop() != perms[0]:
+            raise AssertionError("sigma^8 is not the identity")
     sides_faces = _sides_faces(lat, 27)
     ideal = [f for f in faces if f.ideal_point]
     vertices = tuple(f.index for f in faces

@@ -275,6 +275,36 @@ def test_homology_payload_rejects_improper_array():
         _homology_payload(None, mut, False)
 
 
+def test_homology_prints_groups_the_encoding_cannot_hold(
+        tmp_path, capsys, monkeypatch):
+    """H2 = Z + 10 Z/2 + Z/4, found by the unconstrained search, has a
+    count above 9, and a cusp's Z/8 is outside its encoding: both are
+    printed, encoded as null, and the command succeeds."""
+    homology_groups, cusp_sections = hm.homology_groups, hm.cusp_sections
+    big = hm.HomologyGroups(1, (2,) * 10 + (4,))
+    eight = hm.HomologyGroups(0, (8,))
+    monkeypatch.setattr(hm, "homology_groups", lambda cx: [
+        big if d == 2 else g for d, g in enumerate(homology_groups(cx))])
+    monkeypatch.setattr(hm, "cusp_sections", lambda cx: [
+        sec[:1] + [eight] + sec[2:] if i == 0 else sec
+        for i, sec in enumerate(cusp_sections(cx))])
+    path = tmp_path / "arr.txt"
+    path.write_text(tables.pairing_array_text(1))
+    code, out = run(capsys, "homology", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["homology"]["H2"] == str(big)
+    rec = tables.manifold_record(1)
+    assert payload["homology_encoded"] == \
+        [None if d == 2 else c for d, c in enumerate(rec.homology, 1)]
+    assert payload["cusp_components"] == rec.cusps
+    cusps = payload["cusp_homology"]
+    assert sum(c[0] is None for c in cusps) == 1
+    assert all(None not in c[1:] for c in cusps)
+    assert sorted(c[1:] for c in cusps) == \
+        sorted(list(r[1:]) for r in rec.cusp_homology)
+
+
 @pytest.mark.parametrize("jobs, workers", [("100000", 9), ("2", 2)])
 def test_report_pool_has_at_most_one_worker_per_gluing(capsys, monkeypatch,
                                                        jobs, workers):

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from coxglue import coxeter as cx
@@ -209,6 +215,40 @@ def test_constants_exact_even():
         assert c.vol_polytope.coefficient == \
             c.covolume.coefficient * c.symmetry_order
     assert cx.constants(6).euler_char_full == Fraction(-1, 414720)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_pi_multiples_float_as_with_mpmath_pi(n):
+    """math.pi is float(mpmath.pi), so the floats match mpmath's exactly."""
+    c = cx.constants(n)
+    for value in (c.vol_polytope, c.covolume):
+        assert float(value) == \
+            float(value.coefficient) * float(mpmath.pi) ** value.pi_power
+
+
+def test_gluing_path_never_imports_mpmath():
+    """Only the odd-dimensional constants load mpmath: not the contexts,
+    a certification with homology, nor a search."""
+    script = textwrap.dedent("""
+        import sys
+        from coxglue import cli, homology, pairing, verify
+        pairing.standard_context()
+        verify.lattice_context()
+        homology.truncated_cells()
+        assert cli.certify_one(1)["ok"]
+        result = pairing.search_pairings(None, node_budget=100)
+        assert result.nodes_used == 100
+        assert "mpmath" not in sys.modules
+        from coxglue.coxeter import constants
+        constants(5)
+        assert "mpmath" in sys.modules
+    """)
+    src = str(Path(cx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 def test_constants_gauss_bonnet_relation():

@@ -171,6 +171,21 @@ def test_context_fields_agree():
                 2 ** lctx.wall_counts[f.index]
 
 
+def test_lattice_context_checks_sigma_against_its_matrix(monkeypatch):
+    """The face map read through sigma's matrix must agree with sigma's
+    side permutation: a context whose sigma_pows[1] swaps two sides its
+    matrix does not fails the check."""
+    ctx = pg.standard_context()
+    moved = list(ctx.sigma_pows[1])
+    moved[0], moved[1] = moved[1], moved[0]
+    bad = dataclasses.replace(ctx, sigma_pows=(
+        ctx.sigma_pows[0], tuple(moved), *ctx.sigma_pows[2:]))
+    monkeypatch.setattr(vf, "standard_context", lambda: bad)
+    with pytest.raises(AssertionError,
+                       match="vertex and side transport routes disagree"):
+        vf.lattice_context.__wrapped__()
+
+
 def test_code_matrix_matches_embedded():
     cmx = vf.build_code_matrix(tables.manifold_record(1).code)
     assert cmx.matrix.row_list() == [list(r) for r in tables.code_matrix_m1()]
