@@ -255,60 +255,53 @@ def cmd_search(args) -> int:
 
 
 def _report_static_items() -> dict[str, bool]:
-    items: dict[str, bool] = {}
-    try:
-        lat = face_lattice(build_polytope(6))
-        c = lat.census()
-        items["polytope6_census"] = (
-            c["actual_vertices"], c["ideal_vertices"], c["ray_edges"],
-            c["line_edges"], c["faces_2"], c["faces_3"], c["faces_4"],
-            c["sides"]) == (72, 27, 432, 216, 1080, 720, 216, 27)
-    except Exception:
-        items["polytope6_census"] = False
-    try:
-        c2 = constants(2).vol_polytope
-        c4 = constants(4).vol_polytope
+    def polytope6_census() -> bool:
+        c = face_lattice(build_polytope(6)).census()
+        return (c["actual_vertices"], c["ideal_vertices"], c["ray_edges"],
+                c["line_edges"], c["faces_2"], c["faces_3"], c["faces_4"],
+                c["sides"]) == (72, 27, 432, 216, 1080, 720, 216, 27)
+
+    def group_constants() -> bool:
         c6 = constants(6)
         c8 = constants(8)
-        items["group_constants"] = (
-            str(c2) == "pi/2" and str(c4) == "pi^2/12"
-            and str(c6.vol_polytope) == "pi^3/15"
-            and str(c8.vol_polytope) == "136*pi^4/105"
-            and c6.index_gamma2 == 51840
-            and c6.euler_char_gamma2 == Fraction(-1, 8)
-            and c8.euler_char_gamma2 == Fraction(17, 4))
-    except Exception:
-        items["group_constants"] = False
-    try:
-        signs = tables.digit_signs()
-        items["digit_codec"] = all(
-            pg.decode_digit(ch).signs == row[:6]
-            and pg.encode_digit(pg.decode_digit(ch)) == ch
-            for ch, row in signs.items())
-    except Exception:
-        items["digit_codec"] = False
-    try:
+        return (str(constants(2).vol_polytope) == "pi/2"
+                and str(constants(4).vol_polytope) == "pi^2/12"
+                and str(c6.vol_polytope) == "pi^3/15"
+                and str(c8.vol_polytope) == "136*pi^4/105"
+                and c6.index_gamma2 == 51840
+                and c6.euler_char_gamma2 == Fraction(-1, 8)
+                and c8.euler_char_gamma2 == Fraction(17, 4))
+
+    def digit_codec() -> bool:
+        return all(pg.decode_digit(ch).signs == row[:6]
+                   and pg.encode_digit(pg.decode_digit(ch)) == ch
+                   for ch, row in tables.digit_signs().items())
+
+    def certification_tables() -> bool:
+        from .gf2 import Gf2Matrix
         cmx = vf.build_code_matrix(tables.manifold_record(1).code)
         action = vf.pair_space_action(cmx)
-        from .gf2 import Gf2Matrix
-        items["certification_tables"] = (
-            cmx.matrix.row_list() == [list(r) for r in tables.code_matrix_m1()]
-            and action.bits == Gf2Matrix.from_rows(
-                tables.sideperm_action_m1()).bits
-            and (action.power(4) + Gf2Matrix.identity(21)).bits
-            == Gf2Matrix.from_rows(tables.order4_action_m1()).bits
-            and set(vf.torsion_free_H(cmx, "reduced").representative_sets)
-            == set(tables.independent_sets_m1()))
-    except Exception:
-        items["certification_tables"] = False
-    try:
-        items["restriction"] = (
-            pg.restrict_code(tables.manifold_record(1).code).digits
-            == "EKB98LLG6R2"
-            and len({pg.restrict_code(tables.manifold_record(m).code).digits
-                     for m in range(3, 10)}) == 1)
-    except Exception:
-        items["restriction"] = False
+        return (cmx.matrix.row_list()
+                == [list(r) for r in tables.code_matrix_m1()]
+                and action.bits
+                == Gf2Matrix.from_rows(tables.sideperm_action_m1()).bits
+                and (action.power(4) + Gf2Matrix.identity(21)).bits
+                == Gf2Matrix.from_rows(tables.order4_action_m1()).bits
+                and set(vf.torsion_free_H(cmx, "reduced").representative_sets)
+                == set(tables.independent_sets_m1()))
+
+    def restriction() -> bool:
+        digits = [pg.restrict_code(tables.manifold_record(m).code).digits
+                  for m in (1, *range(3, 10))]
+        return digits[0] == "EKB98LLG6R2" and len(set(digits[1:])) == 1
+
+    items: dict[str, bool] = {}
+    for check in (polytope6_census, group_constants, digit_codec,
+                  certification_tables, restriction):
+        try:
+            items[check.__name__] = check()
+        except Exception:
+            items[check.__name__] = False
     return items
 
 

@@ -240,6 +240,10 @@ class EightPPairing:
 
     def relabeled(self, perm: Sequence[int]) -> "EightPPairing":
         """Renumber the eight copies by perm (old index -> new index)."""
+        perm = tuple(perm)
+        if len(perm) != 8 or set(perm) != set(range(8)):
+            raise PairingError(
+                f"copy relabeling {list(perm)} is not a permutation of 0..7")
         rows: list[tuple[tuple[int, int], ...]] = [()] * 8
         for i in range(8):
             rows[perm[i]] = tuple((perm[k], p) for k, p in self.entries[i])

@@ -5,10 +5,15 @@ simplex under its finite symmetry group: side normals are the orbit of the
 n-th coordinate reflection normal, vertices the orbits of the time basis
 vector (actual) and of the first ideal simplex vertex (lightlike).
 
-Faces are enumerated top down: a face is recorded via the closed set of
-sides containing it, extensions add one perpendicular side at a time, and
-the affine dimension of every face is certified by an exact rank check on
-its incident vertices.
+The non-ideal faces of a right-angled polytope are exactly the sets of
+pairwise perpendicular sides whose intersection holds a vertex; the
+polytope itself is the empty set. The faces of codimension k + 1 come from
+extending each face S of codimension k by every side a > max(S) that is
+perpendicular to all of S and meets it. Faces are numbered by codimension,
+then lexicographically by sorted sides, with the ideal points last in
+vertex order, so every cover list comes out ascending. An exact rank check
+on its vertices certifies each face's dimension, and the sides containing
+those vertices must be exactly S.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import tables
@@ -75,12 +81,8 @@ class RightAngledPolytope:
         return out
 
     def perpendicular_pairs(self) -> set[tuple[int, int]]:
-        pairs = set()
-        for i in range(len(self.normals)):
-            for j in range(i + 1, len(self.normals)):
-                if lorentz_inner(self.normals[i], self.normals[j]) == 0:
-                    pairs.add((i, j))
-        return pairs
+        return {(i, j) for i, j in combinations(range(len(self.normals)), 2)
+                if lorentz_inner(self.normals[i], self.normals[j]) == 0}
 
     def validate(self) -> None:
         for u in self.normals:
@@ -164,124 +166,79 @@ class FaceLattice:
         poly = self.polytope
         n = poly.dim
         nsides = len(poly.normals)
+        all_sides = (1 << nsides) - 1
         inc = poly.incidence_masks()
         smask = poly.side_masks(inc)
-        nv = len(poly.vertices)
-        all_verts = (1 << nv) - 1
+        homog = poly.vertices
+        actual = (1 << poly.n_actual) - 1
         perp = [0] * nsides
         for i, j in poly.perpendicular_pairs():
             perp[i] |= 1 << j
             perp[j] |= 1 << i
 
-        homog = list(poly.vertices)
-
-        def face_dim(vmask: int) -> int:
+        def add_face(vmask: int, sbits: int | None = None) -> int:
+            """Record a face: a non-ideal one with its sides `sbits`, which
+            must be all sides at its vertices; an ideal point with those."""
             span = RowSpan()
-            m = vmask
-            while m:
-                low = m & -m
-                span.add(homog[low.bit_length() - 1])
-                if span.rank == n + 1:
-                    break
-                m ^= low
-            return span.rank - 1
-
-        def closure_sides(vmask: int) -> int:
-            out = (1 << nsides) - 1
-            m = vmask
-            while m and out:
-                low = m & -m
-                out &= smask[low.bit_length() - 1]
-                m ^= low
-            return out
-
-        def add_face(smask_bits: int, vmask: int) -> int:
-            sides = frozenset(_bits(smask_bits))
-            dim = face_dim(vmask)
-            idx = len(self.faces)
-            face = Face(idx, dim, sides, vmask)
-            if dim == 0:
-                vid = vmask.bit_length() - 1
-                face.ideal_point = not poly.is_actual(vid)
-            elif dim == 1:
-                ids = list(_bits(vmask))
-                acts = sum(1 for v in ids if poly.is_actual(v))
-                if len(ids) != 2:
-                    raise LatticeError("edge with unexpected vertex count")
-                face.edge_kind = ("line", "ray", "segment")[acts]
-            if not face.ideal_point and len(sides) != n - dim:
-                raise LatticeError(
-                    f"face of dim {dim} lies in {len(sides)} sides")
-            self.faces.append(face)
-            self.by_sides[sides] = idx
+            closure = all_sides
+            for vid in _bits(vmask):
+                span.add(homog[vid])
+                closure &= smask[vid]
+            dim = span.rank - 1
+            ideal_point = sbits is None
+            sides = frozenset(_bits(closure if ideal_point else sbits))
+            if sbits == 0 and dim != n:
+                raise _face_error(sides, dim, "vertex set does not span the "
+                                  "ambient space")
+            if not ideal_point and closure != sbits:
+                raise _face_error(sides, dim, "its vertices lie in sides "
+                                  f"{_one_based(_bits(closure))}")
+            if not ideal_point and len(sides) != n - dim:
+                raise _face_error(sides, dim, f"expected dim {n - len(sides)}")
+            if dim == 1 and vmask.bit_count() != 2:
+                raise _face_error(sides, dim,
+                                  f"edge with {vmask.bit_count()} vertices")
+            face = Face(len(self.faces), dim, sides, vmask, ideal_point)
+            if dim == 1:
+                face.edge_kind = ("line", "ray", "segment")[
+                    (vmask & actual).bit_count()]
             if vmask in self.by_vertex_mask:
-                raise LatticeError("two faces share a vertex set")
-            self.by_vertex_mask[vmask] = idx
-            return idx
+                other = self.faces[self.by_vertex_mask[vmask]]
+                raise _face_error(sides, dim, "shares its vertex set with the "
+                                  f"face on sides {_one_based(other.sides)}")
+            self.faces.append(face)
+            self.by_sides[sides] = face.index
+            self.by_vertex_mask[vmask] = face.index
+            return face.index
 
-        cand_of: dict[int, int] = {}
-        root = add_face(0, all_verts)
-        if self.faces[root].dim != n:
-            raise LatticeError("vertex set does not span the ambient space")
-        cand_of[root] = (1 << nsides) - 1
-        frontier = [root]
-        seen_pairs: set[tuple[int, int]] = set()
-        while frontier:
-            nxt: list[int] = []
-            for fidx in frontier:
+        # level k: the codim-k faces S in order, with the sides perpendicular
+        # to all of S; S + {a} is new if a > max(S), else made from a smaller S
+        level = [(add_face((1 << len(homog)) - 1, 0), 0, all_sides)]
+        for _ in range(n):
+            nxt = []
+            for fidx, sbits, common in level:
                 face = self.faces[fidx]
-                if face.dim == 0:
-                    continue
-                fsmask = 0
-                for s in face.sides:
-                    fsmask |= 1 << s
-                cand = cand_of[fidx] & ~fsmask
-                m = cand
-                while m:
-                    low = m & -m
-                    m ^= low
-                    a = low.bit_length() - 1
+                for a in _bits(common):
                     vmask = face.vertex_mask & inc[a]
                     if not vmask:
                         continue
-                    csides = closure_sides(vmask)
-                    key = frozenset(_bits(csides))
-                    gidx = self.by_sides.get(key)
-                    if gidx is None:
-                        gidx = add_face(csides, vmask)
-                        new_cand = cand & perp[a]
-                        for s in _bits(csides & ~fsmask & ~low):
-                            new_cand &= perp[s]
-                        cand_of[gidx] = new_cand
-                        nxt.append(gidx)
-                    g = self.faces[gidx]
-                    if g.dim == face.dim - 1 and (fidx, gidx) not in seen_pairs:
-                        seen_pairs.add((fidx, gidx))
-                        face.covers.append(gidx)
-            frontier = nxt
-        # ideal vertices are not reachable through perpendicular extensions
-        # (their incident sides pair up non-perpendicularly); add them now
-        # and hook them below their incident edges
-        for vid, v in enumerate(poly.vertices):
-            if poly.is_actual(vid):
-                continue
-            vmask = 1 << vid
-            if vmask in self.by_vertex_mask:
-                continue
-            add_face(closure_sides(vmask), vmask)
+                    if 1 << a > sbits:
+                        gidx = add_face(vmask, sbits | 1 << a)
+                        nxt.append((gidx, sbits | 1 << a, common & perp[a]))
+                    else:
+                        gidx = self.by_vertex_mask[vmask]
+                    face.covers.append(gidx)
+            level = nxt
+        # no perpendicular extension reaches an ideal vertex (its sides pair
+        # up non-perpendicularly): add them last, below their edges
+        for vid in range(poly.n_actual, len(homog)):
+            add_face(1 << vid)
         for face in self.faces:
-            if face.dim == 1 and not face.ideal_point:
-                for vid in _bits(face.vertex_mask):
-                    if not poly.is_actual(vid):
-                        face.covers.append(self.by_vertex_mask[1 << vid])
-        for face in self.faces:
-            face.covers.sort()
+            if face.dim == 1:
+                face.covers.extend(self.by_vertex_mask[1 << v]
+                                   for v in _bits(face.vertex_mask & ~actual))
 
     # -- queries ---------------------------------------------------------
-    def genuine_faces(self, dim: int) -> list[Face]:
-        return [f for f in self.faces
-                if f.dim == dim and not f.ideal_point]
-
     def counts(self) -> dict[int, int]:
         """Faces of the open polytope per dimension (ideal points excluded)."""
         out: dict[int, int] = {}
@@ -293,14 +250,14 @@ class FaceLattice:
     def census(self) -> dict[str, int]:
         n = self.polytope.dim
         c = self.counts()
-        edges = self.genuine_faces(1)
+        kinds = [f.edge_kind for f in self.faces]
         return {
             "dim": n,
             "sides": c.get(n - 1, 0),
             "actual_vertices": c.get(0, 0),
             "ideal_vertices": sum(1 for f in self.faces if f.ideal_point),
-            "ray_edges": sum(1 for f in edges if f.edge_kind == "ray"),
-            "line_edges": sum(1 for f in edges if f.edge_kind == "line"),
+            "ray_edges": kinds.count("ray"),
+            "line_edges": kinds.count("line"),
             **{f"faces_{d}": c.get(d, 0) for d in range(n + 1)},
         }
 
@@ -313,16 +270,13 @@ class FaceLattice:
                      if not poly.is_actual(v))
 
     def validate(self) -> None:
-        poly = self.polytope
+        normals = self.polytope.normals
         for f in self.faces:
-            if f.ideal_point:
-                continue
-            sides = sorted(f.sides)
-            for i in range(len(sides)):
-                for j in range(i + 1, len(sides)):
-                    if lorentz_inner(poly.normals[sides[i]],
-                                     poly.normals[sides[j]]) != 0:
-                        raise LatticeError("side set is not perpendicular")
+            if not f.ideal_point and any(
+                    lorentz_inner(normals[a], normals[b])
+                    for a, b in combinations(f.sides, 2)):
+                raise _face_error(f.sides, f.dim,
+                                  "sides are not pairwise perpendicular")
 
 
 def _bits(m: int) -> Iterable[int]:
@@ -330,6 +284,16 @@ def _bits(m: int) -> Iterable[int]:
         low = m & -m
         yield low.bit_length() - 1
         m ^= low
+
+
+def _one_based(sides: Iterable[int]) -> list[int]:
+    """Side indices as error messages print them."""
+    return sorted(s + 1 for s in sides)
+
+
+def _face_error(sides: Iterable[int], dim: int, why: str) -> LatticeError:
+    return LatticeError(
+        f"face on sides {_one_based(sides)} of dim {dim}: {why}")
 
 
 @lru_cache(maxsize=None)

@@ -297,6 +297,13 @@ def test_relabeled_pairing_is_involutive():
     assert re.entries != arr.entries
 
 
+@pytest.mark.parametrize("perm", [list(range(1, 9)), list(range(7)), [0] * 8])
+def test_relabeled_rejects_non_permutations(perm):
+    with pytest.raises(pg.PairingError,
+                       match=re.escape(f"relabeling {perm} is not a perm")):
+        pg.published_pairing(1).relabeled(perm)
+
+
 def test_search_budget_zero():
     res = pg.search_pairings(None, node_budget=0)
     assert res.solutions == ()

@@ -1,15 +1,27 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 
 from coxglue import tables
 from coxglue.lorentz import lorentz_inner
 from coxglue.polytope import (
+    FaceLattice,
+    LatticeError,
     build_polytope,
     build_q,
     face_lattice,
     verify_face_identities,
 )
+
+
+def _spec_lattices():
+    """The lattices of P2..P7 and Q5, each built once per process."""
+    for n in range(2, 8):
+        yield face_lattice(build_polytope(n))
+    yield face_lattice(build_q(5))
 
 
 def test_polytope6_matches_published_tables():
@@ -76,15 +88,73 @@ def test_vertex_side_counts():
 
 
 def test_face_side_sets_are_perpendicular():
-    face_lattice(build_polytope(6)).validate()
+    for lat in _spec_lattices():
+        lat.validate()
 
 
 def test_covers_are_graded():
-    lat = face_lattice(build_polytope(6))
-    for f in lat.faces:
-        for g in f.covers:
-            assert lat.faces[g].dim == f.dim - 1
-            assert lat.faces[g].sides > f.sides
+    for lat in _spec_lattices():
+        for f in lat.faces:
+            for g in f.covers:
+                assert lat.faces[g].dim == f.dim - 1
+                assert lat.faces[g].sides > f.sides
+
+
+def test_lattice_meets_its_specification():
+    """Read off the incidence data alone: the non-ideal faces are the sets
+    of pairwise perpendicular sides that share a vertex, sorted by
+    codimension and then by sorted sides; the ideal points follow in
+    vertex order; a face covers its extensions by one side, and an edge
+    also its ideal endpoints, in ascending order."""
+    for lat in _spec_lattices():
+        poly = lat.polytope
+        nsides, nv = len(poly.normals), len(poly.vertices)
+        inc = poly.incidence_masks()
+        perp = [sum(1 << b for b in range(nsides)
+                    if lorentz_inner(poly.normals[a], poly.normals[b]) == 0)
+                for a in range(nsides)]
+        real = [f for f in lat.faces if not f.ideal_point]
+        keys = [(len(f.sides), sorted(f.sides)) for f in real]
+        assert keys == sorted(keys) and keys[0] == (0, [])
+        assert [f.vertex_mask for f in lat.faces[len(real):]] == [
+            1 << v for v in range(poly.n_actual, nv)]
+        for f in lat.faces:
+            assert lat.by_vertex_mask[f.vertex_mask] == f.index
+            assert lat.by_sides[f.sides] == f.index
+        for f in real:
+            vmask, common = (1 << nv) - 1, (1 << nsides) - 1
+            for s in f.sides:
+                vmask &= inc[s]
+                common &= perp[s]
+            assert f.vertex_mask == vmask
+            want = []
+            for a in range(nsides):
+                if not common >> a & 1:
+                    continue
+                g = lat.by_sides.get(f.sides | {a})
+                assert (g is not None) == bool(vmask & inc[a])
+                if g is not None:
+                    want.append(g)
+            if f.dim == 1:
+                want += [lat.by_vertex_mask[1 << v] for v in range(nv)
+                         if vmask >> v & 1 and not poly.is_actual(v)]
+            assert f.covers == sorted(want)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: {"actual_vertices": p.actual_vertices[:1],
+                "ideal_vertices": ()},
+     "face on sides [] of dim 0: vertex set does not span the ambient space"),
+    (lambda p: {"normals": p.normals + p.normals[:1]},
+     "face on sides [1] of dim 2: its vertices lie in sides [1, 7]"),
+    (lambda p: {"ideal_vertices": ()},
+     "face on sides [] of dim 1: vertex set does not span the ambient space"),
+], ids=["one-vertex", "duplicate-side", "no-ideal-vertices"])
+def test_malformed_polytope_names_the_face(edit, message):
+    p3 = build_polytope(3)
+    with pytest.raises(LatticeError) as err:
+        FaceLattice(dataclasses.replace(p3, **edit(p3)))
+    assert str(err.value) == message
 
 
 def test_face_identities():
@@ -140,3 +210,12 @@ def test_actual_line_counts_match_conjugacy_table():
     for n, (a, l) in want.items():
         c = face_lattice(build_polytope(n)).census()
         assert (c["actual_vertices"], c["line_edges"]) == (a, l)
+
+
+def test_validate_names_a_face_with_oblique_sides():
+    lat = FaceLattice(build_polytope(3))
+    lat.faces[1].sides = frozenset({0, 3})
+    with pytest.raises(LatticeError, match=re.escape(
+            "face on sides [1, 4] of dim 2: sides are not pairwise "
+            "perpendicular")):
+        lat.validate()
