@@ -300,8 +300,10 @@ def _report_static_items() -> dict[str, bool]:
                   certification_tables, restriction):
         try:
             items[check.__name__] = check()
-        except Exception:
+        except Exception as exc:
             items[check.__name__] = False
+            print(f"coxglue report: {check.__name__} raised "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
     return items
 
 

@@ -151,22 +151,12 @@ def decode_q_code(code: PairingCode | str) -> QSidePairing:
         code = PairingCode(dim, code)
     q = build_q(code.dim)
     ks = code.k_elements()
-    partner = []
-    transforms = []
-    k_of_side = []
-    for s in q.sides:
-        k = ks[s.group]
-        k_of_side.append(k)
-        image = k.apply(s.normal)
-        try:
-            j = q.side_index_of_normal(image)
-        except KeyError as exc:
-            raise PairingError(
-                f"sign flip sends side {s.index} outside the side set") from exc
-        partner.append(j)
-        transforms.append(mat_mul(reflection_in(s.normal), k.matrix()))
-    qsp = QSidePairing(q, code, tuple(partner), tuple(k_of_side),
-                       tuple(transforms))
+    k_of_side = tuple(ks[s.group] for s in q.sides)
+    partner = tuple(q.flips[k.code_value][i]
+                    for i, k in enumerate(k_of_side))
+    transforms = tuple(mat_mul(reflection_in(s.normal), k.matrix())
+                       for s, k in zip(q.sides, k_of_side))
+    qsp = QSidePairing(q, code, partner, k_of_side, transforms)
     qsp.validate()
     return qsp
 
@@ -296,7 +286,6 @@ class Development:
 
     placements: tuple[tuple[int, int, int], ...]
     code: PairingCode
-    side_digits: tuple[int, ...]
 
 
 @lru_cache(maxsize=1)
@@ -414,7 +403,7 @@ def develop(arr: EightPPairing) -> Development:
         digits.append(ALPHABET[vals.pop()])
     code = PairingCode(6, "".join(digits))
     placed = tuple((k, a, i) for k, (a, i) in placements.items())
-    return Development(placed, code, tuple(side_digits))
+    return Development(placed, code)
 
 
 # -- restriction to the cross-section ----------------------------------
@@ -424,20 +413,8 @@ def _q5_group_map() -> list[int]:
     """For each side group of the dimension-5 union, the matching group of
     the dimension-6 union under the coordinate-1 cross-section."""
     q6 = build_q(6)
-    q5 = build_q(5)
-    support6 = {}
-    for s in q6.sides:
-        if s.signs == (1,) * 6:
-            u = s.normal
-            support6[frozenset(i for i, c in enumerate(u[:-1]) if c)] = s.group
-    out = []
-    for s in q5.sides:
-        if s.signs != (1,) * 5:
-            continue
-        u = s.normal
-        support5 = frozenset(i + 1 for i, c in enumerate(u[:-1]) if c)
-        out.append(support6[support5])
-    return out
+    return [q6.sides[q6.side_index_of_normal((0,) + s.normal)].group
+            for s in build_q(5).sides if s.signs == (1,) * 5]
 
 
 def restrict_code(code: PairingCode | str) -> PairingCode:

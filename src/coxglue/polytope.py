@@ -313,7 +313,6 @@ class QSide:
     """One side of the reflected union, tagged by its generating data."""
 
     index: int
-    base_side: int
     signs: tuple[int, ...]
     normal: Vec
     group: int
@@ -347,6 +346,15 @@ class QPolytope:
     def _normal_index(self) -> dict[Vec, int]:
         return {s.normal: s.index for s in self.sides}
 
+    @cached_property
+    def flips(self) -> tuple[tuple[int, ...], ...]:
+        """flips[k][s]: the side that the sign flip with digit value k
+        carries side s to, a symmetry of the union."""
+        index = self._normal_index
+        return tuple(tuple(index[_apply_signs(signs, s.normal)]
+                           for s in self.sides)
+                     for signs in _sign_patterns(self.dim))
+
     def as_polytope(self) -> RightAngledPolytope:
         return RightAngledPolytope(
             self.dim, tuple(s.normal for s in self.sides),
@@ -355,6 +363,13 @@ class QPolytope:
 
 def _apply_signs(signs: Sequence[int], v: Vec) -> Vec:
     return tuple(s * c for s, c in zip(signs, v)) + (v[-1],)
+
+
+def _sign_patterns(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 2^n sign flips on n coordinates, by digit value: bit i of the
+    value flips coordinate i."""
+    return tuple(tuple(1 - 2 * ((k >> i) & 1) for i in range(n))
+                 for k in range(1 << n))
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +386,7 @@ def build_q(n: int) -> QPolytope:
     base = build_polytope(n)
     sides: list[QSide] = []
     group = -1
-    for b, u in enumerate(base.normals):
+    for u in base.normals:
         support = [i for i, c in enumerate(u[:-1]) if c]
         if len(support) <= 1:
             continue
@@ -383,19 +398,13 @@ def build_q(n: int) -> QPolytope:
                 if (m >> bit) & 1:
                     signs[support[bit]] = -1
             normal = _apply_signs(signs, u)
-            sides.append(QSide(len(sides), b, tuple(signs), normal,
+            sides.append(QSide(len(sides), tuple(signs), normal,
                                group, z == 2))
-    actual: set[Vec] = set()
-    for v in base.actual_vertices:
-        if all(c != 0 for c in v[:-1]):
-            for m in range(1 << n):
-                signs = [1 - 2 * ((m >> i) & 1) for i in range(n)]
-                actual.add(_apply_signs(signs, v))
-    ideal: set[Vec] = set()
-    for v in base.ideal_vertices:
-        for m in range(1 << n):
-            signs = [1 - 2 * ((m >> i) & 1) for i in range(n)]
-            ideal.add(_apply_signs(signs, v))
+    patterns = _sign_patterns(n)
+    actual = {_apply_signs(signs, v) for v in base.actual_vertices
+              if all(v[:-1]) for signs in patterns}
+    ideal = {_apply_signs(signs, v) for v in base.ideal_vertices
+             for signs in patterns}
     return QPolytope(base, tuple(sides), tuple(sorted(actual)),
                      tuple(sorted(ideal)))
 

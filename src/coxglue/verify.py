@@ -183,7 +183,7 @@ def lattice_context() -> LatticeContext:
             perms.append(tuple([sigma[x] for x in perms[-1]]))
         if perms.pop() != perms[0]:
             raise AssertionError("sigma^8 is not the identity")
-    sides_faces = _sides_faces(lat, 27)
+    sides_faces = _sides_faces(lat)
     ideal = [f for f in faces if f.ideal_point]
     vertices = tuple(f.index for f in faces
                      if f.dim == 0 and not f.ideal_point)
@@ -218,9 +218,10 @@ def lattice_context() -> LatticeContext:
         sides_of(vertices + lines), sides_of(reps))
 
 
-def _sides_faces(lat: FaceLattice, sides: int) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=None)
+def _sides_faces(lat: FaceLattice) -> tuple[tuple[int, ...], ...]:
     """The faces on each side but the ideal points, in face order."""
-    out: list[list[int]] = [[] for _ in range(sides)]
+    out: list[list[int]] = [[] for _ in lat.polytope.normals]
     for f in lat.faces:
         if not f.ideal_point and f.dim != lat.polytope.dim:
             for s in f.sides:
@@ -307,6 +308,13 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
 def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     """The face pass on the reflected union, as a plain union-find.
 
+    The pairing transform r K, K the sign flip of side m's group and r
+    the reflection in the partner side, carries side m onto its partner
+    as K alone: K maps side m onto the partner side, which r fixes
+    pointwise.  K is a symmetry of the union, so it permutes the sides,
+    and the face on sides S goes to the face on sides K(S), read off
+    `QPolytope.flips`.
+
     Transports lie in the polytope's reflection group W, which acts freely,
     and z = (1, ..., 1, 3) is strictly inside the polytope (<u, z> < 0 for
     every side normal u), so a transport t is known by t . z.  Each face
@@ -316,9 +324,8 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     union-find composing transports as it goes would reject.
     """
     lat = face_lattice(qsp.q)
-    poly = lat.polytope
-    vindex = {v: i for i, v in enumerate(poly.vertices)}
-    nf = len(lat.faces)
+    faces, by_sides = lat.faces, lat.by_sides
+    nf = len(faces)
     partner, transforms = qsp.partner, qsp.transforms
     uf = FaceCycles(nf)
     moved: dict[tuple[int, Vec], Vec] = {}
@@ -333,26 +340,12 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     # forest[x]: the (y, s) with face y = transforms[s] of face x
     forest: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
     closing: list[tuple[int, int, int]] = []  # (face, image, side)
-    for m, faces in enumerate(_sides_faces(lat, len(poly.normals))):
+    for m, on_side in enumerate(_sides_faces(lat)):
         if partner[m] < m:
             continue  # the partner side made the inverse unions
-        # points of side m are carried to the partner side by the inverse
-        g = transforms[partner[m]]
-        gv: dict[int, int] = {}  # vertex -> bit of its image
-        for vid in lat.vertex_ids(lat.faces[lat.by_sides[frozenset((m,))]]):
-            image = vindex.get(mat_vec(g, poly.vertices[vid]))
-            if image is None:
-                raise CertificationError(
-                    "pairing map does not carry a side vertex to a vertex")
-            gv[vid] = 1 << image
-        for fidx in faces:
-            mask = 0
-            for vid in lat.vertex_ids(lat.faces[fidx]):
-                mask |= gv[vid]
-            target = lat.by_vertex_mask.get(mask)
-            if target is None:
-                raise CertificationError("pairing map does not carry a face "
-                                         "to a face")
+        perm = qsp.q.flips[qsp.k_elements[m].code_value]
+        for fidx in on_side:
+            target = by_sides[frozenset([perm[a] for a in faces[fidx].sides])]
             mark = uf.mark()
             uf.union(fidx, target, 0)
             if uf.mark() > mark:
@@ -361,7 +354,7 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
             else:
                 closing.append((fidx, target, m))
     # t . z of every face, the roots' transports being the identity
-    z = (1,) * poly.dim + (3,)
+    z = (1,) * qsp.q.dim + (3,)
     point: list[Vec | None] = [None] * nf
     for r in range(nf):
         if uf.parent[r] != r:
@@ -378,7 +371,7 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     for fidx, target, m in closing:
         if carry(partner[m], point[fidx]) != point[target]:
             violation = {"kind": "holonomy", "side": m + 1,
-                         "face_dim": lat.faces[fidx].dim}
+                         "face_dim": faces[fidx].dim}
             break
     roots = () if violation else [uf.find(x)[0] for x in range(nf)]
     return _cycle_report(uf, lat, roots, violation)

@@ -348,6 +348,20 @@ def test_report_rejects_bad_jobs(capsys, monkeypatch, value):
     assert "COXGLUE_JOBS" in err and repr(value) in err
 
 
+def test_report_names_a_static_item_that_raises(capsys, monkeypatch):
+    def broken(code):
+        raise RuntimeError("no cross-section")
+    monkeypatch.setattr(pg, "restrict_code", broken)
+    items = cli._report_static_items()
+    assert items == {"polytope6_census": True, "group_constants": True,
+                     "digit_codec": True, "certification_tables": True,
+                     "restriction": False}
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("coxglue report: restriction raised RuntimeError: "
+                   "no cross-section\n")
+
+
 def test_report_all_pass(capsys, monkeypatch):
     monkeypatch.setenv("COXGLUE_JOBS", "1")
     code, out = run(capsys, "report", "--json")

@@ -234,6 +234,30 @@ def test_restriction():
     assert restricted == {"2B7JB47JG81"}
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_flips_are_the_sign_flip_action(n):
+    q = polytope.build_q(n)
+    flips = q.flips
+    assert len(flips) == 1 << n
+    assert flips[0] == tuple(range(len(q.sides)))
+    for a in range(1 << n):
+        k = pg.KElement.from_value(a, n)
+        assert flips[a] == tuple(q.side_index_of_normal(k.apply(s.normal))
+                                 for s in q.sides)
+        for b in range(1 << n):
+            assert tuple(flips[a][s] for s in flips[b]) == flips[a ^ b]
+
+
+def test_development_walls_are_the_flips():
+    """Development and decoding read one sign-flip action on the sides."""
+    flips = polytope.build_q(6).flips
+    walls = pg._develop_tables()[1]
+    for row in walls:
+        if row[0] is not None:  # a non-coordinate side of the polytope
+            assert row == tuple(flips[k][row[0]] for k in range(64))
+    assert sum(row[0] is not None for row in walls) == 21
+
+
 def test_builders_return_one_object_per_input():
     q6 = polytope.build_q(6)
     assert polytope.build_q(6) is q6

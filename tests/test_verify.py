@@ -17,8 +17,9 @@ from coxglue import verify as vf
 from coxglue.coxeter import sigma_permutation
 from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import identity, lorentz_inner, mat_mul
-from coxglue.polytope import build_polytope
+from coxglue.polytope import build_polytope, face_lattice
 
+from q_face_map import vertex_image_targets
 from transport_union_find import TransportUnionFind
 
 
@@ -309,6 +310,27 @@ def test_q_route_holonomy_witness(code, side, face_dim):
     assert not cert.proper
     assert cert.violation == {"kind": "holonomy", "side": side,
                               "face_dim": face_dim}
+
+
+@pytest.mark.parametrize("code", [
+    tables.manifold_record(1).code,
+    "l65OoFIcN9YEdXHYIO6l3",  # a holonomy mutant
+    "EKB98LLG6R2",  # m1's cross-section, on the dimension-5 union
+])
+def test_q_route_face_map_matches_vertex_images(code):
+    """The reflected-union pass carries the face on sides S of side m to
+    the face on sides K(S), K the sign flip of m's group; carrying its
+    vertices through the partner's transform gives the same face."""
+    qsp = pg.decode_q_code(code)
+    lat = face_lattice(qsp.q)
+    got = {}
+    for m, on_side in enumerate(vf._sides_faces(lat)):
+        if qsp.partner[m] >= m:
+            perm = qsp.q.flips[qsp.k_elements[m].code_value]
+            for f in on_side:
+                got[m, f] = lat.by_sides[
+                    frozenset(perm[a] for a in lat.faces[f].sides)]
+    assert got == vertex_image_targets(qsp)
 
 
 @pytest.mark.parametrize("n", [5, 6])
