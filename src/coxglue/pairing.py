@@ -291,19 +291,17 @@ class Development:
 @lru_cache(maxsize=1)
 def _develop_tables():
     """Gluing-independent data of development: the coordinate bit of each
-    side (0 off the coordinate walls); for each side s and sign flip k,
-    the reflected union's wall k . u_s (None on the coordinate walls);
-    and the reflected union."""
+    side (0 off the coordinate walls); the reflected union's wall u_s of
+    every other side s (None on the coordinate walls), which sign flip k
+    carries to the wall k . u_s, `q6.flips[k][walls[s]]`; and the
+    reflected union."""
     q6 = build_q(6)
     bits, walls = [], []
     for u in standard_context().polytope.normals:
         support = [c for c in range(6) if u[c]]
         coordinate = len(support) == 1
         bits.append(1 << support[0] if coordinate else 0)
-        walls.append(tuple(
-            None if coordinate else
-            q6.side_index_of_normal(KElement.from_value(k, 6).apply(u))
-            for k in range(64)))
+        walls.append(None if coordinate else q6.side_index_of_normal(u))
     return tuple(bits), tuple(walls), q6
 
 
@@ -320,7 +318,8 @@ def _walk(arr: EightPPairing) -> tuple[dict[int, tuple[int, int]], list]:
     """
     arr.validate_involution()
     sigma_pows = standard_context().sigma_pows
-    bits, walls, _ = _develop_tables()
+    bits, walls, q6 = _develop_tables()
+    flips = q6.flips
     placements = {0: (0, 0)}
     frontier = [0]
     boundary = []
@@ -332,7 +331,7 @@ def _walk(arr: EightPPairing) -> tuple[dict[int, tuple[int, int]], list]:
                 c, p = arr.entry(i, j)
                 s, b = sigma_pows[a][j], (a - p) % 8
                 if not bits[s]:
-                    boundary.append((i, j, walls[s][k], k, c, b))
+                    boundary.append((i, j, flips[k][walls[s]], k, c, b))
                     continue
                 nk = k ^ bits[s]
                 prev = placements.get(nk)

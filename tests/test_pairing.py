@@ -212,14 +212,15 @@ def test_chart_facts_of_the_integer_walk():
                 reflections[ctx.sigma_pows[a][j]]
     bits, walls, q6 = pg._develop_tables()
     assert sorted(b for b in bits if b) == [1 << c for c in range(6)]
-    for u, r, bit, row in zip(ctx.polytope.normals, reflections, bits,
-                              walls):
+    for u, r, bit, wall in zip(ctx.polytope.normals, reflections, bits,
+                               walls):
         if bit:
             assert r == pg.KElement.from_value(bit, 6).matrix()
-            assert row == (None,) * 64
+            assert wall is None
             continue
-        for k, m in enumerate(row):
-            assert q6.sides[m].normal == pg.KElement.from_value(k, 6).apply(u)
+        for k, flip in enumerate(q6.flips):
+            assert q6.sides[flip[wall]].normal == \
+                pg.KElement.from_value(k, 6).apply(u)
     mod2 = {tuple(tuple(e % 2 for e in row) for row in g) for g in ctx.powers}
     assert len(mod2) == 8
 
@@ -246,16 +247,6 @@ def test_flips_are_the_sign_flip_action(n):
                                  for s in q.sides)
         for b in range(1 << n):
             assert tuple(flips[a][s] for s in flips[b]) == flips[a ^ b]
-
-
-def test_development_walls_are_the_flips():
-    """Development and decoding read one sign-flip action on the sides."""
-    flips = polytope.build_q(6).flips
-    walls = pg._develop_tables()[1]
-    for row in walls:
-        if row[0] is not None:  # a non-coordinate side of the polytope
-            assert row == tuple(flips[k][row[0]] for k in range(64))
-    assert sum(row[0] is not None for row in walls) == 21
 
 
 def test_builders_return_one_object_per_input():

@@ -17,7 +17,7 @@ from coxglue import verify as vf
 from coxglue.coxeter import sigma_permutation
 from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import identity, lorentz_inner, mat_mul
-from coxglue.polytope import build_polytope, face_lattice
+from coxglue.polytope import build_polytope
 
 from q_face_map import vertex_image_targets
 from transport_union_find import TransportUnionFind
@@ -317,20 +317,22 @@ def test_q_route_holonomy_witness(code, side, face_dim):
     "l65OoFIcN9YEdXHYIO6l3",  # a holonomy mutant
     "EKB98LLG6R2",  # m1's cross-section, on the dimension-5 union
 ])
-def test_q_route_face_map_matches_vertex_images(code):
-    """The reflected-union pass carries the face on sides S of side m to
+def test_q_route_face_map_matches_vertex_images(code, monkeypatch):
+    """The reflected-union pass unions the face on sides S of side m with
     the face on sides K(S), K the sign flip of m's group; carrying its
     vertices through the partner's transform gives the same face."""
     qsp = pg.decode_q_code(code)
-    lat = face_lattice(qsp.q)
-    got = {}
-    for m, on_side in enumerate(vf._sides_faces(lat)):
-        if qsp.partner[m] >= m:
-            perm = qsp.q.flips[qsp.k_elements[m].code_value]
-            for f in on_side:
-                got[m, f] = lat.by_sides[
-                    frozenset(perm[a] for a in lat.faces[f].sides)]
-    assert got == vertex_image_targets(qsp)
+    unions = []
+    union = vf.FaceCycles.union
+
+    def recording_union(self, x, y, *args):
+        unions.append((x, y))
+        return union(self, x, y, *args)
+
+    monkeypatch.setattr(vf.FaceCycles, "union", recording_union)
+    vf._cycles_q(qsp)
+    assert sorted(unions) == sorted(
+        (f, target) for (_, f), target in vertex_image_targets(qsp).items())
 
 
 @pytest.mark.parametrize("n", [5, 6])
