@@ -24,7 +24,6 @@ from .homology import (
     homology_groups,
 )
 from .lorentz import (
-    is_positive_lorentzian,
     lorentz_inner,
     reflection_in,
 )
@@ -50,7 +49,6 @@ from .polytope import (
     build_polytope,
     build_q,
     face_lattice,
-    verify_face_identities,
 )
 from .smith import SmithDecomposition, invariant_factors, smith_normal_form
 from .tables import ManifoldRecord, manifold_record, manifold_records

@@ -18,16 +18,17 @@ from . import pairing as pg
 from . import tables
 from . import verify as vf
 from .coxeter import constants
-from .polytope import DimensionError, build_polytope, build_q, face_lattice
+from .errors import CoxglueError
+from .polytope import build_polytope, build_q, face_lattice
 
 JOBS_ENV = "COXGLUE_JOBS"
 
 
-class EnvSettingError(ValueError):
+class EnvSettingError(CoxglueError, ValueError):
     """An environment variable holds a value the command cannot use."""
 
 
-class InputError(ValueError):
+class InputError(CoxglueError, ValueError):
     """The command was given no gluing it can read."""
 
 
@@ -416,10 +417,8 @@ def main(argv: list[str] | None = None) -> int:
             "argument --fix-rows-from: needs --fix-rows 1 or more")
     try:
         return args.func(args)
-    except (EnvSettingError, InputError, DimensionError, OSError,
-            pg.PairingError, pg.DevelopmentConflict, pg.CrossSectionError,
-            vf.CertificationError, hm.ComplexError) as exc:
-        # bad input: one line on stderr, never a traceback
+    except (CoxglueError, OSError) as exc:
+        # bad input or data: one line on stderr, never a traceback
         print(f"coxglue {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .errors import CoxglueError
 from .lorentz import (
     Mat,
     Vec,
-    identity,
     lorentz_inner,
     mat,
     mat_mul,
@@ -28,11 +28,7 @@ SYMMETRY_ORDERS = {2: 2, 3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040,
                    8: 696729600}
 
 
-class OrbitBoundExceeded(RuntimeError):
-    pass
-
-
-class ProductOrderUnbounded(RuntimeError):
+class OrbitBoundExceeded(CoxglueError, RuntimeError):
     pass
 
 
@@ -88,18 +84,6 @@ def simplex_generators(n: int) -> SimplexGroupData:
     return SimplexGroupData(n, tuple(gens), tuple(verts), ideal)
 
 
-def product_order(a: Mat, b: Mat, cap: int = 64) -> int:
-    """Order of a*b, by iterating the product; raises past the cap."""
-    p = mat_mul(a, b)
-    acc = p
-    ident = identity(len(a))
-    for k in range(1, cap + 1):
-        if acc == ident:
-            return k
-        acc = mat_mul(acc, p)
-    raise ProductOrderUnbounded(f"order exceeds {cap}")
-
-
 def symmetry_generator_indices(n: int) -> tuple[int, ...]:
     """Indices (0-based) of the simplex generators spanning the finite
     symmetry group: all but the reflection negating the n-th coordinate,
@@ -112,26 +96,6 @@ def symmetry_generator_indices(n: int) -> tuple[int, ...]:
 def symmetry_generators(n: int) -> tuple[Mat, ...]:
     data = simplex_generators(n)
     return tuple(data.generators[i] for i in symmetry_generator_indices(n))
-
-
-def group_closure(gens: Sequence[Mat], bound: int = 10 ** 7) -> list[Mat]:
-    """All products of the generators, by breadth-first closure."""
-    seen: dict[Mat, None] = {}
-    ident = identity(len(gens[0]))
-    frontier = [ident]
-    seen[ident] = None
-    while frontier:
-        new: list[Mat] = []
-        for g in gens:
-            for m in frontier:
-                p = mat_mul(g, m)
-                if p not in seen:
-                    seen[p] = None
-                    new.append(p)
-                    if len(seen) > bound:
-                        raise OrbitBoundExceeded(f"group exceeds {bound}")
-        frontier = new
-    return list(seen)
 
 
 def group_orbit(

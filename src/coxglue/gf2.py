@@ -9,9 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-
-class DimensionMismatch(ValueError):
-    pass
+from .errors import DimensionMismatch
 
 
 def _popcount(x: int) -> int:

@@ -46,13 +46,14 @@ from itertools import combinations
 from typing import Sequence
 
 # det is unused here but stays importable: perfbench/layers.py patches it
+from .errors import CoxglueError
 from .lorentz import det  # noqa: F401
 from .pairing import EightPPairing, standard_context
 from .smith import eliminate_units, invariant_factors
 from .verify import face_cycles_proper, lattice_context
 
 
-class ComplexError(RuntimeError):
+class ComplexError(CoxglueError, RuntimeError):
     pass
 
 

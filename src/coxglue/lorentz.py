@@ -11,12 +11,10 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
+from .errors import DimensionMismatch
+
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 def mat(rows: Iterable[Iterable[int]]) -> Mat:
@@ -74,19 +72,6 @@ def mat_pow(m: Mat, k: int) -> Mat:
         base = mat_mul(base, base)
         k >>= 1
     return out
-
-
-def is_form_preserving(m: Mat) -> bool:
-    n = len(m)
-    j = form_matrix(n)
-    return mat_mul(mat_mul(transpose(m), j), m) == j
-
-
-def is_positive_lorentzian(m: Mat) -> bool:
-    """Form preserving and keeps the sign of the time coordinate."""
-    if len(m) != len(m[0]):
-        return False
-    return is_form_preserving(m) and m[-1][-1] > 0
 
 
 def lorentz_inverse(m: Mat) -> Mat:

@@ -18,21 +18,18 @@ from typing import Sequence
 
 from . import tables
 from .coxeter import ORDER8_SYMMETRY, sigma_permutation
-from .lorentz import Mat, Vec, identity, mat_mul, mat_vec, reflection_in
+from .errors import CoxglueError
+from .lorentz import Mat, Vec, identity, mat_mul, reflection_in
 from .polytope import QPolytope, RightAngledPolytope, build_polytope, build_q
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz@$"
 
 
-class PairingError(ValueError):
+class PairingError(CoxglueError, ValueError):
     pass
 
 
-class DevelopmentConflict(RuntimeError):
-    pass
-
-
-class CrossSectionError(RuntimeError):
+class DevelopmentConflict(CoxglueError, RuntimeError):
     pass
 
 
@@ -118,7 +115,17 @@ def orientability_of_code(code: PairingCode | str) -> bool:
 
 @dataclass(frozen=True)
 class QSidePairing:
-    """Fully decoded side pairing of the reflected union."""
+    """Fully decoded side pairing of the reflected union: side s carries
+    its group's sign flip K, its partner K(s) and the transform
+    T_s = r_s K, r_s the reflection in side s.
+
+    Every decoded pairing is consistent by construction.  K permutes the
+    members of each group, so K(s) lies in s's group and K(K(s)) = s;
+    T_s T_K(s) = r_s (K r_K(s) K) = r_s r_s = I; and on a wall with
+    u_s[0] = 0, T_s e1 = r_s (+-e1) = +-e1, so every transform keeps the
+    coordinate-1 cross-section.  tests/test_pairing.py checks all three
+    on every sign flip and side.
+    """
 
     q: QPolytope
     code: PairingCode
@@ -126,23 +133,10 @@ class QSidePairing:
     k_elements: tuple[KElement, ...]
     transforms: tuple[Mat, ...]
 
-    def validate(self) -> None:
-        for i, s in enumerate(self.q.sides):
-            j = self.partner[i]
-            if self.partner[j] != i:
-                raise PairingError("partner relation is not an involution")
-            gi = self.transforms[i]
-            gj = self.transforms[j]
-            if mat_mul(gi, gj) != identity(self.q.dim + 1):
-                raise PairingError("transforms are not inverse on partners")
-        for g in range(self.q.n_groups):
-            ks = {self.k_elements[s.index] for s in self.q.group_members(g)}
-            if len(ks) != 1:
-                raise PairingError("group members carry distinct sign flips")
-
 
 def decode_q_code(code: PairingCode | str) -> QSidePairing:
-    """Assign each side its sign flip, partner and pairing transform."""
+    """Assign each side its group's sign flip K, its partner K(s), read
+    off `QPolytope.flips`, and its pairing transform r_s K."""
     if isinstance(code, str):
         dim = {21: 6, 11: 5}.get(len(code))
         if dim is None:
@@ -156,9 +150,7 @@ def decode_q_code(code: PairingCode | str) -> QSidePairing:
                     for i, k in enumerate(k_of_side))
     transforms = tuple(mat_mul(reflection_in(s.normal), k.matrix())
                        for s, k in zip(q.sides, k_of_side))
-    qsp = QSidePairing(q, code, partner, k_of_side, transforms)
-    qsp.validate()
-    return qsp
+    return QSidePairing(q, code, partner, k_of_side, transforms)
 
 
 # -- eight-copy gluing arrays ------------------------------------------
@@ -408,40 +400,30 @@ def develop(arr: EightPPairing) -> Development:
 # -- restriction to the cross-section ----------------------------------
 
 
-def _q5_group_map() -> list[int]:
+@lru_cache(maxsize=1)
+def _q5_group_map() -> tuple[int, ...]:
     """For each side group of the dimension-5 union, the matching group of
     the dimension-6 union under the coordinate-1 cross-section."""
     q6 = build_q(6)
-    return [q6.sides[q6.side_index_of_normal((0,) + s.normal)].group
-            for s in build_q(5).sides if s.signs == (1,) * 5]
+    return tuple(q6.sides[q6.side_index_of_normal((0,) + s.normal)].group
+                 for s in build_q(5).sides if s.signs == (1,) * 5)
 
 
 def restrict_code(code: PairingCode | str) -> PairingCode:
-    """Restrict a dimension-6 code to the coordinate-1 cross-section."""
+    """Restrict a dimension-6 code to the coordinate-1 cross-section.
+
+    Each group of the dimension-5 union takes the digit of its group in
+    the dimension-6 union with the coordinate-1 sign dropped.  Every
+    transform of a decoded pairing on a wall with u[0] = 0 keeps the
+    cross-section (see QSidePairing), so nothing is decoded to check it.
+    """
     if isinstance(code, str):
         code = PairingCode(6, code)
     if code.dim != 6:
         raise PairingError("only dimension-6 codes restrict")
-    qsp = decode_q_code(code)
-    restrict_check(qsp)
-    ks = code.k_elements()
-    digits = []
-    for g6 in _q5_group_map():
-        digits.append(ALPHABET[ks[g6].code_value >> 1])
-    return PairingCode(5, "".join(digits))
-
-
-def restrict_check(qsp: QSidePairing) -> None:
-    """Every pairing transform on a cross-section wall must preserve the
-    coordinate-1 hyperplane."""
-    e1 = (1,) + (0,) * 6
-    for s in qsp.q.sides:
-        if s.normal[0] != 0:
-            continue
-        img = mat_vec(qsp.transforms[s.index], e1)
-        if img not in (e1, tuple(-c for c in e1)):
-            raise CrossSectionError(
-                f"wall {s.index} transform moves the cross-section")
+    digits = code.digits
+    return PairingCode(5, "".join(
+        ALPHABET[ALPHABET.index(digits[g6]) >> 1] for g6 in _q5_group_map()))
 
 
 # -- mutation (for negative testing) -------------------------------------

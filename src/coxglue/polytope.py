@@ -19,21 +19,21 @@ those vertices must be exactly S.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import tables
 from .coxeter import group_orbit, outward_canonical, symmetry_generators
+from .errors import CoxglueError
 from .lorentz import RowSpan, Vec, lorentz_inner
 
 
-class LatticeError(RuntimeError):
+class LatticeError(CoxglueError, RuntimeError):
     """Face lattice construction met inconsistent incidence data."""
 
 
-class DimensionError(ValueError):
+class DimensionError(CoxglueError, ValueError):
     """No polytope of the requested kind exists in that dimension."""
 
 
@@ -408,37 +408,3 @@ def build_q(n: int) -> QPolytope:
     return QPolytope(base, tuple(sides), tuple(sorted(actual)),
                      tuple(sorted(ideal)))
 
-
-# -- face count identities -------------------------------------------
-
-
-def verify_face_identities(lattices: dict[int, FaceLattice]) -> dict:
-    """Check the side-recursion count identity and the low-dimensional
-    Euler characteristic formulas; raises LatticeError on violation."""
-    report: dict = {"identities": [], "euler": {}}
-    for n, lat in sorted(lattices.items()):
-        prev = lattices.get(n - 1)
-        if prev is None:
-            continue
-        counts = lat.counts()
-        pcounts = prev.counts()
-        for k in range(1, n - 1):
-            lhs = counts.get(k, 0) * (n - k)
-            rhs = counts.get(n - 1, 0) * pcounts.get(k, 0)
-            ok = lhs == rhs
-            report["identities"].append(
-                {"dim": n, "k": k, "ok": ok,
-                 "count": counts.get(k, 0),
-                 "sides_times_subcount": rhs, "n_minus_k": n - k})
-            if not ok:
-                raise LatticeError(f"face count identity fails at n={n} k={k}")
-    if 2 in lattices:
-        c = lattices[2].counts()
-        chi = Fraction(4 - 2 * c.get(1, 0) + c.get(0, 0), 4)
-        report["euler"][2] = chi
-    if 4 in lattices:
-        c = lattices[4].counts()
-        chi = Fraction(16 - 8 * c.get(3, 0) + 4 * c.get(2, 0)
-                       - 2 * c.get(1, 0) + c.get(0, 0), 16)
-        report["euler"][4] = chi
-    return report

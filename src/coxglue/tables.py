@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from .errors import CoxglueError
 from .lorentz import Vec
 
 
-class DataIntegrityError(RuntimeError):
+class DataIntegrityError(CoxglueError, RuntimeError):
     pass
 
 
@@ -37,37 +38,45 @@ def _read(name: str) -> str:
     return raw.decode()
 
 
-def _int_rows(name: str) -> list[tuple[int, ...]]:
-    return [tuple(int(t) for t in line.split())
-            for line in _read(name).splitlines() if line.strip()]
+def _int_rows(name: str, count: int,
+              width: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The file's `count` rows of ints, each `width` long when given;
+    DataIntegrityError naming the file otherwise."""
+    try:
+        rows = tuple(tuple(int(t) for t in line.split())
+                     for line in _read(name).splitlines() if line.strip())
+    except ValueError as exc:
+        raise DataIntegrityError(f"{name}: {exc}") from None
+    if len(rows) != count or (width is not None and any(
+            len(r) != width for r in rows)):
+        raise DataIntegrityError(f"{name}: expected {count} rows" + (
+            f" of {width} entries" if width is not None else ""))
+    return rows
 
 
 @lru_cache(maxsize=1)
 def p6_side_normals() -> tuple[Vec, ...]:
-    rows = _int_rows("p6_side_normals.txt")
-    if len(rows) != 27:
-        raise DataIntegrityError("expected 27 side normals")
-    return tuple(rows)
+    return _int_rows("p6_side_normals.txt", 27)
 
 
 @lru_cache(maxsize=1)
 def p6_vertices() -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    rows = _int_rows("p6_vertices.txt")
-    if len(rows) != 99:
-        raise DataIntegrityError("expected 99 vertices")
-    return tuple(rows[:72]), tuple(rows[72:])
+    rows = _int_rows("p6_vertices.txt", 99)
+    return rows[:72], rows[72:]
 
 
 @lru_cache(maxsize=1)
 def digit_signs() -> dict[str, tuple[int, ...]]:
     out: dict[str, tuple[int, ...]] = {}
-    for line in _read("digit_signs.txt").splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        out[parts[0]] = tuple(int(t) for t in parts[1:])
+    try:
+        for line in _read("digit_signs.txt").splitlines():
+            parts = line.split()
+            if parts:
+                out[parts[0]] = tuple(int(t) for t in parts[1:])
+    except ValueError as exc:
+        raise DataIntegrityError(f"digit_signs.txt: {exc}") from None
     if len(out) != 64:
-        raise DataIntegrityError("expected 64 digit rows")
+        raise DataIntegrityError("digit_signs.txt: expected 64 digit rows")
     return out
 
 
@@ -85,15 +94,18 @@ class ManifoldRecord:
 
 @lru_cache(maxsize=1)
 def manifold_records() -> tuple[ManifoldRecord, ...]:
-    data = json.loads(_read("manifolds.json"))
-    out = []
-    for rec in data:
-        out.append(ManifoldRecord(
+    try:
+        out = [ManifoldRecord(
             id=rec["id"], code=rec["code"], orientable=rec["orientable"],
             cusps=rec["cusps"], homology=tuple(rec["homology"]),
-            cusp_homology=tuple(tuple(c) for c in rec["cusp_homology"])))
+            cusp_homology=tuple(tuple(c) for c in rec["cusp_homology"]))
+            for rec in json.loads(_read("manifolds.json"))]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataIntegrityError(f"manifolds.json: malformed record "
+                                 f"({type(exc).__name__}: {exc})") from None
     if [r.id for r in out] != list(range(1, 10)):
-        raise DataIntegrityError("manifold records must cover ids 1..9")
+        raise DataIntegrityError(
+            "manifolds.json: manifold records must cover ids 1..9")
     return tuple(out)
 
 
@@ -112,32 +124,21 @@ def pairing_array_text(mid: int) -> str:
 
 @lru_cache(maxsize=1)
 def code_matrix_m1() -> tuple[tuple[int, ...], ...]:
-    rows = _int_rows("m1_code_matrix.txt")
-    if len(rows) != 6 or any(len(r) != 27 for r in rows):
-        raise DataIntegrityError("expected a 6 x 27 bit matrix")
-    return tuple(rows)
+    return _int_rows("m1_code_matrix.txt", 6, 27)
 
 
 @lru_cache(maxsize=1)
 def sideperm_action_m1() -> tuple[tuple[int, ...], ...]:
-    rows = _int_rows("m1_sideperm_action.txt")
-    if len(rows) != 21 or any(len(r) != 21 for r in rows):
-        raise DataIntegrityError("expected a 21 x 21 bit matrix")
-    return tuple(rows)
+    return _int_rows("m1_sideperm_action.txt", 21, 21)
 
 
 @lru_cache(maxsize=1)
 def order4_action_m1() -> tuple[tuple[int, ...], ...]:
-    rows = _int_rows("m1_order4_action.txt")
-    if len(rows) != 21 or any(len(r) != 21 for r in rows):
-        raise DataIntegrityError("expected a 21 x 21 bit matrix")
-    return tuple(rows)
+    return _int_rows("m1_order4_action.txt", 21, 21)
 
 
 @lru_cache(maxsize=1)
 def independent_sets_m1() -> tuple[frozenset[int], ...]:
     """The 36 column index sets, converted to 0-based indices."""
-    rows = _int_rows("m1_independent_sets.txt")
-    if len(rows) != 36:
-        raise DataIntegrityError("expected 36 column sets")
+    rows = _int_rows("m1_independent_sets.txt", 36)
     return tuple(frozenset(i - 1 for i in row) for row in rows)

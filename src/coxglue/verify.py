@@ -15,6 +15,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .coxeter import constants
+from .errors import CoxglueError
 from .gf2 import Gf2Matrix, columns_independent, gf2_solve
 # mat_mul is unused here but stays importable: perfbench/layers.py patches it
 from .lorentz import Vec, mat_mul, mat_vec  # noqa: F401
@@ -29,7 +30,7 @@ from .pairing import (
 from .polytope import FaceLattice, face_lattice
 
 
-class CertificationError(RuntimeError):
+class CertificationError(CoxglueError, RuntimeError):
     pass
 
 
@@ -328,6 +329,7 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     nf = len(faces)
     partner, transforms = qsp.partner, qsp.transforms
     uf = FaceCycles(nf)
+    journal = uf.journal  # a union counting no crossings journals a link only
     moved: dict[tuple[int, Vec], Vec] = {}
 
     def carry(s: int, v: Vec) -> Vec:
@@ -346,9 +348,9 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
         perm = qsp.q.flips[qsp.k_elements[m].code_value]
         for fidx in on_side:
             target = by_sides[frozenset([perm[a] for a in faces[fidx].sides])]
-            mark = uf.mark()
+            links = len(journal)
             uf.union(fidx, target, 0)
-            if uf.mark() > mark:
+            if len(journal) > links:
                 forest[fidx].append((target, partner[m]))
                 forest[target].append((fidx, m))
             else:

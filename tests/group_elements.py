@@ -1,0 +1,58 @@
+"""Test-local group checks on exact Lorentzian matrices: the order of a
+product, the closure of a finite generating set, and form preservation."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from coxglue.coxeter import OrbitBoundExceeded
+from coxglue.lorentz import Mat, form_matrix, identity, mat_mul, transpose
+
+
+class ProductOrderUnbounded(RuntimeError):
+    pass
+
+
+def product_order(a: Mat, b: Mat, cap: int = 64) -> int:
+    """Order of a*b, by iterating the product; raises past the cap."""
+    p = mat_mul(a, b)
+    acc = p
+    ident = identity(len(a))
+    for k in range(1, cap + 1):
+        if acc == ident:
+            return k
+        acc = mat_mul(acc, p)
+    raise ProductOrderUnbounded(f"order exceeds {cap}")
+
+
+def group_closure(gens: Sequence[Mat], bound: int = 10 ** 7) -> list[Mat]:
+    """All products of the generators, by breadth-first closure."""
+    seen: dict[Mat, None] = {}
+    ident = identity(len(gens[0]))
+    frontier = [ident]
+    seen[ident] = None
+    while frontier:
+        new: list[Mat] = []
+        for g in gens:
+            for m in frontier:
+                p = mat_mul(g, m)
+                if p not in seen:
+                    seen[p] = None
+                    new.append(p)
+                    if len(seen) > bound:
+                        raise OrbitBoundExceeded(f"group exceeds {bound}")
+        frontier = new
+    return list(seen)
+
+
+def is_form_preserving(m: Mat) -> bool:
+    n = len(m)
+    j = form_matrix(n)
+    return mat_mul(mat_mul(transpose(m), j), m) == j
+
+
+def is_positive_lorentzian(m: Mat) -> bool:
+    """Form preserving and keeps the sign of the time coordinate."""
+    if len(m) != len(m[0]):
+        return False
+    return is_form_preserving(m) and m[-1][-1] > 0

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import random
 from collections import Counter
 
 import pytest
 
+import coxglue
 from coxglue import cli
 from coxglue import homology as hm
 from coxglue import pairing as pg
 from coxglue import tables
 from coxglue import verify as vf
 from coxglue.cli import EnvSettingError, _homology_payload, _jobs, main
+from coxglue.errors import CoxglueError
 
 
 def run(capsys, *argv):
@@ -210,6 +214,53 @@ def test_bad_input_is_one_line_and_exit_2(tmp_path, capsys, argv, what):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and what in err
     assert err.startswith(f"coxglue {argv[0]}: ")
+
+
+@pytest.fixture
+def corrupted_m3(monkeypatch):
+    """The manifest holds a wrong checksum for the array file of m3."""
+    manifest = dict(tables._manifest())
+    manifest["arrays/m3.txt"] = "0" * 64
+    monkeypatch.setattr(tables, "_manifest", lambda: manifest)
+    tables._read.cache_clear()
+    yield
+    tables._read.cache_clear()
+
+
+def test_corrupted_data_is_one_line_and_exit_2(corrupted_m3, capsys):
+    code = main(["develop", "--manifold", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "coxglue develop: checksum mismatch for arrays/m3.txt\n"
+
+
+# each exception class of coxglue and its ValueError or RuntimeError parent
+PARENTS = {
+    "CertificationError": RuntimeError, "ComplexError": RuntimeError,
+    "DataIntegrityError": RuntimeError, "DevelopmentConflict": RuntimeError,
+    "DimensionError": ValueError, "DimensionMismatch": ValueError,
+    "EnvSettingError": ValueError, "InputError": ValueError,
+    "InvarianceError": RuntimeError, "LatticeError": RuntimeError,
+    "OrbitBoundExceeded": RuntimeError, "PairingError": ValueError,
+}
+
+
+def test_every_exception_class_has_the_one_base():
+    """The command line catches CoxglueError and OSError only, so every
+    exception class of coxglue derives from CoxglueError and keeps its
+    parent; one DimensionMismatch serves gf2 and lorentz."""
+    classes: dict[str, set[type]] = {}
+    for info in pkgutil.iter_modules(coxglue.__path__):
+        module = importlib.import_module(f"coxglue.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__.startswith("coxglue.")):
+                classes.setdefault(name, set()).add(obj)
+    assert classes.pop("CoxglueError") == {CoxglueError}
+    assert sorted(classes) == sorted(PARENTS)
+    for name, found in classes.items():
+        (cls,) = found
+        assert issubclass(cls, CoxglueError) and issubclass(cls, PARENTS[name])
 
 
 def test_certify_manifold(capsys):

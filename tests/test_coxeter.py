@@ -16,13 +16,19 @@ from coxglue import tables
 from coxglue.lorentz import (
     det,
     identity,
-    is_positive_lorentzian,
     lorentz_inner,
     mat_mul,
     mat_pow,
     mat_vec,
 )
 from coxglue.polytope import build_polytope
+
+from group_elements import (
+    ProductOrderUnbounded,
+    group_closure,
+    is_positive_lorentzian,
+    product_order,
+)
 
 BORDERED_N2 = ((-1, -2, 2), (-2, -1, 2), (-2, -2, 3))
 BORDERED_N3 = ((0, -1, -1, 1), (-1, 0, -1, 1), (-1, -1, 0, 1), (-1, -1, -1, 2))
@@ -89,28 +95,28 @@ def test_product_orders_dim6():
     # the unlabeled (order three) edges of the derived symbol: the chain of
     # transpositions plus the bordered reflection attached at the third node
     for i in range(4):
-        assert cx.product_order(gens[i], gens[i + 1]) == 3
-    assert cx.product_order(gens[2], gens[6]) == 3
+        assert product_order(gens[i], gens[i + 1]) == 3
+    assert product_order(gens[2], gens[6]) == 3
     # the chain ends in the one order-four edge
-    assert cx.product_order(gens[4], gens[5]) == 4
+    assert product_order(gens[4], gens[5]) == 4
     for i in range(7):
-        assert cx.product_order(gens[i], gens[i]) == 1
+        assert product_order(gens[i], gens[i]) == 1
         for j in range(i):
-            assert cx.product_order(gens[i], gens[j]) == \
-                cx.product_order(gens[j], gens[i])
+            assert product_order(gens[i], gens[j]) == \
+                product_order(gens[j], gens[i])
 
 
 def test_product_order_unbounded_dim2():
     gens = cx.simplex_generators(2).generators
-    assert cx.product_order(gens[0], gens[1]) == 4
-    with pytest.raises(cx.ProductOrderUnbounded):
+    assert product_order(gens[0], gens[1]) == 4
+    with pytest.raises(ProductOrderUnbounded):
         # parabolic product at the ideal vertex
-        cx.product_order(gens[1], gens[2])
+        product_order(gens[1], gens[2])
 
 
 def test_symmetry_orders_small():
     for n in (2, 3, 4, 5):
-        group = cx.group_closure(cx.symmetry_generators(n))
+        group = group_closure(cx.symmetry_generators(n))
         assert len(group) == cx.SYMMETRY_ORDERS[n]
 
 
@@ -167,7 +173,7 @@ def test_sigma_rejects_non_symmetry():
 
 
 def test_side_permutation_is_adjacency_automorphism():
-    group = cx.group_closure(cx.symmetry_generators(4))
+    group = group_closure(cx.symmetry_generators(4))
     poly4_normals = cx.group_orbit(
         cx.symmetry_generators(4), [(0, 0, 0, -1, 0)],
         canonical=lambda v: cx.outward_canonical(v, _p4_vertices()))
@@ -288,15 +294,15 @@ def test_constants_odd_numeric():
 
 def test_product_order_cap():
     gens = cx.simplex_generators(3).generators
-    with pytest.raises(cx.ProductOrderUnbounded):
-        cx.product_order(gens[2], gens[3], cap=2)
+    with pytest.raises(ProductOrderUnbounded):
+        product_order(gens[2], gens[3], cap=2)
 
 
 def test_symmetry_group_fixes_center():
     for n in (3, 4):
         data = cx.simplex_generators(n)
         center = data.simplex_vertices[n - 1]  # opposite the n-th side
-        for g in cx.group_closure(cx.symmetry_generators(n)):
+        for g in group_closure(cx.symmetry_generators(n)):
             assert mat_vec(g, center) == center
 
 

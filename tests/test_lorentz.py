@@ -11,8 +11,6 @@ from coxglue.lorentz import (
     det,
     form_matrix,
     identity,
-    is_form_preserving,
-    is_positive_lorentzian,
     lorentz_inner,
     lorentz_inverse,
     mat_mul,
@@ -21,6 +19,8 @@ from coxglue.lorentz import (
     reflection_in,
 )
 from coxglue.polytope import build_polytope
+
+from group_elements import is_form_preserving, is_positive_lorentzian
 
 E7 = (0, 0, 0, 0, 0, 0, 1)
 U7 = (1, 1, 0, 0, 0, 0, 1)

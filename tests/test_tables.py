@@ -59,3 +59,32 @@ def test_checksum_guard(monkeypatch):
         t._read("p6_side_normals.txt")
     monkeypatch.undo()
     t._read.cache_clear()
+
+
+@pytest.mark.parametrize("reader, name, edit, message", [
+    (tables.p6_side_normals, "p6_side_normals.txt",
+     lambda text: text.rstrip("\n").rsplit("\n", 1)[0],
+     "p6_side_normals.txt: expected 27 rows"),
+    (tables.sideperm_action_m1, "m1_sideperm_action.txt",
+     lambda text: text.replace(" 0", "", 1),
+     "m1_sideperm_action.txt: expected 21 rows of 21 entries"),
+    (tables.code_matrix_m1, "m1_code_matrix.txt",
+     lambda text: text.replace("1", "x", 1),
+     "m1_code_matrix.txt: invalid literal for int()"),
+    (tables.digit_signs, "digit_signs.txt",
+     lambda text: text.replace("1", "x", 1),
+     "digit_signs.txt: invalid literal for int()"),
+    (tables.manifold_records, "manifolds.json",
+     lambda text: text.replace('"cusps"', '"cusp"', 1),
+     "manifolds.json: malformed record (KeyError: 'cusps')"),
+], ids=["rows", "width", "token", "digit-token", "record-key"])
+def test_malformed_data_names_the_file(monkeypatch, reader, name, edit,
+                                       message):
+    """A data file whose rows do not fit, even under a matching checksum,
+    raises DataIntegrityError naming the file."""
+    read = tables._read
+    monkeypatch.setattr(tables, "_read",
+                        lambda n: edit(read(n)) if n == name else read(n))
+    with pytest.raises(tables.DataIntegrityError) as err:
+        reader.__wrapped__()
+    assert str(err.value).startswith(message)
