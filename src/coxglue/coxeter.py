@@ -171,20 +171,6 @@ ORDER8_SYMMETRY: Mat = mat([
 
 DECK_GENERATOR: Mat = mat_mul(_diag([1, -1, 1, 1, 1, 1, 1]), ORDER8_SYMMETRY)
 
-# generator of the intersection of the dimension-8 symmetry group with the
-# congruence-two subgroup: the longest element, a positive Lorentzian 9x9
-LONGEST_ELEMENT_DIM8: Mat = mat([
-    [-3, -2, -2, -2, -2, -2, -2, -2, 6],
-    [-2, -3, -2, -2, -2, -2, -2, -2, 6],
-    [-2, -2, -3, -2, -2, -2, -2, -2, 6],
-    [-2, -2, -2, -3, -2, -2, -2, -2, 6],
-    [-2, -2, -2, -2, -3, -2, -2, -2, 6],
-    [-2, -2, -2, -2, -2, -3, -2, -2, 6],
-    [-2, -2, -2, -2, -2, -2, -3, -2, 6],
-    [-2, -2, -2, -2, -2, -2, -2, -3, 6],
-    [-6, -6, -6, -6, -6, -6, -6, -6, 17],
-])
-
 
 def bernoulli(k: int) -> Fraction:
     """B_k with B_1 = -1/2, by the standard recurrence."""

@@ -25,10 +25,26 @@ assembling the complex needs no union-find.  The cusps are the classes
 of the ideal points in that pass, and a cut corner's cusp is the class
 of its ideal vertex, so the cusp cross-sections are read off the cells.
 Each boundary sign is a product of the two gluing-independent signs
-above, so assembling a gluing's complex is table lookups.  The complex is stored by columns,
-the boundary {face: coefficient} of each cell: assembly writes them, the
-boundary-squared check and the reduction read them, and the per-degree
-boundary matrices are derived from them only when asked for.
+above, so assembling a gluing's complex is table lookups.
+
+The complex is stored by columns, the boundary {face: coefficient} of
+each cell: assembly writes them, the reduction reads them, and the
+per-degree boundary matrices are derived from them only when asked for.
+
+No pass checks boundary squared zero on a gluing, as the assembly is
+a chain map.  If cell Y of copy c lies over a face with root copy r and
+transport t, and R = cell_perm[-t][Y], assembly sends Y to pi(c, Y) =
+orient[t][R] [class of (r, R)] and gives the root (r, R) the column
+pi(boundary (r, R)).  Then boundary pi = pi boundary on every copy and
+cell, so boundary squared of a root is pi(boundary squared of (r, R)) =
+0, given: P1, boundary squared is zero on one truncated copy; P2,
+incidence[sigma X][sigma b] = orient[1][X] incidence[X][b] orient[1][b]
+and cell_face[cell_perm[t][X]] = fperm[t][cell_face[X]]; P3, orient is
+a cocycle, orient[s + t][X] = orient[s][X] orient[t][cell_perm[s][X]],
+which extends P2 to every power; P4, the face pass is proper, so each
+subface of a face carries that face's transport.  P1 to P3 depend on
+the polytope alone and are tested once, on every cell;
+`build_quotient_complex` refuses an improper gluing, which is P4.
 
 Homology reduces a copy of the columns once along its +-1 incidences
 (coreductions, then a heap), boundary cells first, which leaves each
@@ -45,8 +61,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
-# det is unused here but stays importable: perfbench/layers.py patches it
 from .errors import CoxglueError
+# det is unused here but stays importable: perfbench/layers.py patches it
 from .lorentz import det  # noqa: F401
 from .pairing import EightPPairing, standard_context
 from .smith import eliminate_units, invariant_factors
@@ -206,23 +222,6 @@ class QuotientCellComplex:
     def boundary_cell_indices(self) -> list[int]:
         return [c.index for c in self.cells if c.cusp >= 0]
 
-    def check_dd_zero(self) -> None:
-        """Raise AssertionError naming the first cell, by degree then
-        index, whose boundary has a nonzero boundary."""
-        columns = self.columns
-        for d in sorted(self.by_dim):
-            for c in self.by_dim[d]:
-                acc: dict[int, int] = {}
-                for r, v in columns[c].items():
-                    for rr, vv in columns[r].items():
-                        acc[rr] = acc.get(rr, 0) + vv * v
-                if any(acc.values()):
-                    q = self.cells[c]
-                    raise AssertionError(
-                        f"boundary squared is nonzero on column {c} (copy "
-                        f"{q.copy + 1}, cell {truncated_cells().cells[q.cell]})"
-                        f" at dim {d}")
-
     def to_json(self) -> dict:
         return {
             "counts": {str(d): c for d, c in self.counts().items()},
@@ -299,9 +298,7 @@ def build_quotient_complex(arr: EightPPairing) -> QuotientCellComplex:
             else:
                 del col[r]
         columns.append(col)
-    cx = QuotientCellComplex(qcells, by_dim, columns)
-    cx.check_dd_zero()
-    return cx
+    return QuotientCellComplex(qcells, by_dim, columns)
 
 
 # -- homology -------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""An oracle for coxglue.homology.build_quotient_complex: the assembly of
+"""Oracles for coxglue.homology.build_quotient_complex: the assembly of
 the quotient cell complex into per-degree boundary matrices
 {(face, cell): coefficient}, through a dict of class roots keyed by
-(face root, truncated cell), and the boundary-squared check on those
-matrices, which regroups each degree by columns.
+(face root, truncated cell); the boundary-squared check on such
+matrices, which regroups each degree by columns; and the check that the
+assembly is a chain map from the eight copies' cells.
 
-coxglue stores the complex by columns and checks boundary squared zero
-on the columns; the tests compare both with these.
+coxglue stores the complex by columns and runs no boundary-squared pass
+of its own: the assembly is a chain map, and the premises that make it
+one are tested on the truncated polytope.  The tests compare the columns
+with `assemble`, run `check_dd_zero` on complexes built from published,
+relabeled and searched gluings, and `check_chain_map` on some of them.
 """
 
 from __future__ import annotations
@@ -85,3 +89,35 @@ def check_dd_zero(cells: list[hm.QuotientCell], mats: Matrices) -> None:
                     f"boundary squared is nonzero on column {c} (copy "
                     f"{q.copy + 1}, cell {hm.truncated_cells().cells[q.cell]})"
                     f" at dim {d + 1}")
+
+
+def check_chain_map(proper: PropernessCertificate,
+                    cx: hm.QuotientCellComplex) -> None:
+    """Raise AssertionError on the first copy and cell Y, in that order,
+    where the columns of `cx` break boundary pi(Y) = pi(boundary Y).  Y
+    over a face with root r and transport t goes to pi(Y) =
+    orient[t][R] (class of R = cell_perm[-t][Y] in the copy of r), the
+    quotient cell whose copy and truncated cell are those of that root."""
+    nf = len(lattice_context().lattice.faces)
+    tc = hm.truncated_cells()
+    n = len(tc.cells)
+    index = {(q.copy, q.cell): q.index for q in cx.cells}
+
+    def pi(copy: int, x: int) -> tuple[int, int]:
+        f = copy * nf + tc.cell_face[x]
+        t = proper.transports[f]
+        root = tc.cell_perm[-t][x]
+        return index[proper.roots[f] // nf, root], tc.orient[t][root]
+
+    for copy in range(8):
+        for x in range(n):
+            q, sign = pi(copy, x)
+            want = {r: sign * v for r, v in cx.columns[q].items()}
+            got: dict[int, int] = {}
+            for b, v in zip(tc.cell_facets[x], tc.incidence[x]):
+                r, s = pi(copy, b)
+                got[r] = got.get(r, 0) + v * s
+            if {r: v for r, v in got.items() if v} != want:
+                raise AssertionError(
+                    f"the assembly is no chain map at copy {copy + 1}, "
+                    f"cell {tc.cells[x]}")

@@ -213,7 +213,7 @@ def test_boundary_signs_match_determinants(mid, perm):
 
 
 def test_dd_check_catches_a_flipped_sign():
-    """The error names the column of the flipped entry: its quotient
+    """The oracle names the column of the flipped entry: its quotient
     index, its copy (1-based, as in `to_json`) and its truncated cell."""
     cx = hm.build_quotient_complex(pg.published_pairing(1))
     for r, c in itertools.islice(cx.boundaries[3], 0, 3000, 1000):
@@ -222,9 +222,9 @@ def test_dd_check_catches_a_flipped_sign():
         cell = re.escape(str(hm.truncated_cells().cells[q.cell]))
         with pytest.raises(AssertionError, match=rf"nonzero on column {c} "
                            rf"\(copy {q.copy + 1}, cell {cell}\) at dim 3$"):
-            cx.check_dd_zero()
+            quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
         cx.columns[c][r] *= -1
-    cx.check_dd_zero()
+    quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
 
 
 def _flip_a_face(cx, c):
@@ -235,8 +235,8 @@ def _flip_a_face(cx, c):
 
 
 def test_dd_check_names_the_lowest_degree():
-    """With bad columns in degrees 2 and 4, the one in degree 2 is named,
-    although the one in degree 4 has the lower index."""
+    """With bad columns in degrees 2 and 4, the oracle names the one in
+    degree 2, although the one in degree 4 has the lower index."""
     cx = hm.build_quotient_complex(pg.published_pairing(1))
     c4, c2 = cx.by_dim[4][0], cx.by_dim[2][-1]
     assert c4 < c2
@@ -244,7 +244,7 @@ def test_dd_check_names_the_lowest_degree():
     _flip_a_face(cx, c2)
     with pytest.raises(AssertionError,
                        match=rf"nonzero on column {c2} .* at dim 2$"):
-        cx.check_dd_zero()
+        quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
 
 
 @pytest.mark.parametrize("mid, perm", [
@@ -253,8 +253,8 @@ def test_dd_check_names_the_lowest_degree():
 def test_columns_match_the_tuple_keyed_assembly(mid, perm):
     """The column table gives the cells and, entry for entry, the boundary
     matrices of the tuple-keyed assembly in tests/quotient_assembly.py,
-    and on a complex corrupted in two degrees the two boundary-squared
-    checks name the same column."""
+    whose boundary-squared check passes on them, and on a complex
+    corrupted in two degrees names the corrupted column of the lower."""
     arr = pg.published_pairing(mid)
     if perm:
         arr = arr.relabeled(perm)
@@ -266,13 +266,43 @@ def test_columns_match_the_tuple_keyed_assembly(mid, perm):
     assert cx.boundaries == mats
     quotient_assembly.check_dd_zero(cells, mats)
     rng = random.Random(f"corrupt:{mid}")
-    for d in rng.sample(range(2, 7), 2):
-        _flip_a_face(cx, rng.choice(by_dim[d]))
-    with pytest.raises(AssertionError) as new:
-        cx.check_dd_zero()
-    with pytest.raises(AssertionError) as old:
+    low, high = sorted(rng.sample(range(2, 7), 2))
+    bad = {d: rng.choice(by_dim[d]) for d in (low, high)}
+    for c in bad.values():
+        _flip_a_face(cx, c)
+    with pytest.raises(AssertionError, match=rf"nonzero on column "
+                       rf"{bad[low]} .* at dim {low}$"):
         quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
-    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("mid, perm", [
+    (1, None), (2, None), (7, None),
+    (1, random.Random(13).sample(range(8), 8))])
+def test_assembly_is_a_chain_map(mid, perm):
+    """Boundary pi(Y) = pi(boundary Y) for every cell Y of every copy,
+    pi sending Y to its class with its transported sign: the reason the
+    quotient complex needs no boundary-squared pass of its own."""
+    arr = pg.published_pairing(mid)
+    if perm:
+        arr = arr.relabeled(perm)
+    quotient_assembly.check_chain_map(vf.face_cycles_proper(arr),
+                                      hm.build_quotient_complex(arr))
+
+
+def test_searched_gluings_are_chain_complexes():
+    """Row 1 of m2 with its first 23 sides fixed completes to m2 and to 7
+    unpublished proper gluings, all developing to m2's code; their
+    complexes pass the boundary-squared oracle."""
+    m2 = pg.published_pairing(2)
+    res = pg.search_pairings({(0, j): m2.entries[0][j] for j in range(23)})
+    assert res.complete and res.nodes_used == 42304
+    others = [s for s in res.solutions if s.entries != m2.entries]
+    assert len(others) == len(res.solutions) - 1 == 7
+    code = pg.develop(m2).code
+    for arr in others:
+        assert pg.develop(arr).code == code
+        cx = hm.build_quotient_complex(arr)
+        quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
 
 
 def test_one_face_pass_per_gluing_in_turn():
@@ -301,24 +331,53 @@ def test_one_face_pass_per_gluing_in_turn():
     assert roots[2] != roots[0] == roots[3]
 
 
-def test_sign_tables_follow_the_symmetry():
+def test_one_truncated_copy_is_a_chain_complex():
+    """P1 of the module docstring: boundary squared is zero on the cell
+    facets and incidences of one truncated polytope."""
     tc = hm.truncated_cells()
+    cells = [hm.QuotientCell(x, d, 0, x, -1, 1)
+             for x, d in enumerate(tc.cell_dim)]
+    mats: dict[int, dict[tuple[int, int], int]] = {d: {} for d in range(1, 7)}
+    for x, d in enumerate(tc.cell_dim):
+        for b, sign in zip(tc.cell_facets[x], tc.incidence[x]):
+            mats[d][b, x] = sign
+    quotient_assembly.check_dd_zero(cells, mats)
+
+
+def test_sign_tables_follow_the_symmetry():
+    """P2 of the module docstring: sigma carries each cell's facets, with
+    their signs, and its face, onto its image's."""
+    tc, fperm = hm.truncated_cells(), vf.lattice_context().fperm
     orient, incidence = tc.orient, tc.incidence
     facets, cperm = tc.cell_facets, tc.cell_perm
     n = len(tc.cells)
-    # sigma^8 is the identity, so it carries every frame to itself
-    assert all(orient[1][cperm[7][r]] * orient[7][r] == 1 for r in range(n))
     # incidence[sX][sb] = orient[1][X] incidence[X][b] orient[1][b]
     for x in range(n):
         moved = dict(zip(facets[cperm[1][x]], incidence[cperm[1][x]]))
         for b, sign in zip(facets[x], incidence[x]):
             assert moved[cperm[1][b]] == orient[1][x] * sign * orient[1][b]
+    for t in range(8):
+        assert all(tc.cell_face[cperm[t][x]] == fperm[t][tc.cell_face[x]]
+                   for x in range(n))
     # one copy of the truncated polytope is a cell complex of a ball
     one_copy = _chain_complex(
         tc.cell_dim, {(b, x): sign for x in range(n)
                          for b, sign in zip(facets[x], incidence[x])})
     assert [str(g) for g in hm.homology_groups(one_copy)] == \
         ["Z"] + ["0"] * 6
+
+
+def test_orientation_signs_are_a_cocycle():
+    """P3 of the module docstring: orient[s + t][X] = orient[s][X]
+    orient[t][sigma^s X] for all powers s, t and cells X, so the sign
+    that sigma^t gives a cell is the product of sigma's along its orbit
+    (and sigma^8, the identity, gives +1)."""
+    tc = hm.truncated_cells()
+    orient, cperm = tc.orient, tc.cell_perm
+    for s, t in itertools.product(range(8), repeat=2):
+        then = orient[t]
+        assert orient[(s + t) % 8] == tuple(
+            a * then[y] for a, y in zip(orient[s], cperm[s])), (s, t)
 
 
 def test_homology_manifold1_matches_record():
@@ -427,6 +486,7 @@ def test_one_reduction_matches_the_per_part_oracle(mid):
 @example(mid=1, perm=[2, 0, 1, 4, 3, 6, 7, 5])
 def test_homology_invariant_under_relabeling(mid, perm):
     cx = hm.build_quotient_complex(pg.published_pairing(mid).relabeled(perm))
+    quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
     groups = hm.homology_groups(cx)
     secs = hm.cusp_sections(cx)
     assert (groups, secs) == _per_part_homology(cx)
@@ -524,7 +584,7 @@ def _chain_complex(dims, boundaries, boundary=frozenset()):
     for c in cells:
         by_dim.setdefault(c.dim, []).append(c.index)
     cx = hm.QuotientCellComplex(cells, by_dim, columns)
-    cx.check_dd_zero()
+    quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
     return cx
 
 

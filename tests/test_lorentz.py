@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from coxglue.coxeter import DECK_GENERATOR, LONGEST_ELEMENT_DIM8, ORDER8_SYMMETRY
+from coxglue.coxeter import DECK_GENERATOR, ORDER8_SYMMETRY
 from coxglue.lorentz import (
     DimensionMismatch,
     RowSpan,
@@ -13,6 +13,7 @@ from coxglue.lorentz import (
     identity,
     lorentz_inner,
     lorentz_inverse,
+    mat,
     mat_mul,
     mat_vec,
     primitive,
@@ -25,6 +26,20 @@ from group_elements import is_form_preserving, is_positive_lorentzian
 E7 = (0, 0, 0, 0, 0, 0, 1)
 U7 = (1, 1, 0, 0, 0, 0, 1)
 U22 = (1, 1, 1, 1, 1, 0, 2)
+
+# generator of the intersection of the dimension-8 symmetry group with the
+# congruence-two subgroup: the longest element, a positive Lorentzian 9x9
+LONGEST_ELEMENT_DIM8 = mat([
+    [-3, -2, -2, -2, -2, -2, -2, -2, 6],
+    [-2, -3, -2, -2, -2, -2, -2, -2, 6],
+    [-2, -2, -3, -2, -2, -2, -2, -2, 6],
+    [-2, -2, -2, -3, -2, -2, -2, -2, 6],
+    [-2, -2, -2, -2, -3, -2, -2, -2, 6],
+    [-2, -2, -2, -2, -2, -3, -2, -2, 6],
+    [-2, -2, -2, -2, -2, -2, -3, -2, 6],
+    [-2, -2, -2, -2, -2, -2, -2, -3, 6],
+    [-6, -6, -6, -6, -6, -6, -6, -6, 17],
+])
 
 R7_EXPECTED = (
     (-1, -2, 0, 0, 0, 0, 2),

@@ -442,8 +442,9 @@ def test_each_side_pair_unioned_once_changes_nothing():
 
 
 def test_patch_sites_of_the_traced_benchmark_run():
-    """perfbench/layers.py wraps these module attributes; each name a
-    module imports from another must stay the one shared object."""
+    """perfbench/layers.py wraps these module attributes, and reads
+    `counts()`, `boundaries` and `by_dim` off a built complex; each name
+    a module imports from another must stay the one shared object."""
     from coxglue import homology as hm
     assert hm.face_cycles_proper is vf.face_cycles_proper
     assert pg.mat_mul is vf.mat_mul
@@ -454,6 +455,14 @@ def test_patch_sites_of_the_traced_benchmark_run():
                          (hm, "invariant_factors"), (hm, "truncated_cells"),
                          (vf, "columns_independent"), (vf, "gf2_solve")]:
         assert callable(getattr(module, name))
+    # the cell counts, the entries per boundary matrix, the cells per degree
+    cx = hm.build_quotient_complex(pg.published_pairing(1))
+    counts = {0: 225, 1: 1242, 2: 2700, 3: 2880, 4: 1512, 5: 324, 6: 8}
+    assert cx.counts() == counts
+    assert {d: len(ix) for d, ix in cx.by_dim.items()} == counts
+    nnz = {d: len(m) for d, m in cx.boundaries.items()}
+    assert sorted(nnz) == list(range(1, 7))
+    assert sum(nnz.values()) == sum(len(col) for col in cx.columns)
 
 
 def test_source_modules_read_every_name_they_import():
