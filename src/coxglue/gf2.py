@@ -7,13 +7,17 @@ so row operations are word-parallel for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+def bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 @dataclass(frozen=True)
@@ -35,16 +39,6 @@ class Gf2Matrix:
         ncols = len(rws[0]) if rws else 0
         return cls(len(rws), ncols, tuple(
             sum(bit << j for j, bit in enumerate(r)) for r in rws))
-
-    @classmethod
-    def from_columns(cls, cols: Iterable[Sequence[int]], nrows: int) -> "Gf2Matrix":
-        cs = list(cols)
-        bits = [0] * nrows
-        for j, col in enumerate(cs):
-            for i in range(nrows):
-                if col[i] & 1:
-                    bits[i] |= 1 << j
-        return cls(nrows, len(cs), tuple(bits))
 
     @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
@@ -80,11 +74,8 @@ class Gf2Matrix:
         out = []
         for b in self.bits:
             acc = 0
-            bb = b
-            while bb:
-                k = (bb & -bb).bit_length() - 1
+            for k in bits(b):
                 acc ^= other.bits[k]
-                bb &= bb - 1
             out.append(acc)
         return Gf2Matrix(self.rows, other.cols, tuple(out))
 
@@ -104,7 +95,7 @@ class Gf2Matrix:
         """Matrix times column vector (v packed with bit j = coordinate j)."""
         out = 0
         for i, b in enumerate(self.bits):
-            out |= (_popcount(b & v) & 1) << i
+            out |= ((b & v).bit_count() & 1) << i
         return out
 
     def rank(self) -> int:
@@ -140,8 +131,7 @@ class Gf2Solution:
     def solution_support(self) -> tuple[int, ...]:
         if self.solution is None:
             raise ValueError("system is inconsistent")
-        return tuple(j for j in range(self.solution.bit_length())
-                     if (self.solution >> j) & 1)
+        return tuple(bits(self.solution))
 
 
 def gf2_solve(m: Gf2Matrix, target: int) -> Gf2Solution:

@@ -19,7 +19,7 @@ from typing import Sequence
 from . import tables
 from .coxeter import ORDER8_SYMMETRY, sigma_permutation
 from .errors import CoxglueError
-from .lorentz import Mat, Vec, identity, mat_mul, reflection_in
+from .lorentz import Mat, identity, mat_mul, reflection_in
 from .polytope import QPolytope, RightAngledPolytope, build_polytope, build_q
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz@$"
@@ -47,21 +47,11 @@ class KElement:
     def code_value(self) -> int:
         return sum(((1 - s) // 2) << i for i, s in enumerate(self.signs))
 
-    @property
-    def dim(self) -> int:
-        return len(self.signs)
-
     def matrix(self) -> Mat:
         n = len(self.signs)
         diag = self.signs + (1,)
         return tuple(tuple(diag[i] if i == j else 0 for j in range(n + 1))
                      for i in range(n + 1))
-
-    def apply(self, v: Vec) -> Vec:
-        return tuple(s * c for s, c in zip(self.signs, v)) + (v[-1],)
-
-    def reverses_orientation(self) -> bool:
-        return self.signs.count(-1) % 2 == 1
 
     @classmethod
     def from_value(cls, value: int, n: int) -> "KElement":
@@ -99,25 +89,28 @@ class PairingCode:
         for c in self.digits:
             decode_digit(c, self.dim)
 
-    def k_elements(self) -> tuple[KElement, ...]:
-        return tuple(decode_digit(c, self.dim) for c in self.digits)
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The digit values: bit i of a value flips coordinate i."""
+        return tuple(map(ALPHABET.index, self.digits))
 
     def __str__(self) -> str:
         return self.digits
 
 
 def orientability_of_code(code: PairingCode | str) -> bool:
-    """Orientable iff every digit is an orientation-reversing sign flip."""
+    """Orientable iff every digit is an orientation-reversing sign flip:
+    each value flips an odd number of coordinates, so has odd weight."""
     if isinstance(code, str):
         code = PairingCode(6, code)
-    return all(k.reverses_orientation() for k in code.k_elements())
+    return all(v.bit_count() % 2 for v in code.values)
 
 
 @dataclass(frozen=True)
 class QSidePairing:
     """Fully decoded side pairing of the reflected union: side s carries
-    its group's sign flip K, its partner K(s) and the transform
-    T_s = r_s K, r_s the reflection in side s.
+    the digit value of its group's sign flip K, its partner K(s) and the
+    transform T_s = r_s K, r_s the reflection in side s.
 
     Every decoded pairing is consistent by construction.  K permutes the
     members of each group, so K(s) lies in s's group and K(K(s)) = s;
@@ -130,7 +123,7 @@ class QSidePairing:
     q: QPolytope
     code: PairingCode
     partner: tuple[int, ...]
-    k_elements: tuple[KElement, ...]
+    values: tuple[int, ...]
     transforms: tuple[Mat, ...]
 
 
@@ -144,13 +137,13 @@ def decode_q_code(code: PairingCode | str) -> QSidePairing:
                 f"expected 21 or 11 digits, got {len(code)}")
         code = PairingCode(dim, code)
     q = build_q(code.dim)
-    ks = code.k_elements()
-    k_of_side = tuple(ks[s.group] for s in q.sides)
-    partner = tuple(q.flips[k.code_value][i]
-                    for i, k in enumerate(k_of_side))
-    transforms = tuple(mat_mul(reflection_in(s.normal), k.matrix())
-                       for s, k in zip(q.sides, k_of_side))
-    return QSidePairing(q, code, partner, k_of_side, transforms)
+    values = code.values
+    ks = [KElement.from_value(v, code.dim).matrix() for v in values]
+    of_side = tuple(values[s.group] for s in q.sides)
+    partner = tuple(q.flips[v][i] for i, v in enumerate(of_side))
+    transforms = tuple(mat_mul(reflection_in(s.normal), ks[s.group])
+                       for s in q.sides)
+    return QSidePairing(q, code, partner, of_side, transforms)
 
 
 # -- eight-copy gluing arrays ------------------------------------------
@@ -421,9 +414,9 @@ def restrict_code(code: PairingCode | str) -> PairingCode:
         code = PairingCode(6, code)
     if code.dim != 6:
         raise PairingError("only dimension-6 codes restrict")
-    digits = code.digits
+    values = code.values
     return PairingCode(5, "".join(
-        ALPHABET[ALPHABET.index(digits[g6]) >> 1] for g6 in _q5_group_map()))
+        ALPHABET[values[g6] >> 1] for g6 in _q5_group_map()))
 
 
 # -- mutation (for negative testing) -------------------------------------
@@ -517,21 +510,21 @@ def search_pairings(
     Completed arrays are confirmed with the full properness checker.
     Exhausting the node or time budget is reported, never an error; a
     search that completes without a solution is reported infeasible.
-    A `fixed` slot outside the 8 x 27 array or entry outside 0..7 raises
-    ValueError.
+    A `fixed` slot outside the 8 x 27 array, an entry outside 0..7 or a
+    `max_solutions` below 1 raises PairingError.
     """
     from .verify import FaceCycles, lattice_context
 
     if max_solutions is not None and max_solutions < 1:
-        raise ValueError(f"max_solutions must be at least 1, got "
-                         f"{max_solutions}")
+        raise PairingError(f"max_solutions must be at least 1, got "
+                           f"{max_solutions}")
     for key, val in (fixed or {}).items():
         for x, what, top in ((key, "slot", 27), (val, "entry", 8)):
             if not (type(x) is tuple and len(x) == 2 and all(
                     type(c) is int and 0 <= c < t
                     for c, t in zip(x, (8, top)))):
-                raise ValueError(f"fixed {what} {x!r} is not a pair of ints "
-                                 f"below (8, {top})")
+                raise PairingError(f"fixed {what} {x!r} is not a pair of "
+                                   f"ints below (8, {top})")
     sigma_pows = standard_context().sigma_pows
     ctx = lattice_context()
     nf = len(ctx.lattice.faces)
@@ -606,11 +599,15 @@ def search_pairings(
                         best, best_score = (i, j), score
         return best
 
+    def spent() -> bool:
+        """Record and return whether the node or time budget is spent."""
+        state["exhausted"] = state["nodes"] >= node_budget or (
+            deadline is not None and time.monotonic() > deadline)
+        return state["exhausted"]
+
     def dfs() -> bool:
         """Returns False when the search should stop globally."""
-        if state["nodes"] >= node_budget or (
-                deadline is not None and time.monotonic() > deadline):
-            state["exhausted"] = True
+        if spent():
             return False
         slot = next_slot()
         if slot is None:
@@ -623,9 +620,7 @@ def search_pairings(
         i, j = slot
         for k in range(8):
             for p in range(8):
-                if state["nodes"] >= node_budget or (
-                        deadline is not None and time.monotonic() > deadline):
-                    state["exhausted"] = True
+                if spent():
                     return False
                 state["nodes"] += 1
                 mark = cyc.mark()

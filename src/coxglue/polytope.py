@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 from . import tables
 from .coxeter import group_orbit, outward_canonical, symmetry_generators
 from .errors import CoxglueError
+from .gf2 import bits
 from .lorentz import RowSpan, Vec, lorentz_inner
 
 
@@ -74,10 +75,8 @@ class RightAngledPolytope:
         inc = self.incidence_masks() if incidence is None else incidence
         out = [0] * len(self.vertices)
         for j, m in enumerate(inc):
-            while m:
-                low = m & -m
-                out[low.bit_length() - 1] |= 1 << j
-                m ^= low
+            for vid in bits(m):
+                out[vid] |= 1 << j
         return out
 
     def perpendicular_pairs(self) -> set[tuple[int, int]]:
@@ -181,18 +180,18 @@ class FaceLattice:
             must be all sides at its vertices; an ideal point with those."""
             span = RowSpan()
             closure = all_sides
-            for vid in _bits(vmask):
+            for vid in bits(vmask):
                 span.add(homog[vid])
                 closure &= smask[vid]
             dim = span.rank - 1
             ideal_point = sbits is None
-            sides = frozenset(_bits(closure if ideal_point else sbits))
+            sides = frozenset(bits(closure if ideal_point else sbits))
             if sbits == 0 and dim != n:
                 raise _face_error(sides, dim, "vertex set does not span the "
                                   "ambient space")
             if not ideal_point and closure != sbits:
                 raise _face_error(sides, dim, "its vertices lie in sides "
-                                  f"{_one_based(_bits(closure))}")
+                                  f"{_one_based(bits(closure))}")
             if not ideal_point and len(sides) != n - dim:
                 raise _face_error(sides, dim, f"expected dim {n - len(sides)}")
             if dim == 1 and vmask.bit_count() != 2:
@@ -218,7 +217,7 @@ class FaceLattice:
             nxt = []
             for fidx, sbits, common in level:
                 face = self.faces[fidx]
-                for a in _bits(common):
+                for a in bits(common):
                     vmask = face.vertex_mask & inc[a]
                     if not vmask:
                         continue
@@ -236,7 +235,7 @@ class FaceLattice:
         for face in self.faces:
             if face.dim == 1:
                 face.covers.extend(self.by_vertex_mask[1 << v]
-                                   for v in _bits(face.vertex_mask & ~actual))
+                                   for v in bits(face.vertex_mask & ~actual))
 
     # -- queries ---------------------------------------------------------
     def counts(self) -> dict[int, int]:
@@ -262,11 +261,11 @@ class FaceLattice:
         }
 
     def vertex_ids(self, face: Face) -> tuple[int, ...]:
-        return tuple(_bits(face.vertex_mask))
+        return tuple(bits(face.vertex_mask))
 
     def ideal_vertex_ids(self, face: Face) -> tuple[int, ...]:
         poly = self.polytope
-        return tuple(v for v in _bits(face.vertex_mask)
+        return tuple(v for v in bits(face.vertex_mask)
                      if not poly.is_actual(v))
 
     def validate(self) -> None:
@@ -277,13 +276,6 @@ class FaceLattice:
                     for a, b in combinations(f.sides, 2)):
                 raise _face_error(f.sides, f.dim,
                                   "sides are not pairwise perpendicular")
-
-
-def _bits(m: int) -> Iterable[int]:
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def _one_based(sides: Iterable[int]) -> list[int]:

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .coxeter import constants
 from .errors import CoxglueError
-from .gf2 import Gf2Matrix, columns_independent, gf2_solve
+from .gf2 import Gf2Matrix, bits, columns_independent, gf2_solve
 # mat_mul is unused here but stays importable: perfbench/layers.py patches it
 from .lorentz import Vec, mat_mul, mat_vec  # noqa: F401
 from .pairing import (
@@ -167,12 +167,7 @@ def lattice_context() -> LatticeContext:
     vsigma = [vindex[mat_vec(ctx.powers[1], v)] for v in p6.vertices]
     fsigma = []
     for f in faces:
-        mask = 0
-        m = f.vertex_mask
-        while m:
-            low = m & -m
-            mask |= 1 << vsigma[low.bit_length() - 1]
-            m ^= low
+        mask = sum(1 << vsigma[v] for v in bits(f.vertex_mask))
         g = faces[lat.by_vertex_mask[mask]]
         if frozenset(ctx.sigma_pows[1][s] for s in f.sides) != g.sides:
             raise AssertionError("vertex and side transport routes disagree")
@@ -345,7 +340,7 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     for m, on_side in enumerate(_sides_faces(lat)):
         if partner[m] < m:
             continue  # the partner side made the inverse unions
-        perm = qsp.q.flips[qsp.k_elements[m].code_value]
+        perm = qsp.q.flips[qsp.values[m]]
         for fidx in on_side:
             target = by_sides[frozenset([perm[a] for a in faces[fidx].sides])]
             links = len(journal)
@@ -417,14 +412,12 @@ def _cycle_report(uf: FaceCycles, lat: FaceLattice, roots: Sequence[int],
 
 @dataclass(frozen=True)
 class CodeMatrix:
-    """Mod-two abelianization data of a 21-digit code: six identity
-    columns for the coordinate walls, then the digit bit columns."""
+    """Mod-two abelianization data of a 21-digit code: the 6 x 27
+    `matrix` and its `columns`, packed with bit r = row r: 1 << i for
+    the six coordinate walls, then the digit values."""
 
     matrix: Gf2Matrix
-    code: PairingCode
-
-    def column_bits(self, j: int) -> int:
-        return self.matrix.column(j)
+    columns: tuple[int, ...]
 
 
 def build_code_matrix(code: PairingCode | str) -> CodeMatrix:
@@ -432,13 +425,8 @@ def build_code_matrix(code: PairingCode | str) -> CodeMatrix:
         code = PairingCode(6, code)
     if code.dim != 6:
         raise CertificationError("code matrix needs a 21-digit code")
-    cols: list[list[int]] = []
-    for i in range(6):
-        cols.append([1 if r == i else 0 for r in range(6)])
-    for k in code.k_elements():
-        v = k.code_value
-        cols.append([(v >> r) & 1 for r in range(6)])
-    return CodeMatrix(Gf2Matrix.from_columns(cols, 6), code)
+    columns = tuple(1 << i for i in range(6)) + code.values
+    return CodeMatrix(Gf2Matrix(27, 6, columns).transpose(), columns)
 
 
 @dataclass(frozen=True)
@@ -482,24 +470,17 @@ def torsion_free_H(cmx: CodeMatrix, mode: str = "full") -> TorsionCertificate:
         representative_sets=tuple(frozenset(s) for s in items))
 
 
-def _relator_span(
-        cmx: CodeMatrix) -> tuple[list[int], Callable[[int], int | None]]:
-    """The 21 relator images, wall j's column with bit j set for the
-    wall itself (j = 6..26), and the map from a 27-bit vector to its
-    coefficients over them, bit r for relator r + 7, or None when the
-    vector is outside their span.  Each relator carries its own wall
-    bit, so the coefficients can only be the vector's bits 6..26."""
-    basis = [cmx.column_bits(j) | (1 << j) for j in range(6, 27)]
-
-    def coefficients(y: int) -> int | None:
-        coeff = y >> 6
-        total = 0
-        for r in range(21):
-            if (coeff >> r) & 1:
-                total ^= basis[r]
-        return coeff if total == y else None
-
-    return basis, coefficients
+def _relator_coefficients(cmx: CodeMatrix, y: int) -> int | None:
+    """The coefficients of a 27-bit vector over the 21 relator images,
+    wall j's column with bit j set for the wall itself (j = 6..26): bit r
+    for relator r + 7, or None when the vector is outside their span.
+    Each relator carries its own wall bit, so the coefficients can only
+    be the vector's bits 6..26, and they fit when the relators' columns
+    sum to its bits 0..5."""
+    low = 0
+    for r in bits(y >> 6):
+        low ^= cmx.columns[r + 6]
+    return y >> 6 if low == y & 63 else None
 
 
 def pair_space_action(cmx: CodeMatrix) -> Gf2Matrix:
@@ -507,55 +488,39 @@ def pair_space_action(cmx: CodeMatrix) -> Gf2Matrix:
     the order-8 side permutation; raises InvarianceError if the span is
     not preserved."""
     sigma = standard_context().sigma
-    basis, coefficients = _relator_span(cmx)
-
-    def act(x: int) -> int:
-        out = 0
-        m = x
-        while m:
-            low = m & -m
-            out |= 1 << sigma[low.bit_length() - 1]
-            m ^= low
-        return out
-
     cols = []
-    for j in range(21):
-        coeff = coefficients(act(basis[j]))
+    for j in range(6, 27):
+        image = sum(1 << sigma[w] for w in bits(cmx.columns[j] | 1 << j))
+        coeff = _relator_coefficients(cmx, image)
         if coeff is None:
             raise InvarianceError(
-                f"image of relator {j + 7} leaves the relator span")
-        cols.append([(coeff >> r) & 1 for r in range(21)])
-    return Gf2Matrix.from_columns(cols, 21)
+                f"image of relator {j + 1} leaves the relator span")
+        cols.append(coeff)
+    return Gf2Matrix(21, 21, tuple(cols)).transpose()
 
 
 def extension_torsion_certificate(cmx: CodeMatrix) -> dict:
     """Decide whether the order-8 extension has an order-two obstruction:
     certified when v + action^4(v) = (orbit sum of wall two) has no
     solution among the relator images, action = pair_space_action(cmx)."""
-    sigma = standard_context().sigma
     action = pair_space_action(cmx)
-    target = 0
-    s = 1  # wall with index 2 in one-based terms
-    for _ in range(8):
-        target ^= 1 << s
-        s = sigma[s]
-    _, coefficients = _relator_span(cmx)
-    coeff = coefficients(target)
+    # wall two's orbit is one 8-cycle, so its bits are distinct
+    target = sum(1 << pw[1] for pw in standard_context().sigma_pows)
+    coeff = _relator_coefficients(cmx, target)
+    solution = None
     if coeff is None:
-        return {"status": "certified", "reason": "target outside relator span",
-                "solution": None, "target_coefficients": None}
-    m = action.power(4) + Gf2Matrix.identity(21)
-    sol = gf2_solve(m, coeff)
-    if sol.consistent:
-        return {"status": "inconclusive",
-                "reason": "obstruction equation is solvable",
-                "solution": sorted(j + 7 for j in sol.solution_support()),
-                "target_coefficients": sorted(j + 7 for j in range(21)
-                                              if (coeff >> j) & 1)}
-    return {"status": "certified", "reason": "obstruction equation has no solution",
-            "solution": None,
-            "target_coefficients": sorted(j + 7 for j in range(21)
-                                          if (coeff >> j) & 1)}
+        reason = "target outside relator span"
+    else:
+        sol = gf2_solve(action.power(4) + Gf2Matrix.identity(21), coeff)
+        if sol.consistent:
+            solution = [j + 7 for j in sol.solution_support()]
+        reason = ("obstruction equation has no solution" if solution is None
+                  else "obstruction equation is solvable")
+    return {"status": "certified" if solution is None else "inconclusive",
+            "reason": reason,
+            "solution": solution,
+            "target_coefficients": (None if coeff is None
+                                    else [j + 7 for j in bits(coeff)])}
 
 
 # -- combined certificate -------------------------------------------------

@@ -166,8 +166,10 @@ def test_search_wants_at_least_one_solution(capsys):
         main(["search", "--fix-rows", "8", "--max-solutions", "0"])
     assert exc.value.code == 2
     assert "--max-solutions" in capsys.readouterr().err
-    with pytest.raises(ValueError, match="max_solutions"):
+    with pytest.raises(ValueError, match="max_solutions") as exc:
         pg.search_pairings(None, max_solutions=0)
+    assert isinstance(exc.value, pg.PairingError)
+    assert isinstance(exc.value, CoxglueError)
     code, out = run(capsys, "search", "--fix-rows", "8", "--max-solutions",
                     "1", "--json")
     assert code == 0 and len(json.loads(out)["solutions"]) == 1

@@ -3,14 +3,23 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coxglue import tables
 from coxglue.gf2 import (
     DimensionMismatch,
     Gf2Matrix,
+    bits,
     columns_independent,
     gf2_solve,
 )
+
+
+@given(st.integers(min_value=0, max_value=1 << 300))
+def test_bits_yields_the_set_bits_ascending(m):
+    assert list(bits(m)) == [j for j in range(m.bit_length()) if m >> j & 1]
+    assert list(bits(0)) == []
 
 
 def test_identity_system_returns_target():

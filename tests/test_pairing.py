@@ -8,6 +8,7 @@ import pytest
 
 from coxglue import pairing as pg
 from coxglue import polytope, tables
+from coxglue.errors import CoxglueError
 from coxglue.lorentz import (
     identity,
     lorentz_inverse,
@@ -52,7 +53,7 @@ def test_decode_published_code():
     # the first wall pairs to the wall whose normal has the second sign
     # flipped: index 2 in the standard order
     assert qsp.partner[0] == 2
-    assert qsp.k_elements[0] == pg.decode_digit("M")
+    assert qsp.values[0] == pg.decode_digit("M").code_value
     for s in qsp.q.sides:
         i, j = s.index, qsp.partner[s.index]
         assert qsp.partner[j] == i
@@ -226,7 +227,7 @@ def test_chart_facts_of_the_integer_walk():
             continue
         for k, flip in enumerate(q6.flips):
             assert q6.sides[flip[wall]].normal == \
-                pg.KElement.from_value(k, 6).apply(u)
+                mat_vec(pg.KElement.from_value(k, 6).matrix(), u)
     mod2 = {tuple(tuple(e % 2 for e in row) for row in g) for g in ctx.powers}
     assert len(mod2) == 8
 
@@ -248,8 +249,8 @@ def test_flips_are_the_sign_flip_action(n):
     assert len(flips) == 1 << n
     assert flips[0] == tuple(range(len(q.sides)))
     for a in range(1 << n):
-        k = pg.KElement.from_value(a, n)
-        assert flips[a] == tuple(q.side_index_of_normal(k.apply(s.normal))
+        k = pg.KElement.from_value(a, n).matrix()
+        assert flips[a] == tuple(q.side_index_of_normal(mat_vec(k, s.normal))
                                  for s in q.sides)
         for b in range(1 << n):
             assert tuple(flips[a][s] for s in flips[b]) == flips[a ^ b]
@@ -289,7 +290,7 @@ def test_sign_flip_table_pairs_every_side_consistently():
         qsp = pg.decode_q_code(pg.ALPHABET[k] * 21)
         for s in qsp.q.sides:
             i, j = s.index, qsp.partner[s.index]
-            assert qsp.k_elements[i].code_value == k
+            assert qsp.values[i] == k
             assert qsp.q.sides[j].group == s.group
             assert qsp.partner[j] == i
             assert mat_mul(qsp.transforms[i], qsp.transforms[j]) == \
@@ -303,6 +304,16 @@ def test_orientability():
     for rec in tables.manifold_records():
         assert pg.orientability_of_code(rec.code) == rec.orientable
     assert pg.orientability_of_code("0" * 21) is False
+
+
+def test_orientability_is_odd_weight_of_every_value():
+    """A code is orientable iff each digit's sign flip reverses
+    orientation: one value decides it alone, among digits that do."""
+    for v in range(64):
+        reverses = pg.KElement.from_value(v, 6).signs.count(-1) % 2 == 1
+        assert pg.orientability_of_code(pg.ALPHABET[v] * 21) is reverses
+        assert pg.orientability_of_code("1" * 20 + pg.ALPHABET[v]) is \
+            reverses
 
 
 def test_mutations_stay_involutive():
@@ -388,8 +399,10 @@ def _m9_row_with_negative_power() -> dict:
     (_m9_row_with_negative_power(), "(0, -1)"),
 ])
 def test_search_rejects_bad_fixed_entries(fixed, named):
-    with pytest.raises(ValueError, match=re.escape(named)):
+    with pytest.raises(ValueError, match=re.escape(named)) as exc:
         pg.search_pairings(fixed, node_budget=10)
+    assert isinstance(exc.value, pg.PairingError)
+    assert isinstance(exc.value, CoxglueError)
 
 
 def _first_row(mid: int, seed: int | None) -> dict:
@@ -463,5 +476,5 @@ def test_decode_random_codes_validate():
         qsp = pg.decode_q_code(code)
         groups = {}
         for s in qsp.q.sides:
-            groups.setdefault(s.group, set()).add(qsp.k_elements[s.index])
+            groups.setdefault(s.group, set()).add(qsp.values[s.index])
         assert all(len(ks) == 1 for ks in groups.values())

@@ -190,9 +190,27 @@ def test_lattice_context_checks_sigma_against_its_matrix(monkeypatch):
 def test_code_matrix_matches_embedded():
     cmx = vf.build_code_matrix(tables.manifold_record(1).code)
     assert cmx.matrix.row_list() == [list(r) for r in tables.code_matrix_m1()]
-    assert cmx.column_bits(6) == (1 << 1) | (1 << 2) | (1 << 4)
+    assert cmx.columns[6] == (1 << 1) | (1 << 2) | (1 << 4)
     for j in range(6):
-        assert cmx.column_bits(j) == 1 << j
+        assert cmx.columns[j] == 1 << j
+
+
+def test_code_matrix_columns_are_the_digit_values():
+    """The packed columns are the six unit columns, then the digit values,
+    and the matrix rows are those built bit by bit from the digits' signs,
+    the route the packed build replaced."""
+    rng = random.Random(24)
+    codes = [tables.manifold_record(m).code for m in range(1, 10)]
+    codes += ["".join(rng.choice(pg.ALPHABET) for _ in range(21))
+              for _ in range(20)]
+    for code in codes:
+        cmx = vf.build_code_matrix(code)
+        assert cmx.columns == tuple(1 << i for i in range(6)) + tuple(
+            pg.decode_digit(c).code_value for c in code)
+        signs = [pg.decode_digit(c).signs for c in code]
+        rows = [[int(i == r) for i in range(6)]
+                + [int(k[r] == -1) for k in signs] for r in range(6)]
+        assert cmx.matrix.row_list() == rows
 
 
 def test_pair_space_action_matches_embedded():
@@ -208,7 +226,7 @@ def test_pair_space_action_matches_embedded():
 
 def test_relator_images_span_has_index_64():
     cmx = vf.build_code_matrix(tables.manifold_record(1).code)
-    basis = [cmx.column_bits(j) | (1 << j) for j in range(6, 27)]
+    basis = [cmx.columns[j] | (1 << j) for j in range(6, 27)]
     assert Gf2Matrix(21, 27, tuple(basis)).rank() == 21
 
 
@@ -256,6 +274,45 @@ def test_extension_certificates_split():
         if mid == 1:
             assert out["target_coefficients"] == [9, 11, 12, 14, 20, 21]
     assert {m for m, s in statuses.items() if s == "certified"} == {1, 3, 4, 5, 6}
+
+
+def test_extension_certificates_match_recorded_values():
+    """The whole extension result, in its printed key order, on the nine
+    codes and on ten seeded one-digit mutations of them, eight of which
+    move a relator's image out of the span, as recorded before the
+    relator span was read off packed columns."""
+    def recorded(sol):
+        return {"status": "certified" if sol is None else "inconclusive",
+                "reason": ("obstruction equation has no solution"
+                           if sol is None
+                           else "obstruction equation is solvable"),
+                "solution": sol,
+                "target_coefficients": [9, 11, 12, 14, 20, 21]}
+
+    def outcome(code):
+        try:
+            out = vf.extension_torsion_certificate(vf.build_code_matrix(code))
+        except vf.InvarianceError as exc:
+            return str(exc)
+        assert list(out) == ["status", "reason", "solution",
+                             "target_coefficients"]
+        return out
+
+    solvable = {2: [8, 9, 11, 14], 7: [8, 11, 14], 8: [8, 9, 11, 14],
+                9: [8, 11, 14]}
+    for mid in range(1, 10):
+        assert outcome(tables.manifold_record(mid).code) == \
+            recorded(solvable.get(mid)), mid
+    rng = random.Random(185)
+    mutants = []
+    for _ in range(10):
+        code = list(tables.manifold_record(rng.randrange(1, 10)).code)
+        code[rng.randrange(21)] = pg.ALPHABET[rng.randrange(64)]
+        mutants.append("".join(code))
+    left = "image of relator {} leaves the relator span".format
+    assert [outcome(code) for code in mutants] == [
+        left(7), left(22), left(7), recorded(None), recorded([8, 11, 14]),
+        left(15), left(22), left(10), left(12), left(18)]
 
 
 def test_properness_published_and_counts():
@@ -486,3 +543,34 @@ def test_source_modules_read_every_name_they_import():
         unused |= {(path.stem, name) for name in imported - read}
     allowed = {("homology", "det"), ("verify", "mat_mul")}
     assert unused <= allowed, sorted(unused - allowed)
+
+
+def test_source_definitions_are_named_elsewhere():
+    """A function, class or method that no code in src/, tests/ or
+    perfbench/ names is dead.  A name counts as named where code reads it
+    as a name or an attribute, imports it, or holds it as a string, the
+    way perfbench/layers.py names the attributes it patches.  Dunder
+    methods are exempt: Python calls them."""
+    root = Path(__file__).resolve().parents[1]
+    named, defined = set(), []
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.asname or node.name.split(".")[-1])
+                elif isinstance(node, ast.Constant) and isinstance(
+                        node.value, str):
+                    named.add(node.value)
+                elif (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and folder == "src"
+                      and not (node.name.startswith("__")
+                               and node.name.endswith("__"))):
+                    defined.append((path.stem, node.name))
+    assert len(defined) > 100
+    unnamed = [d for d in defined if d[1] not in named]
+    assert not unnamed, unnamed
+
