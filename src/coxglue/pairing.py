@@ -1,11 +1,11 @@
 """Side-pairing codes and gluing data for the reflected union and for
 eight abstract copies of the dimension-6 polytope.
 
-A code digit is a sign pattern on the first coordinates, packed base 64;
-decoding a code produces the full per-side pairing of the reflected
-union.  The eight-copy gluings are 8 x 27 arrays whose entries name a
-partner polytope and a power of the order-8 symmetry; developing such a
-gluing through the reflected union recovers the code.
+A code digit is a sign pattern on the first coordinates, packed base 64,
+one per base side after the coordinate walls; decoding a code builds the
+reflected union's full per-side pairing.  The eight-copy gluings are
+8 x 27 arrays whose entries name a partner polytope and a power of the
+order-8 symmetry; developing one recovers the code digit by base side.
 """
 
 from __future__ import annotations
@@ -273,38 +273,19 @@ class Development:
     code: PairingCode
 
 
-@lru_cache(maxsize=1)
-def _develop_tables():
-    """Gluing-independent data of development: the coordinate bit of each
-    side (0 off the coordinate walls); the reflected union's wall u_s of
-    every other side s (None on the coordinate walls), which sign flip k
-    carries to the wall k . u_s, `q6.flips[k][walls[s]]`; and the
-    reflected union."""
-    q6 = build_q(6)
-    bits, walls = [], []
-    for u in standard_context().polytope.normals:
-        support = [c for c in range(6) if u[c]]
-        coordinate = len(support) == 1
-        bits.append(1 << support[0] if coordinate else 0)
-        walls.append(None if coordinate else q6.side_index_of_normal(u))
-    return tuple(bits), tuple(walls), q6
-
-
 def _walk(arr: EightPPairing) -> tuple[dict[int, tuple[int, int]], list]:
     """Place copy 1 at the identity and walk the gluing through the
     reflected union.
 
     Every chart inside the union is k sigma^a, and crossing side j of
     the copy there, with entry (c, p), reaches k r_s sigma^(a - p) for
-    s = sigma^a(j).  Off the coordinate walls that chart lies across the
-    union's wall k . u_s; on one it is the inside chart (k xor bit(s),
-    a - p).  Returns the power and copy placed at each k, and the
-    boundary crossings as (copy, side, wall, k, partner, power).
+    s = sigma^a(j).  On a coordinate wall, s < 6, that is the inside
+    chart (k xor 2^s, a - p); any other side lies on a wall of the union
+    in group s - 6.  Returns the power and copy placed at each k, and the
+    boundary crossings as (copy, side, group, k, partner, power).
     """
     arr.validate_involution()
     sigma_pows = standard_context().sigma_pows
-    bits, walls, q6 = _develop_tables()
-    flips = q6.flips
     placements = {0: (0, 0)}
     frontier = [0]
     boundary = []
@@ -315,10 +296,10 @@ def _walk(arr: EightPPairing) -> tuple[dict[int, tuple[int, int]], list]:
             for j in range(27):
                 c, p = arr.entry(i, j)
                 s, b = sigma_pows[a][j], (a - p) % 8
-                if not bits[s]:
-                    boundary.append((i, j, flips[k][walls[s]], k, c, b))
+                if s >= 6:
+                    boundary.append((i, j, s - 6, k, c, b))
                     continue
-                nk = k ^ bits[s]
+                nk = k ^ 1 << s
                 prev = placements.get(nk)
                 if prev is None:
                     placements[nk] = (b, c)
@@ -336,27 +317,19 @@ def develop(arr: EightPPairing) -> Development:
     """Develop the gluing through the reflected union and read the code
     off its walls.
 
-    The wall k . u_s crossed into the copy c whose chart has power a - p
-    carries the sign flip k xor k'', k'' sigma^(a - p) being that chart.
-    Raises DevelopmentConflict, naming the copy (and the side, during
-    the walk) at fault, when two routes place a copy differently or the
-    64 copies are not covered exactly once.
+    Crossing side s >= 6 into the copy c whose chart has power a - p
+    reads digit s - 6 as k xor k'', k'' sigma^(a - p) being that chart;
+    the first chart crosses every side, so every digit is read.  Raises
+    DevelopmentConflict, naming the copy (and the side, but for
+    congruent charts), when two routes place a copy differently or a
+    digit reads two values.
     """
     placements, boundary = _walk(arr)
-    q6 = _develop_tables()[2]
-    per_abstract = [0] * 8
-    for _, i in placements.values():
-        per_abstract[i] += 1
-    if per_abstract != [8] * 8:
-        c = next(c for c in range(8) if per_abstract[c] != 8)
-        raise DevelopmentConflict(
-            f"development covered {len(placements)} copies, expected 64: "
-            f"abstract copy {c + 1} placed {per_abstract[c]} times, "
-            f"expected 8")
-
-    # sign flips are the identity mod two and the powers of sigma are
-    # not congruent, so charts of one copy are congruent when they share
-    # a power; once none do, each (copy, power) has exactly one chart
+    # every chart crosses the six coordinate walls, so the walk places
+    # all 64 sign flips; sign flips are the identity mod two and the
+    # powers of sigma are not congruent, so charts of one copy are
+    # congruent when they share a power; once none do, each (copy,
+    # power) has exactly one chart
     flip_of: dict[tuple[int, int], int] = {}
     for k, (a, i) in placements.items():
         if (i, a) in flip_of:
@@ -365,27 +338,16 @@ def develop(arr: EightPPairing) -> Development:
                 f"congruent mod two")
         flip_of[i, a] = k
 
-    side_digits: list[int | None] = [None] * len(q6.sides)
-    for i, j, m, k, c, b in boundary:
+    digits: list[int | None] = [None] * 21
+    for i, j, g, k, c, b in boundary:
         value = k ^ flip_of[c, b]
-        if side_digits[m] is None:
-            side_digits[m] = value
-        elif side_digits[m] != value:
+        if digits[g] is None:
+            digits[g] = value
+        elif digits[g] != value:
             raise DevelopmentConflict(
-                f"copy {i + 1}, side {j + 1}: wall {m + 1} received two "
-                f"digits")
-    if None in side_digits:
-        raise DevelopmentConflict(
-            f"wall {side_digits.index(None) + 1} was never crossed")
-
-    digits = []
-    for grp in range(q6.n_groups):
-        vals = {side_digits[s.index] for s in q6.group_members(grp)}
-        if len(vals) != 1:
-            raise DevelopmentConflict(
-                f"group {grp + 1} walls received distinct digits")
-        digits.append(ALPHABET[vals.pop()])
-    code = PairingCode(6, "".join(digits))
+                f"copy {i + 1}, side {j + 1}: digit {g + 1} read two "
+                f"values")
+    code = PairingCode(6, "".join(map(ALPHABET.__getitem__, digits)))
     placed = tuple((k, a, i) for k, (a, i) in placements.items())
     return Development(placed, code)
 
@@ -396,10 +358,11 @@ def develop(arr: EightPPairing) -> Development:
 @lru_cache(maxsize=1)
 def _q5_group_map() -> tuple[int, ...]:
     """For each side group of the dimension-5 union, the matching group of
-    the dimension-6 union under the coordinate-1 cross-section."""
-    q6 = build_q(6)
-    return tuple(q6.sides[q6.side_index_of_normal((0,) + s.normal)].group
-                 for s in build_q(5).sides if s.signs == (1,) * 5)
+    the dimension-6 union under the coordinate-1 cross-section: group g
+    spans base side n + g in dimension n (see `polytope.build_polytope`)."""
+    p6 = build_polytope(6)
+    return tuple(p6.normals.index((0,) + u) - 6
+                 for u in build_polytope(5).normals[5:])
 
 
 def restrict_code(code: PairingCode | str) -> PairingCode:

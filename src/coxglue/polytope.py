@@ -125,6 +125,13 @@ def build_polytope(n: int) -> RightAngledPolytope:
         seeds.append((1, 1, 1))
     normals = group_orbit(gens, seeds, canonical=canon)
     normals = tuple(sorted(normals, key=_side_sort_key))
+    # codes rely on this layout: sides 0..n-1 are the coordinate walls
+    # -e_1..-e_n, and each later side s spans the union's group s - n
+    walls = tuple(tuple(-int(i == c) for i in range(n + 1)) for c in range(n))
+    if normals[:n] != walls or any(
+            sum(map(bool, u[:-1])) < 2 for u in normals[n:]):
+        raise LatticeError(f"sides 1..{n} are not the coordinate walls "
+                           f"-e_1..-e_{n} alone")
     poly = RightAngledPolytope(n, normals, actual, ideal)
     poly.validate()
     if n == 6:
@@ -369,20 +376,16 @@ def build_q(n: int) -> QPolytope:
     """The reflected union with its standard side order, built once per
     process.
 
-    Sides come in groups, one group per non-coordinate base side, listing
-    sign patterns on the nonzero coordinates in ascending binary order with
+    Sides come in groups, group g for base side n + g, listing sign
+    patterns on the nonzero coordinates in ascending binary order with
     the lowest coordinate as the least significant bit.
     """
     if n not in (5, 6):
         raise DimensionError("the reflected union is built in dimension 5 or 6")
     base = build_polytope(n)
     sides: list[QSide] = []
-    group = -1
-    for u in base.normals:
+    for group, u in enumerate(base.normals[n:]):
         support = [i for i, c in enumerate(u[:-1]) if c]
-        if len(support) <= 1:
-            continue
-        group += 1
         z = len(support)
         for m in range(1 << z):
             signs = [1] * n

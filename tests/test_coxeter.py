@@ -234,16 +234,22 @@ def test_pi_multiples_float_as_with_mpmath_pi(n):
 
 def test_gluing_path_never_imports_mpmath():
     """Only the odd-dimensional constants load mpmath: not the contexts,
-    a certification with homology, nor a search."""
+    a certification with homology, restriction, nor a search.  None of
+    them builds the reflected union either; decoding does."""
     script = textwrap.dedent("""
         import sys
-        from coxglue import cli, homology, pairing, verify
+        from coxglue import cli, homology, pairing, polytope, tables, verify
         pairing.standard_context()
         verify.lattice_context()
         homology.truncated_cells()
         assert cli.certify_one(1)["ok"]
+        for mid in range(1, 10):
+            pairing.restrict_code(tables.manifold_record(mid).code)
         result = pairing.search_pairings(None, node_budget=100)
         assert result.nodes_used == 100
+        assert polytope.build_q.cache_info().currsize == 0
+        pairing.decode_q_code(tables.manifold_record(1).code)
+        assert polytope.build_q.cache_info().currsize > 0
         assert "mpmath" not in sys.modules
         from coxglue.coxeter import constants
         constants(5)

@@ -18,6 +18,7 @@ from coxglue.lorentz import (
 )
 
 from search_oracle import oracle_search
+from wall_development import wall_develop
 
 
 def test_codec_matches_embedded_table():
@@ -121,6 +122,46 @@ def test_develop_conflict_on_corrupted_array():
     assert seen_conflict >= 1
 
 
+def test_develop_matches_the_wall_by_wall_oracle():
+    """Reading digit s - 6 off base side s gives the code and placements
+    that reading a digit per wall of the reflected union gives, on the
+    nine gluings, relabelings of them and single and chained mutants;
+    where one route raises DevelopmentConflict, so does the other, and a
+    digit read twice names the copy and side."""
+    rng = random.Random(25)
+    arrays = [pg.published_pairing(mid) for mid in range(1, 10)]
+    for arr in arrays[:9]:
+        for _ in range(3):
+            perm = list(range(8))
+            rng.shuffle(perm)
+            arrays.append(arr.relabeled(perm))
+    for n in range(150):
+        arr = rng.choice(arrays[:36])
+        for _ in range(1 + n % 3):
+            arr = pg.mutated_pairing(arr, rng)
+        arrays.append(arr)
+    outcomes = {"developed": 0, "reached twice": 0, "read two values": 0}
+    for arr in arrays:
+        try:
+            want = wall_develop(arr)
+        except pg.DevelopmentConflict as exc:
+            want = exc
+        try:
+            got = pg.develop(arr)
+        except pg.DevelopmentConflict as exc:
+            assert isinstance(want, pg.DevelopmentConflict), str(exc)
+            kind = next(k for k in outcomes if k in str(exc))
+            outcomes[kind] += 1
+            if kind == "read two values":
+                assert re.fullmatch(r"copy [1-8], side \d+: digit \d+ read "
+                                    r"two values", str(exc)), str(exc)
+            continue
+        assert got == want
+        outcomes["developed"] += 1
+    assert outcomes == {"developed": 36, "reached twice": 124,
+                        "read two values": 26}
+
+
 def _old_sign_flip_of(g) -> tuple[int, ...] | None:
     """Signs s when g = diag(s, 1), else None."""
     n = len(g)
@@ -207,9 +248,9 @@ def test_development_keys_match_old_route():
 
 def test_chart_facts_of_the_integer_walk():
     """Conjugating a side reflection by a power of sigma reflects in the
-    permuted side; the coordinate walls reflect by flipping their one
-    coordinate, and every other side lies on the reflected union's walls
-    k . u_s; the powers of sigma are pairwise incongruent mod two."""
+    permuted side; side s < 6 reflects by flipping bit s, and every other
+    side s lies on the reflected union's walls k . u_s, all in group
+    s - 6; the powers of sigma are pairwise incongruent mod two."""
     ctx = pg.standard_context()
     reflections = [reflection_in(u) for u in ctx.polytope.normals]
     for a, g in enumerate(ctx.powers):
@@ -217,16 +258,16 @@ def test_chart_facts_of_the_integer_walk():
         for j, r in enumerate(reflections):
             assert mat_mul(mat_mul(g, r), g_inv) == \
                 reflections[ctx.sigma_pows[a][j]]
-    bits, walls, q6 = pg._develop_tables()
-    assert sorted(b for b in bits if b) == [1 << c for c in range(6)]
-    for u, r, bit, wall in zip(ctx.polytope.normals, reflections, bits,
-                               walls):
-        if bit:
-            assert r == pg.KElement.from_value(bit, 6).matrix()
-            assert wall is None
+    q6 = polytope.build_q(6)
+    for s, (u, r) in enumerate(zip(ctx.polytope.normals, reflections)):
+        if s < 6:
+            assert r == pg.KElement.from_value(1 << s, 6).matrix()
             continue
+        wall = q6.side_index_of_normal(u)
         for k, flip in enumerate(q6.flips):
-            assert q6.sides[flip[wall]].normal == \
+            side = q6.sides[flip[wall]]
+            assert side.group == s - 6
+            assert side.normal == \
                 mat_vec(pg.KElement.from_value(k, 6).matrix(), u)
     mod2 = {tuple(tuple(e % 2 for e in row) for row in g) for g in ctx.powers}
     assert len(mod2) == 8
@@ -240,6 +281,12 @@ def test_restriction():
     restricted = {pg.restrict_code(tables.manifold_record(m).code).digits
                   for m in range(3, 10)}
     assert restricted == {"2B7JB47JG81"}
+    # the group map matched on the reflected unions: the Q6 group of the
+    # Q5 group's unflipped side, with a zero first coordinate
+    q5, q6 = polytope.build_q(5), polytope.build_q(6)
+    assert pg._q5_group_map() == tuple(
+        q6.sides[q6.side_index_of_normal((0,) + s.normal)].group
+        for s in q5.sides if s.signs == (1,) * 5)
 
 
 @pytest.mark.parametrize("n", [5, 6])

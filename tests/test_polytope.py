@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -250,3 +251,17 @@ def test_validate_names_a_face_with_oblique_sides():
             "face on sides [1, 4] of dim 2: sides are not pairwise "
             "perpendicular")):
         lat.validate()
+
+
+def test_side_layout_puts_the_coordinate_walls_first(monkeypatch):
+    """Codes read digit s - n off base side s, so a side order that
+    moves the coordinate walls from sides 1..n is refused."""
+    from coxglue import polytope
+    key = polytope._side_sort_key
+    assert list(build_polytope(5).normals[:5]) == [
+        tuple(-int(i == c) for i in range(6)) for c in range(5)]
+    monkeypatch.setattr(polytope, "_side_sort_key", cmp_to_key(
+        lambda u, v: (key(u) < key(v)) - (key(v) < key(u))))
+    with pytest.raises(LatticeError, match=re.escape(
+            "sides 1..5 are not the coordinate walls -e_1..-e_5 alone")):
+        build_polytope.__wrapped__(5)
