@@ -306,9 +306,9 @@ def _walk(arr: EightPPairing) -> tuple[dict[int, tuple[int, int]], list]:
                     nxt.append(nk)
                 elif prev != (b, c):
                     raise DevelopmentConflict(
-                        f"copy {i + 1}, side {j + 1}: copy reached twice "
-                        f"with different charts (abstract {prev[1] + 1} "
-                        f"vs {c + 1})")
+                        f"copy {i + 1}, side {j + 1}: sign flip {nk} "
+                        f"reached twice, as (copy {prev[1] + 1}, power "
+                        f"{prev[0]}) and (copy {c + 1}, power {b})")
         frontier = nxt
     return placements, boundary
 

@@ -335,21 +335,11 @@ class QPolytope:
     def n_groups(self) -> int:
         return self.sides[-1].group + 1
 
-    def group_members(self, group: int) -> list[QSide]:
-        return [s for s in self.sides if s.group == group]
-
-    def side_index_of_normal(self, normal: Vec) -> int:
-        return self._normal_index[normal]
-
-    @cached_property
-    def _normal_index(self) -> dict[Vec, int]:
-        return {s.normal: s.index for s in self.sides}
-
     @cached_property
     def flips(self) -> tuple[tuple[int, ...], ...]:
         """flips[k][s]: the side that the sign flip with digit value k
         carries side s to, a symmetry of the union."""
-        index = self._normal_index
+        index = {s.normal: s.index for s in self.sides}
         return tuple(tuple(index[_apply_signs(signs, s.normal)]
                            for s in self.sides)
                      for signs in _sign_patterns(self.dim))

@@ -1,17 +1,16 @@
 """Smith normal form over the integers.
 
 `eliminate_units` reduces a sparse chain complex along its +-1
-incidences, by a coreduction queue and then a heap for what the queue
-leaves; homology runs it boundary cells first.  The small residues,
-which have no unit entries, are finished by `invariant_factors`, a
-sparse-to-dense wrapper around `smith_normal_form`: one pass of pivot
-reduction with unimodular transforms, also the reference the tests use.
-All arithmetic is on Python ints, so entry growth is harmless.
+incidences by a heap; homology runs it on the Morse complex of a
+gluing, boundary cells first.  The small residues, which have no unit
+entries, are finished by `invariant_factors`, a sparse-to-dense wrapper
+around `smith_normal_form`: one pass of pivot reduction with unimodular
+transforms, also the reference the tests use.  All arithmetic is on
+Python ints, so entry growth is harmless.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 import heapq
 from typing import Container, Mapping, Sequence
@@ -138,86 +137,24 @@ def eliminate_units(bd: dict[int, dict[int, int]],
     """Reduce a chain complex in place along its +-1 incidences.
 
     `bd` maps every cell to its boundary {face: coefficient}, and every
-    face is a key too.  A pair (a, b), a a +-1 face of b, leaves by a
+    face is a key too.  A heap takes the cells b shortest boundary first,
+    each with its +-1 face a of fewest cofaces, and the pair leaves by a
     Schur update: a is cleared from its other cofaces, then b leaves the
     boundaries of its cofaces and a its own.  Homology is unchanged; on
     return `bd` holds the residue.  Only cells in `pivots` (default: all)
     pair, and none of them keeps a +-1 face.  Returns the pair count.  An
     update adds faces of b only, so if `pivots` is closed under faces,
     the pivots left in `bd` are the residue of their subcomplex alone.
-
-    First a queue makes coreductions (Mrozek and Batko, Discrete Comput.
-    Geom. 41, 2009): a cell whose boundary outside the kept cells is one
-    +-1 face pairs with it, and the update adds only kept faces.  When
-    the queue is empty, the next live allowed cell by initial boundary
-    length is kept, as a vertex is removed in a coreduction.  Then a heap
-    pairs what is left, kept cells too, shortest boundary first, each
-    with its +-1 face of fewest cofaces.  On the nine gluings' complexes
-    the queue makes 4,320 to 4,343 of about 4,400 pairs.
+    On the Morse complexes of the nine gluings it makes 67 to 84 pairs.
     """
     cobd: dict[int, dict[int, int]] = {c: {} for c in bd}
     for b, faces in bd.items():
         for a, v in faces.items():
             cobd[a][b] = v
     allowed = bd if pivots is None else pivots  # every live cell is in bd
-
-    def pair(a: int, b: int) -> list[int]:
-        """Remove a and b; return the cells whose boundary lost a or b."""
-        faces = bd[b]
-        u = faces[a]
-        touched = []
-        for b2, c in list(cobd[a].items()):
-            if b2 == b:
-                continue
-            f = -c * u  # c + f * u == 0 as u * u == 1: a leaves row b2
-            row = bd[b2]
-            for a2, v in faces.items():
-                x = row.get(a2, 0) + f * v
-                if x:
-                    row[a2] = cobd[a2][b2] = x
-                else:
-                    del row[a2], cobd[a2][b2]
-            touched.append(b2)
-        for a2 in bd.pop(b):
-            del cobd[a2][b]
-        for e in cobd.pop(b):
-            del bd[e][b]
-            touched.append(e)
-        for a2 in bd.pop(a):
-            del cobd[a2][a]
-        del cobd[a]
-        return touched
-
-    # coreductions: free[x] counts the faces of x outside `kept`
-    kept: set[int] = set()
-    free = {b: len(f) for b, f in bd.items()}
-    queue = deque(b for b, n in free.items() if n == 1 and b in allowed)
-
-    def lose_free_face(cells) -> None:
-        for x in cells:
-            free[x] -= 1
-            if free[x] == 1 and x in allowed:
-                queue.append(x)
-
-    seeds = iter(sorted(bd, key=lambda b: len(bd[b])))
-    pairs = 0
-    while True:
-        while queue:
-            b = queue.popleft()
-            if b not in bd or b in kept or free[b] != 1:
-                continue  # stale
-            a = next(x for x in bd[b] if x not in kept)
-            if bd[b][a] in (1, -1):
-                lose_free_face(pair(a, b))  # each lost a or b, not kept
-                pairs += 1
-        seed = next((b for b in seeds if b in bd and b in allowed), None)
-        if seed is None:
-            break
-        kept.add(seed)
-        lose_free_face(cobd[seed])
-
     heap = [(len(f), b) for b, f in bd.items() if f and b in allowed]
     heapq.heapify(heap)
+    cells = len(bd)
     while heap:
         size, b = heapq.heappop(heap)
         faces = bd.get(b)
@@ -227,11 +164,28 @@ def eliminate_units(bd: dict[int, dict[int, int]],
                 key=lambda x: len(cobd[x]), default=None)
         if a is None:
             continue  # re-enters the heap if its boundary ever changes
-        for x in pair(a, b):
-            if x in allowed:
-                heapq.heappush(heap, (len(bd[x]), x))
-        pairs += 1
-    return pairs
+        u = faces[a]
+        for a2 in bd.pop(b):
+            del cobd[a2][b]
+        for b2, c in list(cobd[a].items()):
+            f = -c * u  # c + f * u == 0 as u * u == 1: a leaves row b2
+            row = bd[b2]
+            for a2, v in faces.items():
+                x = row.get(a2, 0) + f * v
+                if x:
+                    row[a2] = cobd[a2][b2] = x
+                else:
+                    del row[a2], cobd[a2][b2]
+            if b2 in allowed:
+                heapq.heappush(heap, (len(row), b2))
+        for e in cobd.pop(b):
+            del bd[e][b]
+            if e in allowed:
+                heapq.heappush(heap, (len(bd[e]), e))
+        for a2 in bd.pop(a):
+            del cobd[a2][a]
+        del cobd[a]
+    return (cells - len(bd)) // 2
 
 
 def invariant_factors(

@@ -1,10 +1,10 @@
-"""An oracle for coxglue.smith.eliminate_units: the reduction of a chain
-complex along its +-1 incidences by a heap alone, shortest boundary
-first, with no coreduction queue in front of it.
+"""An oracle for the homology of coxglue.homology: the reduction of a
+chain complex along its +-1 incidences by a heap alone, shortest
+boundary first, with no Morse matching in front of it.
 
 The tests reduce whole complexes and each cusp apart with this kernel,
-and compare the homology with what the shared reduction of
-coxglue.homology gives.
+on the columns as assembled, and compare the homology with what the
+shared Morse route of coxglue.homology gives.
 """
 
 from __future__ import annotations

@@ -303,6 +303,37 @@ def test_searched_gluings_are_chain_complexes():
         assert pg.develop(arr).code == code
         cx = hm.build_quotient_complex(arr)
         quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
+        _check_matching(cx)
+
+
+def _check_matching(cx):
+    """Every cell leaves once in the matching of `morse_complex`; each
+    pair (a, b) has an original incidence [b:a] = +-1; each pair's other
+    faces, and each critical cell's faces, left earlier; every boundary
+    cell leaves before any interior cell; and the Morse complex, on the
+    critical cells, has boundary squared zero."""
+    steps, bd = hm.morse_complex(cx)
+    when = {x: t for t, step in enumerate(steps) for x in step}
+    assert len(when) == sum(map(len, steps)) == len(cx.cells)
+    for t, step in enumerate(steps):
+        col = cx.columns[step[-1]]
+        if len(step) == 2:
+            assert col[step[0]] in (1, -1)
+        assert all(when[x] < t for x in col if x != step[0])
+    flags = [cx.cells[x].cusp >= 0 for step in steps for x in step]
+    assert flags == sorted(flags, reverse=True)
+    assert sorted(bd) == sorted(s[0] for s in steps if len(s) == 1)
+    for c, col in bd.items():
+        twice: dict[int, int] = {}
+        for r, v in col.items():
+            for x, w in bd[r].items():
+                twice[x] = twice.get(x, 0) + v * w
+        assert not any(twice.values()), c
+
+
+@pytest.mark.parametrize("mid", range(1, 10))
+def test_morse_matching_is_acyclic_and_boundary_first(mid):
+    _check_matching(hm.build_quotient_complex(pg.published_pairing(mid)))
 
 
 def test_one_face_pass_per_gluing_in_turn():
@@ -417,15 +448,10 @@ def _homology_of_parts(cx, part, parts):
     dense SNF."""
     top = max(cx.by_dim)
     bds = [{} for _ in range(parts)]
-    for ix in cx.by_dim.values():
-        for c in ix:
-            if part[c] >= 0:
-                bds[part[c]][c] = {}
-    for mat in cx.boundaries.values():
-        for (r, c), v in mat.items():
-            k = part[c]
-            if k >= 0 and part[r] == k:
-                bds[k][c][r] = v
+    for c, col in enumerate(cx.columns):
+        k = part[c]
+        if k >= 0:
+            bds[k][c] = {r: v for r, v in col.items() if part[r] == k}
     out = []
     for bd in bds:
         heap_elimination(bd)
@@ -650,10 +676,10 @@ def _snf_homology(cx):
     for d in range(1, top + 1):
         rows, cols = cx.by_dim.get(d - 1, []), cx.by_dim.get(d, [])
         ri = {r: i for i, r in enumerate(rows)}
-        ci = {c: i for i, c in enumerate(cols)}
         dense = [[0] * len(cols) for _ in rows]
-        for (r, c), v in cx.boundaries.get(d, {}).items():
-            dense[ri[r]][ci[c]] = v
+        for j, c in enumerate(cols):
+            for r, v in cx.columns[c].items():
+                dense[ri[r]][j] = v
         diag = [abs(x) for x in smith_normal_form(dense).diagonal]
         rank[d] = len(diag)
         torsion[d] = tuple(x for x in diag if x != 1)
@@ -668,8 +694,8 @@ def _component(cx, comp):
     index = {c: i for i, c in enumerate(sorted(comp))}
     return _chain_complex(
         [cx.cells[c].dim for c in sorted(comp)],
-        {(index[r], index[c]): v for mat in cx.boundaries.values()
-         for (r, c), v in mat.items() if c in index})
+        {(index[r], index[c]): v for c in index
+         for r, v in cx.columns[c].items()})
 
 
 @pytest.mark.parametrize("make", [_simplicial_complex, _twisted_complex])

@@ -17,6 +17,7 @@ from coxglue.lorentz import (
     reflection_in,
 )
 
+from q_sides import normal_index
 from search_oracle import oracle_search
 from wall_development import wall_develop
 
@@ -162,6 +163,17 @@ def test_develop_matches_the_wall_by_wall_oracle():
                         "read two values": 26}
 
 
+def test_reached_twice_names_both_placements():
+    """A sign flip reached twice names both placements of it as (copy,
+    power); on this mutant they are one copy with two powers."""
+    arr = pg.mutated_pairing(pg.published_pairing(1), random.Random(2))
+    with pytest.raises(pg.DevelopmentConflict, match="reached twice") as exc:
+        pg.develop(arr)
+    first, second = re.findall(r"\(copy ([1-8]), power ([0-7])\)",
+                               str(exc.value))
+    assert first != second and first[0] == second[0]
+
+
 def _old_sign_flip_of(g) -> tuple[int, ...] | None:
     """Signs s when g = diag(s, 1), else None."""
     n = len(g)
@@ -259,11 +271,12 @@ def test_chart_facts_of_the_integer_walk():
             assert mat_mul(mat_mul(g, r), g_inv) == \
                 reflections[ctx.sigma_pows[a][j]]
     q6 = polytope.build_q(6)
+    index = normal_index(q6)
     for s, (u, r) in enumerate(zip(ctx.polytope.normals, reflections)):
         if s < 6:
             assert r == pg.KElement.from_value(1 << s, 6).matrix()
             continue
-        wall = q6.side_index_of_normal(u)
+        wall = index[u]
         for k, flip in enumerate(q6.flips):
             side = q6.sides[flip[wall]]
             assert side.group == s - 6
@@ -285,19 +298,19 @@ def test_restriction():
     # Q5 group's unflipped side, with a zero first coordinate
     q5, q6 = polytope.build_q(5), polytope.build_q(6)
     assert pg._q5_group_map() == tuple(
-        q6.sides[q6.side_index_of_normal((0,) + s.normal)].group
+        q6.sides[normal_index(q6)[(0,) + s.normal]].group
         for s in q5.sides if s.signs == (1,) * 5)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_flips_are_the_sign_flip_action(n):
     q = polytope.build_q(n)
-    flips = q.flips
+    flips, index = q.flips, normal_index(q)
     assert len(flips) == 1 << n
     assert flips[0] == tuple(range(len(q.sides)))
     for a in range(1 << n):
         k = pg.KElement.from_value(a, n).matrix()
-        assert flips[a] == tuple(q.side_index_of_normal(mat_vec(k, s.normal))
+        assert flips[a] == tuple(index[mat_vec(k, s.normal)]
                                  for s in q.sides)
         for b in range(1 << n):
             assert tuple(flips[a][s] for s in flips[b]) == flips[a ^ b]

@@ -17,6 +17,8 @@ from coxglue.polytope import (
     face_lattice,
 )
 
+from q_sides import group_members
+
 
 def verify_face_identities(lattices: dict[int, FaceLattice]) -> dict:
     """Check the side-recursion count identity and the low-dimensional
@@ -211,9 +213,9 @@ def test_reflected_union_structure():
         (1, -1, 0, 0, 0, 0, 1), (-1, -1, 0, 0, 0, 0, 1)]
     assert len(q6.actual_vertices) == 1344
     for g in range(15):
-        assert len(q6.group_members(g)) == 4
+        assert len(group_members(q6, g)) == 4
     for g in range(15, 21):
-        assert len(q6.group_members(g)) == 32
+        assert len(group_members(q6, g)) == 32
 
 
 def test_reflected_union_face_counts():

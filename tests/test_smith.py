@@ -214,14 +214,13 @@ def _dense_homology(dims, bd):
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(cx=twisted_complexes())
-# loops e1, e2 and a disc f = e1 + 2 e2: once e1 is kept, the one face of
-# f outside the kept cells has coefficient 2, so the two may not pair;
-# the heap pairs f with e1 after e2 is kept too
+# loops e1, e2 and a disc f = e1 + 2 e2: the heap pairs f with e1, its
+# one +-1 face, and the coefficient 2 of e2 never pivots
 @example(cx=([0, 1, 1, 2], {0: {}, 1: {}, 2: {}, 3: {1: 1, 2: 2}},
              {0, 1, 2, 3}))
-# a path v0 - e1 - v1 - e2 - v2, all but e2 pivots: v0 is kept, (v1, e1)
-# pairs and e2 gains the kept face v0, which leaves e2 one other face, v2,
-# but e2 may not pair
+# a path v0 - e1 - v1 - e2 - v2, all but e2 pivots: e1 pairs with v0,
+# its +-1 face of fewest cofaces, and e2, which may not pair, keeps its
+# +-1 faces v1 and v2
 @example(cx=([0, 0, 0, 1, 1], {0: {}, 1: {}, 2: {}, 3: {1: 1, 0: -1},
                                4: {2: 1, 1: -1}}, {0, 1, 2, 3}))
 def test_eliminate_units_keeps_its_contract(cx):

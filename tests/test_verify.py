@@ -407,6 +407,20 @@ def test_properness_q_route_cross_section():
     assert [cert.dims[k]["orbits"] for k in range(5)] == [5, 70, 170, 140, 36]
 
 
+def test_restricted_codes_decode_to_proper_cross_sections():
+    """A geometric check of `restrict_code` beside the published digits:
+    each restricted code, EKB98LLG6R2 of m1 and m2 and 2B7JB47JG81 of the
+    other seven, decodes to a proper gluing of the dimension-5 reflected
+    union, with 5 vertex orbits."""
+    codes = {pg.restrict_code(tables.manifold_record(mid).code).digits
+             for mid in range(1, 10)}
+    assert codes == {"EKB98LLG6R2", "2B7JB47JG81"}
+    for code in sorted(codes):
+        cert = vf.face_cycles_proper(pg.decode_q_code(pg.PairingCode(5, code)))
+        assert cert.proper, code
+        assert cert.dims[0]["orbits"] == 5, code
+
+
 def test_certify_manifold_bundles():
     cert = vf.certify_manifold(pg.published_pairing(1),
                                tables.manifold_record(1).code)

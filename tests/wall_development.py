@@ -14,17 +14,20 @@ from __future__ import annotations
 from coxglue import pairing as pg
 from coxglue.polytope import build_q
 
+from q_sides import group_members, normal_index
+
 
 def wall_develop(arr: pg.EightPPairing) -> pg.Development:
     arr.validate_involution()
     sigma_pows = pg.standard_context().sigma_pows
     q6 = build_q(6)
+    index = normal_index(q6)
     bits, walls = [], []
     for u in pg.standard_context().polytope.normals:
         support = [c for c in range(6) if u[c]]
         coordinate = len(support) == 1
         bits.append(1 << support[0] if coordinate else 0)
-        walls.append(None if coordinate else q6.side_index_of_normal(u))
+        walls.append(None if coordinate else index[u])
 
     placements = {0: (0, 0)}
     frontier = [0]
@@ -69,7 +72,7 @@ def wall_develop(arr: pg.EightPPairing) -> pg.Development:
         raise pg.DevelopmentConflict("wall never crossed")
     digits = []
     for grp in range(q6.n_groups):
-        vals = {wall_digits[s.index] for s in q6.group_members(grp)}
+        vals = {wall_digits[s.index] for s in group_members(q6, grp)}
         if len(vals) != 1:
             raise pg.DevelopmentConflict("group walls received distinct "
                                          "digits")
