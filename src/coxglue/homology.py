@@ -21,9 +21,12 @@ the side-pairing identifications, and orientations are transported
 through the powers of the order-8 symmetry.  The orbits are lifted from
 the face classes that the properness check traced: a cell's class is
 the class of the face it lies over, with the same transport, so
-assembling the complex needs no union-find.  The cusps are the classes
-of the ideal points in that pass, and a cut corner's cusp is the class
-of its ideal vertex, so the cusp cross-sections are read off the cells.
+assembling the complex needs no union-find.  Each face class gives its
+cells once, at its root face: that face's truncated cell and its cut
+corners; the gluing is proper, so each has the face's cycle length of
+members.  The cusps are the classes of the ideal points in that pass,
+and a cut corner's cusp is the class of its ideal vertex, so the cusp
+cross-sections are read off the cells.
 Each boundary sign is a product of the two gluing-independent signs
 above, so assembling a gluing's complex is table lookups.
 
@@ -56,10 +59,11 @@ Smith normal form of each residual degree finishes both.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, compress, count
+from operator import eq
 from typing import Sequence
 
 from .errors import CoxglueError
@@ -89,6 +93,8 @@ class TruncatedCells:
     orient: tuple[tuple[int, ...], ...]
     incidence: tuple[tuple[int, ...], ...]
     cell_face: tuple[int, ...]
+    face_cell: tuple[int, ...]
+    face_corners: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @lru_cache(maxsize=1)
@@ -98,6 +104,8 @@ def truncated_cells() -> TruncatedCells:
     dimension `cell_dim[i]` over face `cell_face[i]`, with facets
     `cell_facets[i]` and their signs `incidence[i]`; the symmetry's power
     t on cells `cell_perm[t]`, and its orientation signs `orient[t]`.
+    Face f is cell `face_cell[f]` (-1 for an ideal point), and its cut
+    corners are `face_corners[f]`, (corner cell, ideal point) pairs.
     Each facet sign is read once per cover pair (f, g): ('l', w, f) ->
     ('l', w, g) has the sign of ('f', f) -> ('f', g), and ('f', f) ->
     ('l', w, f), whose new wall is the cut wall, last, (-1)^|sides(f)|."""
@@ -114,6 +122,7 @@ def truncated_cells() -> TruncatedCells:
     corner: list[dict[int, int]] = [{} for _ in faces]
     for i, (w, f) in enumerate(corners, len(tops)):
         corner[f][w] = i
+    point = {w: lat.by_vertex_mask[1 << w] for w in {w for w, _ in corners}}
 
     # the truncated covers g of each face f with the sign of ('f', f) ->
     # ('f', g): (-1)^#(sides of f below the one new wall of g)
@@ -165,13 +174,16 @@ def truncated_cells() -> TruncatedCells:
         cell_dim=tuple([faces[f].dim for f in tops]
                        + [faces[f].dim - 1 for _, f in corners]),
         cell_facets=tuple(cell_facets), cell_perm=cell_perm,
-        orient=tuple(orient), incidence=tuple(incidence), cell_face=cell_face)
+        orient=tuple(orient), incidence=tuple(incidence), cell_face=cell_face,
+        face_cell=tuple([fcell.get(f, -1) for f in range(len(faces))]),
+        face_corners=tuple([tuple([(c, point[w]) for w, c in cs.items()])
+                            for cs in corner]))
 
 
 # -- quotient complex -----------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class QuotientCell:
     index: int
     dim: int
@@ -254,48 +266,54 @@ def build_quotient_complex(arr: EightPPairing) -> QuotientCellComplex:
     if not proper.proper:
         raise ComplexError(f"side-pairing is not proper: {proper.violation}")
     face_root, face_t = proper.roots, proper.transports
-    lat = lattice_context().lattice
-    nf = len(lat.faces)
+    lctx = lattice_context()
+    nf = len(lctx.lattice.faces)
     tc = truncated_cells()
-    cells, cell_face, orient = tc.cells, tc.cell_face, tc.orient
-    dim_of, facets, incidence = tc.cell_dim, tc.cell_facets, tc.incidence
-    ncells = len(cells)
+    cell_face, orient, dim_of = tc.cell_face, tc.orient, tc.cell_dim
+    facets, incidence = tc.cell_facets, tc.incidence
+    face_cell, corners = tc.face_cell, tc.face_corners
+    cycle = lctx.cycle_lengths  # the class sizes of a proper gluing
+    ncells = len(tc.cells)
     back = [tc.cell_perm[-t] for t in range(8)]
-    class_size = Counter(face_root)
+    roots = list(compress(count(), map(eq, face_root, count())))
 
-    # one quotient cell per class, the root: qindex[copy * ncells + cell]
+    # one quotient cell per class, the root: per copy, its root faces'
+    # truncated cells, then their cut corners; qindex[copy * ncells + cell]
     qindex = [-1] * (8 * ncells)
     qcells: list[QuotientCell] = []
     by_dim: dict[int, list[int]] = {}
     for copy in range(8):
         base = copy * nf
-        for cidx in range(ncells):
-            f = base + cell_face[cidx]
-            if face_root[f] != f:
-                continue
-            key = cells[cidx]
-            cusp = (face_root[base + lat.by_vertex_mask[1 << key[1]]]
-                    if key[0] == "l" else -1)
+        own = [f - base for f in roots[bisect_left(roots, base):
+                                       bisect_left(roots, base + nf)]]
+        made = [(face_cell[f], -1, f) for f in own if face_cell[f] >= 0]
+        made += [(c, face_root[base + w], f) for f in own
+                 for c, w in corners[f]]
+        for cidx, cusp, f in made:
             q = QuotientCell(len(qcells), dim_of[cidx], copy, cidx, cusp,
-                             class_size[f])
+                             cycle[f])
             qindex[copy * ncells + cidx] = q.index
             qcells.append(q)
             by_dim.setdefault(q.dim, []).append(q.index)
 
     # facet b0 of a copy carries the orientation of its class root moved
-    # by sigma^t, so its sign is incidence * orient[t][root cell]
+    # by sigma^t, so its sign is incidence * orient[t][root cell]; the
+    # root of face instance f lies in the copy whose cells start at offset[f]
+    offset = [r // nf * ncells for r in face_root]
     columns: list[dict[int, int]] = []
     for q in qcells:
         col: dict[int, int] = {}
         base = q.copy * nf
         for b0, sign in zip(facets[q.cell], incidence[q.cell]):
             f = base + cell_face[b0]
-            r, t = face_root[f], face_t[f]
+            t = face_t[f]
             rcell = back[t][b0]
-            r = qindex[r // nf * ncells + rcell]
-            val = col.get(r, 0) + sign * orient[t][rcell]
-            if val:
+            r = qindex[offset[f] + rcell]
+            val = sign * orient[t][rcell]
+            if r not in col:
                 col[r] = val
+            elif col[r] + val:
+                col[r] += val
             else:
                 del col[r]
         columns.append(col)
@@ -363,34 +381,40 @@ def morse_complex(cx: QuotientCellComplex) -> tuple[list, dict]:
     def push(col: dict[int, int], unit: int) -> dict[int, int]:
         out: dict[int, int] = {}  # a live face adds nothing: phi is 0
         for x, v in col.items():
-            for c, w in flow[x].items():
-                out[c] = out.get(c, 0) + v * w
+            fx = flow[x]
+            if fx:
+                for c, w in fx.items():
+                    out[c] = out.get(c, 0) + v * w
         return {c: unit * w for c, w in out.items() if w}
-
-    def leave(*step: int) -> None:
-        steps.append(step)
-        for x in step:
-            live[x] = -1
-            for y in cofaces[x]:
-                live[y] -= 1
-                if live[y] == 1 and boundary[y] == phase:
-                    queue.append(y)
 
     for phase in (True, False):
         queue = deque(c for c, n in enumerate(live)
                       if n == 1 and boundary[c] == phase)
+        popleft, append = queue.popleft, queue.append
         for c in [c for d in sorted(cx.by_dim) for c in cx.by_dim[d]
                   if boundary[c] == phase]:
-            while queue:
-                b = queue.popleft()
-                if live[b] == 1:
-                    a = next(x for x in columns[b] if live[x] >= 0)
-                    if columns[b][a] in (1, -1):
-                        flow[a] = push(columns[b], -columns[b][a])
-                        leave(a, b)
-            if live[c] >= 0:  # no cell pairs, and c has no live face
-                flow[c] = {c: 1}
-                leave(c)
+            while queue or live[c] >= 0:
+                if not queue:  # no cell pairs, and c has no live face
+                    flow[c] = {c: 1}
+                    step: tuple[int, ...] = (c,)
+                elif live[b := popleft()] != 1:
+                    continue
+                else:
+                    col = columns[b]
+                    for a in col:
+                        if live[a] >= 0:
+                            break
+                    if col[a] not in (1, -1):
+                        continue
+                    flow[a] = push(col, -col[a])
+                    step = (a, b)
+                steps.append(step)  # the cells of step leave
+                for x in step:
+                    live[x] = -1
+                    for y in cofaces[x]:
+                        n = live[y] = live[y] - 1
+                        if n == 1 and boundary[y] == phase:
+                            append(y)
     return steps, {s[0]: push(columns[s[0]], 1) for s in steps if len(s) < 2}
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, count, product
+from operator import eq
 from typing import Sequence
 
 from .coxeter import constants
@@ -111,6 +112,7 @@ class FaceCycles:
     def rollback(self, mark: int) -> None:
         """Undo every union and crossing made since mark."""
         parent, journal, asg = self.parent, self.journal, self.asg
+        pot, size = self.pot, self.size
         while len(journal) > mark:
             e = journal.pop()
             if e < 0:
@@ -119,8 +121,8 @@ class FaceCycles:
             x = e >> 2
             root = parent[x]
             parent[x] = x
-            self.pot[x] = 0
-            self.size[root] -= self.size[x]
+            pot[x] = 0
+            size[root] -= size[x]
             asg[root] -= asg[x] + (e & 3)
 
 
@@ -268,13 +270,15 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
     lat, fperm = ctx.lattice, ctx.fperm
     nf = len(lat.faces)
     uf = FaceCycles(8 * nf)
+    union = uf.union
     violation = None
     for i, j in product(range(8), range(27)):
         k, p = arr.entry(i, j)
         if (k, sigma_pows[p][j]) < (i, j):
             continue  # the partner entry, met earlier, made the inverse unions
+        base_i, base_k, fp = i * nf, k * nf, fperm[p]
         for fidx in ctx.sides_faces[j]:
-            if uf.union(i * nf + fidx, k * nf + fperm[p][fidx], p) < 0:
+            if union(base_i + fidx, base_k + fp[fidx], p) < 0:
                 violation = {"kind": "holonomy", "copy": i + 1,
                              "side": j + 1, "face_dim": lat.faces[fidx].dim}
                 break
@@ -283,7 +287,7 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
         # the cusps: ideal points, which the report skips, with transport
         # 0; their classes hold no other face, so they never conflict
         for fidx in ctx.sides_ideal[j]:
-            uf.union(i * nf + fidx, k * nf + fperm[p][fidx], 0)
+            union(base_i + fidx, base_k + fp[fidx], 0)
     if violation is not None:
         return _cycle_report(uf, lat, (), violation)
     # two flat lists: a list of (root, power) pairs held at once raises
@@ -378,7 +382,11 @@ def _cycle_report(uf: FaceCycles, lat: FaceLattice, roots: Sequence[int],
                   violation: dict | None) -> PropernessCertificate:
     """Faces and orbits per dimension, and the first class whose cycle
     has the wrong length, from the root of each face instance copy *
-    faces + face; no counts after a holonomy conflict."""
+    faces + face; no counts after a holonomy conflict.  A union maps a
+    face to one of its dimension, so the face counts are the polytope's
+    times the copies, and orbits and cycle lengths are read at the class
+    roots; the instances are scanned only for the witness of a bad
+    class, the first in instance order."""
     n = lat.polytope.dim
     nf = len(lat.faces)
     dims: dict[int, dict[str, int]] = {
@@ -389,21 +397,26 @@ def _cycle_report(uf: FaceCycles, lat: FaceLattice, roots: Sequence[int],
     # the pass traces every face but the ideal points and the polytope
     traced = [None if f.ideal_point or f.dim == n else f.dim
               for f in lat.faces]
-    for x, r in enumerate(roots):
+    for k in traced:
+        if k is not None:
+            dims[k]["faces"] += len(roots) // nf
+    bad = set()
+    for x in compress(count(), map(eq, roots, count())):
         k = traced[x % nf]
-        if k is None:
-            continue
-        dims[k]["faces"] += 1
-        dims[k]["orbits"] += r == x
-        if violation is None and uf.size[r] != 2 ** (n - k):
-            # x is the first member of the first such class met
-            copy, fidx = divmod(x, nf)
-            violation = {"kind": "cycle_length", "face_dim": k,
-                         "cycle_length": uf.size[r],
-                         "expected": 2 ** (n - k),
-                         "witness_copy": copy + 1,
-                         "witness_face_sides":
-                             sorted(s + 1 for s in lat.faces[fidx].sides)}
+        if k is not None:
+            dims[k]["orbits"] += 1
+            if uf.size[x] != 2 ** (n - k):
+                bad.add(x)
+    if bad:
+        x = next(x for x, r in enumerate(roots) if r in bad)
+        k = traced[x % nf]
+        copy, fidx = divmod(x, nf)
+        violation = {"kind": "cycle_length", "face_dim": k,
+                     "cycle_length": uf.size[roots[x]],
+                     "expected": 2 ** (n - k),
+                     "witness_copy": copy + 1,
+                     "witness_face_sides":
+                         sorted(s + 1 for s in lat.faces[fidx].sides)}
     return PropernessCertificate(violation is None, dims, violation)
 
 

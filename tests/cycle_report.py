@@ -1,0 +1,49 @@
+"""An oracle for coxglue.verify._cycle_report: the report read by walking
+every face instance, in instance order, rather than the class roots.
+
+coxglue counts faces from the polytope and reads orbits and cycle lengths
+at the class roots, scanning the instances only for a witness; the tests
+compare its `dims` and `violation` with this walk on the eight-copy and
+the reflected-union routes.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from coxglue.polytope import FaceLattice
+from coxglue.verify import PropernessCertificate
+
+
+def instance_walk_report(uf, lat: FaceLattice, roots: Sequence[int],
+                         violation: dict | None) -> PropernessCertificate:
+    """Faces and orbits per dimension, and the first class whose cycle
+    has the wrong length, from the root of each face instance copy *
+    faces + face; `uf.size` holds the class sizes at the roots.  No
+    counts after a holonomy conflict."""
+    n = lat.polytope.dim
+    nf = len(lat.faces)
+    dims: dict[int, dict[str, int]] = {
+        k: {"faces": 0, "orbits": 0, "expected_cycle": 2 ** (n - k)}
+        for k in range(n)}
+    if violation is not None:
+        return PropernessCertificate(False, dims, violation)
+    # the pass traces every face but the ideal points and the polytope
+    traced = [None if f.ideal_point or f.dim == n else f.dim
+              for f in lat.faces]
+    for x, r in enumerate(roots):
+        k = traced[x % nf]
+        if k is None:
+            continue
+        dims[k]["faces"] += 1
+        dims[k]["orbits"] += r == x
+        if violation is None and uf.size[r] != 2 ** (n - k):
+            # x is the first member of the first such class met
+            copy, fidx = divmod(x, nf)
+            violation = {"kind": "cycle_length", "face_dim": k,
+                         "cycle_length": uf.size[r],
+                         "expected": 2 ** (n - k),
+                         "witness_copy": copy + 1,
+                         "witness_face_sides":
+                             sorted(s + 1 for s in lat.faces[fidx].sides)}
+    return PropernessCertificate(violation is None, dims, violation)

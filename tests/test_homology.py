@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import random
 import re
@@ -17,8 +19,8 @@ from coxglue.lorentz import RowSpan, det
 from coxglue.smith import smith_normal_form
 
 import cusp_union_find
-from heap_elimination import heap_elimination
 import quotient_assembly
+from ordered_elimination import ordered_elimination
 from transport_union_find import TransportUnionFind
 from truncated_geometry import cell_gauge, facet_sign, truncated_geometry
 
@@ -247,6 +249,28 @@ def test_dd_check_names_the_lowest_degree():
         quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
 
 
+# the first 16 hex digits of the sha256 of repr(steps) of `morse_complex`
+# on each published gluing
+MORSE_STEPS = {1: "29d299f22c7307a1", 2: "a10ef3088acdaaab",
+               3: "56e54263cc4e2397", 4: "1342d3ec9244557f",
+               5: "c14321ae9df4873a", 6: "722d702c5e41c0ae",
+               7: "4f9943feef4c4d42", 8: "ff4c7f5218684a6c",
+               9: "37b4470b5d797488"}
+
+
+def _check_assembly_order(cx, cert):
+    """The cells made from the root faces are those of the walk over every
+    cell instance, field by field and in order, and each column lists its
+    entries in the order of a build in facet order: the two orders the
+    Morse steps follow."""
+    want = quotient_assembly.instance_complex(cert)
+    assert [dataclasses.astuple(q) for q in cx.cells] == \
+        [dataclasses.astuple(q) for q in want.cells]
+    assert list(cx.by_dim.items()) == list(want.by_dim.items())
+    assert [list(col.items()) for col in cx.columns] == \
+        [list(col.items()) for col in want.columns]
+
+
 @pytest.mark.parametrize("mid, perm", [
     *((mid, None) for mid in range(1, 10)),
     (1, random.Random(13).sample(range(8), 8))])
@@ -254,12 +278,19 @@ def test_columns_match_the_tuple_keyed_assembly(mid, perm):
     """The column table gives the cells and, entry for entry, the boundary
     matrices of the tuple-keyed assembly in tests/quotient_assembly.py,
     whose boundary-squared check passes on them, and on a complex
-    corrupted in two degrees names the corrupted column of the lower."""
+    corrupted in two degrees names the corrupted column of the lower.
+    The cells and column items come in the order of the instance walk,
+    and the Morse steps of the nine are pinned."""
     arr = pg.published_pairing(mid)
     if perm:
         arr = arr.relabeled(perm)
     cert = vf.face_cycles_proper(arr)
     cx = hm.build_quotient_complex(arr)
+    _check_assembly_order(cx, cert)
+    if not perm:
+        steps = hm.morse_complex(cx)[0]
+        digest = hashlib.sha256(repr(steps).encode()).hexdigest()
+        assert digest[:16] == MORSE_STEPS[mid]
     cells, by_dim, mats = quotient_assembly.assemble(cert)
     assert (cx.cells, cx.by_dim) == (cells, by_dim)
     assert len(cx.columns) == len(cells)
@@ -273,6 +304,14 @@ def test_columns_match_the_tuple_keyed_assembly(mid, perm):
     with pytest.raises(AssertionError, match=rf"nonzero on column "
                        rf"{bad[low]} .* at dim {low}$"):
         quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
+
+
+@settings(max_examples=4, derandomize=True, database=None, deadline=None)
+@given(mid=st.integers(1, 9), perm=st.permutations(range(8)))
+def test_assembly_order_under_relabeling(mid, perm):
+    arr = pg.published_pairing(mid).relabeled(perm)
+    _check_assembly_order(hm.build_quotient_complex(arr),
+                          vf.face_cycles_proper(arr))
 
 
 @pytest.mark.parametrize("mid, perm", [
@@ -444,17 +483,18 @@ def test_orientable_manifold_has_orientable_cusps():
 def _homology_of_parts(cx, part, parts):
     """Homology of the full subcomplexes on the cells c with part[c] = 0,
     1, ..., parts - 1 (-1: none), each reduced on its own by the
-    heap-only oracle kernel over all its cells, and its residue by a
-    dense SNF."""
+    oracle kernel, in (dim, index) order over all its cells, and its
+    residue by a dense SNF."""
     top = max(cx.by_dim)
     bds = [{} for _ in range(parts)]
     for c, col in enumerate(cx.columns):
         k = part[c]
         if k >= 0:
             bds[k][c] = {r: v for r, v in col.items() if part[r] == k}
+    dims = [c.dim for c in cx.cells]
     out = []
     for bd in bds:
-        heap_elimination(bd)
+        ordered_elimination(bd, dims)
         cells_at = {d: [] for d in range(top + 1)}
         for c in sorted(bd):
             cells_at[cx.cells[c].dim].append(c)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import dataclasses
 import itertools
 import random
@@ -19,6 +20,7 @@ from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import identity, lorentz_inner, mat_mul
 from coxglue.polytope import build_polytope
 
+from cycle_report import instance_walk_report
 from q_face_map import vertex_image_targets
 from transport_union_find import TransportUnionFind
 
@@ -512,6 +514,48 @@ def test_each_side_pair_unioned_once_changes_nothing():
     assert kinds == {None, "holonomy", "cycle_length"}
 
 
+def test_cycle_report_matches_the_instance_walk(monkeypatch):
+    """The report read at the class roots gives the `dims` and `violation`
+    of the walk over every face instance (tests/cycle_report.py), on the
+    nine gluings, 20 seeded mutants and, through the reflected-union
+    route, the two restricted codes.  In some mutant the witness, the
+    first member of a bad class, is not that class's root."""
+    calls = []
+    report = vf._cycle_report
+
+    def both(uf, lat, roots, violation):
+        got = report(uf, lat, roots, violation)
+        calls.append((got, instance_walk_report(uf, lat, roots, violation),
+                      roots))
+        return got
+
+    monkeypatch.setattr(vf, "_cycle_report", both)
+    rng = random.Random(4)  # its ninth mutant fails by holonomy
+    arrays = [pg.published_pairing(mid) for mid in range(1, 10)]
+    arrays += [pg.mutated_pairing(arrays[rng.randrange(9)], rng)
+               for _ in range(20)]
+    for arr in arrays:
+        vf._cycles_eight.__wrapped__(arr)
+    for code in ("EKB98LLG6R2", "2B7JB47JG81"):
+        vf._cycles_q(pg.decode_q_code(pg.PairingCode(5, code)))
+    assert len(calls) == 31
+    lat = vf.lattice_context().lattice
+    kinds = collections.Counter()
+    witness_not_root = 0
+    for got, want, roots in calls:
+        assert (got.proper, got.dims, got.violation) == \
+            (want.proper, want.dims, want.violation)
+        v = got.violation
+        kinds[v and v["kind"]] += 1
+        if v and v["kind"] == "cycle_length":
+            face = lat.by_sides[frozenset(s - 1
+                                          for s in v["witness_face_sides"])]
+            x = (v["witness_copy"] - 1) * len(lat.faces) + face
+            witness_not_root += roots[x] != x
+    assert kinds == {None: 11, "cycle_length": 19, "holonomy": 1}
+    assert witness_not_root > 0
+
+
 def test_patch_sites_of_the_traced_benchmark_run():
     """perfbench/layers.py wraps these module attributes, and reads
     `counts()`, `boundaries` and `by_dim` off a built complex; each name
@@ -531,9 +575,14 @@ def test_patch_sites_of_the_traced_benchmark_run():
     counts = {0: 225, 1: 1242, 2: 2700, 3: 2880, 4: 1512, 5: 324, 6: 8}
     assert cx.counts() == counts
     assert {d: len(ix) for d, ix in cx.by_dim.items()} == counts
-    nnz = {d: len(m) for d, m in cx.boundaries.items()}
-    assert sorted(nnz) == list(range(1, 7))
-    assert sum(nnz.values()) == sum(len(col) for col in cx.columns)
+    # the entries of each degree's boundary matrix, counted on the columns
+    # rather than on `boundaries`, which derives them all anew
+    assert isinstance(type(cx).boundaries, property)
+    nnz = dict.fromkeys(range(1, 7), 0)
+    for q, col in zip(cx.cells, cx.columns):
+        if q.dim:
+            nnz[q.dim] += len(col)
+    assert nnz == {1: 2484, 2: 11332, 3: 19396, 4: 15062, 5: 4924, 6: 400}
 
 
 def test_source_modules_read_every_name_they_import():
