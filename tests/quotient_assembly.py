@@ -7,10 +7,11 @@ assembly is a chain map from the eight copies' cells.
 
 coxglue stores the complex by columns and runs no boundary-squared pass
 of its own: the assembly is a chain map, and the premises that make it
-one are tested on the truncated polytope.  The tests compare the columns
-with `assemble`, and their item order with `instance_complex`, run
-`check_dd_zero` on complexes built from published, relabeled and
-searched gluings, and `check_chain_map` on some of them.
+one are tested on the truncated polytope.  The tests compare the cells,
+their order and each column's item order with `instance_complex`, the
+columns with the matrices of `assemble`, run `check_dd_zero` on
+complexes built from published, relabeled and searched gluings, and
+`check_chain_map` on some of them.
 """
 
 from __future__ import annotations
@@ -27,45 +28,24 @@ def assemble(proper: PropernessCertificate
              ) -> tuple[list[hm.QuotientCell], dict[int, list[int]], Matrices]:
     """Cells, cell indices per dimension and boundary matrices of the
     quotient complex whose face classes `proper` traced."""
-    cells, by_dim, roots = _cells(proper)
-    mats: Matrices = {d: {} for d in by_dim if d > 0}
-    for q in cells:
-        for key, val in _facets(proper, roots, q):
-            key = (key, q.index)
-            val += mats[q.dim].get(key, 0)
-            if val:
-                mats[q.dim][key] = val
-            else:
-                mats[q.dim].pop(key, None)
-    return cells, by_dim, mats
+    cx = instance_complex(proper)
+    mats: Matrices = {d: {} for d in cx.by_dim if d > 0}
+    for q, col in zip(cx.cells, cx.columns):
+        for r, val in col.items():
+            mats[q.dim][r, q.index] = val
+    return cx.cells, cx.by_dim, mats
 
 
 def instance_complex(proper: PropernessCertificate) -> hm.QuotientCellComplex:
-    """The complex of `assemble` stored by columns, each column's entries
-    added up in the order of the cell's facets and an entry that cancels
-    removed: the cell order and column item order of the assembly."""
-    cells, by_dim, roots = _cells(proper)
-    columns = []
-    for q in cells:
-        col: dict[int, int] = {}
-        for r, val in _facets(proper, roots, q):
-            val += col.get(r, 0)
-            if val:
-                col[r] = val
-            else:
-                del col[r]
-        columns.append(col)
-    return hm.QuotientCellComplex(cells, by_dim, columns)
-
-
-def _cells(proper: PropernessCertificate):
-    """The class roots, walking every cell of every copy in turn: the
-    cells, their indices per dimension, and the index of each root keyed
-    by (face root, truncated cell)."""
-    face_root = proper.roots
+    """The complex walked cell instance by cell instance, copy by copy:
+    each class root's cell in that order, and its column, the entries
+    added up in the order of the cell's facets, an entry that cancels
+    removed."""
+    face_root, face_t = proper.roots, proper.transports
     lat = lattice_context().lattice
     nf = len(lat.faces)
     tc = hm.truncated_cells()
+    back = [tc.cell_perm[-t] for t in range(8)]
     class_size = Counter(face_root)
 
     roots: dict[tuple[int, int], int] = {}
@@ -86,18 +66,22 @@ def _cells(proper: PropernessCertificate):
             roots[f, x] = q.index
             cells.append(q)
             by_dim.setdefault(q.dim, []).append(q.index)
-    return cells, by_dim, roots
 
-
-def _facets(proper: PropernessCertificate, roots: dict, q: hm.QuotientCell):
-    """(class root, signed coefficient) of each facet of cell q, in order."""
-    nf = len(lattice_context().lattice.faces)
-    tc = hm.truncated_cells()
-    for b0, sign in zip(tc.cell_facets[q.cell], tc.incidence[q.cell]):
-        f = q.copy * nf + tc.cell_face[b0]
-        r, t = proper.roots[f], proper.transports[f]
-        rcell = tc.cell_perm[-t][b0]
-        yield roots[r, rcell], sign * tc.orient[t][rcell]
+    columns = []
+    for q in cells:
+        col: dict[int, int] = {}
+        for b0, sign in zip(tc.cell_facets[q.cell], tc.incidence[q.cell]):
+            f = q.copy * nf + tc.cell_face[b0]
+            r, t = face_root[f], face_t[f]
+            rcell = back[t][b0]
+            key = roots[r, rcell]
+            val = col.get(key, 0) + sign * tc.orient[t][rcell]
+            if val:
+                col[key] = val
+            else:
+                del col[key]
+        columns.append(col)
+    return hm.QuotientCellComplex(cells, by_dim, columns)
 
 
 def check_dd_zero(cells: list[hm.QuotientCell], mats: Matrices) -> None:

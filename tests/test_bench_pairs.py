@@ -1,5 +1,6 @@
-"""scripts/bench_pairs.py, the alternating-pair driver, writes the summary
-that the committed BENCH_*.json files record from their runs."""
+"""scripts/bench_pairs.py, which runs alternating benchmark pairs, writes
+the summary that the committed BENCH_*.json files record from their
+runs."""
 
 from __future__ import annotations
 
