@@ -1,17 +1,16 @@
 """Compare two commits on the coxglue benchmark by alternating pairs.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \
-        --seeds 2701 --pairs 10 --traced 5 --out BENCH_name.json
+        --seed 2701 --out BENCH_name.json
 
-Pair i runs `perfbench/run.py --workload W --seed (first seed + i)` once
-on each side, for each workload and with the run length that
+Ten pairs: pair i runs `perfbench/run.py --workload W --seed (seed + i)`
+once on each side, for each workload and with the run length that
 BENCHMARK.json declares: the parent first when i is even, the change
 first when i is odd.  Every run gets a fresh copy of its side's
 committed `src/`, `perfbench/` and `BENCHMARK.json` (`git archive`), in
-a temporary directory that is removed afterwards.  With `--traced N` it
-also runs N alternating traced pairs (`--trace 1`) of the certify
-workload on seed 501 and keeps the medians of the per-layer times in
-LAYERS.
+a temporary directory that is removed afterwards.  Then five alternating
+traced pairs (`--trace 1`) of the certify workload on seed 501 give the
+medians of the per-layer times in LAYERS.
 
 The output file holds the settings, every run's result, and a summary
 per workload and end-to-end metric: the quartiles and median of each
@@ -24,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -32,15 +32,16 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FILES = ("src", "perfbench", "BENCHMARK.json")
+PAIRS = 10
+TRACED_PAIRS = 5
 TRACED_SEED = 501
 LAYERS = ("trace.op_s_p50", "homology.homology_s", "homology.complex_s",
           "verify.proper_s", "trace.uncovered_s", "trace.setup_s")
 
 
-def commit_of(rev: str) -> str:
-    return subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
-                          cwd=ROOT, capture_output=True, text=True,
-                          check=True).stdout.strip()
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
 
 
 def run_once(commit: str, workload: str, seed: int, seconds: float,
@@ -122,59 +123,56 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--seeds", type=int, default=1, help="first seed")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--traced", type=int, default=0,
-                    help="traced certify pairs, on seed 501")
-    ap.add_argument("--what", default="", help="the change, in words")
-    ap.add_argument("--machine", default="", help="where it ran")
+    ap.add_argument("--seed", type=int, default=1, help="first seed")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
-    sides = {"parent": commit_of(args.parent),
-             "change": commit_of(args.change)}
+    sides = {side: git("rev-parse", "--verify", rev + "^{commit}")
+             for side, rev in (("parent", args.parent),
+                               ("change", args.change))}
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
-    seeds = list(range(args.seeds, args.seeds + args.pairs))
+    seeds = list(range(args.seed, args.seed + PAIRS))
     workdir = tempfile.mkdtemp()
     try:
         runs = []
         for workload in workloads:
             runs += alternate(sides, workload, seeds, seconds, 0, workdir)
-        traced = alternate(sides, "certify", [TRACED_SEED] * args.traced,
+        traced = alternate(sides, "certify", [TRACED_SEED] * TRACED_PAIRS,
                            seconds, 1, workdir)
     finally:
         shutil.rmtree(workdir)
     result = {
-        "what": args.what,
+        "what": git("log", "-1", "--format=%s", sides["change"]),
         "parent_commit": sides["parent"],
         "change_commit": sides["change"],
         "command": f"python3 perfbench/run.py --workload "
                    f"{{{','.join(workloads)}}} --seed N --seconds "
                    f"{seconds} --trace {{0,1}}",
-        "machine": args.machine,
-        "method": f"{args.pairs} alternating pairs per workload: pair i runs "
+        "machine": f"{os.cpu_count()}-core {platform.machine()}, "
+                   f"{platform.system()}, Python {platform.python_version()}"
+                   f"; times at the benchmark's nominal speed "
+                   f"(perfbench/README.md, Speed)",
+        "method": f"{PAIRS} alternating pairs per workload: pair i runs "
                   f"the parent first when i is even and the change first "
                   f"when i is odd; each run in a fresh copy of its side's "
                   f"src/, perfbench/ and BENCHMARK.json; traced certify: "
-                  f"{args.traced} alternating pairs on seed {TRACED_SEED} "
+                  f"{TRACED_PAIRS} alternating pairs on seed {TRACED_SEED} "
                   f"(scripts/bench_pairs.py)",
         "seeds": {w: seeds for w in workloads},
         "summary": summarize(runs, {m["name"]: m["better"]
                                     for m in spec["end_to_end"]}),
-    }
-    if traced:
-        result["traced_certify_s_per_op"] = {
+        "traced_certify_s_per_op": {
             name: {s: {"runs": (v := [r["metrics"][name] for r in traced
                                       if r["side"] == s]),
                        "median": statistics.median(v)}
                    for s in ("parent", "change")}
-            for name in LAYERS}
-    result["runs"] = runs
-    if traced:
-        result["traced_runs"] = traced
+            for name in LAYERS},
+        "runs": runs,
+        "traced_runs": traced,
+    }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

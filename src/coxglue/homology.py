@@ -22,11 +22,10 @@ through the powers of the order-8 symmetry.  The orbits are lifted from
 the face classes that the properness check traced: a cell's class is
 the class of the face it lies over, with the same transport, so
 assembling the complex needs no union-find.  Each face class gives its
-cells once, at its root face: that face's truncated cell and its cut
-corners; the gluing is proper, so each has the face's cycle length of
-members.  The cusps are the classes of the ideal points in that pass,
-and a cut corner's cusp is the class of its ideal vertex, so the cusp
-cross-sections are read off the cells.
+cells at its root face, the truncated face and its cut corners, each with
+the face's cycle length of members.  The cusps are the classes of the
+ideal points in that pass, and a cut corner's cusp is the class of its
+ideal vertex, so the cusp cross-sections are read off the cells.
 Each boundary sign is a product of the two gluing-independent signs
 above, so assembling a gluing's complex is table lookups.
 
@@ -62,8 +61,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, compress, count
-from operator import eq
+from itertools import combinations
 from typing import Sequence
 
 from .errors import CoxglueError
@@ -146,8 +144,8 @@ def truncated_cells() -> TruncatedCells:
                                + [cut] * len(corner[f])))
     for w, f in corners:
         pairs = [(corner[g][w], s) for g, s in down[f] if w in corner[g]]
-        cell_facets.append(tuple(c for c, _ in pairs))
-        incidence.append(tuple(s for _, s in pairs))
+        cell_facets.append(tuple([c for c, _ in pairs]))
+        incidence.append(tuple([s for _, s in pairs]))
 
     cell_perm = tuple(
         tuple([fcell[fp[f]] for f in tops]
@@ -275,7 +273,6 @@ def build_quotient_complex(arr: EightPPairing) -> QuotientCellComplex:
     cycle = lctx.cycle_lengths  # the class sizes of a proper gluing
     ncells = len(tc.cells)
     back = [tc.cell_perm[-t] for t in range(8)]
-    roots = list(compress(count(), map(eq, face_root, count())))
 
     # one quotient cell per class, the root: per copy, its root faces'
     # truncated cells, then their cut corners; qindex[copy * ncells + cell]
@@ -284,8 +281,7 @@ def build_quotient_complex(arr: EightPPairing) -> QuotientCellComplex:
     by_dim: dict[int, list[int]] = {}
     for copy in range(8):
         base = copy * nf
-        own = [f - base for f in roots[bisect_left(roots, base):
-                                       bisect_left(roots, base + nf)]]
+        own = [f for f in range(nf) if face_root[base + f] == base + f]
         made = [(face_cell[f], -1, f) for f in own if face_cell[f] >= 0]
         made += [(c, face_root[base + w], f) for f in own
                  for c, w in corners[f]]
@@ -380,12 +376,14 @@ def morse_complex(cx: QuotientCellComplex) -> tuple[list, dict]:
 
     def push(col: dict[int, int], unit: int) -> dict[int, int]:
         out: dict[int, int] = {}  # a live face adds nothing: phi is 0
+        get = out.get
         for x, v in col.items():
-            fx = flow[x]
-            if fx:
+            if fx := flow[x]:
+                v *= unit
                 for c, w in fx.items():
-                    out[c] = out.get(c, 0) + v * w
-        return {c: unit * w for c, w in out.items() if w}
+                    out[c] = get(c, 0) + v * w
+        return out if all(out.values()) else {
+            c: w for c, w in out.items() if w}
 
     for phase in (True, False):
         queue = deque(c for c, n in enumerate(live)

@@ -4,8 +4,8 @@
 incidences by a heap; homology runs it on the Morse complex of a
 gluing, boundary cells first.  The small residues, which have no unit
 entries, are finished by `invariant_factors`, a sparse-to-dense wrapper
-around `smith_normal_form`: one pass of pivot reduction with unimodular
-transforms, also the reference the tests use.  All arithmetic is on
+around `smith_normal_form`: one pass of pivot reduction, there without
+the unimodular transforms, which the tests check.  All arithmetic is on
 Python ints, so entry growth is harmless.
 """
 
@@ -44,8 +44,10 @@ def _mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Dense SNF with transforms, by one pass of pivot reduction.
+def smith_normal_form(a: Sequence[Sequence[int]], *,
+                      transforms: bool = True) -> SmithDecomposition:
+    """Dense SNF with transforms, by one pass of pivot reduction; with
+    transforms=False, u and v hold no entries.
 
     Each pivot is the least nonzero entry left.  Once it has cleared its
     row and column, a pivot above 1 that does not divide some entry of
@@ -58,8 +60,8 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithDecomposition:
     m = [[int(x) for x in row] for row in a]
     if any(len(r) != cols for r in m):
         raise ValueError("ragged matrix")
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    u = [[int(i == j) for j in range(rows * transforms)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols * transforms)]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -208,4 +210,4 @@ def invariant_factors(
     dense = [[0] * len(cols) for _ in rows]
     for (i, j), val in nonzero.items():
         dense[rows[i]][cols[j]] = val
-    return smith_normal_form(dense).diagonal
+    return smith_normal_form(dense, transforms=False).diagonal

@@ -382,11 +382,10 @@ def _cycle_report(uf: FaceCycles, lat: FaceLattice, roots: Sequence[int],
                   violation: dict | None) -> PropernessCertificate:
     """Faces and orbits per dimension, and the first class whose cycle
     has the wrong length, from the root of each face instance copy *
-    faces + face; no counts after a holonomy conflict.  A union maps a
-    face to one of its dimension, so the face counts are the polytope's
-    times the copies, and orbits and cycle lengths are read at the class
-    roots; the instances are scanned only for the witness of a bad
-    class, the first in instance order."""
+    faces + face; no counts after a holonomy conflict.  Unions keep the
+    dimension, so face counts are the polytope's times the copies, orbits
+    and cycle lengths are read at the class roots, and only a bad class
+    sends a scan for its witness, the first member in instance order."""
     n = lat.polytope.dim
     nf = len(lat.faces)
     dims: dict[int, dict[str, int]] = {

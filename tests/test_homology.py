@@ -7,7 +7,7 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from coxglue import homology as hm
@@ -306,7 +306,11 @@ def test_columns_match_the_tuple_keyed_assembly(mid, perm):
         quotient_assembly.check_dd_zero(cx.cells, cx.boundaries)
 
 
-@settings(max_examples=4, derandomize=True, database=None, deadline=None)
+# no shrinking: each example compares about 9k cells and 54k column
+# entries, and shrinking a failure over such comparisons takes minutes
+# and hundreds of MB; the failing relabeling is reported as generated
+@settings(max_examples=4, derandomize=True, database=None, deadline=None,
+          phases=[Phase.explicit, Phase.generate])
 @given(mid=st.integers(1, 9), perm=st.permutations(range(8)))
 def test_assembly_order_under_relabeling(mid, perm):
     arr = pg.published_pairing(mid).relabeled(perm)
