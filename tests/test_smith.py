@@ -111,6 +111,9 @@ def test_against_oracle():
         dec = smith_normal_form(a)
         assert tuple(sorted(abs(d) for d in dec.diagonal)) == \
             oracle_invariant_factors(a)
+        bare = smith_normal_form(a, transforms=False)
+        assert bare.diagonal == dec.diagonal
+        assert not any(bare.u) and not bare.v
         sparse = {(i, j): a[i][j] for i in range(r) for j in range(c) if a[i][j]}
         assert invariant_factors(sparse, (r, c)) == \
             tuple(sorted(abs(d) for d in dec.diagonal))
