@@ -88,10 +88,10 @@ def _load_array(args) -> pg.EightPPairing:
 def cmd_build(args) -> int:
     if args.doubled:
         q = build_q(args.dim)
-        lat = face_lattice(q)
+        dims = [d for d, _ in q.faces]
         payload = {"sides": len(q.sides), "groups": q.n_groups,
                    "large_sides": sum(1 for s in q.sides if s.large),
-                   **{f"faces_{d}": c for d, c in sorted(lat.counts().items())}}
+                   **{f"faces_{d}": dims.count(d) for d in range(q.dim + 1)}}
     else:
         poly = build_polytope(args.dim)
         lat = face_lattice(poly)

@@ -160,10 +160,9 @@ class Face:
 class FaceLattice:
     """Complete poset of faces of a right-angled polytope."""
 
-    def __init__(self, polytope) -> None:
+    def __init__(self, polytope: RightAngledPolytope) -> None:
         self.polytope = polytope
         self.faces: list[Face] = []
-        self.by_sides: dict[frozenset, int] = {}
         self.by_vertex_mask: dict[int, int] = {}
         self._build()
 
@@ -213,7 +212,6 @@ class FaceLattice:
                 raise _face_error(sides, dim, "shares its vertex set with the "
                                   f"face on sides {_one_based(other.sides)}")
             self.faces.append(face)
-            self.by_sides[sides] = face.index
             self.by_vertex_mask[vmask] = face.index
             return face.index
 
@@ -296,11 +294,10 @@ def _face_error(sides: Iterable[int], dim: int, why: str) -> LatticeError:
 
 
 @lru_cache(maxsize=None)
-def face_lattice(poly: RightAngledPolytope | "QPolytope") -> FaceLattice:
-    """The face lattice of a polytope or reflected union, built once per
-    process for each."""
-    if isinstance(poly, QPolytope):
-        return FaceLattice(poly.as_polytope())
+def face_lattice(poly: RightAngledPolytope) -> FaceLattice:
+    """The face lattice of a right-angled polytope, built once per process
+    for each.  The reflected union has none: it lists its faces off its
+    base polytope's lattice, in `QPolytope.faces`."""
     return FaceLattice(poly)
 
 
@@ -324,8 +321,6 @@ class QPolytope:
 
     base: RightAngledPolytope
     sides: tuple[QSide, ...]
-    actual_vertices: tuple[Vec, ...]
-    ideal_vertices: tuple[Vec, ...]
 
     @property
     def dim(self) -> int:
@@ -344,10 +339,21 @@ class QPolytope:
                            for s in self.sides)
                      for signs in _sign_patterns(self.dim))
 
-    def as_polytope(self) -> RightAngledPolytope:
-        return RightAngledPolytope(
-            self.dim, tuple(s.normal for s in self.sides),
-            self.actual_vertices, self.ideal_vertices)
+    @cached_property
+    def faces(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(dim, sorted sides) of every face but the ideal points, numbered
+        as a face lattice numbers them: by codimension, then by sorted
+        sides.  Each is a face of the base polytope on no coordinate wall
+        moved by a sign flip k, which carries base side s to the union's
+        side flips[k][u], u the unflipped side of group s - n."""
+        n, flips = self.dim, self.flips
+        unflipped = [s.index for s in self.sides if -1 not in s.signs]
+        faces = {(f.dim, tuple(sorted(flips[k][unflipped[s - n]]
+                                      for s in f.sides)))
+                 for f in face_lattice(self.base).faces
+                 if not f.ideal_point and min(f.sides, default=n) >= n
+                 for k in range(1 << n)}
+        return tuple(sorted(faces, key=lambda f: (-f[0], f[1])))
 
 
 def _apply_signs(signs: Sequence[int], v: Vec) -> Vec:
@@ -364,7 +370,8 @@ def _sign_patterns(n: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def build_q(n: int) -> QPolytope:
     """The reflected union with its standard side order, built once per
-    process.
+    process; its faces, in `QPolytope.faces`, come from the base
+    polytope's lattice when first read.
 
     Sides come in groups, group g for base side n + g, listing sign
     patterns on the nonzero coordinates in ascending binary order with
@@ -385,11 +392,4 @@ def build_q(n: int) -> QPolytope:
             normal = _apply_signs(signs, u)
             sides.append(QSide(len(sides), tuple(signs), normal,
                                group, z == 2))
-    patterns = _sign_patterns(n)
-    actual = {_apply_signs(signs, v) for v in base.actual_vertices
-              if all(v[:-1]) for signs in patterns}
-    ideal = {_apply_signs(signs, v) for v in base.ideal_vertices
-             for signs in patterns}
-    return QPolytope(base, tuple(sides), tuple(sorted(actual)),
-                     tuple(sorted(ideal)))
-
+    return QPolytope(base, tuple(sides))

@@ -137,6 +137,8 @@ class LatticeContext:
     lattice: FaceLattice
     vperm: tuple[tuple[int, ...], ...]
     fperm: tuple[tuple[int, ...], ...]
+    dims: tuple[int | None, ...]
+    sides: tuple[frozenset[int], ...]
     sides_faces: tuple[tuple[int, ...], ...]
     sides_ideal: tuple[tuple[int, ...], ...]
     vertices: tuple[int, ...]
@@ -153,8 +155,9 @@ def lattice_context() -> LatticeContext:
     permutations of each power 0..7 of the symmetry sigma: sigma's own
     through its matrix, each face cross-checked between the vertex route
     and the side-set route, then composed, with sigma^8 the identity;
-    `sides_faces`, the faces on each side but the ideal points; and
-    `sides_ideal`, the ideal points on each side.  The search reads
+    each face's `dims`, None at the ideal points, and `sides`, which
+    `_cycle_report` reads; and on each side, the ideal points in
+    `sides_ideal` and the other faces in `sides_faces`.  The search reads
     `vertices`, the actual vertices as faces, and `side_vertices`, those
     on each side, and each face's cycle length 2^(6 - dim) and wall
     count.  The torsion check reads the sorted sides of its 288
@@ -181,10 +184,13 @@ def lattice_context() -> LatticeContext:
             perms.append(tuple([sigma[x] for x in perms[-1]]))
         if perms.pop() != perms[0]:
             raise AssertionError("sigma^8 is not the identity")
-    sides_faces = _sides_faces(lat)
-    ideal = [f for f in faces if f.ideal_point]
-    vertices = tuple(f.index for f in faces
-                     if f.dim == 0 and not f.ideal_point)
+    sides_faces: list[list[int]] = [[] for _ in p6.normals]
+    sides_ideal: list[list[int]] = [[] for _ in p6.normals]
+    for f in faces:
+        for s in f.sides:
+            (sides_ideal if f.ideal_point else sides_faces)[s].append(f.index)
+    dims = tuple(None if f.ideal_point else f.dim for f in faces)
+    vertices = tuple(f.index for f in faces if dims[f.index] == 0)
     lines = tuple(f.index for f in faces if f.edge_kind == "line")
     reps = []
     for pool, total in ((vertices, 9), (lines, 36)):  # orbits so far
@@ -205,26 +211,14 @@ def lattice_context() -> LatticeContext:
         return tuple(tuple(sorted(faces[f].sides)) for f in fs)
 
     return LatticeContext(
-        lat, tuple(vperm), tuple(fperm), sides_faces,
-        tuple(tuple(f.index for f in ideal if s in f.sides)
-              for s in range(27)),
+        lat, tuple(vperm), tuple(fperm), dims, tuple(f.sides for f in faces),
+        tuple(map(tuple, sides_faces)), tuple(map(tuple, sides_ideal)),
         vertices,
         tuple(tuple(f for f in on_side if faces[f].dim == 0)
               for on_side in sides_faces),
         tuple(2 ** (6 - f.dim) for f in faces),
         tuple(len(f.sides) for f in faces),
         sides_of(vertices + lines), sides_of(reps))
-
-
-@lru_cache(maxsize=None)
-def _sides_faces(lat: FaceLattice) -> tuple[tuple[int, ...], ...]:
-    """The faces on each side but the ideal points, in face order."""
-    out: list[list[int]] = [[] for _ in lat.polytope.normals]
-    for f in lat.faces:
-        if not f.ideal_point and f.dim != lat.polytope.dim:
-            for s in f.sides:
-                out[s].append(f.index)
-    return tuple(map(tuple, out))
 
 
 # -- properness ----------------------------------------------------------
@@ -267,8 +261,8 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
     arr.validate_involution()
     sigma_pows = standard_context().sigma_pows
     ctx = lattice_context()
-    lat, fperm = ctx.lattice, ctx.fperm
-    nf = len(lat.faces)
+    fperm = ctx.fperm
+    nf = len(ctx.dims)
     uf = FaceCycles(8 * nf)
     union = uf.union
     violation = None
@@ -280,7 +274,7 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
         for fidx in ctx.sides_faces[j]:
             if union(base_i + fidx, base_k + fp[fidx], p) < 0:
                 violation = {"kind": "holonomy", "copy": i + 1,
-                             "side": j + 1, "face_dim": lat.faces[fidx].dim}
+                             "side": j + 1, "face_dim": ctx.dims[fidx]}
                 break
         if violation:
             break
@@ -289,7 +283,7 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
         for fidx in ctx.sides_ideal[j]:
             union(base_i + fidx, base_k + fp[fidx], 0)
     if violation is not None:
-        return _cycle_report(uf, lat, (), violation)
+        return _cycle_report(uf, ctx.dims, ctx.sides, (), violation)
     # two flat lists: a list of (root, power) pairs held at once raises
     # the search's peak RSS from 37 to 94 MB; each walk is find(), inline
     parent, pot = uf.parent, uf.pot
@@ -301,19 +295,21 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
             r = parent[r]
         roots.append(r)
         transports.append(t % 8)
-    return replace(_cycle_report(uf, lat, roots, None), roots=tuple(roots),
-                   transports=tuple(transports))
+    return replace(_cycle_report(uf, ctx.dims, ctx.sides, roots, None),
+                   roots=tuple(roots), transports=tuple(transports))
 
 
 def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
-    """The face pass on the reflected union, as a plain union-find.
+    """The face pass on the reflected union, as a plain union-find over
+    the faces `QPolytope.faces` lists off the base polytope's lattice.
 
     The pairing transform r K, K the sign flip of side m's group and r
     the reflection in the partner side, carries side m onto its partner
     as K alone: K maps side m onto the partner side, which r fixes
     pointwise.  K is a symmetry of the union, so it permutes the sides,
     and the face on sides S goes to the face on sides K(S), read off
-    `QPolytope.flips`.
+    `QPolytope.flips` in order: K keeps each side in its group, and a
+    face's sides lie in distinct groups, which come in side order.
 
     Transports lie in the polytope's reflection group W, which acts freely,
     and z = (1, ..., 1, 3) is strictly inside the polytope (<u, z> < 0 for
@@ -323,9 +319,13 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     forest grows in that order, so the first failure is the edge that a
     union-find composing transports as it goes would reject.
     """
-    lat = face_lattice(qsp.q)
-    faces, by_sides = lat.faces, lat.by_sides
+    faces = qsp.q.faces
     nf = len(faces)
+    index = {sides: fidx for fidx, (_, sides) in enumerate(faces)}
+    on_side: list[list[int]] = [[] for _ in qsp.q.sides]
+    for fidx, (_, sides) in enumerate(faces):
+        for s in sides:
+            on_side[s].append(fidx)
     partner, transforms = qsp.partner, qsp.transforms
     uf = FaceCycles(nf)
     journal = uf.journal  # a union counting no crossings journals a link only
@@ -341,12 +341,12 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     # forest[x]: the (y, s) with face y = transforms[s] of face x
     forest: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
     closing: list[tuple[int, int, int]] = []  # (face, image, side)
-    for m, on_side in enumerate(_sides_faces(lat)):
+    for m, on_m in enumerate(on_side):
         if partner[m] < m:
             continue  # the partner side made the inverse unions
         perm = qsp.q.flips[qsp.values[m]]
-        for fidx in on_side:
-            target = by_sides[frozenset([perm[a] for a in faces[fidx].sides])]
+        for fidx in on_m:
+            target = index[tuple([perm[a] for a in faces[fidx][1]])]
             links = len(journal)
             uf.union(fidx, target, 0)
             if len(journal) > links:
@@ -372,50 +372,49 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     for fidx, target, m in closing:
         if carry(partner[m], point[fidx]) != point[target]:
             violation = {"kind": "holonomy", "side": m + 1,
-                         "face_dim": faces[fidx].dim}
+                         "face_dim": faces[fidx][0]}
             break
     roots = () if violation else [uf.find(x)[0] for x in range(nf)]
-    return _cycle_report(uf, lat, roots, violation)
+    return _cycle_report(uf, [k for k, _ in faces], [s for _, s in faces],
+                         roots, violation)
 
 
-def _cycle_report(uf: FaceCycles, lat: FaceLattice, roots: Sequence[int],
+def _cycle_report(uf: FaceCycles, face_dims: Sequence, sides: Sequence,
+                  roots: Sequence[int],
                   violation: dict | None) -> PropernessCertificate:
     """Faces and orbits per dimension, and the first class whose cycle
     has the wrong length, from the root of each face instance copy *
-    faces + face; no counts after a holonomy conflict.  Unions keep the
+    faces + face; no counts after a holonomy conflict.  Each face has its
+    dim and sides, the whole polytope first and dim None at the ideal
+    points, which no cycle counts.  Unions keep the
     dimension, so face counts are the polytope's times the copies, orbits
     and cycle lengths are read at the class roots, and only a bad class
     sends a scan for its witness, the first member in instance order."""
-    n = lat.polytope.dim
-    nf = len(lat.faces)
+    n = face_dims[0]
+    nf = len(face_dims)
     dims: dict[int, dict[str, int]] = {
         k: {"faces": 0, "orbits": 0, "expected_cycle": 2 ** (n - k)}
         for k in range(n)}
     if violation is not None:
         return PropernessCertificate(False, dims, violation)
-    # the pass traces every face but the ideal points and the polytope
-    traced = [None if f.ideal_point or f.dim == n else f.dim
-              for f in lat.faces]
-    for k in traced:
-        if k is not None:
-            dims[k]["faces"] += len(roots) // nf
+    for k in dims:
+        dims[k]["faces"] = face_dims.count(k) * len(roots) // nf
     bad = set()
     for x in compress(count(), map(eq, roots, count())):
-        k = traced[x % nf]
-        if k is not None:
+        k = face_dims[x % nf]
+        if k in dims:  # not an ideal point or the polytope itself
             dims[k]["orbits"] += 1
             if uf.size[x] != 2 ** (n - k):
                 bad.add(x)
     if bad:
         x = next(x for x, r in enumerate(roots) if r in bad)
-        k = traced[x % nf]
         copy, fidx = divmod(x, nf)
+        k = face_dims[fidx]
         violation = {"kind": "cycle_length", "face_dim": k,
                      "cycle_length": uf.size[roots[x]],
                      "expected": 2 ** (n - k),
                      "witness_copy": copy + 1,
-                     "witness_face_sides":
-                         sorted(s + 1 for s in lat.faces[fidx].sides)}
+                     "witness_face_sides": sorted(s + 1 for s in sides[fidx])}
     return PropernessCertificate(violation is None, dims, violation)
 
 

@@ -11,26 +11,26 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from coxglue.polytope import FaceLattice
 from coxglue.verify import PropernessCertificate
 
 
-def instance_walk_report(uf, lat: FaceLattice, roots: Sequence[int],
+def instance_walk_report(uf, face_dims: Sequence, sides: Sequence,
+                         roots: Sequence[int],
                          violation: dict | None) -> PropernessCertificate:
     """Faces and orbits per dimension, and the first class whose cycle
     has the wrong length, from the root of each face instance copy *
-    faces + face; `uf.size` holds the class sizes at the roots.  No
-    counts after a holonomy conflict."""
-    n = lat.polytope.dim
-    nf = len(lat.faces)
+    faces + face; each face has its dim and sides, the whole polytope
+    first and dim None at the ideal points, and `uf.size` holds the
+    class sizes at the roots.  No counts after a holonomy conflict."""
+    n = face_dims[0]
+    nf = len(face_dims)
     dims: dict[int, dict[str, int]] = {
         k: {"faces": 0, "orbits": 0, "expected_cycle": 2 ** (n - k)}
         for k in range(n)}
     if violation is not None:
         return PropernessCertificate(False, dims, violation)
     # the pass traces every face but the ideal points and the polytope
-    traced = [None if f.ideal_point or f.dim == n else f.dim
-              for f in lat.faces]
+    traced = [None if k == n else k for k in face_dims]
     for x, r in enumerate(roots):
         k = traced[x % nf]
         if k is None:
@@ -45,5 +45,5 @@ def instance_walk_report(uf, lat: FaceLattice, roots: Sequence[int],
                          "expected": 2 ** (n - k),
                          "witness_copy": copy + 1,
                          "witness_face_sides":
-                             sorted(s + 1 for s in lat.faces[fidx].sides)}
+                             sorted(s + 1 for s in sides[fidx])}
     return PropernessCertificate(violation is None, dims, violation)

@@ -12,19 +12,22 @@ from __future__ import annotations
 
 from coxglue.lorentz import mat_vec
 from coxglue.pairing import QSidePairing
-from coxglue.polytope import face_lattice
+
+from q_sides import q_lattice
 
 
 def vertex_image_targets(qsp: QSidePairing) -> dict[tuple[int, int], int]:
     """{(m, face): the face transforms[partner[m]] carries it to}, for
     every side m <= partner[m] and every face on m but the ideal points,
     faces by lattice index."""
-    lat = face_lattice(qsp.q)
+    lat = q_lattice(qsp.q.dim)
     poly = lat.polytope
     vindex = {v: i for i, v in enumerate(poly.vertices)}
     on_side: list[list[int]] = [[] for _ in poly.normals]
+    by_sides = {}
     for f in lat.faces:
         if not f.ideal_point:
+            by_sides[f.sides] = f.index
             for s in f.sides:
                 on_side[s].append(f.index)
     out = {}
@@ -32,7 +35,7 @@ def vertex_image_targets(qsp: QSidePairing) -> dict[tuple[int, int], int]:
         if qsp.partner[m] < m:
             continue
         g = qsp.transforms[qsp.partner[m]]
-        side = lat.faces[lat.by_sides[frozenset((m,))]]
+        side = lat.faces[by_sides[frozenset((m,))]]
         image = {vid: 1 << vindex[mat_vec(g, poly.vertices[vid])]
                  for vid in lat.vertex_ids(side)}
         for fidx in faces:

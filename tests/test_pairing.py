@@ -319,8 +319,7 @@ def test_flips_are_the_sign_flip_action(n):
 def test_builders_return_one_object_per_input():
     q6 = polytope.build_q(6)
     assert polytope.build_q(6) is q6
-    assert polytope.face_lattice(polytope.build_q(6)) is \
-        polytope.face_lattice(q6)
+    assert polytope.build_q(6).faces is q6.faces
     code = tables.manifold_record(1).code
     assert pg.decode_q_code(code).q is pg.decode_q_code(code).q is q6
 

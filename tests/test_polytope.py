@@ -17,7 +17,7 @@ from coxglue.polytope import (
     face_lattice,
 )
 
-from q_sides import group_members
+from q_sides import group_members, q_lattice, q_vertices
 
 
 def verify_face_identities(lattices: dict[int, FaceLattice]) -> dict:
@@ -56,7 +56,7 @@ def _spec_lattices():
     """The lattices of P2..P7 and Q5, each built once per process."""
     for n in range(2, 8):
         yield face_lattice(build_polytope(n))
-    yield face_lattice(build_q(5))
+    yield q_lattice(5)
 
 
 def test_polytope6_matches_published_tables():
@@ -149,13 +149,13 @@ def test_lattice_meets_its_specification():
                     if lorentz_inner(poly.normals[a], poly.normals[b]) == 0)
                 for a in range(nsides)]
         real = [f for f in lat.faces if not f.ideal_point]
+        by_sides = {f.sides: f.index for f in real}
         keys = [(len(f.sides), sorted(f.sides)) for f in real]
         assert keys == sorted(keys) and keys[0] == (0, [])
         assert [f.vertex_mask for f in lat.faces[len(real):]] == [
             1 << v for v in range(poly.n_actual, nv)]
         for f in lat.faces:
             assert lat.by_vertex_mask[f.vertex_mask] == f.index
-            assert lat.by_sides[f.sides] == f.index
         for f in real:
             vmask, common = (1 << nv) - 1, (1 << nsides) - 1
             for s in f.sides:
@@ -166,7 +166,7 @@ def test_lattice_meets_its_specification():
             for a in range(nsides):
                 if not common >> a & 1:
                     continue
-                g = lat.by_sides.get(f.sides | {a})
+                g = by_sides.get(f.sides | {a})
                 assert (g is not None) == bool(vmask & inc[a])
                 if g is not None:
                     want.append(g)
@@ -211,7 +211,7 @@ def test_reflected_union_structure():
     assert [s.normal for s in q6.sides[:4]] == [
         (1, 1, 0, 0, 0, 0, 1), (-1, 1, 0, 0, 0, 0, 1),
         (1, -1, 0, 0, 0, 0, 1), (-1, -1, 0, 0, 0, 0, 1)]
-    assert len(q6.actual_vertices) == 1344
+    assert len(q_vertices(6)[0]) == 1344
     for g in range(15):
         assert len(group_members(q6, g)) == 4
     for g in range(15, 21):
@@ -219,8 +219,25 @@ def test_reflected_union_structure():
 
 
 def test_reflected_union_face_counts():
-    counts = face_lattice(build_q(6)).counts()
+    counts = q_lattice(6).counts()
     assert [counts[d] for d in range(6)] == [1344, 14208, 23040, 13920, 3360, 252]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_reflected_union_faces_match_the_generic_lattice(n):
+    """The faces listed off the base polytope's lattice, as (dim, sorted
+    sides), are the generic lattice's faces but the ideal points, in its
+    order: by codimension, then by sorted sides.  A face's sides lie in
+    distinct groups, which come in side order, so a sign flip, keeping
+    each side in its group, maps sorted sides to sorted sides."""
+    q = build_q(n)
+    want = [(f.dim, tuple(sorted(f.sides))) for f in q_lattice(n).faces
+            if not f.ideal_point]
+    assert list(q.faces) == want
+    group = [s.group for s in q.sides]
+    assert group == sorted(group)
+    assert all(len({group[s] for s in sides}) == len(sides)
+               for _, sides in q.faces)
 
 
 def test_reflected_union_dim5():

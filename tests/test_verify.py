@@ -22,6 +22,7 @@ from coxglue.polytope import build_polytope
 
 from cycle_report import instance_walk_report
 from q_face_map import vertex_image_targets
+from q_lattice_route import lattice_route
 from transport_union_find import TransportUnionFind
 
 
@@ -423,6 +424,37 @@ def test_restricted_codes_decode_to_proper_cross_sections():
         assert cert.dims[0]["orbits"] == 5, code
 
 
+def _one_digit_mutants(codes: list[str], count: int, seed: int) -> list[str]:
+    """Codes with one digit changed to another digit the dimension
+    allows, each from a seeded choice of code."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        code = rng.choice(codes)
+        i = rng.randrange(len(code))
+        digits = pg.ALPHABET[:64 if len(code) == 21 else 32]
+        new = rng.choice([c for c in digits if c != code[i]])
+        out.append(code[:i] + new + code[i + 1:])
+    return out
+
+
+def test_q_route_matches_the_lattice_route():
+    """The pass on the faces listed off the base polytope's lattice gives
+    the verdict, `dims` and violation of the pass on the union's generic
+    lattice (tests/q_lattice_route.py), on both restricted codes and 40
+    seeded one-digit mutants of them, three of which stay proper, all on
+    the dimension-5 union."""
+    restricted = ["EKB98LLG6R2", "2B7JB47JG81"]
+    verdicts = collections.Counter()
+    for code in restricted + _one_digit_mutants(restricted, 40, 28):
+        qsp = pg.decode_q_code(code)
+        got, want = vf.face_cycles_proper(qsp), lattice_route(qsp)
+        assert (got.proper, got.dims, got.violation) == \
+            (want.proper, want.dims, want.violation), code
+        verdicts[got.proper] += 1
+    assert verdicts == {True: 5, False: 37}
+
+
 def test_certify_manifold_bundles():
     cert = vf.certify_manifold(pg.published_pairing(1),
                                tables.manifold_record(1).code)
@@ -489,11 +521,11 @@ def _cycles_eight_both_ways(arr: pg.EightPPairing) -> vf.PropernessCertificate:
         for fidx in ctx.sides_ideal[j]:
             assert uf.union(i * nf + fidx, k * nf + ctx.fperm[p][fidx], 0)
     if violation is not None:
-        return vf._cycle_report(uf, lat, (), violation)
+        return vf._cycle_report(uf, ctx.dims, ctx.sides, (), violation)
     found = [uf.find(x) for x in range(8 * nf)]
     roots = tuple(r for r, _ in found)
-    return dataclasses.replace(vf._cycle_report(uf, lat, roots, None),
-                               roots=roots,
+    report = vf._cycle_report(uf, ctx.dims, ctx.sides, roots, None)
+    return dataclasses.replace(report, roots=roots,
                                transports=tuple(t for _, t in found))
 
 
@@ -523,10 +555,10 @@ def test_cycle_report_matches_the_instance_walk(monkeypatch):
     calls = []
     report = vf._cycle_report
 
-    def both(uf, lat, roots, violation):
-        got = report(uf, lat, roots, violation)
-        calls.append((got, instance_walk_report(uf, lat, roots, violation),
-                      roots))
+    def both(uf, dims, sides, roots, violation):
+        got = report(uf, dims, sides, roots, violation)
+        calls.append((got, instance_walk_report(uf, dims, sides, roots,
+                                                violation), roots))
         return got
 
     monkeypatch.setattr(vf, "_cycle_report", both)
@@ -540,6 +572,7 @@ def test_cycle_report_matches_the_instance_walk(monkeypatch):
         vf._cycles_q(pg.decode_q_code(pg.PairingCode(5, code)))
     assert len(calls) == 31
     lat = vf.lattice_context().lattice
+    by_sides = {f.sides: f.index for f in lat.faces}
     kinds = collections.Counter()
     witness_not_root = 0
     for got, want, roots in calls:
@@ -548,8 +581,8 @@ def test_cycle_report_matches_the_instance_walk(monkeypatch):
         v = got.violation
         kinds[v and v["kind"]] += 1
         if v and v["kind"] == "cycle_length":
-            face = lat.by_sides[frozenset(s - 1
-                                          for s in v["witness_face_sides"])]
+            face = by_sides[frozenset(s - 1
+                                      for s in v["witness_face_sides"])]
             x = (v["witness_copy"] - 1) * len(lat.faces) + face
             witness_not_root += roots[x] != x
     assert kinds == {None: 11, "cycle_length": 19, "holonomy": 1}
