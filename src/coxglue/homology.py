@@ -49,10 +49,11 @@ the polytope alone and are tested once, on every cell;
 `build_quotient_complex` refuses an improper gluing, which is P4.
 
 Homology matches the cells on the columns as built, boundary cells
-first, for a Morse complex of 215 to 249 critical cells on the nine
-gluings; `eliminate_units` reduces that, boundary cells first, which
-leaves each cusp section's own residue, then the rest, and a dense
-Smith normal form of each residual degree finishes both.
+first and only with each other, for a Morse complex of 215 to 249
+critical cells on the nine gluings.  So each cusp's critical cells, 18
+to 36, form its section's own Morse complex; `eliminate_units` reduces
+the whole one to 73 to 87 cells, and a dense Smith normal form of each
+degree finishes both.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ class TruncatedCells:
     orient: tuple[tuple[int, ...], ...]
     incidence: tuple[tuple[int, ...], ...]
     cell_face: tuple[int, ...]
-    face_cell: tuple[int, ...]
     face_corners: tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -102,8 +102,9 @@ def truncated_cells() -> TruncatedCells:
     dimension `cell_dim[i]` over face `cell_face[i]`, with facets
     `cell_facets[i]` and their signs `incidence[i]`; the symmetry's power
     t on cells `cell_perm[t]`, and its orientation signs `orient[t]`.
-    Face f is cell `face_cell[f]` (-1 for an ideal point), and its cut
-    corners are `face_corners[f]`, (corner cell, ideal point) pairs.
+    The lattice numbers the ideal points last, so each other face f is
+    cell f; its cut corners are `face_corners[f]`, (corner cell, ideal
+    point) pairs.
     Each facet sign is read once per cover pair (f, g): ('l', w, f) ->
     ('l', w, g) has the sign of ('f', f) -> ('f', g), and ('f', f) ->
     ('l', w, f), whose new wall is the cut wall, last, (-1)^|sides(f)|."""
@@ -112,11 +113,10 @@ def truncated_cells() -> TruncatedCells:
     faces = lat.faces
 
     # cells: ('f', face) for the truncated faces, then ('l', w, face) for
-    # the cut corners; face f is cell fcell[f], its corner at w corner[f][w]
+    # the cut corners; face f's corner at w is cell corner[f][w]
     tops = [f.index for f in faces if not f.ideal_point]
     corners = [(w, f.index) for f in faces if f.dim and not f.ideal_point
                for w in lat.ideal_vertex_ids(f)]
-    fcell = {f: i for i, f in enumerate(tops)}
     corner: list[dict[int, int]] = [{} for _ in faces]
     for i, (w, f) in enumerate(corners, len(tops)):
         corner[f][w] = i
@@ -138,7 +138,7 @@ def truncated_cells() -> TruncatedCells:
     incidence: list[tuple[int, ...]] = []
     for f in tops:
         cut = -1 if len(faces[f].sides) % 2 else 1
-        cell_facets.append(tuple([fcell[g] for g, _ in down[f]]
+        cell_facets.append(tuple([g for g, _ in down[f]]
                                  + list(corner[f].values())))
         incidence.append(tuple([s for _, s in down[f]]
                                + [cut] * len(corner[f])))
@@ -148,7 +148,7 @@ def truncated_cells() -> TruncatedCells:
         incidence.append(tuple([s for _, s in pairs]))
 
     cell_perm = tuple(
-        tuple([fcell[fp[f]] for f in tops]
+        tuple([fp[f] for f in tops]
               + [corner[fp[f]][vp[w]] for w, f in corners])
         for vp, fp in zip(vperm, fperm))
 
@@ -173,7 +173,6 @@ def truncated_cells() -> TruncatedCells:
                        + [faces[f].dim - 1 for _, f in corners]),
         cell_facets=tuple(cell_facets), cell_perm=cell_perm,
         orient=tuple(orient), incidence=tuple(incidence), cell_face=cell_face,
-        face_cell=tuple([fcell.get(f, -1) for f in range(len(faces))]),
         face_corners=tuple([tuple([(c, point[w]) for w, c in cs.items()])
                             for cs in corner]))
 
@@ -215,14 +214,14 @@ class QuotientCellComplex:
 
     @cached_property
     def _homology(self):
-        # boundary cells pivot first, and are closed under faces
+        # boundary cells pair first and only with each other, so each
+        # cusp's critical cells are its section's Morse complex; read them
+        # before eliminate_units rewrites bd in place
         bd = morse_complex(self)[1]
-        comps = boundary_components(self)
-        eliminate_units(bd, {c for comp in comps for c in comp})
-        parts = [{c: dict(bd[c]) for c in comp if c in bd} for comp in comps]
+        cusps = [_residue_homology(self, {c: bd[c] for c in comp if c in bd})
+                 for comp in boundary_components(self)]
         eliminate_units(bd)
-        return (_residue_homology(self, bd),
-                [_residue_homology(self, part) for part in parts])
+        return _residue_homology(self, bd), cusps
 
     def counts(self) -> dict[int, int]:
         return {d: len(ix) for d, ix in sorted(self.by_dim.items())}
@@ -269,7 +268,7 @@ def build_quotient_complex(arr: EightPPairing) -> QuotientCellComplex:
     tc = truncated_cells()
     cell_face, orient, dim_of = tc.cell_face, tc.orient, tc.cell_dim
     facets, incidence = tc.cell_facets, tc.incidence
-    face_cell, corners = tc.face_cell, tc.face_corners
+    dims, corners = lctx.dims, tc.face_corners
     cycle = lctx.cycle_lengths  # the class sizes of a proper gluing
     ncells = len(tc.cells)
     back = [tc.cell_perm[-t] for t in range(8)]
@@ -282,7 +281,8 @@ def build_quotient_complex(arr: EightPPairing) -> QuotientCellComplex:
     for copy in range(8):
         base = copy * nf
         own = [f for f in range(nf) if face_root[base + f] == base + f]
-        made = [(face_cell[f], -1, f) for f in own if face_cell[f] >= 0]
+        # the ideal points are numbered last, so truncated face f is cell f
+        made = [(f, -1, f) for f in own if dims[f] is not None]
         made += [(c, face_root[base + w], f) for f in own
                  for c, w in corners[f]]
         for cidx, cusp, f in made:
@@ -348,8 +348,9 @@ class HomologyGroups:
 
 
 def homology_groups(cx: QuotientCellComplex) -> list[HomologyGroups]:
-    """Integral homology per degree 0..top: the reduction `cusp_sections`
-    shares, then `invariant_factors` of each residual degree."""
+    """Integral homology per degree 0..top: the Morse complex that
+    `cusp_sections` shares, reduced by `eliminate_units`, then
+    `invariant_factors` of each residual degree."""
     return list(cx._homology[0])
 
 
@@ -418,8 +419,9 @@ def morse_complex(cx: QuotientCellComplex) -> tuple[list, dict]:
 
 def _residue_homology(cx: QuotientCellComplex,
                       bd: dict[int, dict[int, int]]) -> list[HomologyGroups]:
-    """Homology per degree 0..top of `cx`, read from `bd`, a residue of
-    `eliminate_units` on some of the cells of `cx`."""
+    """Homology per degree 0..top of the chain complex `bd` on some of the
+    cells of `cx`: a Morse complex of them, or its residue after
+    `eliminate_units`."""
     top = max(cx.by_dim)
     cells_at: dict[int, list[int]] = {d: [] for d in range(top + 1)}
     for c in sorted(bd):
@@ -453,5 +455,5 @@ def boundary_components(cx: QuotientCellComplex) -> list[set[int]]:
 
 def cusp_sections(cx: QuotientCellComplex) -> list[list[HomologyGroups]]:
     """Homology of each boundary component (the cusp cross-sections),
-    from what the shared reduction leaves of it before the interior."""
+    from its critical cells in the Morse complex that homology shares."""
     return [list(groups) for groups in cx._homology[1]]

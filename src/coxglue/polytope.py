@@ -69,12 +69,11 @@ class RightAngledPolytope:
             out.append(m)
         return out
 
-    def side_masks(self, incidence: list[int] | None = None) -> list[int]:
+    def side_masks(self, incidence: list[int]) -> list[int]:
         """Per vertex, the bitmask of incident sides, transposed from
-        `incidence` (per side, as incidence_masks gives) when at hand."""
-        inc = self.incidence_masks() if incidence is None else incidence
+        `incidence` (per side, as incidence_masks gives)."""
         out = [0] * len(self.vertices)
-        for j, m in enumerate(inc):
+        for j, m in enumerate(incidence):
             for vid in bits(m):
                 out[vid] |= 1 << j
         return out

@@ -1,11 +1,11 @@
 """Smith normal form over the integers.
 
 `eliminate_units` reduces a sparse chain complex along its +-1
-incidences by a heap; homology runs it on the Morse complex of a
-gluing, boundary cells first.  The small residues, which have no unit
-entries, are finished by `invariant_factors`, a sparse-to-dense wrapper
-around `smith_normal_form`: one pass of pivot reduction, there without
-the unimodular transforms, which the tests check.  All arithmetic is on
+incidences by a heap; homology runs it once, on the Morse complex of a
+gluing.  The small residues, which have no unit entries, are finished
+by `invariant_factors`, a sparse-to-dense wrapper around
+`smith_normal_form`: one pass of pivot reduction, there without the
+unimodular transforms, which the tests check.  All arithmetic is on
 Python ints, so entry growth is harmless.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import heapq
-from typing import Container, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ def smith_normal_form(a: Sequence[Sequence[int]], *,
                               tuple(tuple(r) for r in v), (rows, cols))
 
 
-def eliminate_units(bd: dict[int, dict[int, int]],
-                    pivots: Container[int] | None = None) -> int:
+def eliminate_units(bd: dict[int, dict[int, int]]) -> int:
     """Reduce a chain complex in place along its +-1 incidences.
 
     `bd` maps every cell to its boundary {face: coefficient}, and every
@@ -143,18 +142,15 @@ def eliminate_units(bd: dict[int, dict[int, int]],
     each with its +-1 face a of fewest cofaces, and the pair leaves by a
     Schur update: a is cleared from its other cofaces, then b leaves the
     boundaries of its cofaces and a its own.  Homology is unchanged; on
-    return `bd` holds the residue.  Only cells in `pivots` (default: all)
-    pair, and none of them keeps a +-1 face.  Returns the pair count.  An
-    update adds faces of b only, so if `pivots` is closed under faces,
-    the pivots left in `bd` are the residue of their subcomplex alone.
-    On the Morse complexes of the nine gluings it makes 67 to 84 pairs.
+    return `bd` holds the residue, in which no cell keeps a +-1 face.
+    Returns the pair count: 67 to 84 on the Morse complexes of the nine
+    gluings, which leaves 73 to 87 cells.
     """
     cobd: dict[int, dict[int, int]] = {c: {} for c in bd}
     for b, faces in bd.items():
         for a, v in faces.items():
             cobd[a][b] = v
-    allowed = bd if pivots is None else pivots  # every live cell is in bd
-    heap = [(len(f), b) for b, f in bd.items() if f and b in allowed]
+    heap = [(len(f), b) for b, f in bd.items() if f]
     heapq.heapify(heap)
     cells = len(bd)
     while heap:
@@ -178,12 +174,10 @@ def eliminate_units(bd: dict[int, dict[int, int]],
                     row[a2] = cobd[a2][b2] = x
                 else:
                     del row[a2], cobd[a2][b2]
-            if b2 in allowed:
-                heapq.heappush(heap, (len(row), b2))
+            heapq.heappush(heap, (len(row), b2))
         for e in cobd.pop(b):
             del bd[e][b]
-            if e in allowed:
-                heapq.heappush(heap, (len(bd[e]), e))
+            heapq.heappush(heap, (len(bd[e]), e))
         for a2 in bd.pop(a):
             del cobd[a2][a]
         del cobd[a]

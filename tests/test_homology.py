@@ -50,8 +50,12 @@ def test_truncated_cell_fields_agree():
     the permutation tables are powers of the one symmetry, so a swapped
     field fails here and not in a homology table.  The same holds for
     the fields of the geometric oracle."""
-    tc, geo = hm.truncated_cells(), truncated_geometry()
-    n = len(tc.cells)
+    tc = hm.truncated_cells()
+    # the lattice numbers the 27 ideal points last, so face f is cell f
+    faces = vf.lattice_context().lattice.faces
+    assert [f.index for f in faces if f.ideal_point] == list(range(2764, 2791))
+    assert all(tc.cells[f] == ("f", f) for f in range(2764))
+    geo, n = truncated_geometry(), len(tc.cells)
     for field in (tc.cell_dim, tc.cell_facets, tc.incidence, tc.cell_face,
                   geo.cell_points, geo.frames, geo.pivot_cols,
                   geo.frame_sign):
@@ -353,9 +357,15 @@ def _check_matching(cx):
     """Every cell leaves once in the matching of `morse_complex`; each
     pair (a, b) has an original incidence [b:a] = +-1; each pair's other
     faces, and each critical cell's faces, left earlier; every boundary
-    cell leaves before any interior cell; and the Morse complex, on the
-    critical cells, has boundary squared zero."""
+    cell leaves before any interior cell, and a critical one's Morse
+    boundary names critical cells of its own cusp alone, which
+    `cusp_sections` relies on; and the Morse complex, on the critical
+    cells, has boundary squared zero."""
     steps, bd = hm.morse_complex(cx)
+    for c, col in bd.items():
+        if cx.cells[c].cusp >= 0:
+            assert all(r in bd and cx.cells[r].cusp == cx.cells[c].cusp
+                       for r in col), c
     when = {x: t for t, step in enumerate(steps) for x in step}
     assert len(when) == sum(map(len, steps)) == len(cx.cells)
     for t, step in enumerate(steps):
@@ -377,6 +387,12 @@ def _check_matching(cx):
 @pytest.mark.parametrize("mid", range(1, 10))
 def test_morse_matching_is_acyclic_and_boundary_first(mid):
     _check_matching(hm.build_quotient_complex(pg.published_pairing(mid)))
+
+
+def test_morse_matching_under_relabeling():
+    perm = random.Random(29).sample(range(8), 8)
+    _check_matching(hm.build_quotient_complex(
+        pg.published_pairing(7).relabeled(perm)))
 
 
 def test_one_face_pass_per_gluing_in_turn():

@@ -116,7 +116,7 @@ def test_side_adjacency_graph_is_16_regular():
 
 def test_vertex_side_counts():
     p6 = build_polytope(6)
-    smask = p6.side_masks()
+    smask = p6.side_masks(p6.incidence_masks())
     for vid in range(len(p6.vertices)):
         count = bin(smask[vid]).count("1")
         assert count == (6 if p6.is_actual(vid) else 10)

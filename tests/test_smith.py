@@ -160,9 +160,9 @@ def test_unimodular_transforms():
 
 @st.composite
 def twisted_complexes(draw):
-    """(dims, boundaries, pivots): elementary complexes Z -k-> Z and free
-    cells in degrees 0-3, scattered by random changes of basis, which
-    keep the homology; and a random set of pivots closed under faces."""
+    """(dims, boundaries): elementary complexes Z -k-> Z and free cells
+    in degrees 0-3, scattered by random changes of basis, which keep the
+    homology."""
     dims, pairs = [], []
     for d in range(4):
         dims += [d] * draw(st.integers(1 if d == 0 else 0, 3))
@@ -185,14 +185,7 @@ def twisted_complexes(draw):
                 row[i] += c * row[j]
             mat[j] = [x - c * y for x, y in zip(mat[j], mat[i])]
     bd = {b: {a: mat[a][b] for a in range(n) if mat[a][b]} for b in range(n)}
-    pivots = draw(st.sets(cells))
-    todo = list(pivots)
-    while todo:
-        for a in bd[todo.pop()]:
-            if a not in pivots:
-                pivots.add(a)
-                todo.append(a)
-    return dims, bd, pivots
+    return dims, bd
 
 
 def _dense_factors(dims, bd):
@@ -219,27 +212,22 @@ def _dense_homology(dims, bd):
 @given(cx=twisted_complexes())
 # loops e1, e2 and a disc f = e1 + 2 e2: the heap pairs f with e1, its
 # one +-1 face, and the coefficient 2 of e2 never pivots
-@example(cx=([0, 1, 1, 2], {0: {}, 1: {}, 2: {}, 3: {1: 1, 2: 2}},
-             {0, 1, 2, 3}))
-# a path v0 - e1 - v1 - e2 - v2, all but e2 pivots: e1 pairs with v0,
-# its +-1 face of fewest cofaces, and e2, which may not pair, keeps its
-# +-1 faces v1 and v2
+@example(cx=([0, 1, 1, 2], {0: {}, 1: {}, 2: {}, 3: {1: 1, 2: 2}}))
+# a path v0 - e1 - v1 - e2 - v2: e1 pairs with v0, its +-1 face of
+# fewest cofaces; then v2 and v1 have one coface each, and e2 pairs
+# with v2, its first
 @example(cx=([0, 0, 0, 1, 1], {0: {}, 1: {}, 2: {}, 3: {1: 1, 0: -1},
-                               4: {2: 1, 1: -1}}, {0, 1, 2, 3}))
+                               4: {2: 1, 1: -1}}))
 def test_eliminate_units_keeps_its_contract(cx):
-    """Only pivots pair, and none left keeps a +-1 face; the pivots left
-    are the residue of their subcomplex alone; and the pairs with the
-    residue give the homology of the whole complex."""
-    dims, bd, pivots = cx
+    """No cell left keeps a +-1 face, the residue has the homology of
+    the whole complex, and the pairs with the residue give its
+    invariant factors."""
+    dims, bd = cx
     before = {c: dict(faces) for c, faces in bd.items()}
-    pairs = eliminate_units(bd, pivots)
+    pairs = eliminate_units(bd)
     assert 2 * pairs == len(before) - len(bd)
-    assert before.keys() - pivots <= bd.keys()  # only pivots pair
-    for c in pivots & bd.keys():
-        assert all(v not in (1, -1) for v in bd[c].values())
-        assert bd[c].keys() <= pivots
-    assert _dense_homology(dims, {c: bd[c] for c in pivots & bd.keys()}) \
-        == _dense_homology(dims, {c: before[c] for c in pivots})
+    for faces in bd.values():
+        assert all(v not in (1, -1) for v in faces.values())
     assert _dense_homology(dims, bd) == _dense_homology(dims, before)
     whole = sorted(f for fs in _dense_factors(dims, before).values()
                    for f in fs)
