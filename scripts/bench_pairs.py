@@ -10,7 +10,8 @@ first when i is odd.  Every run gets a fresh copy of its side's
 committed `src/`, `perfbench/` and `BENCHMARK.json` (`git archive`), in
 a temporary directory that is removed afterwards.  Then five alternating
 traced pairs (`--trace 1`) of the certify workload on seed 501 give the
-medians of the per-layer times in LAYERS.
+medians of the per-layer times in LAYERS: seconds per operation, and per
+run for `trace.setup_s` and the four set-up builders it is made of.
 
 The output file holds the settings, every run's result, and a summary
 per workload and end-to-end metric: the quartiles and median of each
@@ -36,7 +37,9 @@ PAIRS = 10
 TRACED_PAIRS = 5
 TRACED_SEED = 501
 LAYERS = ("trace.op_s_p50", "homology.homology_s", "homology.complex_s",
-          "verify.proper_s", "trace.uncovered_s", "trace.setup_s")
+          "verify.proper_s", "trace.uncovered_s", "trace.setup_s",
+          "polytope.face_lattice_s", "homology.truncated_cells_s",
+          "pairing.standard_context_s", "verify.lattice_context_s")
 
 
 def git(*args: str) -> str:

@@ -129,14 +129,9 @@ def group_orbit(
 def outward_canonical(v: Vec, vertices: Sequence[Vec]) -> Vec:
     """Scale to primitive and orient so <u, p> <= 0 for every vertex p."""
     w = primitive(v)
-    pos = neg = False
-    for p in vertices:
-        s = lorentz_inner(w, p)
-        if s > 0:
-            pos = True
-        elif s < 0:
-            neg = True
-    if pos and neg:
+    products = [lorentz_inner(w, p) for p in vertices]
+    pos = max(products, default=0) > 0
+    if pos and min(products) < 0:
         raise ValueError("vector is not a supporting normal of the vertex set")
     return tuple(-c for c in w) if pos else w
 

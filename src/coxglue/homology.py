@@ -58,7 +58,6 @@ degree finishes both.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -66,11 +65,13 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import CoxglueError
+from .gf2 import bits
 # det is unused here but stays importable: perfbench/layers.py patches it
 from .lorentz import det  # noqa: F401
 from .pairing import EightPPairing, standard_context
 from .smith import eliminate_units, invariant_factors
-from .verify import face_cycles_proper, lattice_context
+from .verify import (face_cycles_proper, face_side_masks, lattice_context,
+                     sigma_powers)
 
 
 class ComplexError(CoxglueError, RuntimeError):
@@ -101,7 +102,8 @@ def truncated_cells() -> TruncatedCells:
     cell i, `cells[i]` = ('f', face) or ('l', ideal vertex, face), of
     dimension `cell_dim[i]` over face `cell_face[i]`, with facets
     `cell_facets[i]` and their signs `incidence[i]`; the symmetry's power
-    t on cells `cell_perm[t]`, and its orientation signs `orient[t]`.
+    t on cells `cell_perm[t]`, composed from sigma's (sigma^8 is checked to
+    be the identity), and its orientation signs `orient[t]`, one per face.
     The lattice numbers the ideal points last, so each other face f is
     cell f; its cut corners are `face_corners[f]`, (corner cell, ideal
     point) pairs.
@@ -111,46 +113,45 @@ def truncated_cells() -> TruncatedCells:
     ctx, lctx = standard_context(), lattice_context()
     lat, vperm, fperm = lctx.lattice, lctx.vperm, lctx.fperm
     faces = lat.faces
+    actual = (1 << ctx.polytope.n_actual) - 1
 
     # cells: ('f', face) for the truncated faces, then ('l', w, face) for
     # the cut corners; face f's corner at w is cell corner[f][w]
     tops = [f.index for f in faces if not f.ideal_point]
     corners = [(w, f.index) for f in faces if f.dim and not f.ideal_point
-               for w in lat.ideal_vertex_ids(f)]
+               for w in bits(f.vertex_mask & ~actual)]
     corner: list[dict[int, int]] = [{} for _ in faces]
     for i, (w, f) in enumerate(corners, len(tops)):
         corner[f][w] = i
     point = {w: lat.by_vertex_mask[1 << w] for w in {w for w, _ in corners}}
 
-    # the truncated covers g of each face f with the sign of ('f', f) ->
-    # ('f', g): (-1)^#(sides of f below the one new wall of g)
-    down: list[list[tuple[int, int]]] = []
-    for f in faces:
-        own = sorted(f.sides)
-        pairs = []
-        for g in f.covers:
-            if not faces[g].ideal_point:
-                (j,) = faces[g].sides - f.sides
-                pairs.append((g, -1 if bisect_left(own, j) % 2 else 1))
-        down.append(pairs)
+    # down[f]: the truncated covers g of face f; signs[f]: the signs of
+    # ('f', f) -> ('f', g), (-1)^#(sides of f below g's one new wall)
+    masks = face_side_masks(faces)
+    down = [[g for g in f.covers if not faces[g].ideal_point] for f in faces]
+    signs = []
+    for f, own in enumerate(masks):
+        new = [masks[g] & ~own for g in down[f]]
+        if set(map(int.bit_count, new)) - {1}:
+            raise ComplexError(f"a cover of face {f} adds other than one wall")
+        signs.append([-1 if (own & b - 1).bit_count() % 2 else 1 for b in new])
 
     cell_facets: list[tuple[int, ...]] = []
     incidence: list[tuple[int, ...]] = []
     for f in tops:
         cut = -1 if len(faces[f].sides) % 2 else 1
-        cell_facets.append(tuple([g for g, _ in down[f]]
-                                 + list(corner[f].values())))
-        incidence.append(tuple([s for _, s in down[f]]
-                               + [cut] * len(corner[f])))
+        cell_facets.append(tuple(down[f] + list(corner[f].values())))
+        incidence.append(tuple(signs[f] + [cut] * len(corner[f])))
     for w, f in corners:
-        pairs = [(corner[g][w], s) for g, s in down[f] if w in corner[g]]
-        cell_facets.append(tuple([c for c, _ in pairs]))
-        incidence.append(tuple([s for _, s in pairs]))
+        cell_facets.append(tuple([corner[g][w] for g in down[f]
+                                  if w in corner[g]]))
+        incidence.append(tuple([s for g, s in zip(down[f], signs[f])
+                                if w in corner[g]]))
 
-    cell_perm = tuple(
-        tuple([fp[f] for f in tops]
-              + [corner[fp[f]][vp[w]] for w, f in corners])
-        for vp, fp in zip(vperm, fperm))
+    # sigma's permutation of the cells, composed into its powers
+    fs, vs = fperm[1], vperm[1]
+    cell_perm = sigma_powers([fs[f] for f in tops] + [
+        corner[fs[f]][vs[w]] for w, f in corners])
 
     # orient[t][X]: det sigma^t = (-1)^t times the sign of the permutation
     # that sorts sigma^t(walls of X); sigma^t keeps the cut walls after
@@ -162,8 +163,8 @@ def truncated_cells() -> TruncatedCells:
         [ctx.sigma[s] for s in sorted(f.sides)], 2)) % 2 for f in faces]
     orient, parity = [], [0] * len(faces)
     for t, fp in enumerate(fperm):
-        orient.append(tuple([-1 if (t + parity[f]) % 2 else 1
-                             for f in cell_face]))
+        sign = [-1 if (t + p) % 2 else 1 for p in parity]
+        orient.append(tuple(map(sign.__getitem__, cell_face)))
         parity = [p ^ flips[fp[f]] for f, p in enumerate(parity)]
 
     return TruncatedCells(

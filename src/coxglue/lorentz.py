@@ -28,8 +28,7 @@ def lorentz_inner(x: Sequence[int], y: Sequence[int]) -> int:
     """Signature (n,1) product x_1 y_1 + ... + x_n y_n - x_{n+1} y_{n+1}."""
     if len(x) != len(y):
         raise DimensionMismatch(f"lengths {len(x)} != {len(y)}")
-    s = sum(a * b for a, b in zip(x, y))
-    return s - 2 * x[-1] * y[-1]
+    return sum(map(mul, x, y)) - 2 * x[-1] * y[-1]
 
 
 def identity(n: int) -> Mat:

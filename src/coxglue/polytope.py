@@ -13,7 +13,9 @@ perpendicular to all of S and meets it. Faces are numbered by codimension,
 then lexicographically by sorted sides, with the ideal points last in
 vertex order, so every cover list comes out ascending. An exact rank check
 on its vertices certifies each face's dimension, and the sides containing
-those vertices must be exactly S.
+those vertices must be exactly S. The sides of S are spacelike (checked
+once) and pairwise perpendicular, so independent, and hold every vertex of
+the face: the rank check stops at its bound n + 1 - |S|, exact below it.
 """
 
 from __future__ import annotations
@@ -55,19 +57,10 @@ class RightAngledPolytope:
     def n_actual(self) -> int:
         return len(self.actual_vertices)
 
-    def is_actual(self, vertex_id: int) -> bool:
-        return vertex_id < len(self.actual_vertices)
-
     def incidence_masks(self) -> list[int]:
         """Per side, the bitmask of incident vertices."""
-        out = []
-        for u in self.normals:
-            m = 0
-            for vid, v in enumerate(self.vertices):
-                if lorentz_inner(u, v) == 0:
-                    m |= 1 << vid
-            out.append(m)
-        return out
+        return [sum(1 << vid for vid, v in enumerate(self.vertices)
+                    if lorentz_inner(u, v) == 0) for u in self.normals]
 
     def side_masks(self, incidence: list[int]) -> list[int]:
         """Per vertex, the bitmask of incident sides, transposed from
@@ -170,6 +163,9 @@ class FaceLattice:
         poly = self.polytope
         n = poly.dim
         nsides = len(poly.normals)
+        for j, u in enumerate(poly.normals):
+            if lorentz_inner(u, u) <= 0:
+                raise LatticeError(f"side {j + 1} is not spacelike")
         all_sides = (1 << nsides) - 1
         inc = poly.incidence_masks()
         smask = poly.side_masks(inc)
@@ -185,8 +181,10 @@ class FaceLattice:
             must be all sides at its vertices; an ideal point with those."""
             span = RowSpan()
             closure = all_sides
+            bound = n + 1 - (sbits or 0).bit_count()
             for vid in bits(vmask):
-                span.add(homog[vid])
+                if span.rank < bound:
+                    span.add(homog[vid])
                 closure &= smask[vid]
             dim = span.rank - 1
             ideal_point = sbits is None
@@ -266,11 +264,6 @@ class FaceLattice:
 
     def vertex_ids(self, face: Face) -> tuple[int, ...]:
         return tuple(bits(face.vertex_mask))
-
-    def ideal_vertex_ids(self, face: Face) -> tuple[int, ...]:
-        poly = self.polytope
-        return tuple(v for v in bits(face.vertex_mask)
-                     if not poly.is_actual(v))
 
     def validate(self) -> None:
         normals = self.polytope.normals
@@ -353,6 +346,17 @@ class QPolytope:
                  if not f.ideal_point and min(f.sides, default=n) >= n
                  for k in range(1 << n)}
         return tuple(sorted(faces, key=lambda f: (-f[0], f[1])))
+
+    @cached_property
+    def face_tables(self) -> tuple:
+        """What the face pass reads off `faces`: each face's number by its
+        sides, the faces on each side, and the dims and sides as columns."""
+        on_side: tuple[list[int], ...] = tuple([] for _ in self.sides)
+        for fidx, (_, sides) in enumerate(self.faces):
+            for s in sides:
+                on_side[s].append(fidx)
+        return ({sides: fidx for fidx, (_, sides) in enumerate(self.faces)},
+                on_side, *zip(*self.faces))
 
 
 def _apply_signs(signs: Sequence[int], v: Vec) -> Vec:

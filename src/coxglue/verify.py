@@ -170,20 +170,18 @@ def lattice_context() -> LatticeContext:
     faces = lat.faces
     vindex = {v: i for i, v in enumerate(p6.vertices)}
     vsigma = [vindex[mat_vec(ctx.powers[1], v)] for v in p6.vertices]
+    side_masks = face_side_masks(faces)
+    # sigma's image of each vertex and of each side, as a bit
+    vmoved = [1 << v for v in vsigma]
+    smoved = [1 << s for s in ctx.sigma_pows[1]]
     fsigma = []
     for f in faces:
-        mask = sum(1 << vsigma[v] for v in bits(f.vertex_mask))
-        g = faces[lat.by_vertex_mask[mask]]
-        if frozenset(ctx.sigma_pows[1][s] for s in f.sides) != g.sides:
+        g = lat.by_vertex_mask[sum(map(vmoved.__getitem__,
+                                       bits(f.vertex_mask)))]
+        if sum(map(smoved.__getitem__, f.sides)) != side_masks[g]:
             raise AssertionError("vertex and side transport routes disagree")
-        fsigma.append(g.index)
-    vperm = [tuple(range(len(vsigma)))]
-    fperm = [tuple(range(len(faces)))]
-    for perms, sigma in ((vperm, vsigma), (fperm, fsigma)):
-        for _ in range(8):
-            perms.append(tuple([sigma[x] for x in perms[-1]]))
-        if perms.pop() != perms[0]:
-            raise AssertionError("sigma^8 is not the identity")
+        fsigma.append(g)
+    vperm, fperm = sigma_powers(vsigma), sigma_powers(fsigma)
     sides_faces: list[list[int]] = [[] for _ in p6.normals]
     sides_ideal: list[list[int]] = [[] for _ in p6.normals]
     for f in faces:
@@ -211,7 +209,7 @@ def lattice_context() -> LatticeContext:
         return tuple(tuple(sorted(faces[f].sides)) for f in fs)
 
     return LatticeContext(
-        lat, tuple(vperm), tuple(fperm), dims, tuple(f.sides for f in faces),
+        lat, vperm, fperm, dims, tuple(f.sides for f in faces),
         tuple(map(tuple, sides_faces)), tuple(map(tuple, sides_ideal)),
         vertices,
         tuple(tuple(f for f in on_side if faces[f].dim == 0)
@@ -219,6 +217,22 @@ def lattice_context() -> LatticeContext:
         tuple(2 ** (6 - f.dim) for f in faces),
         tuple(len(f.sides) for f in faces),
         sides_of(vertices + lines), sides_of(reps))
+
+
+def sigma_powers(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Powers 0..7 of sigma's permutation; raises unless sigma^8 = 1."""
+    perms = [tuple(range(len(sigma)))]
+    for _ in range(8):
+        perms.append(tuple([sigma[x] for x in perms[-1]]))
+    if perms.pop() != perms[0]:
+        raise AssertionError("sigma^8 is not the identity")
+    return tuple(perms)
+
+
+def face_side_masks(faces: Sequence) -> list[int]:
+    """The sides of each face of the dimension-6 lattice as a bitmask."""
+    bit = [1 << s for s in range(27)]
+    return [sum(map(bit.__getitem__, f.sides)) for f in faces]
 
 
 # -- properness ----------------------------------------------------------
@@ -319,13 +333,8 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     forest grows in that order, so the first failure is the edge that a
     union-find composing transports as it goes would reject.
     """
-    faces = qsp.q.faces
-    nf = len(faces)
-    index = {sides: fidx for fidx, (_, sides) in enumerate(faces)}
-    on_side: list[list[int]] = [[] for _ in qsp.q.sides]
-    for fidx, (_, sides) in enumerate(faces):
-        for s in sides:
-            on_side[s].append(fidx)
+    index, on_side, face_dims, face_sides = qsp.q.face_tables
+    nf = len(face_dims)
     partner, transforms = qsp.partner, qsp.transforms
     uf = FaceCycles(nf)
     journal = uf.journal  # a union counting no crossings journals a link only
@@ -346,7 +355,7 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
             continue  # the partner side made the inverse unions
         perm = qsp.q.flips[qsp.values[m]]
         for fidx in on_m:
-            target = index[tuple([perm[a] for a in faces[fidx][1]])]
+            target = index[tuple([perm[a] for a in face_sides[fidx]])]
             links = len(journal)
             uf.union(fidx, target, 0)
             if len(journal) > links:
@@ -372,11 +381,10 @@ def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
     for fidx, target, m in closing:
         if carry(partner[m], point[fidx]) != point[target]:
             violation = {"kind": "holonomy", "side": m + 1,
-                         "face_dim": faces[fidx][0]}
+                         "face_dim": face_dims[fidx]}
             break
     roots = () if violation else [uf.find(x)[0] for x in range(nf)]
-    return _cycle_report(uf, [k for k, _ in faces], [s for _, s in faces],
-                         roots, violation)
+    return _cycle_report(uf, face_dims, face_sides, roots, violation)
 
 
 def _cycle_report(uf: FaceCycles, face_dims: Sequence, sides: Sequence,

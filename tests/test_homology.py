@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -120,6 +121,19 @@ def test_cells_are_oriented_by_their_walls():
             assert sorted(img) == walls[tc.cell_perm[t][x]]
             swaps = sum(a > b for a, b in itertools.combinations(img, 2))
             assert tc.orient[t][x] == (-1) ** (t + swaps)
+
+
+def test_truncated_cells_refuse_a_cover_across_two_walls(monkeypatch):
+    """Each cover sign is read off the one wall that the cover adds, as a
+    side bitmask; a lattice in which the top face covers a ridge, two
+    walls down, is refused rather than given a sign."""
+    lctx = copy.deepcopy(vf.lattice_context())
+    faces = lctx.lattice.faces
+    faces[0].covers.append(next(f.index for f in faces if len(f.sides) == 2))
+    monkeypatch.setattr(hm, "lattice_context", lambda: lctx)
+    with pytest.raises(hm.ComplexError, match=re.escape(
+            "a cover of face 0 adds other than one wall")):
+        hm.truncated_cells.__wrapped__()
 
 
 def test_quotient_complex_manifold1():

@@ -119,7 +119,7 @@ def test_vertex_side_counts():
     smask = p6.side_masks(p6.incidence_masks())
     for vid in range(len(p6.vertices)):
         count = bin(smask[vid]).count("1")
-        assert count == (6 if p6.is_actual(vid) else 10)
+        assert count == (6 if vid < p6.n_actual else 10)
 
 
 def test_face_side_sets_are_perpendicular():
@@ -172,7 +172,7 @@ def test_lattice_meets_its_specification():
                     want.append(g)
             if f.dim == 1:
                 want += [lat.by_vertex_mask[1 << v] for v in range(nv)
-                         if vmask >> v & 1 and not poly.is_actual(v)]
+                         if vmask >> v & 1 and v >= poly.n_actual]
             assert f.covers == sorted(want)
 
 
@@ -184,7 +184,9 @@ def test_lattice_meets_its_specification():
      "face on sides [1] of dim 2: its vertices lie in sides [1, 7]"),
     (lambda p: {"ideal_vertices": ()},
      "face on sides [] of dim 1: vertex set does not span the ambient space"),
-], ids=["one-vertex", "duplicate-side", "no-ideal-vertices"])
+    (lambda p: {"normals": p.normals[:2] + ((1, 0, 0, 1),) + p.normals[3:]},
+     "side 3 is not spacelike"),
+], ids=["one-vertex", "duplicate-side", "no-ideal-vertices", "lightlike-side"])
 def test_malformed_polytope_names_the_face(edit, message):
     p3 = build_polytope(3)
     with pytest.raises(LatticeError) as err:

@@ -455,6 +455,28 @@ def test_q_route_matches_the_lattice_route():
     assert verdicts == {True: 5, False: 37}
 
 
+@pytest.mark.parametrize("code, other", [
+    ("EKB98LLG6R2", "2B7JB47JG81"),
+    (tables.manifold_record(1).code, tables.manifold_record(2).code),
+], ids=["q5", "q6"])
+def test_q_route_reads_its_face_tables_once(code, other):
+    """The side-set index, per-side face lists and report columns that
+    the reflected-union pass reads are built once per union, in
+    `QPolytope.face_tables`: a check on another code finds the same
+    objects.  The pass on m1's code and on its cross-section still
+    agrees with the pass on the union's generic lattice
+    (tests/q_lattice_route.py)."""
+    qsp = pg.decode_q_code(code)
+    got, want = vf.face_cycles_proper(qsp), lattice_route(qsp)
+    assert (got.proper, got.dims, got.violation) == \
+        (want.proper, want.dims, want.violation)
+    assert got.proper
+    built = qsp.q.__dict__["face_tables"]
+    assert vf.face_cycles_proper(pg.decode_q_code(other)).proper
+    assert qsp.q.__dict__["face_tables"] is built
+    assert all(a is b for a, b in zip(qsp.q.face_tables, built))
+
+
 def test_certify_manifold_bundles():
     cert = vf.certify_manifold(pg.published_pairing(1),
                                tables.manifold_record(1).code)

@@ -23,6 +23,7 @@ from coxglue import homology as hm
 from coxglue.lorentz import (RowSpan, Vec, det, lorentz_inner, mat_vec,
                              primitive)
 from coxglue.pairing import standard_context
+from coxglue.polytope import Face, FaceLattice
 from coxglue.verify import lattice_context
 
 
@@ -57,7 +58,7 @@ def truncated_geometry() -> TruncatedGeometry:
         if e.dim != 1 or e.ideal_point:
             continue
         ids = lat.vertex_ids(e)
-        for wid in lat.ideal_vertex_ids(e):
+        for wid in ideal_vertex_ids(lat, e):
             w = verts[wid]
             other = verts[ids[0] if ids[1] == wid else ids[1]]
             if lorentz_inner(other, other) < 0:
@@ -76,7 +77,7 @@ def truncated_geometry() -> TruncatedGeometry:
         f = lat.faces[key[-1]]
         if key[0] == "f":
             pts = [v for v in lat.vertex_ids(f) if v < n_act]
-            ideal = lat.ideal_vertex_ids(f)
+            ideal = ideal_vertex_ids(lat, f)
         else:
             pts, ideal = [], (key[1],)
         pts += [pid for wid in ideal for emask, pid in cuts_at[wid]
@@ -108,6 +109,12 @@ def truncated_geometry() -> TruncatedGeometry:
                 raise AssertionError("symmetry action disagrees on points")
     return TruncatedGeometry(tuple(points), tuple(cell_points), tuple(frames),
                              tuple(pivot_cols), tuple(frame_sign), pt_perm)
+
+
+def ideal_vertex_ids(lat: FaceLattice, face: Face) -> tuple[int, ...]:
+    """The ideal vertices of a face, ascending."""
+    return tuple(v for v in lat.vertex_ids(face)
+                 if v >= lat.polytope.n_actual)
 
 
 def pivot_columns(rows: Sequence[Vec]) -> tuple[int, ...]:
