@@ -111,7 +111,9 @@ def build_polytope(n: int) -> RightAngledPolytope:
     ideal_seed = tuple(1 if i in (0, n) else 0 for i in range(n + 1))
     ideal = group_orbit(gens, [ideal_seed])
     vertices = actual + ideal
-    canon = partial(outward_canonical, vertices=vertices)
+    # the orbit meets each normal once per generator: take its products once
+    canon = lru_cache(maxsize=None)(partial(outward_canonical,
+                                            vertices=vertices))
     seeds = [tuple((-1 if i == n - 1 else 0) for i in range(n + 1))]
     if n == 2:
         seeds.append((1, 1, 1))
