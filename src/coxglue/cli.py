@@ -10,7 +10,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import homology as hm
@@ -313,6 +312,8 @@ def cmd_report(args) -> int:
     items = _report_static_items()
     mids = list(range(1, 10))
     if jobs > 1:
+        # imported here: the import costs every other command 20-30 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(mids))) as pool:
             results = list(pool.map(certify_one, mids))
     else:

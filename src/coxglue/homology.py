@@ -70,8 +70,7 @@ from .gf2 import bits
 from .lorentz import det  # noqa: F401
 from .pairing import EightPPairing, standard_context
 from .smith import eliminate_units, invariant_factors
-from .verify import (face_cycles_proper, face_side_masks, lattice_context,
-                     sigma_powers)
+from .verify import face_cycles_proper, lattice_context, sigma_powers
 
 
 class ComplexError(CoxglueError, RuntimeError):
@@ -127,11 +126,11 @@ def truncated_cells() -> TruncatedCells:
 
     # down[f]: the truncated covers g of face f; signs[f]: the signs of
     # ('f', f) -> ('f', g), (-1)^#(sides of f below g's one new wall)
-    masks = face_side_masks(faces)
     down = [[g for g in f.covers if not faces[g].ideal_point] for f in faces]
     signs = []
-    for f, own in enumerate(masks):
-        new = [masks[g] & ~own for g in down[f]]
+    for f, face in enumerate(faces):
+        own = face.side_mask
+        new = [faces[g].side_mask & ~own for g in down[f]]
         if set(map(int.bit_count, new)) - {1}:
             raise ComplexError(f"a cover of face {f} adds other than one wall")
         signs.append([-1 if (own & b - 1).bit_count() % 2 else 1 for b in new])

@@ -140,11 +140,13 @@ def build_polytope(n: int) -> RightAngledPolytope:
 
 @dataclass
 class Face:
-    """A face of the lattice; dim-0 entries at ideal vertices are tagged."""
+    """A face of the lattice; dim-0 entries at ideal vertices are tagged.
+    `side_mask` holds its sides as a bitmask."""
 
     index: int
     dim: int
     sides: frozenset[int]
+    side_mask: int
     vertex_mask: int
     ideal_point: bool = False
     edge_kind: str | None = None
@@ -202,7 +204,9 @@ class FaceLattice:
             if dim == 1 and vmask.bit_count() != 2:
                 raise _face_error(sides, dim,
                                   f"edge with {vmask.bit_count()} vertices")
-            face = Face(len(self.faces), dim, sides, vmask, ideal_point)
+            # closure == sbits on a face, checked above
+            face = Face(len(self.faces), dim, sides, closure, vmask,
+                        ideal_point)
             if dim == 1:
                 face.edge_kind = ("line", "ray", "segment")[
                     (vmask & actual).bit_count()]
@@ -348,17 +352,6 @@ class QPolytope:
                  if not f.ideal_point and min(f.sides, default=n) >= n
                  for k in range(1 << n)}
         return tuple(sorted(faces, key=lambda f: (-f[0], f[1])))
-
-    @cached_property
-    def face_tables(self) -> tuple:
-        """What the face pass reads off `faces`: each face's number by its
-        sides, the faces on each side, and the dims and sides as columns."""
-        on_side: tuple[list[int], ...] = tuple([] for _ in self.sides)
-        for fidx, (_, sides) in enumerate(self.faces):
-            for s in sides:
-                on_side[s].append(fidx)
-        return ({sides: fidx for fidx, (_, sides) in enumerate(self.faces)},
-                on_side, *zip(*self.faces))
 
 
 def _apply_signs(signs: Sequence[int], v: Vec) -> Vec:

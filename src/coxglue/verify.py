@@ -2,8 +2,8 @@
 cycles, and the algebraic torsion-freeness route through GF(2) column
 independence and the order-8 extension obstruction.
 
-Both properness routes, on the eight copies and on the reflected union,
-trace their face cycles with the one engine, FaceCycles.
+Properness traces the face cycles of the eight copies with one engine,
+FaceCycles, which the search shares.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from .coxeter import constants
 from .errors import CoxglueError
 from .gf2 import Gf2Matrix, bits, columns_independent, gf2_solve
 # mat_mul is unused here but stays importable: perfbench/layers.py patches it
-from .lorentz import Vec, mat_mul, mat_vec  # noqa: F401
+from .lorentz import mat_mul, mat_vec  # noqa: F401
 from .pairing import (
     EightPPairing,
     PairingCode,
-    QSidePairing,
     develop,
     orientability_of_code,
     standard_context,
@@ -56,9 +55,7 @@ class FaceCycles:
     wall crossings on the class it returns, so the search counts each
     face's crossings on the root it has just found.  Union by size, y's
     root below x's on a tie.  There is no path compression, so that
-    rollback finds every link intact.  The reflected-union pass runs it
-    with every d = 0, as a plain union-find, and checks its isometries
-    over the spanning forest afterwards.
+    rollback finds every link intact.
     """
 
     def __init__(self, n: int) -> None:
@@ -170,7 +167,6 @@ def lattice_context() -> LatticeContext:
     faces = lat.faces
     vindex = {v: i for i, v in enumerate(p6.vertices)}
     vsigma = [vindex[mat_vec(ctx.powers[1], v)] for v in p6.vertices]
-    side_masks = face_side_masks(faces)
     # sigma's image of each vertex and of each side, as a bit
     vmoved = [1 << v for v in vsigma]
     smoved = [1 << s for s in ctx.sigma_pows[1]]
@@ -178,7 +174,7 @@ def lattice_context() -> LatticeContext:
     for f in faces:
         g = lat.by_vertex_mask[sum(map(vmoved.__getitem__,
                                        bits(f.vertex_mask)))]
-        if sum(map(smoved.__getitem__, f.sides)) != side_masks[g]:
+        if sum(map(smoved.__getitem__, f.sides)) != faces[g].side_mask:
             raise AssertionError("vertex and side transport routes disagree")
         fsigma.append(g)
     vperm, fperm = sigma_powers(vsigma), sigma_powers(fsigma)
@@ -229,12 +225,6 @@ def sigma_powers(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def face_side_masks(faces: Sequence) -> list[int]:
-    """The sides of each face of the dimension-6 lattice as a bitmask."""
-    bit = [1 << s for s in range(27)]
-    return [sum(map(bit.__getitem__, f.sides)) for f in faces]
-
-
 # -- properness ----------------------------------------------------------
 
 
@@ -247,7 +237,7 @@ class PropernessCertificate:
     # copy * faces + face, as traced by the eight-copy pass, which
     # homology.build_quotient_complex reads; the ideal points too, with
     # transport 0, so their classes are the cusps.  None after a holonomy
-    # conflict and on the reflected union.  Neither compared nor exported.
+    # conflict.  Neither compared nor exported.
     # That pass is cached, so its callers share one certificate.
     roots: tuple[int, ...] | None = field(
         default=None, compare=False, repr=False)
@@ -259,15 +249,14 @@ class PropernessCertificate:
                 "violation": self.violation}
 
 
-def face_cycles_proper(
-    pairing: EightPPairing | QSidePairing,
-) -> PropernessCertificate:
-    """Trace every face orbit through the exact side-pairing isometries;
-    proper iff each k-face class has exactly 2^(n-k) members and all
-    transports around cycles are trivial."""
-    if isinstance(pairing, EightPPairing):
-        return _cycles_eight(pairing)
-    return _cycles_q(pairing)
+def face_cycles_proper(arr: EightPPairing) -> PropernessCertificate:
+    """Trace every face orbit of the eight copies through the side
+    pairing; proper iff each k-face class has exactly 2^(n-k) members and
+    all transports around cycles are trivial."""
+    if not isinstance(arr, EightPPairing):
+        raise CertificationError(f"the face-cycle check needs an "
+                                 f"EightPPairing, not a {type(arr).__name__}")
+    return _cycles_eight(arr)
 
 
 @lru_cache(maxsize=1)  # the quotient complex reuses certification's pass
@@ -311,80 +300,6 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
         transports.append(t % 8)
     return replace(_cycle_report(uf, ctx.dims, ctx.sides, roots, None),
                    roots=tuple(roots), transports=tuple(transports))
-
-
-def _cycles_q(qsp: QSidePairing) -> PropernessCertificate:
-    """The face pass on the reflected union, as a plain union-find over
-    the faces `QPolytope.faces` lists off the base polytope's lattice.
-
-    The pairing transform r K, K the sign flip of side m's group and r
-    the reflection in the partner side, carries side m onto its partner
-    as K alone: K maps side m onto the partner side, which r fixes
-    pointwise.  K is a symmetry of the union, so it permutes the sides,
-    and the face on sides S goes to the face on sides K(S), read off
-    `QPolytope.flips` in order: K keeps each side in its group, and a
-    face's sides lie in distinct groups, which come in side order.
-
-    Transports lie in the polytope's reflection group W, which acts freely,
-    and z = (1, ..., 1, 3) is strictly inside the polytope (<u, z> < 0 for
-    every side normal u), so a transport t is known by t . z.  Each face
-    carries that vector down the spanning forest of the unions, and the
-    edges that close a cycle are checked against it in edge order: the
-    forest grows in that order, so the first failure is the edge that a
-    union-find composing transports as it goes would reject.
-    """
-    index, on_side, face_dims, face_sides = qsp.q.face_tables
-    nf = len(face_dims)
-    partner, transforms = qsp.partner, qsp.transforms
-    uf = FaceCycles(nf)
-    journal = uf.journal  # a union counting no crossings journals a link only
-    moved: dict[tuple[int, Vec], Vec] = {}
-
-    def carry(s: int, v: Vec) -> Vec:
-        """transforms[s] . v; few of these are distinct."""
-        w = moved.get((s, v))
-        if w is None:
-            w = moved[s, v] = mat_vec(transforms[s], v)
-        return w
-
-    # forest[x]: the (y, s) with face y = transforms[s] of face x
-    forest: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
-    closing: list[tuple[int, int, int]] = []  # (face, image, side)
-    for m, on_m in enumerate(on_side):
-        if partner[m] < m:
-            continue  # the partner side made the inverse unions
-        perm = qsp.q.flips[qsp.values[m]]
-        for fidx in on_m:
-            target = index[tuple([perm[a] for a in face_sides[fidx]])]
-            links = len(journal)
-            uf.union(fidx, target, 0)
-            if len(journal) > links:
-                forest[fidx].append((target, partner[m]))
-                forest[target].append((fidx, m))
-            else:
-                closing.append((fidx, target, m))
-    # t . z of every face, the roots' transports being the identity
-    z = (1,) * qsp.q.dim + (3,)
-    point: list[Vec | None] = [None] * nf
-    for r in range(nf):
-        if uf.parent[r] != r:
-            continue
-        point[r] = z
-        stack = [r]
-        while stack:
-            x = stack.pop()
-            for y, s in forest[x]:
-                if point[y] is None:
-                    point[y] = carry(s, point[x])
-                    stack.append(y)
-    violation = None
-    for fidx, target, m in closing:
-        if carry(partner[m], point[fidx]) != point[target]:
-            violation = {"kind": "holonomy", "side": m + 1,
-                         "face_dim": face_dims[fidx]}
-            break
-    roots = () if violation else [uf.find(x)[0] for x in range(nf)]
-    return _cycle_report(uf, face_dims, face_sides, roots, violation)
 
 
 def _cycle_report(uf: FaceCycles, face_dims: Sequence, sides: Sequence,

@@ -3,8 +3,9 @@ every face instance, in instance order, rather than the class roots.
 
 coxglue counts faces from the polytope and reads orbits and cycle lengths
 at the class roots, scanning the instances only for a witness; the tests
-compare its `dims` and `violation` with this walk on the eight-copy and
-the reflected-union routes.
+compare its `dims` and `violation` with this walk on the eight-copy
+route.  The reflected-union route of tests/q_lattice_route.py reports
+through this walk alone.
 """
 
 from __future__ import annotations

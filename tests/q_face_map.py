@@ -1,11 +1,11 @@
-"""An oracle for the face map of coxglue.verify's reflected-union pass:
-each face on side m carried the long way, by multiplying the pairing
-transform of the partner side into every vertex of side m and looking
-the image up by its vertex set.
+"""An oracle for the face map of the reflected-union route
+(tests/q_lattice_route.py): each face on side m carried the long way, by
+multiplying the pairing transform of the partner side into every vertex
+of side m and looking the image up by its vertex set.
 
-coxglue maps the face on sides S to the face on sides K(S), K the sign
-flip of m's group, read off `QPolytope.flips`; the tests check that rule
-against these exact vertex images.
+That route maps the face on sides S to the face on sides K(S), K the sign
+flip of m's group, read off `QPolytope.flips`; the tests check that rule,
+`flip_targets`, against these exact vertex images.
 """
 
 from __future__ import annotations

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -374,7 +378,7 @@ def test_report_pool_has_at_most_one_worker_per_gluing(capsys, monkeypatch,
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli, "_report_static_items", dict)
     monkeypatch.setattr(cli, "certify_one",
                         lambda mid: {"id": mid, "ok": True, "checks": {}})
@@ -383,6 +387,19 @@ def test_report_pool_has_at_most_one_worker_per_gluing(capsys, monkeypatch,
     assert code == 0 and asked == [workers]
     assert json.loads(out)["items"] == {f"manifold_{m}": True
                                         for m in range(1, 10)}
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only `report` with COXGLUE_JOBS above 1 uses the process pool, so
+    importing the CLI does not load concurrent.futures."""
+    src = str(Path(coxglue.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys, coxglue.cli; "
+              "assert 'concurrent.futures' not in sys.modules")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3"])

@@ -140,7 +140,8 @@ def test_lattice_meets_its_specification():
     of pairwise perpendicular sides that share a vertex, sorted by
     codimension and then by sorted sides; the ideal points follow in
     vertex order; a face covers its extensions by one side, and an edge
-    also its ideal endpoints, in ascending order."""
+    also its ideal endpoints, in ascending order; each face holds its
+    sides as a bitmask too."""
     for lat in _spec_lattices():
         poly = lat.polytope
         nsides, nv = len(poly.normals), len(poly.vertices)
@@ -156,6 +157,7 @@ def test_lattice_meets_its_specification():
             1 << v for v in range(poly.n_actual, nv)]
         for f in lat.faces:
             assert lat.by_vertex_mask[f.vertex_mask] == f.index
+            assert f.side_mask == sum(1 << s for s in f.sides)
         for f in real:
             vmask, common = (1 << nv) - 1, (1 << nsides) - 1
             for s in f.sides:

@@ -22,7 +22,7 @@ from coxglue.polytope import build_polytope
 
 from cycle_report import instance_walk_report
 from q_face_map import vertex_image_targets
-from q_lattice_route import lattice_route
+from q_lattice_route import flip_targets, lattice_route
 from transport_union_find import TransportUnionFind
 
 
@@ -337,22 +337,32 @@ def test_properness_rejects_mutations():
 
 @pytest.mark.parametrize("mid", range(1, 10))
 def test_properness_q_route(mid):
-    """The reflected-union route, the oracle for the eight-copy route:
-    the same verdict, on faces of the union rather than of the copies."""
-    qsp = pg.decode_q_code(tables.manifold_record(mid).code)
-    cert = vf.face_cycles_proper(qsp)
+    """The reflected-union route (tests/q_lattice_route.py), the oracle
+    for the eight-copy route: the same verdict, on faces of the union
+    rather than of the copies."""
+    cert = lattice_route(pg.decode_q_code(tables.manifold_record(mid).code))
     assert cert.proper
     assert [cert.dims[k]["faces"] for k in range(6)] == \
         [1344, 14208, 23040, 13920, 3360, 252]
     assert [cert.dims[k]["orbits"] for k in range(6)] == \
         [21, 444, 1440, 1740, 840, 126]
-    assert cert.roots is None and cert.transports is None
     assert vf.face_cycles_proper(pg.published_pairing(mid)).proper
 
 
+@pytest.mark.parametrize("given", [
+    pg.decode_q_code("EKB98LLG6R2"), [], None,
+], ids=["QSidePairing", "list", "NoneType"])
+def test_face_cycles_proper_needs_an_eight_copy_array(given):
+    """Properness is certified on the eight copies alone; anything else
+    is refused by its type."""
+    name = type(given).__name__
+    with pytest.raises(vf.CertificationError,
+                       match=f"needs an EightPPairing, not a {name}$"):
+        vf.face_cycles_proper(given)
+
+
 def test_identity_code_improper():
-    qsp = pg.decode_q_code("0" * 21)
-    cert = vf.face_cycles_proper(qsp)
+    cert = lattice_route(pg.decode_q_code("0" * 21))
     assert not cert.proper
     assert cert.violation == {"kind": "holonomy", "side": 1, "face_dim": 5}
 
@@ -366,7 +376,7 @@ def test_identity_code_improper():
     ("fx5UMF4cN9aEdXHaKUyf3", 25, 5),
 ])
 def test_q_route_holonomy_witness(code, side, face_dim):
-    cert = vf.face_cycles_proper(pg.decode_q_code(code))
+    cert = lattice_route(pg.decode_q_code(code))
     assert not cert.proper
     assert cert.violation == {"kind": "holonomy", "side": side,
                               "face_dim": face_dim}
@@ -377,22 +387,12 @@ def test_q_route_holonomy_witness(code, side, face_dim):
     "l65OoFIcN9YEdXHYIO6l3",  # a holonomy mutant
     "EKB98LLG6R2",  # m1's cross-section, on the dimension-5 union
 ])
-def test_q_route_face_map_matches_vertex_images(code, monkeypatch):
-    """The reflected-union pass unions the face on sides S of side m with
-    the face on sides K(S), K the sign flip of m's group; carrying its
-    vertices through the partner's transform gives the same face."""
+def test_q_route_face_map_matches_vertex_images(code):
+    """The reflected-union route unions the face on sides S of side m
+    with the face on sides K(S), K the sign flip of m's group; carrying
+    its vertices through the partner's transform gives the same face."""
     qsp = pg.decode_q_code(code)
-    unions = []
-    union = vf.FaceCycles.union
-
-    def recording_union(self, x, y, *args):
-        unions.append((x, y))
-        return union(self, x, y, *args)
-
-    monkeypatch.setattr(vf.FaceCycles, "union", recording_union)
-    vf._cycles_q(qsp)
-    assert sorted(unions) == sorted(
-        (f, target) for (_, f), target in vertex_image_targets(qsp).items())
+    assert flip_targets(qsp) == vertex_image_targets(qsp)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -405,7 +405,7 @@ def test_center_is_inside_the_polytope(n):
 
 def test_properness_q_route_cross_section():
     qsp = pg.decode_q_code(pg.restrict_code(tables.manifold_record(1).code))
-    cert = vf.face_cycles_proper(qsp)
+    cert = lattice_route(qsp)
     assert cert.proper
     assert [cert.dims[k]["orbits"] for k in range(5)] == [5, 70, 170, 140, 36]
 
@@ -419,7 +419,7 @@ def test_restricted_codes_decode_to_proper_cross_sections():
              for mid in range(1, 10)}
     assert codes == {"EKB98LLG6R2", "2B7JB47JG81"}
     for code in sorted(codes):
-        cert = vf.face_cycles_proper(pg.decode_q_code(pg.PairingCode(5, code)))
+        cert = lattice_route(pg.decode_q_code(pg.PairingCode(5, code)))
         assert cert.proper, code
         assert cert.dims[0]["orbits"] == 5, code
 
@@ -439,42 +439,15 @@ def _one_digit_mutants(codes: list[str], count: int, seed: int) -> list[str]:
 
 
 def test_q_route_matches_the_lattice_route():
-    """The pass on the faces listed off the base polytope's lattice gives
-    the verdict, `dims` and violation of the pass on the union's generic
-    lattice (tests/q_lattice_route.py), on both restricted codes and 40
-    seeded one-digit mutants of them, three of which stay proper, all on
-    the dimension-5 union."""
+    """The reflected-union route on the union's generic lattice
+    (tests/q_lattice_route.py), on both restricted codes and 40 seeded
+    one-digit mutants of them, all on the dimension-5 union: three of the
+    mutants stay proper."""
     restricted = ["EKB98LLG6R2", "2B7JB47JG81"]
     verdicts = collections.Counter()
     for code in restricted + _one_digit_mutants(restricted, 40, 28):
-        qsp = pg.decode_q_code(code)
-        got, want = vf.face_cycles_proper(qsp), lattice_route(qsp)
-        assert (got.proper, got.dims, got.violation) == \
-            (want.proper, want.dims, want.violation), code
-        verdicts[got.proper] += 1
+        verdicts[lattice_route(pg.decode_q_code(code)).proper] += 1
     assert verdicts == {True: 5, False: 37}
-
-
-@pytest.mark.parametrize("code, other", [
-    ("EKB98LLG6R2", "2B7JB47JG81"),
-    (tables.manifold_record(1).code, tables.manifold_record(2).code),
-], ids=["q5", "q6"])
-def test_q_route_reads_its_face_tables_once(code, other):
-    """The side-set index, per-side face lists and report columns that
-    the reflected-union pass reads are built once per union, in
-    `QPolytope.face_tables`: a check on another code finds the same
-    objects.  The pass on m1's code and on its cross-section still
-    agrees with the pass on the union's generic lattice
-    (tests/q_lattice_route.py)."""
-    qsp = pg.decode_q_code(code)
-    got, want = vf.face_cycles_proper(qsp), lattice_route(qsp)
-    assert (got.proper, got.dims, got.violation) == \
-        (want.proper, want.dims, want.violation)
-    assert got.proper
-    built = qsp.q.__dict__["face_tables"]
-    assert vf.face_cycles_proper(pg.decode_q_code(other)).proper
-    assert qsp.q.__dict__["face_tables"] is built
-    assert all(a is b for a, b in zip(qsp.q.face_tables, built))
 
 
 def test_certify_manifold_bundles():
@@ -571,8 +544,7 @@ def test_each_side_pair_unioned_once_changes_nothing():
 def test_cycle_report_matches_the_instance_walk(monkeypatch):
     """The report read at the class roots gives the `dims` and `violation`
     of the walk over every face instance (tests/cycle_report.py), on the
-    nine gluings, 20 seeded mutants and, through the reflected-union
-    route, the two restricted codes.  In some mutant the witness, the
+    nine gluings and 20 seeded mutants.  In some mutant the witness, the
     first member of a bad class, is not that class's root."""
     calls = []
     report = vf._cycle_report
@@ -590,9 +562,7 @@ def test_cycle_report_matches_the_instance_walk(monkeypatch):
                for _ in range(20)]
     for arr in arrays:
         vf._cycles_eight.__wrapped__(arr)
-    for code in ("EKB98LLG6R2", "2B7JB47JG81"):
-        vf._cycles_q(pg.decode_q_code(pg.PairingCode(5, code)))
-    assert len(calls) == 31
+    assert len(calls) == 29
     lat = vf.lattice_context().lattice
     by_sides = {f.sides: f.index for f in lat.faces}
     kinds = collections.Counter()
@@ -607,7 +577,7 @@ def test_cycle_report_matches_the_instance_walk(monkeypatch):
                                       for s in v["witness_face_sides"])]
             x = (v["witness_copy"] - 1) * len(lat.faces) + face
             witness_not_root += roots[x] != x
-    assert kinds == {None: 11, "cycle_length": 19, "holonomy": 1}
+    assert kinds == {None: 9, "cycle_length": 19, "holonomy": 1}
     assert witness_not_root > 0
 
 
