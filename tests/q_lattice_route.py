@@ -2,10 +2,11 @@
 route of coxglue.verify: a face pass on the union's generic face lattice
 (tests/q_sides.py), with a union-find of its own.
 
-It shares nothing with the engine it checks but the report's certificate
-type: no copies, no transports, no `FaceCycles`, and its report is the
-instance walk of tests/cycle_report.py.  Its face map is `flip_targets`,
-which tests/q_face_map.py checks against exact vertex images.
+It shares no copies, transports or union-find with the eight-copy route:
+it runs a plain union-find of its own, not `FaceCycles`, and reports
+through the instance walk of tests/cycle_report.py.  Its face map is
+`flip_targets`, which tests/q_face_map.py checks against exact vertex
+images.
 """
 
 from __future__ import annotations
