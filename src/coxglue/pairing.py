@@ -459,25 +459,33 @@ def search_pairings(
 ) -> SearchResult:
     """Backtracking search over the symmetry-restricted gluing arrays.
 
-    Assignments respect the involution law by construction.  Each
-    assignment unions the faces of its side pair in `verify.FaceCycles`,
-    the engine the properness certificate runs, on the same face
-    numbering; each union counts its face's wall crossings, 2, or 1 on
-    a side paired with itself, on the class it returns.  It is pruned on a
-    holonomy conflict, a class longer than its cycle length 2^(6 - dim),
-    or a class closed (every wall of every member crossed) short of it.
-    The lattice numbers faces highest dimension first, so sides and
-    ridges, whose cycles are shortest, are unioned first and fail fast.
-    Free slots are scored from one pass over the actual-vertex instances.
-    Every table it reads is built once, in `verify.lattice_context()`.
+    Assignments respect the involution law by construction.  Each glues
+    its side pair in one `verify.FaceCycles.glue` call, the engine of the
+    properness certificate, on its face numbering, counting each face's
+    wall crossings, 2, or 1 on a side paired with itself.  The first face
+    with a holonomy conflict, a class longer than its cycle 2^(6 - dim),
+    or a class closed (every wall of every member crossed) short of it
+    prunes it.  The lattice numbers faces highest dimension first, so
+    sides and ridges, whose cycles are shortest, are glued first and fail
+    fast.  Free slots are scored from one pass over the actual-vertex
+    instances; every table is built once, in `verify.lattice_context()`.
     Completed arrays are confirmed with the full properness checker.
     Exhausting the node or time budget is reported, never an error; a
     search that completes without a solution is reported infeasible.
-    A `fixed` slot outside the 8 x 27 array, an entry outside 0..7 or a
-    `max_solutions` below 1 raises PairingError.
+    Before any work, a `fixed` slot outside the 8 x 27 array, an entry
+    outside 0..7, a `max_solutions` below 1, a `node_budget` not an int
+    >= 0 or a `time_budget_s` neither None nor finite and >= 0 raises
+    PairingError.
     """
     from .verify import FaceCycles, lattice_context
 
+    if type(node_budget) is not int or node_budget < 0:
+        raise PairingError(f"node_budget {node_budget!r} is not an int >= 0")
+    t = time_budget_s
+    if t is not None and (isinstance(t, bool) or not isinstance(
+            t, (int, float)) or not 0 <= t < float("inf")):
+        raise PairingError(f"time_budget_s {t!r} is not None or a finite "
+                           "number of seconds >= 0")
     if max_solutions is not None and max_solutions < 1:
         raise PairingError(f"max_solutions must be at least 1, got "
                            f"{max_solutions}")
@@ -494,7 +502,7 @@ def search_pairings(
     caps, walls = ctx.cycle_lengths, ctx.wall_counts
     vertices, side_vertices = ctx.vertices, ctx.side_vertices
     cyc = FaceCycles(8 * nf)
-    union, parent, size, asg = cyc.union, cyc.parent, cyc.size, cyc.asg
+    glue, parent, asg = cyc.glue, cyc.parent, cyc.asg
     entries: list[list[tuple[int, int] | None]] = [
         [None] * 27 for _ in range(8)]
 
@@ -514,17 +522,9 @@ def search_pairings(
             entries[a][b] = val
             written.append((a, b))
         # the partner's unions would be the inverses of these and change
-        # nothing, so each union also counts the partner face's crossing
-        crossings = len(pairs)
-        base_i, base_k, fp = i * nf, k * nf, ctx.fperm[p]
-        for f in ctx.sides_faces[j]:
-            root = union(base_i + f, base_k + fp[f], p, crossings)
-            if root < 0:
-                return False, written
-            g, n = root % nf, size[root]
-            if n > caps[g] or (asg[root] == walls[g] * n and n != caps[g]):
-                return False, written
-        return True, written
+        # nothing, so each face also counts the partner face's crossing
+        return glue(i * nf, k * nf, ctx.sides_faces[j], ctx.fperm[p], p,
+                    len(pairs), caps, walls) < 0, written
 
     deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
     state = {"nodes": 0, "exhausted": False}

@@ -45,17 +45,15 @@ class FaceCycles:
     """The face-cycle engine: union-find over face instances
     copy * faces + face whose links carry powers of the order-8 symmetry,
     with crossing counts and an undo journal.  The eight-copy properness
-    pass runs it on a whole array, the search on partial arrays, which it
-    rolls back; so search pruning and certification read the same cycles.
-    It is the only union-find in coxglue: the eight-copy pass also unions
-    the ideal points, whose classes are the cusps of the glued manifold.
+    pass glues a whole array, one side pair per `glue` call, the search
+    partial arrays, which it rolls back; so search pruning and
+    certification read the same cycles.  It is the only union-find in
+    coxglue: the eight-copy pass also glues the ideal points, whose
+    classes are the cusps of the glued manifold.
 
     find(x) returns (root, t) with face x = sigma^t of the root's face;
-    union(x, y, d, c) imposes face y = sigma^d of face x and counts c
-    wall crossings on the class it returns, so the search counts each
-    face's crossings on the root it has just found.  Union by size, y's
-    root below x's on a tie.  There is no path compression, so that
-    rollback finds every link intact.
+    union(x, y, d, c) is glue on one face.  Union by size, y's root below
+    x's on a tie.  No path compression, so rollback finds every link.
     """
 
     def __init__(self, n: int) -> None:
@@ -63,8 +61,8 @@ class FaceCycles:
         self.pot = [0] * n  # x = sigma^pot[x] of parent[x]
         self.size = [1] * n
         self.asg = [0] * n  # crossings counted on each class, at its root
-        # one entry per union that changed anything: 4 * child + c for a
-        # link that also counted c crossings on the new root, ~(4 * root
+        # one entry per face glued that changed anything: 4 * child + c for
+        # a link that also counted c crossings on the new root, ~(4 * root
         # + c) for c crossings counted on a class that was already one
         self.journal: list[int] = []
 
@@ -76,32 +74,48 @@ class FaceCycles:
             x = parent[x]
         return x, t % 8
 
+    def glue(self, xb: int, yb: int, faces: Sequence[int], fp: Sequence[int],
+             d: int, c: int = 0, caps: Sequence[int] | None = None,
+             walls: Sequence[int] | None = None) -> int:
+        """For each f in faces, in order, impose instance yb + fp[f] =
+        sigma^d of instance xb + f and count c (0 to 3) crossings on its
+        class.  Returns the first f that conflicts (counting nothing) or,
+        given the search's tables, whose class is longer than its cycle
+        caps[f] or closed (walls[f] crossings per member) short of it; a
+        class holds faces of one dimension.  -1 if no face fails."""
+        parent, pot, size, asg = self.parent, self.pot, self.size, self.asg
+        journal = self.journal
+        for f in faces:
+            x, y, e = xb + f, yb + fp[f], d
+            while parent[x] != x:  # find(x) and find(y), inline
+                e += pot[x]
+                x = parent[x]
+            while parent[y] != y:
+                e -= pot[y]
+                y = parent[y]
+            e %= 8  # now roots, with y = sigma^e x
+            if x != y:
+                if size[x] < size[y]:
+                    x, y, e = y, x, -e % 8
+                parent[y] = x
+                pot[y] = e
+                size[x] += size[y]
+                asg[x] += asg[y] + c
+                journal.append(4 * y + c)
+            elif e:
+                return f
+            elif c:
+                asg[x] += c
+                journal.append(~(4 * x + c))
+            if caps is not None:
+                n, cap = size[x], caps[f]
+                if n > cap or (n != cap and asg[x] == walls[f] * n):
+                    return f
+        return -1
+
     def union(self, x: int, y: int, d: int, c: int = 0) -> int:
-        """Impose y = sigma^d x and count c (0 to 3) crossings on the
-        class; its root, or -1, counting nothing, on a holonomy
-        conflict."""
-        parent, pot = self.parent, self.pot
-        while parent[x] != x:  # find(x) and find(y), inline
-            d += pot[x]
-            x = parent[x]
-        while parent[y] != y:
-            d -= pot[y]
-            y = parent[y]
-        delta = d % 8  # now roots, with y = sigma^delta x
-        if x == y:
-            if c and not delta:
-                self.asg[x] += c
-                self.journal.append(~(4 * x + c))
-            return -1 if delta else x
-        size = self.size
-        if size[x] < size[y]:
-            x, y, delta = y, x, -delta % 8
-        parent[y] = x
-        pot[y] = delta
-        size[x] += size[y]
-        self.asg[x] += self.asg[y] + c
-        self.journal.append(4 * y + c)
-        return x
+        """glue on one face, y = sigma^d x: its class's root, or -1."""
+        return -1 if self.glue(x, y, (0,), (0,), d, c) >= 0 else self.find(x)[0]
 
     def mark(self) -> int:
         return len(self.journal)
@@ -267,24 +281,20 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
     fperm = ctx.fperm
     nf = len(ctx.dims)
     uf = FaceCycles(8 * nf)
-    union = uf.union
+    glue = uf.glue
     violation = None
     for i, j in product(range(8), range(27)):
         k, p = arr.entry(i, j)
         if (k, sigma_pows[p][j]) < (i, j):
             continue  # the partner entry, met earlier, made the inverse unions
         base_i, base_k, fp = i * nf, k * nf, fperm[p]
-        for fidx in ctx.sides_faces[j]:
-            if union(base_i + fidx, base_k + fp[fidx], p) < 0:
-                violation = {"kind": "holonomy", "copy": i + 1,
-                             "side": j + 1, "face_dim": ctx.dims[fidx]}
-                break
-        if violation:
+        if (fidx := glue(base_i, base_k, ctx.sides_faces[j], fp, p)) >= 0:
+            violation = {"kind": "holonomy", "copy": i + 1,
+                         "side": j + 1, "face_dim": ctx.dims[fidx]}
             break
         # the cusps: ideal points, which the report skips, with transport
         # 0; their classes hold no other face, so they never conflict
-        for fidx in ctx.sides_ideal[j]:
-            union(base_i + fidx, base_k + fp[fidx], 0)
+        glue(base_i, base_k, ctx.sides_ideal[j], fp, 0)
     if violation is not None:
         return _cycle_report(uf, ctx.dims, ctx.sides, (), violation)
     # two flat lists: a list of (root, power) pairs held at once raises

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -462,6 +463,31 @@ def test_search_rejects_bad_fixed_entries(fixed, named):
         pg.search_pairings(fixed, node_budget=10)
     assert isinstance(exc.value, pg.PairingError)
     assert isinstance(exc.value, CoxglueError)
+
+
+@pytest.mark.parametrize("budgets, named", [
+    ({"node_budget": "5"}, "node_budget '5'"),
+    ({"node_budget": 2.5}, "node_budget 2.5"),
+    ({"node_budget": -1}, "node_budget -1"),
+    ({"node_budget": True}, "node_budget True"),
+    ({"time_budget_s": math.nan}, "time_budget_s nan"),
+    ({"time_budget_s": math.inf}, "time_budget_s inf"),
+    ({"time_budget_s": -0.5}, "time_budget_s -0.5"),
+    ({"time_budget_s": "1"}, "time_budget_s '1'"),
+    ({"time_budget_s": False}, "time_budget_s False"),
+], ids=["str-nodes", "float-nodes", "negative-nodes", "bool-nodes",
+        "nan-seconds", "inf-seconds", "negative-seconds", "str-seconds",
+        "bool-seconds"])
+def test_search_rejects_bad_budgets_before_any_work(budgets, named,
+                                                    monkeypatch):
+    from coxglue import verify as vf
+
+    def no_work():
+        raise AssertionError("the search started work")
+
+    monkeypatch.setattr(vf, "lattice_context", no_work)
+    with pytest.raises(pg.PairingError, match=re.escape(named)):
+        pg.search_pairings(None, **budgets)
 
 
 def _first_row(mid: int, seed: int | None) -> dict:

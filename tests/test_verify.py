@@ -129,6 +129,77 @@ def test_union_links_and_counts_in_one_journal_entry():
     assert (fc.parent, fc.pot, fc.size, fc.asg) == state
 
 
+# glue on 3 copies of 5 faces, against the faces one at a time
+GLUE_FACES, GLUE_COPIES = 5, 3
+N_GLUE = GLUE_FACES * GLUE_COPIES
+glue_table = st.lists(st.integers(0, 8), min_size=GLUE_FACES,
+                      max_size=GLUE_FACES)
+glue_op = st.tuples(
+    st.integers(0, GLUE_COPIES - 1), st.integers(0, GLUE_COPIES - 1),
+    st.lists(st.integers(0, GLUE_FACES - 1), max_size=GLUE_FACES + 2),
+    st.permutations(range(GLUE_FACES)), st.integers(0, 7),
+    st.integers(0, 2), st.none() | st.tuples(glue_table, glue_table))
+
+
+class _PerFaceGlue:
+    """glue's oracle: one TransportUnionFind union per face, the
+    crossings counted per instance, and the two prune rules read off the
+    class of the face's instance after its union."""
+
+    def __init__(self) -> None:
+        self.uf = TransportUnionFind(N_GLUE, _exp_compose, _exp_inverse, 0)
+        self.counted = [0] * N_GLUE
+
+    def crossings(self, root: int) -> int:
+        return sum(c for x, c in enumerate(self.counted)
+                   if self.uf.find(x)[0] == root)
+
+    def glue(self, xb, yb, faces, fp, d, c, caps, walls) -> int:
+        for f in faces:
+            if not self.uf.union(xb + f, yb + fp[f], d):
+                return f
+            self.counted[xb + f] += c
+            if caps is not None:
+                root = self.uf.find(xb + f)[0]
+                n = self.uf.size[root]
+                if n > caps[f] or (n != caps[f] and
+                                   self.crossings(root) == walls[f] * n):
+                    return f
+        return -1
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.lists(glue_op, max_size=8))
+def test_glue_matches_a_union_per_face(ops):
+    """glue fails at the face the per-face oracle fails at, leaves the
+    same classes, transports, sizes and crossing counts, and a rollback
+    to a mark taken before a glue that failed part-way restores every
+    field, as the search relies on."""
+    fc = vf.FaceCycles(N_GLUE)
+    kept: list[tuple] = []  # the glues that passed, which the oracle replays
+    for cx, cy, faces, fp, d, c, tables in ops:
+        args = (cx * GLUE_FACES, cy * GLUE_FACES, faces, fp, d, c,
+                *(tables or (None, None)))
+        oracle = _PerFaceGlue()
+        for done in kept:
+            assert oracle.glue(*done) == -1
+        mark = fc.mark()
+        state = (fc.parent[:], fc.pot[:], fc.size[:], fc.asg[:])
+        failed = fc.glue(*args)
+        assert failed == oracle.glue(*args)
+        finds = [oracle.uf.find(x) for x in range(N_GLUE)]
+        assert [fc.find(x) for x in range(N_GLUE)] == finds
+        for r in {r for r, _ in finds}:
+            assert fc.size[r] == oracle.uf.size[r]
+            assert fc.asg[r] == oracle.crossings(r)
+        if failed >= 0:
+            fc.rollback(mark)
+            assert (fc.parent, fc.pot, fc.size, fc.asg) == state
+            assert fc.mark() == mark
+        else:
+            kept.append(args)
+
+
 def test_lattice_numbers_faces_highest_dimension_first():
     """The search's fail-fast order: on each side, the faces with the
     shortest cycles come first."""
