@@ -477,15 +477,13 @@ def search_pairings(
     >= 0 or a `time_budget_s` neither None nor finite and >= 0 raises
     PairingError.
     """
-    from .verify import FaceCycles, lattice_context
-
     if type(node_budget) is not int or node_budget < 0:
         raise PairingError(f"node_budget {node_budget!r} is not an int >= 0")
-    t = time_budget_s
-    if t is not None and (isinstance(t, bool) or not isinstance(
-            t, (int, float)) or not 0 <= t < float("inf")):
-        raise PairingError(f"time_budget_s {t!r} is not None or a finite "
-                           "number of seconds >= 0")
+    seconds = time_budget_s
+    if seconds is not None and (isinstance(seconds, bool) or not isinstance(
+            seconds, (int, float)) or not 0 <= seconds < float("inf")):
+        raise PairingError(f"time_budget_s {seconds!r} is not None or a "
+                           "finite number of seconds >= 0")
     if max_solutions is not None and max_solutions < 1:
         raise PairingError(f"max_solutions must be at least 1, got "
                            f"{max_solutions}")
@@ -496,6 +494,8 @@ def search_pairings(
                     for c, t in zip(x, (8, top)))):
                 raise PairingError(f"fixed {what} {x!r} is not a pair of "
                                    f"ints below (8, {top})")
+
+    from .verify import FaceCycles, lattice_context
     sigma_pows = standard_context().sigma_pows
     ctx = lattice_context()
     nf = len(ctx.lattice.faces)

@@ -24,7 +24,8 @@ def _bench_pairs():
 @pytest.mark.parametrize("name", ["BENCH_morse_homology.json",
                                   "BENCH_class_roots.json",
                                   "BENCH_cusp_morse.json",
-                                  "BENCH_setup_bound.json"])
+                                  "BENCH_setup_bound.json",
+                                  "BENCH_side_glue.json"])
 def test_summary_of_the_recorded_runs(name):
     record = json.loads((ROOT / name).read_text())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
