@@ -216,7 +216,8 @@ class EightPPairing:
     def relabeled(self, perm: Sequence[int]) -> "EightPPairing":
         """Renumber the eight copies by perm (old index -> new index)."""
         perm = tuple(perm)
-        if len(perm) != 8 or set(perm) != set(range(8)):
+        if not (len(perm) == 8 and all(type(x) is int for x in perm)
+                and set(perm) == set(range(8))):
             raise PairingError(
                 f"copy relabeling {list(perm)} is not a permutation of 0..7")
         rows: list[tuple[tuple[int, int], ...]] = [()] * 8
@@ -469,13 +470,14 @@ def search_pairings(
     sides and ridges, whose cycles are shortest, are glued first and fail
     fast.  Free slots are scored from one pass over the actual-vertex
     instances; every table is built once, in `verify.lattice_context()`.
-    Completed arrays are confirmed with the full properness checker.
+    Completed arrays are confirmed with the full properness checker,
+    `verify.face_cycles_proper`.
     Exhausting the node or time budget is reported, never an error; a
     search that completes without a solution is reported infeasible.
     Before any work, a `fixed` slot outside the 8 x 27 array, an entry
-    outside 0..7, a `max_solutions` below 1, a `node_budget` not an int
-    >= 0 or a `time_budget_s` neither None nor finite and >= 0 raises
-    PairingError.
+    outside 0..7, a `max_solutions` neither None nor an int >= 1, a
+    `node_budget` not an int >= 0 or a `time_budget_s` neither None nor
+    finite and >= 0 raises PairingError; bools are refused.
     """
     if type(node_budget) is not int or node_budget < 0:
         raise PairingError(f"node_budget {node_budget!r} is not an int >= 0")
@@ -484,9 +486,10 @@ def search_pairings(
             seconds, (int, float)) or not 0 <= seconds < float("inf")):
         raise PairingError(f"time_budget_s {seconds!r} is not None or a "
                            "finite number of seconds >= 0")
-    if max_solutions is not None and max_solutions < 1:
-        raise PairingError(f"max_solutions must be at least 1, got "
-                           f"{max_solutions}")
+    if max_solutions is not None and (type(max_solutions) is not int
+                                      or max_solutions < 1):
+        raise PairingError(f"max_solutions {max_solutions!r} is not None or "
+                           "an int >= 1")
     for key, val in (fixed or {}).items():
         for x, what, top in ((key, "slot", 27), (val, "entry", 8)):
             if not (type(x) is tuple and len(x) == 2 and all(
@@ -495,49 +498,46 @@ def search_pairings(
                 raise PairingError(f"fixed {what} {x!r} is not a pair of "
                                    f"ints below (8, {top})")
 
-    from .verify import FaceCycles, lattice_context
+    # imported here, as verify imports this module; the leaf looks up
+    # face_cycles_proper at call time, so perfbench/layers.py can wrap it
+    from . import verify
     sigma_pows = standard_context().sigma_pows
-    ctx = lattice_context()
+    ctx = verify.lattice_context()
     nf = len(ctx.lattice.faces)
     caps, walls = ctx.cycle_lengths, ctx.wall_counts
     vertices, side_vertices = ctx.vertices, ctx.side_vertices
-    cyc = FaceCycles(8 * nf)
+    cyc = verify.FaceCycles(8 * nf)
     glue, parent, asg = cyc.glue, cyc.parent, cyc.asg
     entries: list[list[tuple[int, int] | None]] = [
         [None] * 27 for _ in range(8)]
 
-    def assign(i: int, j: int, k: int, p: int) -> tuple[bool, list]:
-        """Set entry and its involution partner; returns (ok, written)."""
-        written = []
+    def assign(i: int, j: int, k: int, p: int) -> tuple[int, int] | None:
+        """Write entry (i, j) and its involution partner and glue their
+        side pair; returns the partner slot, or None, writing nothing,
+        when a slot is taken, a side paired with itself has a power other
+        than 0 or 4, or the glue fails."""
         j2 = sigma_pows[p][j]
-        pairs = [((i, j), (k, p))]
-        if (k, j2) != (i, j):
-            pairs.append(((k, j2), (i, (-p) % 8)))
-        elif (2 * p) % 8 != 0:
-            # a self-paired wall needs an involutive twist power
-            return False, written
-        for (a, b), val in pairs:
-            if entries[a][b] is not None:
-                return False, written
-            entries[a][b] = val
-            written.append((a, b))
+        self_paired = (k, j2) == (i, j)
+        if entries[i][j] is not None or entries[k][j2] is not None or (
+                self_paired and p % 4):
+            return None
+        entries[i][j], entries[k][j2] = (k, p), (i, -p % 8)
         # the partner's unions would be the inverses of these and change
         # nothing, so each face also counts the partner face's crossing
-        return glue(i * nf, k * nf, ctx.sides_faces[j], ctx.fperm[p], p,
-                    len(pairs), caps, walls) < 0, written
+        if glue(i * nf, k * nf, ctx.sides_faces[j], ctx.fperm[p], p,
+                1 if self_paired else 2, caps, walls) < 0:
+            return k, j2
+        entries[i][j] = entries[k][j2] = None
+        return None
 
     deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
-    state = {"nodes": 0, "exhausted": False}
+    nodes, exhausted = 0, False
     solutions: dict[tuple, EightPPairing] = {}
 
     if fixed:
-        for (i, j), (k, p) in sorted(fixed.items()):
-            if entries[i][j] is not None:
-                if entries[i][j] != (k, p):
-                    return SearchResult((), 0, False, True, True)
-                continue
-            ok, _ = assign(i, j, k, p)
-            if not ok:
+        for (i, j), val in sorted(fixed.items()):
+            # an entry its partner already wrote is skipped
+            if entries[i][j] != val and assign(i, j, *val) is None:
                 return SearchResult((), 0, False, True, True)
 
     def next_slot() -> tuple[int, int] | None:
@@ -564,18 +564,20 @@ def search_pairings(
 
     def spent() -> bool:
         """Record and return whether the node or time budget is spent."""
-        state["exhausted"] = state["nodes"] >= node_budget or (
+        nonlocal exhausted
+        exhausted = nodes >= node_budget or (
             deadline is not None and time.monotonic() > deadline)
-        return state["exhausted"]
+        return exhausted
 
     def dfs() -> bool:
         """Returns False when the search should stop globally."""
+        nonlocal nodes
         if spent():
             return False
         slot = next_slot()
         if slot is None:
             arr = EightPPairing(tuple(tuple(row) for row in entries))
-            if _confirmed_proper(arr):
+            if verify.face_cycles_proper(arr).proper:
                 solutions[arr.entries] = arr
                 if max_solutions is not None and len(solutions) >= max_solutions:
                     return False
@@ -585,32 +587,21 @@ def search_pairings(
             for p in range(8):
                 if spent():
                     return False
-                state["nodes"] += 1
+                nodes += 1
                 mark = cyc.mark()
-                ok, written = assign(i, j, k, p)
-                if ok:
+                partner = assign(i, j, k, p)
+                if partner is not None:
                     if not dfs():
                         return False
-                for a, b in written:
-                    entries[a][b] = None
+                    entries[i][j] = entries[partner[0]][partner[1]] = None
                 cyc.rollback(mark)
         return True
 
-    complete = dfs() and not state["exhausted"]
+    complete = dfs() and not exhausted
     return SearchResult(
         tuple(solutions[key] for key in sorted(solutions)),
-        state["nodes"],
-        state["exhausted"],
+        nodes,
+        exhausted,
         complete and not solutions,
         complete,
     )
-
-
-def _confirmed_proper(arr: EightPPairing) -> bool:
-    # looked up at call time: perfbench/layers.py counts the calls by
-    # wrapping verify.face_cycles_proper
-    from .verify import face_cycles_proper
-    try:
-        return face_cycles_proper(arr).proper
-    except PairingError:
-        return False

@@ -124,8 +124,7 @@ class FaceCycles:
         """Undo every union and crossing made since mark."""
         parent, journal, asg = self.parent, self.journal, self.asg
         pot, size = self.pot, self.size
-        while len(journal) > mark:
-            e = journal.pop()
+        for e in reversed(journal[mark:]):
             if e < 0:
                 asg[~e >> 2] -= ~e & 3
                 continue
@@ -135,6 +134,7 @@ class FaceCycles:
             pot[x] = 0
             size[root] -= size[x]
             asg[root] -= asg[x] + (e & 3)
+        del journal[mark:]
 
 
 # -- shared exact action of the order-8 symmetry on the face lattice ----

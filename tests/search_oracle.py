@@ -11,6 +11,7 @@ searches and compare their results, solutions, node counts and flags.
 from __future__ import annotations
 
 from coxglue import pairing as pg
+from coxglue import verify as vf
 from coxglue.verify import FaceCycles, lattice_context
 
 
@@ -102,7 +103,7 @@ def oracle_search(
         slot = next_slot()
         if slot is None:
             arr = pg.EightPPairing(tuple(tuple(row) for row in entries))
-            if pg._confirmed_proper(arr):
+            if vf.face_cycles_proper(arr).proper:
                 solutions[arr.entries] = arr
                 if max_solutions is not None and \
                         len(solutions) >= max_solutions:

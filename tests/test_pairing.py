@@ -393,7 +393,11 @@ def test_relabeled_pairing_is_involutive():
     assert re.entries != arr.entries
 
 
-@pytest.mark.parametrize("perm", [list(range(1, 9)), list(range(7)), [0] * 8])
+@pytest.mark.parametrize("perm", [
+    list(range(1, 9)), list(range(7)), [0] * 8,
+    # equal as a set to 0..7, but not ints
+    [0.0, 1, 2, 3, 4, 5, 6, 7], [False, True, 2, 3, 4, 5, 6, 7],
+], ids=["shifted", "short", "repeated", "float", "bools"])
 def test_relabeled_rejects_non_permutations(perm):
     with pytest.raises(pg.PairingError,
                        match=re.escape(f"relabeling {perm} is not a perm")):
@@ -405,6 +409,21 @@ def test_search_budget_zero():
     assert res.solutions == ()
     assert res.budget_exhausted
     assert not res.complete
+
+
+def test_search_leaf_reached_with_the_budget_spent():
+    """With all 216 entries of m1 fixed the root is a leaf: a spent
+    budget stops the search before it confirms the array, and the
+    default budget confirms it without taking a node."""
+    arr = pg.published_pairing(1)
+    fixed = {(i, j): arr.entries[i][j] for i in range(8) for j in range(27)}
+    res = pg.search_pairings(fixed, node_budget=0)
+    assert res.solutions == ()
+    assert res.budget_exhausted and not res.complete
+    assert res.nodes_used == 0
+    res = pg.search_pairings(fixed)
+    assert [s.entries for s in res.solutions] == [arr.entries]
+    assert res.nodes_used == 0
 
 
 def test_search_infeasible_constraints():
@@ -475,9 +494,14 @@ def test_search_rejects_bad_fixed_entries(fixed, named):
     ({"time_budget_s": -0.5}, "time_budget_s -0.5"),
     ({"time_budget_s": "1"}, "time_budget_s '1'"),
     ({"time_budget_s": False}, "time_budget_s False"),
+    ({"max_solutions": "3"}, "max_solutions '3'"),
+    ({"max_solutions": 2.5}, "max_solutions 2.5"),
+    ({"max_solutions": True}, "max_solutions True"),
+    ({"max_solutions": 0}, "max_solutions 0"),
 ], ids=["str-nodes", "float-nodes", "negative-nodes", "bool-nodes",
         "nan-seconds", "inf-seconds", "negative-seconds", "str-seconds",
-        "bool-seconds"])
+        "bool-seconds", "str-solutions", "float-solutions", "bool-solutions",
+        "zero-solutions"])
 def test_search_rejects_bad_budgets_before_any_work(budgets, named,
                                                     monkeypatch):
     from coxglue import verify as vf
@@ -537,7 +561,9 @@ def test_search_pruning_agrees_with_certification(monkeypatch):
     the search keeps an array exactly when its pruning passes it, and
     that must be exactly when the face pass certifies it proper."""
     from coxglue import verify as vf
-    monkeypatch.setattr(pg, "_confirmed_proper", lambda arr: True)
+    face_cycles_proper = vf.face_cycles_proper
+    monkeypatch.setattr(vf, "face_cycles_proper",
+                        lambda arr: vf.PropernessCertificate(True, {}))
     # seed 4 draws a mutant that fails by holonomy (the ninth) among
     # mutants that fail by cycle length
     rng = random.Random(4)
@@ -548,7 +574,7 @@ def test_search_pruning_agrees_with_certification(monkeypatch):
         fixed = {(i, j): arr.entries[i][j] for i in range(8) for j in range(27)}
         res = pg.search_pairings(fixed)
         assert res.complete and res.nodes_used == 0
-        proper = vf.face_cycles_proper(arr).proper
+        proper = face_cycles_proper(arr).proper
         assert proper == (n < 9)
         assert [s.entries for s in res.solutions] == \
             ([arr.entries] if proper else [])
