@@ -25,7 +25,8 @@ def _bench_pairs():
                                   "BENCH_class_roots.json",
                                   "BENCH_cusp_morse.json",
                                   "BENCH_setup_bound.json",
-                                  "BENCH_side_glue.json"])
+                                  "BENCH_side_glue.json",
+                                  "BENCH_search_bookkeeping.json"])
 def test_summary_of_the_recorded_runs(name):
     record = json.loads((ROOT / name).read_text())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -397,7 +397,7 @@ def test_relabeled_pairing_is_involutive():
     list(range(1, 9)), list(range(7)), [0] * 8,
     # equal as a set to 0..7, but not ints
     [0.0, 1, 2, 3, 4, 5, 6, 7], [False, True, 2, 3, 4, 5, 6, 7],
-], ids=["shifted", "short", "repeated", "float", "bools"])
+])
 def test_relabeled_rejects_non_permutations(perm):
     with pytest.raises(pg.PairingError,
                        match=re.escape(f"relabeling {perm} is not a perm")):
