@@ -68,9 +68,9 @@ from .errors import CoxglueError
 from .gf2 import bits
 # det is unused here but stays importable: perfbench/layers.py patches it
 from .lorentz import det  # noqa: F401
-from .pairing import EightPPairing, standard_context
+from .pairing import EightPPairing, sigma_powers, standard_context
 from .smith import eliminate_units, invariant_factors
-from .verify import face_cycles_proper, lattice_context, sigma_powers
+from .verify import face_cycles_proper, lattice_context
 
 
 class ComplexError(CoxglueError, RuntimeError):

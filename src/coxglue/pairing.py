@@ -19,7 +19,7 @@ from typing import Sequence
 from . import tables
 from .coxeter import ORDER8_SYMMETRY, sigma_permutation
 from .errors import CoxglueError
-from .lorentz import Mat, identity, mat_mul, reflection_in
+from .lorentz import Mat, mat_mul, mat_pow, reflection_in
 from .polytope import QPolytope, RightAngledPolytope, build_polytope, build_q
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz@$"
@@ -163,17 +163,21 @@ class StandardContext:
 def standard_context() -> StandardContext:
     """The `polytope`, its side permutation `sigma` under the order-8
     symmetry, and the symmetry's `powers` 0..7 as matrices and, in
-    `sigma_pows`, as side permutations."""
+    `sigma_pows`, as side permutations, from `sigma_powers`."""
     p6 = build_polytope(6)
     sigma = sigma_permutation(ORDER8_SYMMETRY, p6.normals, p6.vertices)
-    powers = [identity(7)]
-    for _ in range(7):
-        powers.append(mat_mul(ORDER8_SYMMETRY, powers[-1]))
-    sigma_pows = [tuple(range(27))]
-    for _ in range(7):
-        prev = sigma_pows[-1]
-        sigma_pows.append(tuple(sigma[x] for x in prev))
-    return StandardContext(p6, sigma, tuple(powers), tuple(sigma_pows))
+    powers = tuple(mat_pow(ORDER8_SYMMETRY, t) for t in range(8))
+    return StandardContext(p6, sigma, powers, sigma_powers(sigma))
+
+
+def sigma_powers(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Powers 0..7 of sigma's permutation; raises unless sigma^8 = 1."""
+    perms = [tuple(range(len(sigma)))]
+    for _ in range(8):
+        perms.append(tuple([sigma[x] for x in perms[-1]]))
+    if perms.pop() != perms[0]:
+        raise AssertionError("sigma^8 is not the identity")
+    return tuple(perms)
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,11 @@ class EightPPairing:
 
     def relabeled(self, perm: Sequence[int]) -> "EightPPairing":
         """Renumber the eight copies by perm (old index -> new index)."""
-        perm = tuple(perm)
+        try:
+            perm = tuple(perm)
+        except TypeError:
+            raise PairingError(f"copy relabeling {perm!r} is not a "
+                               f"permutation of 0..7") from None
         if not (len(perm) == 8 and all(type(x) is int for x in perm)
                 and set(perm) == set(range(8))):
             raise PairingError(
@@ -323,8 +331,12 @@ def develop(arr: EightPPairing) -> Development:
     the first chart crosses every side, so every digit is read.  Raises
     DevelopmentConflict, naming the copy (and the side, but for
     congruent charts), when two routes place a copy differently or a
-    digit reads two values.
+    digit reads two values, and PairingError for anything but an
+    EightPPairing.
     """
+    if not isinstance(arr, EightPPairing):
+        raise PairingError(f"development needs an EightPPairing, not a "
+                           f"{type(arr).__name__}")
     placements, boundary = _walk(arr)
     # every chart crosses the six coordinate walls, so the walk places
     # all 64 sign flips; sign flips are the identity mod two and the
@@ -474,10 +486,11 @@ def search_pairings(
     `verify.face_cycles_proper`.
     Exhausting the node or time budget is reported, never an error; a
     search that completes without a solution is reported infeasible.
-    Before any work, a `fixed` slot outside the 8 x 27 array, an entry
-    outside 0..7, a `max_solutions` neither None nor an int >= 1, a
-    `node_budget` not an int >= 0 or a `time_budget_s` neither None nor
-    finite and >= 0 raises PairingError; bools are refused.
+    Before any work, a `fixed` neither None nor a dict, a `fixed` slot
+    outside the 8 x 27 array, an entry outside 0..7, a `max_solutions`
+    neither None nor an int >= 1, a `node_budget` not an int >= 0 or a
+    `time_budget_s` neither None nor finite and >= 0 raises PairingError;
+    bools are refused.
     """
     if type(node_budget) is not int or node_budget < 0:
         raise PairingError(f"node_budget {node_budget!r} is not an int >= 0")
@@ -490,6 +503,8 @@ def search_pairings(
                                       or max_solutions < 1):
         raise PairingError(f"max_solutions {max_solutions!r} is not None or "
                            "an int >= 1")
+    if fixed is not None and not isinstance(fixed, dict):
+        raise PairingError(f"fixed {fixed!r} is not None or a dict")
     for key, val in (fixed or {}).items():
         for x, what, top in ((key, "slot", 27), (val, "entry", 8)):
             if not (type(x) is tuple and len(x) == 2 and all(

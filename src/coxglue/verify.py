@@ -25,6 +25,7 @@ from .pairing import (
     PairingCode,
     develop,
     orientability_of_code,
+    sigma_powers,
     standard_context,
 )
 from .polytope import FaceLattice, face_lattice
@@ -149,7 +150,6 @@ class LatticeContext:
     vperm: tuple[tuple[int, ...], ...]
     fperm: tuple[tuple[int, ...], ...]
     dims: tuple[int | None, ...]
-    sides: tuple[frozenset[int], ...]
     sides_faces: tuple[tuple[int, ...], ...]
     sides_ideal: tuple[tuple[int, ...], ...]
     vertices: tuple[int, ...]
@@ -166,15 +166,14 @@ def lattice_context() -> LatticeContext:
     permutations of each power 0..7 of the symmetry sigma: sigma's own
     through its matrix, each face cross-checked between the vertex route
     and the side-set route, then composed, with sigma^8 the identity;
-    each face's `dims`, None at the ideal points, and `sides`, which
-    `_cycle_report` reads; and on each side, the ideal points in
-    `sides_ideal` and the other faces in `sides_faces`.  The search reads
-    `vertices`, the actual vertices as faces, and `side_vertices`, those
-    on each side, and each face's cycle length 2^(6 - dim) and wall
-    count.  The torsion check reads the sorted sides of its 288
-    conditions, the actual vertices then the line edges in face order,
-    and of its 36 representatives: per orbit of the symmetry, in the
-    order met, the member with the least vertex ids."""
+    each face's `dims`, None at the ideal points; and on each side, the
+    ideal points in `sides_ideal` and the other faces in `sides_faces`.
+    The search reads `vertices`, the actual vertices as faces, and
+    `side_vertices`, those on each side, and each face's cycle length
+    2^(6 - dim) and wall count.  The torsion check reads the sorted sides
+    of its 288 conditions, the actual vertices then the line edges in
+    face order, and of its 36 representatives: per orbit of the
+    symmetry, in the order met, the member with the least vertex ids."""
     ctx = standard_context()
     p6 = ctx.polytope
     lat = face_lattice(p6)
@@ -219,24 +218,13 @@ def lattice_context() -> LatticeContext:
         return tuple(tuple(sorted(faces[f].sides)) for f in fs)
 
     return LatticeContext(
-        lat, vperm, fperm, dims, tuple(f.sides for f in faces),
-        tuple(map(tuple, sides_faces)), tuple(map(tuple, sides_ideal)),
-        vertices,
+        lat, vperm, fperm, dims, tuple(map(tuple, sides_faces)),
+        tuple(map(tuple, sides_ideal)), vertices,
         tuple(tuple(f for f in on_side if faces[f].dim == 0)
               for on_side in sides_faces),
         tuple(2 ** (6 - f.dim) for f in faces),
         tuple(len(f.sides) for f in faces),
         sides_of(vertices + lines), sides_of(reps))
-
-
-def sigma_powers(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Powers 0..7 of sigma's permutation; raises unless sigma^8 = 1."""
-    perms = [tuple(range(len(sigma)))]
-    for _ in range(8):
-        perms.append(tuple([sigma[x] for x in perms[-1]]))
-    if perms.pop() != perms[0]:
-        raise AssertionError("sigma^8 is not the identity")
-    return tuple(perms)
 
 
 # -- properness ----------------------------------------------------------
@@ -275,31 +263,41 @@ def face_cycles_proper(arr: EightPPairing) -> PropernessCertificate:
 
 @lru_cache(maxsize=1)  # the quotient complex reuses certification's pass
 def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
+    """Glue the eight copies, each side pair once, and report faces and
+    orbits per dimension with the first violation: a holonomy conflict,
+    with no counts, or the first class whose cycle has the wrong length.
+    The ideal points and the polytope itself count in no dimension.
+    Unions keep the dimension, so face counts are the polytope's times
+    eight, orbits and cycle lengths are read at the class roots, and only
+    a bad class sends a scan for its witness, the first member in
+    instance order."""
     arr.validate_involution()
     sigma_pows = standard_context().sigma_pows
     ctx = lattice_context()
-    fperm = ctx.fperm
-    nf = len(ctx.dims)
+    fperm, face_dims = ctx.fperm, ctx.dims
+    n, nf = face_dims[0], len(face_dims)
+    dims: dict[int, dict[str, int]] = {
+        k: {"faces": 0, "orbits": 0, "expected_cycle": 2 ** (n - k)}
+        for k in range(n)}
     uf = FaceCycles(8 * nf)
     glue = uf.glue
-    violation = None
     for i, j in product(range(8), range(27)):
         k, p = arr.entry(i, j)
         if (k, sigma_pows[p][j]) < (i, j):
             continue  # the partner entry, met earlier, made the inverse unions
         base_i, base_k, fp = i * nf, k * nf, fperm[p]
         if (fidx := glue(base_i, base_k, ctx.sides_faces[j], fp, p)) >= 0:
-            violation = {"kind": "holonomy", "copy": i + 1,
-                         "side": j + 1, "face_dim": ctx.dims[fidx]}
-            break
+            return PropernessCertificate(False, dims, {
+                "kind": "holonomy", "copy": i + 1, "side": j + 1,
+                "face_dim": face_dims[fidx]})
         # the cusps: ideal points, which the report skips, with transport
         # 0; their classes hold no other face, so they never conflict
         glue(base_i, base_k, ctx.sides_ideal[j], fp, 0)
-    if violation is not None:
-        return _cycle_report(uf, ctx.dims, ctx.sides, (), violation)
+    for k in dims:
+        dims[k]["faces"] = 8 * face_dims.count(k)
     # two flat lists: a list of (root, power) pairs held at once raises
     # the search's peak RSS from 37 to 94 MB; each walk is find(), inline
-    parent, pot = uf.parent, uf.pot
+    parent, pot, size = uf.parent, uf.pot, uf.size
     roots, transports = [], []
     for x in range(8 * nf):
         r, t = x, 0
@@ -308,47 +306,26 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
             r = parent[r]
         roots.append(r)
         transports.append(t % 8)
-    return replace(_cycle_report(uf, ctx.dims, ctx.sides, roots, None),
-                   roots=tuple(roots), transports=tuple(transports))
-
-
-def _cycle_report(uf: FaceCycles, face_dims: Sequence, sides: Sequence,
-                  roots: Sequence[int],
-                  violation: dict | None) -> PropernessCertificate:
-    """Faces and orbits per dimension, and the first class whose cycle
-    has the wrong length, from the root of each face instance copy *
-    faces + face; no counts after a holonomy conflict.  Each face has its
-    dim and sides, the whole polytope first and dim None at the ideal
-    points, which no cycle counts.  Unions keep the
-    dimension, so face counts are the polytope's times the copies, orbits
-    and cycle lengths are read at the class roots, and only a bad class
-    sends a scan for its witness, the first member in instance order."""
-    n = face_dims[0]
-    nf = len(face_dims)
-    dims: dict[int, dict[str, int]] = {
-        k: {"faces": 0, "orbits": 0, "expected_cycle": 2 ** (n - k)}
-        for k in range(n)}
-    if violation is not None:
-        return PropernessCertificate(False, dims, violation)
-    for k in dims:
-        dims[k]["faces"] = face_dims.count(k) * len(roots) // nf
     bad = set()
     for x in compress(count(), map(eq, roots, count())):
         k = face_dims[x % nf]
         if k in dims:  # not an ideal point or the polytope itself
             dims[k]["orbits"] += 1
-            if uf.size[x] != 2 ** (n - k):
+            if size[x] != 2 ** (n - k):
                 bad.add(x)
+    violation = None
     if bad:
         x = next(x for x, r in enumerate(roots) if r in bad)
         copy, fidx = divmod(x, nf)
         k = face_dims[fidx]
         violation = {"kind": "cycle_length", "face_dim": k,
-                     "cycle_length": uf.size[roots[x]],
+                     "cycle_length": size[roots[x]],
                      "expected": 2 ** (n - k),
                      "witness_copy": copy + 1,
-                     "witness_face_sides": sorted(s + 1 for s in sides[fidx])}
-    return PropernessCertificate(violation is None, dims, violation)
+                     "witness_face_sides": sorted(
+                         s + 1 for s in ctx.lattice.faces[fidx].sides)}
+    return PropernessCertificate(violation is None, dims, violation,
+                                 tuple(roots), tuple(transports))
 
 
 # -- algebraic certificates ----------------------------------------------

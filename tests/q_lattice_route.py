@@ -125,5 +125,5 @@ def lattice_route(qsp: QSidePairing) -> PropernessCertificate:
             break
     roots = () if violation else [uf.find(x) for x in range(nf)]
     return instance_walk_report(
-        uf, [None if f.ideal_point else f.dim for f in faces],
+        uf.size, [None if f.ideal_point else f.dim for f in faces],
         [f.sides for f in faces], roots, violation)

@@ -9,6 +9,7 @@ import pytest
 
 from coxglue import pairing as pg
 from coxglue import polytope, tables
+from coxglue import verify as vf
 from coxglue.errors import CoxglueError
 from coxglue.lorentz import (
     identity,
@@ -397,11 +398,37 @@ def test_relabeled_pairing_is_involutive():
     list(range(1, 9)), list(range(7)), [0] * 8,
     # equal as a set to 0..7, but not ints
     [0.0, 1, 2, 3, 4, 5, 6, 7], [False, True, 2, 3, 4, 5, 6, 7],
+    # not iterable at all
+    5, None,
 ])
 def test_relabeled_rejects_non_permutations(perm):
     with pytest.raises(pg.PairingError,
                        match=re.escape(f"relabeling {perm} is not a perm")):
         pg.published_pairing(1).relabeled(perm)
+
+
+@pytest.mark.parametrize("given", [
+    pg.decode_q_code("EKB98LLG6R2"), [], None,
+], ids=["QSidePairing", "list", "NoneType"])
+def test_develop_needs_an_eight_copy_array(given):
+    """Development, and so certification, refuses anything but an
+    EightPPairing by its type."""
+    name = type(given).__name__
+    for run in (pg.develop, vf.certify_manifold):
+        with pytest.raises(pg.PairingError, match=f"development needs an "
+                                                  f"EightPPairing, not a "
+                                                  f"{name}$"):
+            run(given)
+
+
+def test_sigma_powers_checks_the_eighth_power():
+    """sigma_powers raises unless sigma^8 is the identity; the standard
+    context's side powers are its powers of sigma."""
+    three_cycle = (1, 2, 0) + tuple(range(3, 27))
+    with pytest.raises(AssertionError, match=r"sigma\^8 is not the identity"):
+        pg.sigma_powers(three_cycle)
+    ctx = pg.standard_context()
+    assert ctx.sigma_pows == pg.sigma_powers(ctx.sigma)
 
 
 def test_search_budget_zero():
@@ -476,6 +503,10 @@ def _m9_row_with_negative_power() -> dict:
     ({(1.0, 0): (0, 0)}, "(1.0, 0)"),
     ({(0, 0): (1.0, 0)}, "(1.0, 0)"),
     (_m9_row_with_negative_power(), "(0, -1)"),
+    # not a dict at all
+    ([((0, 0), (1, 0))], "fixed [((0, 0), (1, 0))] is not None or a dict"),
+    ("x", "fixed 'x' is not None or a dict"),
+    (5, "fixed 5 is not None or a dict"),
 ])
 def test_search_rejects_bad_fixed_entries(fixed, named):
     with pytest.raises(ValueError, match=re.escape(named)) as exc:

