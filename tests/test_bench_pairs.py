@@ -26,7 +26,8 @@ def _bench_pairs():
                                   "BENCH_cusp_morse.json",
                                   "BENCH_setup_bound.json",
                                   "BENCH_side_glue.json",
-                                  "BENCH_search_bookkeeping.json"])
+                                  "BENCH_search_bookkeeping.json",
+                                  "BENCH_cycle_pass.json"])
 def test_summary_of_the_recorded_runs(name):
     record = json.loads((ROOT / name).read_text())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
