@@ -1,7 +1,8 @@
 """GF(2) linear algebra on packed int bitsets.
 
 A matrix is stored as one Python int per row, bit j = entry in column j,
-so row operations are word-parallel for free.
+so row operations are word-parallel for free.  One XOR-basis kernel,
+`_basis`, serves rank, column independence and solving.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class Gf2Matrix:
 
     def column(self, j: int) -> int:
         """Column j packed as an int (bit i = row i)."""
+        if type(j) is not int or not 0 <= j < self.cols:
+            raise DimensionMismatch(f"no column {j!r} in {self.cols} columns")
         out = 0
         for i, b in enumerate(self.bits):
             out |= ((b >> j) & 1) << i
@@ -80,6 +83,8 @@ class Gf2Matrix:
         return Gf2Matrix(self.rows, other.cols, tuple(out))
 
     def power(self, k: int) -> "Gf2Matrix":
+        if type(k) is not int or k < 0:
+            raise ValueError(f"power k={k!r} is not an int >= 0")
         if self.rows != self.cols:
             raise DimensionMismatch("power of non-square matrix")
         out = Gf2Matrix.identity(self.rows)
@@ -99,21 +104,21 @@ class Gf2Matrix:
         return out
 
     def rank(self) -> int:
-        return _row_rank(list(self.bits))
+        return len(_basis(self.bits))
 
 
-def _row_rank(work: list[int]) -> int:
-    rank = 0
-    pivots: list[int] = []
-    for row in work:
-        for p in pivots:
-            low = p & -p
-            if row & low:
-                row ^= p
-        if row:
-            pivots.append(row)
-            rank += 1
-    return rank
+def _basis(vectors: Iterable[int], low: int = -1) -> list[int]:
+    """An XOR basis of the vectors: each is reduced by the members so far,
+    at each one's lowest set bit, and joins if a bit of `low` is left.
+    Bits above `low` ride along and record which vectors were summed."""
+    basis: list[int] = []
+    for v in vectors:
+        for p in basis:
+            if v & p & -p:
+                v ^= p
+        if v & low:
+            basis.append(v)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -138,34 +143,24 @@ def gf2_solve(m: Gf2Matrix, target: int) -> Gf2Solution:
     """Solve M x = t; t is packed with bit i = row i.
 
     Returns one solution when consistent; otherwise certifies "no solution"
-    by the rank jump rank([M | t]) > rank(M).
+    by the rank jump rank([M | t]) > rank(M).  Bit rows + j of a reduced
+    column marks column j, so t, reduced, carries the solution above.
     """
-    if target >> m.rows:
+    rows = m.rows
+    if target >> rows:
         raise DimensionMismatch("target longer than row count")
-    # eliminate on columns: work on the transpose, tracking combinations
-    cols = [(m.column(j), 1 << j) for j in range(m.cols)]
-    basis: list[tuple[int, int]] = []
-    for val, combo in cols:
-        for bval, bcombo in basis:
-            low = bval & -bval
-            if val & low:
-                val ^= bval
-                combo ^= bcombo
-        if val:
-            basis.append((val, combo))
+    low = (1 << rows) - 1
+    basis = _basis((m.column(j) | 1 << rows + j for j in range(m.cols)), low)
     rank = len(basis)
     t = target
-    x = 0
-    for bval, bcombo in basis:
-        low = bval & -bval
-        if t & low:
-            t ^= bval
-            x ^= bcombo
-    if t:
+    for p in basis:
+        if t & p & -p:
+            t ^= p
+    if t & low:
         return Gf2Solution(None, rank, rank + 1)
-    return Gf2Solution(x, rank, rank)
+    return Gf2Solution(t >> rows, rank, rank)
 
 
 def columns_independent(m: Gf2Matrix, columns: Sequence[int]) -> bool:
     """True iff the chosen columns of M are linearly independent."""
-    return _row_rank([m.column(j) for j in columns]) == len(columns)
+    return len(_basis(m.column(j) for j in columns)) == len(columns)

@@ -81,6 +81,9 @@ class PairingCode:
     digits: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.digits, str):
+            raise PairingError(f"code digits are a str, not a "
+                               f"{type(self.digits).__name__}")
         want = {6: 21, 5: 11}.get(self.dim)
         if want is None:
             raise PairingError("codes exist in dimensions 5 and 6")
@@ -98,12 +101,22 @@ class PairingCode:
         return self.digits
 
 
+def as_code(code: PairingCode | str, dim: int | None = 6) -> PairingCode:
+    """A PairingCode as it is, a str as a code of dimension `dim` (None:
+    the dimension its length gives); anything else raises PairingError."""
+    if isinstance(code, PairingCode):
+        return code
+    if dim is None and isinstance(code, str):
+        dim = {21: 6, 11: 5}.get(len(code))
+        if dim is None:
+            raise PairingError(f"expected 21 or 11 digits, got {len(code)}")
+    return PairingCode(dim, code)
+
+
 def orientability_of_code(code: PairingCode | str) -> bool:
     """Orientable iff every digit is an orientation-reversing sign flip:
     each value flips an odd number of coordinates, so has odd weight."""
-    if isinstance(code, str):
-        code = PairingCode(6, code)
-    return all(v.bit_count() % 2 for v in code.values)
+    return all(v.bit_count() % 2 for v in as_code(code).values)
 
 
 @dataclass(frozen=True)
@@ -130,12 +143,7 @@ class QSidePairing:
 def decode_q_code(code: PairingCode | str) -> QSidePairing:
     """Assign each side its group's sign flip K, its partner K(s), read
     off `QPolytope.flips`, and its pairing transform r_s K."""
-    if isinstance(code, str):
-        dim = {21: 6, 11: 5}.get(len(code))
-        if dim is None:
-            raise PairingError(
-                f"expected 21 or 11 digits, got {len(code)}")
-        code = PairingCode(dim, code)
+    code = as_code(code, None)
     q = build_q(code.dim)
     values = code.values
     ks = [KElement.from_value(v, code.dim).matrix() for v in values]
@@ -386,8 +394,7 @@ def restrict_code(code: PairingCode | str) -> PairingCode:
     transform of a decoded pairing on a wall with u[0] = 0 keeps the
     cross-section (see QSidePairing), so nothing is decoded to check it.
     """
-    if isinstance(code, str):
-        code = PairingCode(6, code)
+    code = as_code(code)
     if code.dim != 6:
         raise PairingError("only dimension-6 codes restrict")
     values = code.values

@@ -4,9 +4,10 @@
 incidences by a heap; homology runs it once, on the Morse complex of a
 gluing.  The small residues, which have no unit entries, are finished
 by `invariant_factors`, a sparse-to-dense wrapper around
-`smith_normal_form`: one pass of pivot reduction, there without the
-unimodular transforms, which the tests check.  All arithmetic is on
-Python ints, so entry growth is harmless.
+`smith_normal_form`: one pass of pivot reduction on one matrix, whose
+identity blocks carry the unimodular transforms when they are asked
+for; homology asks for the diagonal alone.  Entries are ints, and all
+arithmetic is on them, so entry growth is harmless.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import heapq
 from typing import Mapping, Sequence
+
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -49,43 +52,29 @@ def smith_normal_form(a: Sequence[Sequence[int]], *,
     """Dense SNF with transforms, by one pass of pivot reduction; with
     transforms=False, u and v hold no entries.
 
+    One matrix, [[A, I], [I]], carries the transforms: u is the block
+    right of A, which A's row operations update, and v the block below,
+    which its column operations update; without transforms it is A alone.
     Each pivot is the least nonzero entry left.  Once it has cleared its
     row and column, a pivot above 1 that does not divide some entry of
     the rest has that entry's row added to its own, and the step repeats
     with a smaller remainder.  So each pivot divides all that is left and
     the diagonal, all positive, meets the divisibility chain as it comes.
+    A ragged matrix raises DimensionMismatch, an entry not an int (bools
+    too) ValueError.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    m = [[int(x) for x in row] for row in a]
-    if any(len(r) != cols for r in m):
-        raise ValueError("ragged matrix")
-    u = [[int(i == j) for j in range(rows * transforms)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols * transforms)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, c):
-        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for r in m:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
+    m = []
+    for i, row in enumerate(a):
+        if len(row) != cols:
+            raise DimensionMismatch(f"ragged matrix at row {i}")
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise ValueError(f"entry ({i}, {j}) is {x!r}, not an int")
+        m.append([*row, *(int(i == k) for k in range(rows * transforms))])
+    m += [[int(i == j) for j in range(cols)]
+          for i in range(cols * transforms)]
 
     def least(t):
         """The first nonzero entry of least magnitude in the rest."""
@@ -104,34 +93,38 @@ def smith_normal_form(a: Sequence[Sequence[int]], *,
         while best is not None:
             i, j = best
             if i != t:
-                swap_rows(t, i)
+                m[t], m[i] = m[i], m[t]
             if j != t:
-                swap_cols(t, j)
+                for r in m:
+                    r[t], r[j] = r[j], r[t]
             if m[t][t] < 0:
-                negate_row(t)
+                m[t] = [-x for x in m[t]]
             p = m[t][t]
             dirty = False
             for i in range(t + 1, rows):
                 if m[i][t]:
-                    add_row(t, i, -(m[i][t] // p))
+                    c = -(m[i][t] // p)
+                    m[i] = [x + c * y for x, y in zip(m[i], m[t])]
                     if m[i][t]:
                         dirty = True
             for j in range(t + 1, cols):
                 if m[t][j]:
-                    add_col(t, j, -(m[t][j] // p))
+                    c = -(m[t][j] // p)
+                    for r in m:
+                        r[j] += c * r[t]
                     if m[t][j]:
                         dirty = True
             if not dirty and p > 1:
                 bad = next((i for i in range(t + 1, rows)
-                            if any(x % p for x in m[i][t + 1:])), None)
+                            if any(x % p for x in m[i][t + 1:cols])), None)
                 if bad is not None:
-                    add_row(bad, t, 1)
+                    m[t] = [x + y for x, y in zip(m[t], m[bad])]
                     dirty = True
             best = least(t) if dirty else None
 
     diag = tuple(m[i][i] for i in range(min(rows, cols)) if m[i][i])
-    return SmithDecomposition(diag, tuple(tuple(r) for r in u),
-                              tuple(tuple(r) for r in v), (rows, cols))
+    return SmithDecomposition(diag, tuple(tuple(r[cols:]) for r in m[:rows]),
+                              tuple(tuple(r) for r in m[rows:]), (rows, cols))
 
 
 def eliminate_units(bd: dict[int, dict[int, int]]) -> int:
@@ -190,14 +183,18 @@ def invariant_factors(
 ) -> tuple[int, ...]:
     """Invariant factors (nonzero SNF diagonal, ascending) of one matrix.
 
-    Takes a sparse {(row, col): value} mapping inside the (rows, columns)
-    shape of the matrix, else ValueError.  The rows and columns with an
-    entry are made dense and reduced by `smith_normal_form`; the others
-    add no factor.
+    Takes a sparse {(row, col): value} mapping of ints inside the (rows,
+    columns) shape of the matrix; a key outside it raises
+    DimensionMismatch, an index or value not an int (bools too)
+    ValueError.  The rows and columns with an entry are made dense and
+    reduced by `smith_normal_form`; the others add no factor.
     """
-    for i, j in entries:
+    for (i, j), val in entries.items():
+        if not all(type(x) is int for x in (i, j, val)):
+            raise ValueError(f"entry {(i, j)}: {val!r} is not an int entry")
         if not (0 <= i < shape[0] and 0 <= j < shape[1]):
-            raise ValueError(f"entry {(i, j)} lies outside the shape {shape}")
+            raise DimensionMismatch(
+                f"entry {(i, j)} lies outside the shape {shape}")
     nonzero = {k: val for k, val in entries.items() if val}
     rows = {i: n for n, i in enumerate(sorted({i for i, _ in nonzero}))}
     cols = {j: n for n, j in enumerate(sorted({j for _, j in nonzero}))}

@@ -23,6 +23,7 @@ from .lorentz import mat_mul, mat_vec  # noqa: F401
 from .pairing import (
     EightPPairing,
     PairingCode,
+    as_code,
     develop,
     orientability_of_code,
     sigma_powers,
@@ -342,8 +343,7 @@ class CodeMatrix:
 
 
 def build_code_matrix(code: PairingCode | str) -> CodeMatrix:
-    if isinstance(code, str):
-        code = PairingCode(6, code)
+    code = as_code(code)
     if code.dim != 6:
         raise CertificationError("code matrix needs a 21-digit code")
     columns = tuple(1 << i for i in range(6)) + code.values

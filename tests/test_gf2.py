@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import pytest
 from hypothesis import given
@@ -109,3 +110,30 @@ def test_rank_basis_independence():
         rng.shuffle(shuffled)
         assert m.rank() == Gf2Matrix.from_rows(shuffled).rank()
         assert m.rank() == m.transpose().rank()
+
+
+@pytest.mark.parametrize("k", [-1, -8, 2.5, True, "2"])
+def test_power_refuses_anything_but_an_int_at_least_zero(k):
+    """A negative k once looped forever, as k >>= 1 stays at -1: an alarm
+    fails the test instead of letting it hang."""
+    def hung(signum, frame):
+        raise AssertionError(f"power({k!r}) did not return in 5 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match=f"power k={k!r} is not an int"):
+            Gf2Matrix.identity(2).power(k)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert Gf2Matrix.identity(2).power(0) == Gf2Matrix.identity(2)
+
+
+@pytest.mark.parametrize("j", [2, 5, -1, True, 1.0])
+def test_a_column_outside_the_matrix_is_refused(j):
+    m = Gf2Matrix.identity(2)
+    for run in (m.column, lambda j: columns_independent(m, [0, j])):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"no column {j!r} in 2 columns"):
+            run(j)

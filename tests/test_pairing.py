@@ -421,6 +421,28 @@ def test_develop_needs_an_eight_copy_array(given):
             run(given)
 
 
+@pytest.mark.parametrize("code", [5, None, b"EKB98LLG6R2"],
+                         ids=["int", "NoneType", "bytes"])
+@pytest.mark.parametrize("run", [pg.orientability_of_code, pg.restrict_code,
+                                 pg.decode_q_code, vf.build_code_matrix])
+def test_a_code_is_a_str_or_a_pairing_code(run, code):
+    """Every function that takes a code names the type of anything but a
+    str or a PairingCode, and keeps its own wrong-length error."""
+    name = type(code).__name__
+    with pytest.raises(pg.PairingError,
+                       match=f"code digits are a str, not a {name}$"):
+        run(code)
+    with pytest.raises(pg.PairingError, match="expected 21 .*got 20$"):
+        run("0" * 20)
+
+
+@pytest.mark.parametrize("digits", [5, ["E"] * 21, tuple("0" * 21)])
+def test_pairing_code_digits_are_a_str(digits):
+    with pytest.raises(pg.PairingError, match="code digits are a str, not "
+                                              f"a {type(digits).__name__}$"):
+        pg.PairingCode(6, digits)
+
+
 def test_sigma_powers_checks_the_eighth_power():
     """sigma_powers raises unless sigma^8 is the identity; the standard
     context's side powers are its powers of sigma."""

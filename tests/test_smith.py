@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coxglue.errors import DimensionMismatch
 from coxglue.smith import (SmithDecomposition, eliminate_units,
                            invariant_factors, smith_normal_form)
 
@@ -134,10 +137,40 @@ def test_sparse_input_matches_dense():
 @pytest.mark.parametrize("key", [(2, 0), (0, 3), (-1, 1), (1, -1)])
 def test_invariant_factors_rejects_an_entry_outside_the_shape(key):
     for val in (1, 0):
-        with pytest.raises(ValueError, match=rf"entry \({key[0]}, {key[1]}\)"
-                                             r" lies outside the shape \(2, 3\)"):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"entry \({key[0]}, {key[1]}\)"
+                                 r" lies outside the shape \(2, 3\)"):
             invariant_factors({(0, 0): 2, (1, 2): 3, key: val}, (2, 3))
     assert invariant_factors({(0, 0): 2, (1, 2): 3}, (2, 3)) == (1, 6)
+
+
+@pytest.mark.parametrize("a, where", [
+    ([[2.5]], "(0, 0) is 2.5"), ([["3"]], "(0, 0) is '3'"),
+    ([[True, 2]], "(0, 0) is True"), ([[1, 2], [4, Fraction(6)]],
+                                      "(1, 1) is Fraction(6, 1)"),
+])
+def test_smith_refuses_an_entry_not_an_int(a, where):
+    for transforms in (True, False):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"entry {where}, not an int")):
+            smith_normal_form(a, transforms=transforms)
+
+
+@pytest.mark.parametrize("a", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
+def test_smith_refuses_a_ragged_matrix(a):
+    with pytest.raises(DimensionMismatch, match="ragged matrix at row 1"):
+        smith_normal_form(a)
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): 2.5}, {(0, 0): Fraction(2)}, {(0, 1): "3"}, {(0, 0): True},
+    {(0.0, 0): 1}, {(0, True): 1}, {(0, 0): 0.0},
+])
+def test_invariant_factors_refuses_an_entry_not_an_int(entries):
+    (key, val), = entries.items()
+    with pytest.raises(ValueError, match=re.escape(
+            f"entry {key}: {val!r} is not an int entry")):
+        invariant_factors(entries, (2, 2))
 
 
 def test_unimodular_transforms():
