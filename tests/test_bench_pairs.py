@@ -27,7 +27,8 @@ def _bench_pairs():
                                   "BENCH_setup_bound.json",
                                   "BENCH_side_glue.json",
                                   "BENCH_search_bookkeeping.json",
-                                  "BENCH_cycle_pass.json"])
+                                  "BENCH_cycle_pass.json",
+                                  "BENCH_one_elimination.json"])
 def test_summary_of_the_recorded_runs(name):
     record = json.loads((ROOT / name).read_text())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
