@@ -196,9 +196,7 @@ def cmd_homology(args) -> int:
     arr = _load_array(args)
     payload = _homology_payload(mid, arr, args.complex)
     _emit(payload, args.json)
-    if mid is not None and not payload["matches_record"]:
-        return 1
-    return 0
+    return 1 if mid is not None and not payload["matches_record"] else 0
 
 
 def certify_one(mid: int) -> dict:
@@ -318,10 +316,8 @@ def cmd_report(args) -> int:
             results = list(pool.map(certify_one, mids))
     else:
         results = [certify_one(m) for m in mids]
-    matrix = {}
-    for res in results:
-        matrix[f"manifold_{res['id']}"] = res["checks"]
-        items[f"manifold_{res['id']}"] = res["ok"]
+    matrix = {f"manifold_{res['id']}": res["checks"] for res in results}
+    items.update((f"manifold_{res['id']}", res["ok"]) for res in results)
     ok = all(items.values())
     payload = {"pass": ok, "items": items, "matrix": matrix}
     if args.json:

@@ -36,8 +36,13 @@ class Gf2Matrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Gf2Matrix":
-        rws = [tuple(int(x) & 1 for x in r) for r in rows]
+        rws = [tuple(r) for r in rows]
         ncols = len(rws[0]) if rws else 0
+        for i, r in enumerate(rws):
+            if len(r) != ncols:
+                raise DimensionMismatch(f"row {i}: {len(r)} entries, not {ncols}")
+            if not all(type(x) is int and 0 <= x <= 1 for x in r):
+                raise ValueError(f"row {i} holds an entry other than 0 or 1")
         return cls(len(rws), ncols, tuple(
             sum(bit << j for j, bit in enumerate(r)) for r in rws))
 

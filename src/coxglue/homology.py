@@ -252,10 +252,10 @@ def build_quotient_complex(arr: EightPPairing) -> QuotientCellComplex:
     """Glue eight truncated copies along the pairing and assemble the
     signed boundary columns of the quotient cell complex.  Cell classes
     are the classes of the faces under them in `face_cycles_proper(arr)`,
-    cached for the last gluing, so no second pass after certification:
-    if X's face has root in copy r and transport sigma^t, X's root is
-    cell cell_perm[-t][X] of copy r.  A cut corner ('l', w, face) is on
-    the cusp of the class of ideal point w."""
+    cached for the last gluing, so no second pass after certification
+    (the complex pays for their walk): if X's face has root in copy r and
+    transport sigma^t, X's root is cell cell_perm[-t][X] of copy r.  A cut
+    corner ('l', w, face) is on the cusp of the class of ideal point w."""
     if not isinstance(arr, EightPPairing):
         raise ComplexError(f"the quotient complex needs an EightPPairing, "
                            f"not a {type(arr).__name__}")

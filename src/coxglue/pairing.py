@@ -489,8 +489,8 @@ def search_pairings(
     sides and ridges, whose cycles are shortest, are glued first and fail
     fast.  Free slots are scored from one pass over the actual-vertex
     instances; every table is built once, in `verify.lattice_context()`.
-    Completed arrays are confirmed with the full properness checker,
-    `verify.face_cycles_proper`.
+    Completed arrays are confirmed by `verify.face_cycles_proper`, whose
+    verdict alone the search reads, never walking the face classes.
     Exhausting the node or time budget is reported, never an error; a
     search that completes without a solution is reported infeasible.
     Before any work, a `fixed` neither None nor a dict, a `fixed` slot
@@ -526,10 +526,11 @@ def search_pairings(
     sigma_pows = standard_context().sigma_pows
     ctx = verify.lattice_context()
     nf = len(ctx.lattice.faces)
-    caps, walls = ctx.cycle_lengths, ctx.wall_counts
+    caps, walls, fperm = ctx.cycle_lengths, ctx.wall_counts, ctx.fperm
     vertices, side_vertices = ctx.vertices, ctx.side_vertices
+    sides_faces = ctx.sides_faces
     cyc = verify.FaceCycles(8 * nf)
-    glue, parent, asg = cyc.glue, cyc.parent, cyc.asg
+    glue, parent, asg, journal = cyc.glue, cyc.parent, cyc.asg, cyc.journal
     entries: list[list[tuple[int, int] | None]] = [
         [None] * 27 for _ in range(8)]
 
@@ -546,7 +547,7 @@ def search_pairings(
         entries[i][j], entries[k][j2] = (k, p), (i, -p % 8)
         # the partner's unions would be the inverses of these and change
         # nothing, so each face also counts the partner face's crossing
-        if glue(i * nf, k * nf, ctx.sides_faces[j], ctx.fperm[p], p,
+        if glue(i * nf, k * nf, sides_faces[j], fperm[p], p,
                 1 if self_paired else 2, caps, walls) < 0:
             return k, j2
         entries[i][j] = entries[k][j2] = None
@@ -584,17 +585,12 @@ def search_pairings(
                         best, best_score = (i, j), score
         return best
 
-    def spent() -> bool:
-        """Record and return whether the node or time budget is spent."""
-        nonlocal exhausted
-        exhausted = nodes >= node_budget or (
-            deadline is not None and time.monotonic() > deadline)
-        return exhausted
-
     def dfs() -> bool:
         """Returns False when the search should stop globally."""
-        nonlocal nodes
-        if spent():
+        nonlocal nodes, exhausted
+        if nodes >= node_budget or (
+                deadline is not None and time.monotonic() > deadline):
+            exhausted = True
             return False
         slot = next_slot()
         if slot is None:
@@ -607,16 +603,19 @@ def search_pairings(
         i, j = slot
         for k in range(8):
             for p in range(8):
-                if spent():
+                if nodes >= node_budget or (
+                        deadline is not None and time.monotonic() > deadline):
+                    exhausted = True
                     return False
                 nodes += 1
-                mark = cyc.mark()
+                mark = len(journal)
                 partner = assign(i, j, k, p)
                 if partner is not None:
                     if not dfs():
                         return False
                     entries[i][j] = entries[partner[0]][partner[1]] = None
-                cyc.rollback(mark)
+                if len(journal) > mark:
+                    cyc.rollback(mark)
         return True
 
     complete = dfs() and not exhausted

@@ -185,16 +185,16 @@ def invariant_factors(
 
     Takes a sparse {(row, col): value} mapping of ints inside the (rows,
     columns) shape of the matrix; a key outside it raises
-    DimensionMismatch, an index or value not an int (bools too)
-    ValueError.  The rows and columns with an entry are made dense and
-    reduced by `smith_normal_form`; the others add no factor.
+    DimensionMismatch, a key not a pair, or an index or value not an int
+    (bools too), ValueError.  The rows and columns with an entry are made
+    dense and reduced by `smith_normal_form`; the others add no factor.
     """
-    for (i, j), val in entries.items():
-        if not all(type(x) is int for x in (i, j, val)):
-            raise ValueError(f"entry {(i, j)}: {val!r} is not an int entry")
-        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+    for key, val in entries.items():
+        if type(key) is not tuple or [*map(type, key), type(val)] != [int] * 3:
+            raise ValueError(f"entry {key}: {val!r} is not an int entry")
+        if not (0 <= key[0] < shape[0] and 0 <= key[1] < shape[1]):
             raise DimensionMismatch(
-                f"entry {(i, j)} lies outside the shape {shape}")
+                f"entry {key} lies outside the shape {shape}")
     nonzero = {k: val for k, val in entries.items() if val}
     rows = {i: n for n, i in enumerate(sorted({i for i, _ in nonzero}))}
     cols = {j: n for n, j in enumerate(sorted({j for _, j in nonzero}))}

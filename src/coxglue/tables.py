@@ -19,6 +19,16 @@ class DataIntegrityError(CoxglueError, RuntimeError):
     pass
 
 
+class ManifoldIdError(CoxglueError, ValueError):
+    """A manifold id that is not an int from 1 to 9 (bools refused)."""
+
+
+def _manifold_id(mid: int) -> int:
+    if type(mid) is not int or not 1 <= mid <= 9:
+        raise ManifoldIdError(f"manifold id {mid!r} is not an int from 1 to 9")
+    return mid
+
+
 @lru_cache(maxsize=1)
 def _manifest() -> dict[str, str]:
     root = resources.files(__package__) / "data"
@@ -110,16 +120,12 @@ def manifold_records() -> tuple[ManifoldRecord, ...]:
 
 
 def manifold_record(mid: int) -> ManifoldRecord:
-    recs = manifold_records()
-    if not 1 <= mid <= 9:
-        raise ValueError("manifold id must be between 1 and 9")
-    return recs[mid - 1]
+    mid = _manifold_id(mid)  # before any file is read
+    return manifold_records()[mid - 1]
 
 
 def pairing_array_text(mid: int) -> str:
-    if not 1 <= mid <= 9:
-        raise ValueError("manifold id must be between 1 and 9")
-    return _read(f"arrays/m{mid}.txt")
+    return _read(f"arrays/m{_manifold_id(mid)}.txt")
 
 
 @lru_cache(maxsize=1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, count, product
 from operator import eq
 from typing import Sequence
@@ -118,9 +118,6 @@ class FaceCycles:
     def union(self, x: int, y: int, d: int, c: int = 0) -> int:
         """glue on one face, y = sigma^d x: its class's root, or -1."""
         return -1 if self.glue(x, y, (0,), (0,), d, c) >= 0 else self.find(x)[0]
-
-    def mark(self) -> int:
-        return len(self.journal)
 
     def rollback(self, mark: int) -> None:
         """Undo every union and crossing made since mark."""
@@ -233,18 +230,34 @@ def lattice_context() -> LatticeContext:
 
 @dataclass(frozen=True)
 class PropernessCertificate:
+    """Verdict of the cached eight-copy pass, which its callers share.
+    `roots` and `transports` give each face instance copy * faces + face
+    (ideal points too: their classes are the cusps) its class root and
+    power of the symmetry, walked in place from `links`, the pass's parent
+    and pot lists, on first read; None after a holonomy conflict."""
+
     proper: bool
     dims: dict[int, dict[str, int]]
     violation: dict | None = None
-    # root and transport (a power of the symmetry) of each face instance
-    # copy * faces + face, as traced by the eight-copy pass, which
-    # homology.build_quotient_complex reads; the ideal points too, with
-    # transport 0, so their classes are the cusps.  None after a holonomy
-    # conflict.  Neither compared nor exported.
-    # That pass is cached, so its callers share one certificate.
-    roots: tuple[int, ...] | None = field(
+    links: tuple[list[int], list[int]] | None = field(
         default=None, compare=False, repr=False)
-    transports: tuple | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def roots(self) -> list[int] | None:
+        if self.links is None:
+            return None
+        parent, pot = self.links
+        for x in range(len(parent)):  # in place: x then links to its root
+            r, t = parent[x], pot[x]
+            while parent[r] != r:
+                t += pot[r]
+                r = parent[r]
+            parent[x], pot[x] = r, t % 8
+        return parent
+
+    @property
+    def transports(self) -> list[int] | None:
+        return None if self.roots is None else self.links[1]
 
     def to_json(self) -> dict:
         return {"proper": self.proper,
@@ -255,7 +268,8 @@ class PropernessCertificate:
 def face_cycles_proper(arr: EightPPairing) -> PropernessCertificate:
     """Trace every face orbit of the eight copies through the side
     pairing; proper iff each k-face class has exactly 2^(n-k) members and
-    all transports around cycles are trivial."""
+    all transports around cycles are trivial.  Only a reader of the
+    certificate's `roots` or `transports` walks the face instances."""
     if not isinstance(arr, EightPPairing):
         raise CertificationError(f"the face-cycle check needs an "
                                  f"EightPPairing, not a {type(arr).__name__}")
@@ -271,7 +285,7 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
     Unions keep the dimension, so face counts are the polytope's times
     eight, orbits and cycle lengths are read at the class roots, and only
     a bad class sends a scan for its witness, the first member in
-    instance order."""
+    instance order.  The certificate keeps only parent and pot."""
     arr.validate_involution()
     sigma_pows = standard_context().sigma_pows
     ctx = lattice_context()
@@ -296,19 +310,9 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
         glue(base_i, base_k, ctx.sides_ideal[j], fp, 0)
     for k in dims:
         dims[k]["faces"] = 8 * face_dims.count(k)
-    # two flat lists: a list of (root, power) pairs held at once raises
-    # the search's peak RSS from 37 to 94 MB; each walk is find(), inline
-    parent, pot, size = uf.parent, uf.pot, uf.size
-    roots, transports = [], []
-    for x in range(8 * nf):
-        r, t = x, 0
-        while parent[r] != r:
-            t += pot[r]
-            r = parent[r]
-        roots.append(r)
-        transports.append(t % 8)
+    parent, size = uf.parent, uf.size
     bad = set()
-    for x in compress(count(), map(eq, roots, count())):
+    for x in compress(count(), map(eq, parent, count())):
         k = face_dims[x % nf]
         if k in dims:  # not an ideal point or the polytope itself
             dims[k]["orbits"] += 1
@@ -316,17 +320,17 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
                 bad.add(x)
     violation = None
     if bad:
-        x = next(x for x, r in enumerate(roots) if r in bad)
+        x = next(x for x in count() if uf.find(x)[0] in bad)
         copy, fidx = divmod(x, nf)
         k = face_dims[fidx]
         violation = {"kind": "cycle_length", "face_dim": k,
-                     "cycle_length": size[roots[x]],
+                     "cycle_length": size[uf.find(x)[0]],
                      "expected": 2 ** (n - k),
                      "witness_copy": copy + 1,
                      "witness_face_sides": sorted(
                          s + 1 for s in ctx.lattice.faces[fidx].sides)}
     return PropernessCertificate(violation is None, dims, violation,
-                                 tuple(roots), tuple(transports))
+                                 (parent, uf.pot))
 
 
 # -- algebraic certificates ----------------------------------------------
@@ -477,12 +481,12 @@ def certify_manifold(
 ) -> ManifoldCertificate:
     """Run both certification routes on an eight-copy gluing.
 
-    When a code is supplied the development must reproduce it exactly.
+    When a code is supplied the development must reproduce it exactly;
+    a code that `as_code` refuses raises PairingError.
     """
     dev = develop(arr)
     if code is not None:
-        want = code.digits if isinstance(code, PairingCode) else code
-        if dev.code.digits != want:
+        if dev.code.digits != (want := as_code(code).digits):
             raise CertificationError(
                 f"development yields {dev.code.digits}, record says {want}")
     proper = face_cycles_proper(arr)

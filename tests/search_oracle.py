@@ -116,7 +116,7 @@ def oracle_search(
                     state["exhausted"] = True
                     return False
                 state["nodes"] += 1
-                mark = cyc.mark()
+                mark = len(cyc.journal)
                 ok, written = assign(i, j, k, p)
                 if ok and not dfs():
                     return False

@@ -249,7 +249,8 @@ PARENTS = {
     "DimensionError": ValueError, "DimensionMismatch": ValueError,
     "EnvSettingError": ValueError, "InputError": ValueError,
     "InvarianceError": RuntimeError, "LatticeError": RuntimeError,
-    "OrbitBoundExceeded": RuntimeError, "PairingError": ValueError,
+    "ManifoldIdError": ValueError, "OrbitBoundExceeded": RuntimeError,
+    "PairingError": ValueError,
 }
 
 

@@ -137,3 +137,19 @@ def test_a_column_outside_the_matrix_is_refused(j):
         with pytest.raises(DimensionMismatch,
                            match=rf"no column {j!r} in 2 columns"):
             run(j)
+
+
+@pytest.mark.parametrize("rows, row", [([[1, 0], [1]], 1), ([[1], [0, 1]], 1),
+                                       ([[0, 1], [1, 1], []], 2)])
+def test_from_rows_refuses_a_row_of_another_length(rows, row):
+    with pytest.raises(DimensionMismatch, match=f"row {row}: "):
+        Gf2Matrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("rows", [[[2, 3]], [[0, 1], [1, -1]], [[True, 0]],
+                                  [[1.0, 0]], [["1", 0]]])
+def test_from_rows_refuses_an_entry_other_than_0_or_1(rows):
+    """[[2, 3]] once read as [[0, 1]], its entries taken mod 2."""
+    with pytest.raises(ValueError, match=f"row {len(rows) - 1} holds an "
+                       "entry other than 0 or 1"):
+        Gf2Matrix.from_rows(rows)

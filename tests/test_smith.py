@@ -165,6 +165,8 @@ def test_smith_refuses_a_ragged_matrix(a):
 @pytest.mark.parametrize("entries", [
     {(0, 0): 2.5}, {(0, 0): Fraction(2)}, {(0, 1): "3"}, {(0, 0): True},
     {(0.0, 0): 1}, {(0, True): 1}, {(0, 0): 0.0},
+    # keys that are not a pair of indices
+    {5: 1}, {(0,): 1}, {(0, 0, 0): 1}, {"ab": 1},
 ])
 def test_invariant_factors_refuses_an_entry_not_an_int(entries):
     (key, val), = entries.items()

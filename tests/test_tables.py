@@ -48,6 +48,22 @@ def test_record_range_guard():
         tables.pairing_array_text(10)
 
 
+@pytest.mark.parametrize("mid", [True, False, 2.5, "1", None, 0, 10])
+def test_manifold_ids_are_ints_from_1_to_9(mid, monkeypatch):
+    """A bool or anything but an int from 1 to 9 is refused, by a typed
+    error that names it, before any file is opened: True once read as
+    record 1, and published_pairing(True) looked for mTrue.txt."""
+    from coxglue import pairing as pg
+    monkeypatch.setattr(tables, "_read", lambda name: pytest.fail(name))
+    monkeypatch.setattr(tables, "manifold_records",
+                        lambda: pytest.fail("records read"))
+    for read in (tables.manifold_record, tables.pairing_array_text,
+                 pg.published_pairing):
+        with pytest.raises(tables.ManifoldIdError,
+                           match=f"^manifold id {mid!r} is not an int"):
+            read(mid)
+
+
 def test_checksum_guard(monkeypatch):
     import coxglue.tables as t
     real = t._manifest()

@@ -103,27 +103,27 @@ def test_face_cycles_rollback_restores_state(before, after):
                     counted[x] for x in range(N_UF) if fc.find(x)[0] == r)
 
     run(before)
-    mark = fc.mark()
+    mark = len(fc.journal)
     state = (fc.parent[:], fc.pot[:], fc.size[:], fc.asg[:])
     run(after)
     fc.rollback(mark)
     assert (fc.parent, fc.pot, fc.size, fc.asg) == state
-    assert fc.mark() == mark
+    assert len(fc.journal) == mark
 
 
 def test_union_links_and_counts_in_one_journal_entry():
     fc = vf.FaceCycles(4)
     assert fc.union(0, 1, 3, 1) == 0
-    mark = fc.mark()
+    mark = len(fc.journal)
     state = (fc.parent[:], fc.pot[:], fc.size[:], fc.asg[:])
     # 1 = sigma^3 0 and 1 = sigma^5 2 give 2 = sigma^6 0
     root = fc.union(2, 1, 5, 2)
     assert root == 0 and fc.find(2) == (0, 6)
     assert fc.size[0] == 3 and fc.asg[0] == 3
-    assert fc.mark() == mark + 1
+    assert len(fc.journal) == mark + 1
     # a holonomy conflict counts nothing and journals nothing
     assert fc.union(0, 2, 5, 2) == -1
-    assert fc.asg[0] == 3 and fc.mark() == mark + 1
+    assert fc.asg[0] == 3 and len(fc.journal) == mark + 1
     assert fc.union(0, 2, 6, 1) == 0 and fc.asg[0] == 4
     fc.rollback(mark)
     assert (fc.parent, fc.pot, fc.size, fc.asg) == state
@@ -183,7 +183,7 @@ def test_glue_matches_a_union_per_face(ops):
         oracle = _PerFaceGlue()
         for done in kept:
             assert oracle.glue(*done) == -1
-        mark = fc.mark()
+        mark = len(fc.journal)
         state = (fc.parent[:], fc.pot[:], fc.size[:], fc.asg[:])
         failed = fc.glue(*args)
         assert failed == oracle.glue(*args)
@@ -195,7 +195,7 @@ def test_glue_matches_a_union_per_face(ops):
         if failed >= 0:
             fc.rollback(mark)
             assert (fc.parent, fc.pot, fc.size, fc.asg) == state
-            assert fc.mark() == mark
+            assert len(fc.journal) == mark
         else:
             kept.append(args)
 
@@ -565,10 +565,22 @@ def test_certify_rejects_code_mismatch():
                             tables.manifold_record(2).code)
 
 
-def _cycles_eight_both_ways(arr: pg.EightPPairing) -> vf.PropernessCertificate:
+@pytest.mark.parametrize("code", [5, b"MVStfMSJGgJgWDtD2fV84", "MVStf"])
+def test_certify_refuses_a_code_that_is_not_one(code):
+    """A given code goes through pairing.as_code: an int, bytes or a
+    str of the wrong length is refused as a code, not compared."""
+    with pytest.raises(pg.PairingError):
+        vf.certify_manifold(pg.published_pairing(1), code)
+    assert vf.certify_manifold(pg.published_pairing(1), pg.as_code(
+        tables.manifold_record(1).code)).code == tables.manifold_record(1).code
+
+
+def _cycles_eight_both_ways(arr: pg.EightPPairing) -> tuple:
     """The face pass with every side pair unioned from both of its
     sides, as an oracle for the pass that unions each pair once; the
-    ideal points too, with the identity transport."""
+    ideal points too, with the identity transport.  The report, then the
+    root and the transport of each face instance, None after a holonomy
+    conflict."""
     arr.validate_involution()
     ctx = vf.lattice_context()
     lat = ctx.lattice
@@ -588,15 +600,17 @@ def _cycles_eight_both_ways(arr: pg.EightPPairing) -> vf.PropernessCertificate:
             assert uf.union(i * nf + fidx, k * nf + ctx.fperm[p][fidx], 0)
     sides = [f.sides for f in lat.faces]
     if violation is not None:
-        return instance_walk_report(uf.size, ctx.dims, sides, (), violation)
+        return (instance_walk_report(uf.size, ctx.dims, sides, (), violation),
+                None, None)
     found = [uf.find(x) for x in range(8 * nf)]
-    roots = tuple(r for r, _ in found)
-    report = instance_walk_report(uf.size, ctx.dims, sides, roots, None)
-    return dataclasses.replace(report, roots=roots,
-                               transports=tuple(t for _, t in found))
+    roots = [r for r, _ in found]
+    return (instance_walk_report(uf.size, ctx.dims, sides, roots, None),
+            roots, [t for _, t in found])
 
 
 def test_each_side_pair_unioned_once_changes_nothing():
+    """The verdict, and the classes read later, on the nine gluings and
+    40 seeded mutants."""
     # seed 4 draws one mutant (the ninth) that fails by holonomy, which
     # few mutants do; the others fail by cycle length
     rng = random.Random(4)
@@ -605,12 +619,39 @@ def test_each_side_pair_unioned_once_changes_nothing():
                for _ in range(40)]
     kinds = set()
     for arr in arrays:
-        got, want = vf.face_cycles_proper(arr), _cycles_eight_both_ways(arr)
+        got = vf.face_cycles_proper(arr)
+        want, roots, transports = _cycles_eight_both_ways(arr)
         assert got == want
-        assert got.roots == want.roots
-        assert got.transports == want.transports
+        assert got.roots == roots
+        assert got.transports == transports
         kinds.add(got.violation and got.violation["kind"])
     assert kinds == {None, "holonomy", "cycle_length"}
+
+
+def test_the_verdict_never_walks_the_classes():
+    """A proper gluing's certificate read through `proper`, `dims`,
+    `violation` and to_json() alone, by certification or by the search's
+    confirming call, keeps the pass's links as the unions left them; the
+    first read of `roots` walks every instance to its root once, in
+    place, and keeps no second copy."""
+    arr = pg.published_pairing(3)
+    fixed = {(i, j): arr.entries[i][j] for i in range(8) for j in range(27)}
+    for reader in (lambda: vf.certify_manifold(arr).proper,
+                   lambda: pg.search_pairings(fixed).solutions and
+                   vf.face_cycles_proper(arr)):
+        vf._cycles_eight.cache_clear()
+        cert = reader()
+        assert cert.proper and cert.violation is None
+        assert cert.dims[0]["orbits"] == 9
+        assert cert.to_json()["proper"]
+        assert vf._cycles_eight.cache_info().misses == 1
+        assert "roots" not in vars(cert)
+        parent, pot = cert.links
+        # some link does not end at a root: nothing walked it yet
+        assert any(parent[parent[x]] != parent[x] for x in range(len(parent)))
+        assert cert.roots is parent and cert.transports is pot
+        assert all(parent[r] == r for r in cert.roots)
+        assert "roots" in vars(cert)
 
 
 def test_cycle_report_matches_the_instance_walk():
