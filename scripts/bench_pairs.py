@@ -16,7 +16,12 @@ run for `trace.setup_s` and the four set-up builders it is made of.
 The output file holds the settings, every run's result, and a summary
 per workload and end-to-end metric: the quartiles and median of each
 side and the number of pairs the change won, with the failed and
-attempted operations of each side.
+attempted operations of each side.  Beside the summary, a verdict reads
+it against BENCHMARK.json: per metric the pairs won, the change of the
+median, the parent's quartile distance, whether the change stays within
+the metric's bound, and whether a claimed gain would be met (at least 9
+of 10 pairs won and a median better by more than that distance); per
+workload, whether the change fails no larger share of its operations.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FILES = ("src", "perfbench", "BENCHMARK.json")
 PAIRS = 10
+CLAIM_SHARE = 0.9  # of the pairs, that a claimed gain must win
 TRACED_PAIRS = 5
 TRACED_SEED = 501
 LAYERS = ("trace.op_s_p50", "homology.homology_s", "homology.complex_s",
@@ -106,6 +112,36 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def verdict(summary: dict, end_to_end: list[dict]) -> dict:
+    """The summary read against the end-to-end metrics of BENCHMARK.json.
+    A median change is the change's median less the parent's; it stays
+    within the bound unless it is worse than the parent's median by more
+    than the bound's share of it.  A claim is met when the change won at
+    least CLAIM_SHARE of the pairs and its median is better by more than
+    the parent's quartile distance."""
+    out: dict = {}
+    for workload, got in summary.items():
+        out[workload] = {}
+        for metric in end_to_end:
+            s = got[metric["name"]]
+            parent, change = s["parent"]["median"], s["change"]["median"]
+            gain = (change - parent) * (-1 if s["better"] == "lower" else 1)
+            spread = s["parent"]["q3"] - s["parent"]["q1"]
+            won = s["change_better_pairs"]
+            out[workload][metric["name"]] = {
+                "pairs_won": won, "pairs": s["pairs"],
+                "median_change": change - parent,
+                "parent_quartile_distance": spread,
+                "within_bound": -gain <= metric["bound"] * abs(parent),
+                "claim_met": won >= CLAIM_SHARE * s["pairs"] and gain > spread}
+        share = {side: got["ops_failed"][side]
+                 / max(got["ops_attempted"][side], 1)
+                 for side in ("parent", "change")}
+        out[workload]["failed_share_not_larger"] = \
+            share["change"] <= share["parent"]
+    return out
+
+
 def alternate(sides: dict[str, str], workload: str, seeds: list[int],
               seconds: float, trace: int, workdir: str) -> list[dict]:
     runs = []
@@ -165,8 +201,9 @@ def main(argv=None) -> int:
                   f"{TRACED_PAIRS} alternating pairs on seed {TRACED_SEED} "
                   f"(scripts/bench_pairs.py)",
         "seeds": {w: seeds for w in workloads},
-        "summary": summarize(runs, {m["name"]: m["better"]
-                                    for m in spec["end_to_end"]}),
+        "summary": (summary := summarize(
+            runs, {m["name"]: m["better"] for m in spec["end_to_end"]})),
+        "verdict": verdict(summary, spec["end_to_end"]),
         "traced_certify_s_per_op": {
             name: {s: {"runs": (v := [r["metrics"][name] for r in traced
                                       if r["side"] == s]),

@@ -527,8 +527,8 @@ def search_pairings(
     ctx = verify.lattice_context()
     nf = len(ctx.lattice.faces)
     caps, walls, fperm = ctx.cycle_lengths, ctx.wall_counts, ctx.fperm
-    vertices, side_vertices = ctx.vertices, ctx.side_vertices
-    sides_faces = ctx.sides_faces
+    sides_faces, side_vertices = ctx.sides_faces, ctx.side_vertices
+    instances = [[i * nf + v for v in ctx.vertices] for i in range(8)]
     cyc = verify.FaceCycles(8 * nf)
     glue, parent, asg, journal = cyc.glue, cyc.parent, cyc.asg, cyc.journal
     entries: list[list[tuple[int, int] | None]] = [
@@ -540,7 +540,7 @@ def search_pairings(
         when a slot is taken, a side paired with itself has a power other
         than 0 or 4, or the glue fails."""
         j2 = sigma_pows[p][j]
-        self_paired = (k, j2) == (i, j)
+        self_paired = k == i and j2 == j
         if entries[i][j] is not None or entries[k][j2] is not None or (
                 self_paired and p % 4):
             return None
@@ -566,21 +566,20 @@ def search_pairings(
     def next_slot() -> tuple[int, int] | None:
         """Most-constrained free slot: the one whose wall vertices sit in
         the largest partially-built orbits, read off the crossings on the
-        class of each actual-vertex instance of its copy."""
-        best = None
-        best_score = -1
+        class of each actual-vertex instance of its copy, then summed by
+        each side's getter."""
+        best, best_score = None, -1
         for i, row in enumerate(entries):
             if None not in row:
                 continue
-            counted = {}
-            for v in vertices:
-                x = i * nf + v
+            counted = []
+            for x in instances[i]:
                 while parent[x] != x:  # find(x), inline
                     x = parent[x]
-                counted[v] = asg[x]
+                counted.append(asg[x])
             for j in range(27):
                 if row[j] is None:
-                    score = sum(map(counted.__getitem__, side_vertices[j]))
+                    score = sum(side_vertices[j](counted))
                     if score > best_score:
                         best, best_score = (i, j), score
         return best

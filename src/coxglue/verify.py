@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, count, product
-from operator import eq
+from operator import eq, itemgetter
 from typing import Sequence
 
 from .coxeter import constants
@@ -151,7 +151,7 @@ class LatticeContext:
     sides_faces: tuple[tuple[int, ...], ...]
     sides_ideal: tuple[tuple[int, ...], ...]
     vertices: tuple[int, ...]
-    side_vertices: tuple[tuple[int, ...], ...]
+    side_vertices: tuple[itemgetter, ...]
     cycle_lengths: tuple[int, ...]
     wall_counts: tuple[int, ...]
     torsion_conditions: tuple[tuple[int, ...], ...]
@@ -166,12 +166,13 @@ def lattice_context() -> LatticeContext:
     and the side-set route, then composed, with sigma^8 the identity;
     each face's `dims`, None at the ideal points; and on each side, the
     ideal points in `sides_ideal` and the other faces in `sides_faces`.
-    The search reads `vertices`, the actual vertices as faces, and
-    `side_vertices`, those on each side, and each face's cycle length
-    2^(6 - dim) and wall count.  The torsion check reads the sorted sides
-    of its 288 conditions, the actual vertices then the line edges in
-    face order, and of its 36 representatives: per orbit of the
-    symmetry, in the order met, the member with the least vertex ids."""
+    The search reads `vertices`, the actual vertices as faces, per side
+    the getter of its 16 from a list in that order, `side_vertices`, and
+    each face's cycle length 2^(6 - dim) and wall count.  The torsion check
+    reads the sorted sides of its 288 conditions, the actual vertices
+    then the line edges in face order, and of its 36 representatives: per
+    orbit of the symmetry, in the order met, the member with the least
+    vertex ids."""
     ctx = standard_context()
     p6 = ctx.polytope
     lat = face_lattice(p6)
@@ -218,8 +219,8 @@ def lattice_context() -> LatticeContext:
     return LatticeContext(
         lat, vperm, fperm, dims, tuple(map(tuple, sides_faces)),
         tuple(map(tuple, sides_ideal)), vertices,
-        tuple(tuple(f for f in on_side if faces[f].dim == 0)
-              for on_side in sides_faces),
+        tuple(itemgetter(*(vertices.index(f) for f in on_side
+                           if faces[f].dim == 0)) for on_side in sides_faces),
         tuple(2 ** (6 - f.dim) for f in faces),
         tuple(len(f.sides) for f in faces),
         sides_of(vertices + lines), sides_of(reps))
@@ -230,11 +231,11 @@ def lattice_context() -> LatticeContext:
 
 @dataclass(frozen=True)
 class PropernessCertificate:
-    """Verdict of the cached eight-copy pass, which its callers share.
-    `roots` and `transports` give each face instance copy * faces + face
-    (ideal points too: their classes are the cusps) its class root and
-    power of the symmetry, walked in place from `links`, the pass's parent
-    and pot lists, on first read; None after a holonomy conflict."""
+    """Verdict of the cached eight-copy pass, shared by its callers, with
+    the class `roots` and `transports` (powers of sigma) of each instance,
+    ideal points too (the cusps), walked in place from `links`, the pass's
+    parent and pot lists, on first read, so only their reader pays for
+    them; None after a holonomy conflict."""
 
     proper: bool
     dims: dict[int, dict[str, int]]
@@ -267,9 +268,8 @@ class PropernessCertificate:
 
 def face_cycles_proper(arr: EightPPairing) -> PropernessCertificate:
     """Trace every face orbit of the eight copies through the side
-    pairing; proper iff each k-face class has exactly 2^(n-k) members and
-    all transports around cycles are trivial.  Only a reader of the
-    certificate's `roots` or `transports` walks the face instances."""
+    pairing: proper iff each k-face class has 2^(n-k) members and trivial
+    holonomy.  A reader of the certificate's classes pays for their walk."""
     if not isinstance(arr, EightPPairing):
         raise CertificationError(f"the face-cycle check needs an "
                                  f"EightPPairing, not a {type(arr).__name__}")

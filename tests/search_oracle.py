@@ -26,7 +26,7 @@ def oracle_search(
     ctx = lattice_context()
     nf = len(ctx.lattice.faces)
     caps, walls = ctx.cycle_lengths, ctx.wall_counts
-    side_vertices = ctx.side_vertices
+    side_vertices = [side(ctx.vertices) for side in ctx.side_vertices]
     cyc = FaceCycles(8 * nf)
     size, asg = cyc.size, cyc.asg
     entries: list[list[tuple[int, int] | None]] = [
