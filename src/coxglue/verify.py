@@ -248,7 +248,7 @@ class PropernessCertificate:
         if self.links is None:
             return None
         parent, pot = self.links
-        for x in range(len(parent)):  # in place: x then links to its root
+        for x in range(len(parent)):  # in place: walks via x then jump
             r, t = parent[x], pot[x]
             while parent[r] != r:
                 t += pot[r]
@@ -308,6 +308,7 @@ def _cycles_eight(arr: EightPPairing) -> PropernessCertificate:
         # the cusps: ideal points, which the report skips, with transport
         # 0; their classes hold no other face, so they never conflict
         glue(base_i, base_k, ctx.sides_ideal[j], fp, 0)
+        uf.journal.clear()  # never rolled back: 20k ints less at the peak
     for k in dims:
         dims[k]["faces"] = 8 * face_dims.count(k)
     parent, size = uf.parent, uf.size
