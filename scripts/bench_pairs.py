@@ -20,8 +20,7 @@ attempted operations of each side.  Beside the summary, a verdict reads
 it against BENCHMARK.json: per metric the pairs won, the change of the
 median, the parent's quartile distance, whether the change stays within
 the metric's bound, and whether a claimed gain would be met (at least 9
-of 10 pairs won and a median better by more than that distance); per
-workload, whether the change fails no larger share of its operations.
+of 10 pairs won and a median better by more than that distance).
 """
 
 from __future__ import annotations
@@ -134,11 +133,6 @@ def verdict(summary: dict, end_to_end: list[dict]) -> dict:
                 "parent_quartile_distance": spread,
                 "within_bound": -gain <= metric["bound"] * abs(parent),
                 "claim_met": won >= CLAIM_SHARE * s["pairs"] and gain > spread}
-        share = {side: got["ops_failed"][side]
-                 / max(got["ops_attempted"][side], 1)
-                 for side in ("parent", "change")}
-        out[workload]["failed_share_not_larger"] = \
-            share["change"] <= share["parent"]
     return out
 
 
