@@ -40,7 +40,6 @@ from .pairing import (
     parse_8p_pairing,
     published_pairing,
     restrict_code,
-    search_pairings,
 )
 from .polytope import (
     FaceLattice,
@@ -50,6 +49,7 @@ from .polytope import (
     build_q,
     face_lattice,
 )
+from .search import search_pairings
 from .smith import SmithDecomposition, invariant_factors, smith_normal_form
 from .tables import ManifoldRecord, manifold_record, manifold_records
 from .verify import (

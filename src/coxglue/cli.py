@@ -19,6 +19,7 @@ from . import verify as vf
 from .coxeter import constants
 from .errors import CoxglueError
 from .polytope import build_polytope, build_q, face_lattice
+from .search import search_pairings
 
 JOBS_ENV = "COXGLUE_JOBS"
 
@@ -245,9 +246,9 @@ def cmd_search(args) -> int:
         for i in range(args.fix_rows):
             for j in range(27):
                 fixed[(i, j)] = arr.entries[i][j]
-    res = pg.search_pairings(fixed or None, node_budget=args.budget,
-                             time_budget_s=args.time_budget,
-                             max_solutions=args.max_solutions)
+    res = search_pairings(fixed or None, node_budget=args.budget,
+                          time_budget_s=args.time_budget,
+                          max_solutions=args.max_solutions)
     _emit(res.to_json(), args.json)
     return 0
 

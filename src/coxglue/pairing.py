@@ -1,17 +1,17 @@
-"""Side-pairing codes and gluing data for the reflected union and for
-eight abstract copies of the dimension-6 polytope.
+"""Side-pairing codes, eight-copy gluing arrays and their development
+through the reflected union of the dimension-6 polytope.
 
 A code digit is a sign pattern on the first coordinates, packed base 64,
 one per base side after the coordinate walls; decoding a code builds the
 reflected union's full per-side pairing.  The eight-copy gluings are
 8 x 27 arrays whose entries name a partner polytope and a power of the
 order-8 symmetry; developing one recovers the code digit by base side.
+The search for arrays lives in `coxglue.search`.
 """
 
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -19,7 +19,7 @@ from typing import Sequence
 from . import tables
 from .coxeter import ORDER8_SYMMETRY, sigma_permutation
 from .errors import CoxglueError
-from .lorentz import Mat, mat_mul, mat_pow, reflection_in
+from .lorentz import Mat, mat_mul, reflection_in
 from .polytope import QPolytope, RightAngledPolytope, build_polytope, build_q
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz@$"
@@ -61,7 +61,7 @@ class KElement:
 
 
 def decode_digit(c: str, dim: int = 6) -> KElement:
-    if len(c) != 1 or c not in ALPHABET:
+    if not (isinstance(c, str) and len(c) == 1 and c in ALPHABET):
         raise PairingError(f"character {c!r} outside the base-64 alphabet")
     value = ALPHABET.index(c)
     if value >= (1 << dim):
@@ -70,6 +70,8 @@ def decode_digit(c: str, dim: int = 6) -> KElement:
 
 
 def encode_digit(k: KElement) -> str:
+    if not isinstance(k, KElement) or k.code_value >= len(ALPHABET):
+        raise PairingError(f"k={k!r} is not a KElement of at most 6 signs")
     return ALPHABET[k.code_value]
 
 
@@ -163,19 +165,17 @@ class StandardContext:
 
     polytope: RightAngledPolytope
     sigma: tuple[int, ...]
-    powers: tuple[Mat, ...]
     sigma_pows: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=1)
 def standard_context() -> StandardContext:
     """The `polytope`, its side permutation `sigma` under the order-8
-    symmetry, and the symmetry's `powers` 0..7 as matrices and, in
-    `sigma_pows`, as side permutations, from `sigma_powers`."""
+    symmetry, and the symmetry's powers 0..7 as side permutations,
+    `sigma_pows`, from `sigma_powers`."""
     p6 = build_polytope(6)
     sigma = sigma_permutation(ORDER8_SYMMETRY, p6.normals, p6.vertices)
-    powers = tuple(mat_pow(ORDER8_SYMMETRY, t) for t in range(8))
-    return StandardContext(p6, sigma, powers, sigma_powers(sigma))
+    return StandardContext(p6, sigma, sigma_powers(sigma))
 
 
 def sigma_powers(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -245,6 +245,9 @@ class EightPPairing:
 def parse_8p_pairing(text: str) -> EightPPairing:
     """Parse 8 rows of 27 tokens of the form k^p; visual grouping of the
     tokens in triples is accepted and ignored."""
+    if not isinstance(text, str):
+        raise PairingError(f"text is a str of 8 rows, not a "
+                           f"{type(text).__name__}")
     rows = []
     for line in text.splitlines():
         if not line.strip():
@@ -449,179 +452,9 @@ def mutated_pairing(arr: EightPPairing, rng) -> EightPPairing:
             return cand
 
 
-# -- restricted search ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    solutions: tuple[EightPPairing, ...]
-    nodes_used: int
-    budget_exhausted: bool
-    infeasible: bool
-    complete: bool
-
-    def to_json(self) -> dict:
-        return {
-            "solutions": [[[list(e) for e in row] for row in s.entries]
-                          for s in self.solutions],
-            "nodes_used": self.nodes_used,
-            "budget_exhausted": self.budget_exhausted,
-            "infeasible": self.infeasible,
-            "complete": self.complete,
-        }
-
-
-def search_pairings(
-    fixed: dict[tuple[int, int], tuple[int, int]] | None = None,
-    node_budget: int = 10 ** 6,
-    time_budget_s: float | None = None,
-    max_solutions: int | None = None,
-) -> SearchResult:
-    """Backtracking search over the symmetry-restricted gluing arrays.
-
-    Assignments respect the involution law by construction.  Each glues
-    its side pair in one `verify.FaceCycles.glue` call, the engine of the
-    properness certificate, on its face numbering, counting each face's
-    wall crossings, 2, or 1 on a side paired with itself.  The first face
-    with a holonomy conflict, a class longer than its cycle 2^(6 - dim),
-    or a class closed (every wall of every member crossed) short of it
-    prunes it.  The lattice numbers faces highest dimension first, so
-    sides and ridges, whose cycles are shortest, are glued first and fail
-    fast.  Free slots are scored from one pass over the actual-vertex
-    instances; every table is built once, in `verify.lattice_context()`.
-    Completed arrays are confirmed by `verify.face_cycles_proper`, whose
-    verdict alone the search reads, never walking the face classes.
-    Exhausting the node or time budget is reported, never an error; a
-    search that completes without a solution is reported infeasible.
-    Before any work, a `fixed` neither None nor a dict, a `fixed` slot
-    outside the 8 x 27 array, an entry outside 0..7, a `max_solutions`
-    neither None nor an int >= 1, a `node_budget` not an int >= 0 or a
-    `time_budget_s` neither None nor finite and >= 0 raises PairingError;
-    bools are refused.
-    """
-    if type(node_budget) is not int or node_budget < 0:
-        raise PairingError(f"node_budget {node_budget!r} is not an int >= 0")
-    seconds = time_budget_s
-    if seconds is not None and (isinstance(seconds, bool) or not isinstance(
-            seconds, (int, float)) or not 0 <= seconds < float("inf")):
-        raise PairingError(f"time_budget_s {seconds!r} is not None or a "
-                           "finite number of seconds >= 0")
-    if max_solutions is not None and (type(max_solutions) is not int
-                                      or max_solutions < 1):
-        raise PairingError(f"max_solutions {max_solutions!r} is not None or "
-                           "an int >= 1")
-    if fixed is not None and not isinstance(fixed, dict):
-        raise PairingError(f"fixed {fixed!r} is not None or a dict")
-    for key, val in (fixed or {}).items():
-        for x, what, top in ((key, "slot", 27), (val, "entry", 8)):
-            if not (type(x) is tuple and len(x) == 2 and all(
-                    type(c) is int and 0 <= c < t
-                    for c, t in zip(x, (8, top)))):
-                raise PairingError(f"fixed {what} {x!r} is not a pair of "
-                                   f"ints below (8, {top})")
-
-    # imported here, as verify imports this module; the leaf looks up
-    # face_cycles_proper at call time, so perfbench/layers.py can wrap it
-    from . import verify
-    sigma_pows = standard_context().sigma_pows
-    ctx = verify.lattice_context()
-    nf = len(ctx.lattice.faces)
-    caps, walls, fperm = ctx.cycle_lengths, ctx.wall_counts, ctx.fperm
-    sides_faces, side_vertices = ctx.sides_faces, ctx.side_vertices
-    instances = [[i * nf + v for v in ctx.vertices] for i in range(8)]
-    cyc = verify.FaceCycles(8 * nf)
-    glue, parent, asg, journal = cyc.glue, cyc.parent, cyc.asg, cyc.journal
-    entries: list[list[tuple[int, int] | None]] = [
-        [None] * 27 for _ in range(8)]
-
-    def assign(i: int, j: int, k: int, p: int) -> tuple[int, int] | None:
-        """Write entry (i, j) and its involution partner and glue their
-        side pair; returns the partner slot, or None, writing nothing,
-        when a slot is taken, a side paired with itself has a power other
-        than 0 or 4, or the glue fails."""
-        j2 = sigma_pows[p][j]
-        self_paired = k == i and j2 == j
-        if entries[i][j] is not None or entries[k][j2] is not None or (
-                self_paired and p % 4):
-            return None
-        entries[i][j], entries[k][j2] = (k, p), (i, -p % 8)
-        # the partner's unions would be the inverses of these and change
-        # nothing, so each face also counts the partner face's crossing
-        if glue(i * nf, k * nf, sides_faces[j], fperm[p], p,
-                1 if self_paired else 2, caps, walls) < 0:
-            return k, j2
-        entries[i][j] = entries[k][j2] = None
-        return None
-
-    deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
-    nodes, exhausted = 0, False
-    solutions: dict[tuple, EightPPairing] = {}
-
-    if fixed:
-        for (i, j), val in sorted(fixed.items()):
-            # an entry its partner already wrote is skipped
-            if entries[i][j] != val and assign(i, j, *val) is None:
-                return SearchResult((), 0, False, True, True)
-
-    def next_slot() -> tuple[int, int] | None:
-        """Most-constrained free slot: the one whose wall vertices sit in
-        the largest partially-built orbits, read off the crossings on the
-        class of each actual-vertex instance of its copy, then summed by
-        each side's getter."""
-        best, best_score = None, -1
-        for i, row in enumerate(entries):
-            if None not in row:
-                continue
-            counted = []
-            for x in instances[i]:
-                while parent[x] != x:  # find(x), inline
-                    x = parent[x]
-                counted.append(asg[x])
-            for j in range(27):
-                if row[j] is None:
-                    score = sum(side_vertices[j](counted))
-                    if score > best_score:
-                        best, best_score = (i, j), score
-        return best
-
-    def dfs() -> bool:
-        """Returns False when the search should stop globally."""
-        nonlocal nodes, exhausted
-        if nodes >= node_budget or (
-                deadline is not None and time.monotonic() > deadline):
-            exhausted = True
-            return False
-        slot = next_slot()
-        if slot is None:
-            arr = EightPPairing(tuple(tuple(row) for row in entries))
-            if verify.face_cycles_proper(arr).proper:
-                solutions[arr.entries] = arr
-                if max_solutions is not None and len(solutions) >= max_solutions:
-                    return False
-            return True
-        i, j = slot
-        for k in range(8):
-            for p in range(8):
-                if nodes >= node_budget or (
-                        deadline is not None and time.monotonic() > deadline):
-                    exhausted = True
-                    return False
-                nodes += 1
-                mark = len(journal)
-                partner = assign(i, j, k, p)
-                if partner is not None:
-                    if not dfs():
-                        return False
-                    entries[i][j] = entries[partner[0]][partner[1]] = None
-                if len(journal) > mark:
-                    cyc.rollback(mark)
-        return True
-
-    complete = dfs() and not exhausted
-    return SearchResult(
-        tuple(solutions[key] for key in sorted(solutions)),
-        nodes,
-        exhausted,
-        complete and not solutions,
-        complete,
-    )
+def __getattr__(name: str):
+    """`search_pairings`, from `coxglue.search`, which imports verify."""
+    if name == "search_pairings":
+        from .search import search_pairings
+        return search_pairings
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

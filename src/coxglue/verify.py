@@ -15,7 +15,7 @@ from itertools import compress, count, product
 from operator import eq, itemgetter
 from typing import Sequence
 
-from .coxeter import constants
+from .coxeter import ORDER8_SYMMETRY, constants
 from .errors import CoxglueError
 from .gf2 import Gf2Matrix, bits, columns_independent, gf2_solve
 # mat_mul is unused here but stays importable: perfbench/layers.py patches it
@@ -178,7 +178,7 @@ def lattice_context() -> LatticeContext:
     lat = face_lattice(p6)
     faces = lat.faces
     vindex = {v: i for i, v in enumerate(p6.vertices)}
-    vsigma = [vindex[mat_vec(ctx.powers[1], v)] for v in p6.vertices]
+    vsigma = [vindex[mat_vec(ORDER8_SYMMETRY, v)] for v in p6.vertices]
     # sigma's image of each vertex and of each side, as a bit
     vmoved = [1 << v for v in vsigma]
     smoved = [1 << s for s in ctx.sigma_pows[1]]

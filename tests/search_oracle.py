@@ -1,4 +1,4 @@
-"""An oracle for coxglue.pairing.search_pairings: the search with each
+"""An oracle for coxglue.search.search_pairings: the search with each
 assignment's crossings counted after its unions, one find per face of
 each entry of the side pair, and each free slot scored by a find per
 vertex of its side.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from coxglue import pairing as pg
 from coxglue import verify as vf
+from coxglue.search import SearchResult
 from coxglue.verify import FaceCycles, lattice_context
 
 
@@ -19,7 +20,7 @@ def oracle_search(
     fixed: dict[tuple[int, int], tuple[int, int]] | None = None,
     node_budget: int = 10 ** 6,
     max_solutions: int | None = None,
-) -> pg.SearchResult:
+) -> SearchResult:
     """search_pairings without a time budget, counting crossings the
     slow way."""
     sigma_pows = pg.standard_context().sigma_pows
@@ -77,10 +78,10 @@ def oracle_search(
         for (i, j), (k, p) in sorted(fixed.items()):
             if entries[i][j] is not None:
                 if entries[i][j] != (k, p):
-                    return pg.SearchResult((), 0, False, True, True)
+                    return SearchResult((), 0, False, True, True)
                 continue
             if not assign(i, j, k, p)[0]:
-                return pg.SearchResult((), 0, False, True, True)
+                return SearchResult((), 0, False, True, True)
 
     slots = [(i, j) for i in range(8) for j in range(27)]
 
@@ -126,7 +127,7 @@ def oracle_search(
         return True
 
     complete = dfs() and not state["exhausted"]
-    return pg.SearchResult(
+    return SearchResult(
         tuple(solutions[key] for key in sorted(solutions)),
         state["nodes"],
         state["exhausted"],

@@ -20,6 +20,7 @@ from coxglue import tables
 from coxglue import verify as vf
 from coxglue.cli import EnvSettingError, _homology_payload, _jobs, main
 from coxglue.errors import CoxglueError
+from coxglue.search import search_pairings
 
 import quotient_assembly
 
@@ -171,7 +172,7 @@ def test_search_wants_at_least_one_solution(capsys):
     assert exc.value.code == 2
     assert "--max-solutions" in capsys.readouterr().err
     with pytest.raises(ValueError, match="max_solutions") as exc:
-        pg.search_pairings(None, max_solutions=0)
+        search_pairings(None, max_solutions=0)
     assert isinstance(exc.value, pg.PairingError)
     assert isinstance(exc.value, CoxglueError)
     code, out = run(capsys, "search", "--fix-rows", "8", "--max-solutions",

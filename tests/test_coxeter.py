@@ -239,13 +239,14 @@ def test_gluing_path_never_imports_mpmath():
     script = textwrap.dedent("""
         import sys
         from coxglue import cli, homology, pairing, polytope, tables, verify
+        from coxglue.search import search_pairings
         pairing.standard_context()
         verify.lattice_context()
         homology.truncated_cells()
         assert cli.certify_one(1)["ok"]
         for mid in range(1, 10):
             pairing.restrict_code(tables.manifold_record(mid).code)
-        result = pairing.search_pairings(None, node_budget=100)
+        result = search_pairings(None, node_budget=100)
         assert result.nodes_used == 100
         assert polytope.build_q.cache_info().currsize == 0
         pairing.decode_q_code(tables.manifold_record(1).code)

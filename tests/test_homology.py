@@ -15,8 +15,10 @@ from coxglue import homology as hm
 from coxglue import pairing as pg
 from coxglue import tables
 from coxglue import verify as vf
+from coxglue.coxeter import ORDER8_SYMMETRY
 from coxglue.gf2 import Gf2Matrix
 from coxglue.lorentz import RowSpan, det
+from coxglue.search import search_pairings
 from coxglue.smith import smith_normal_form
 
 import cusp_union_find
@@ -100,7 +102,7 @@ def test_cells_are_oriented_by_their_walls():
     tc, ctx, lctx = hm.truncated_cells(), pg.standard_context(), \
         vf.lattice_context()
     faces, n_act = lctx.lattice.faces, ctx.polytope.n_actual
-    assert det(ctx.powers[1]) == -1
+    assert det(ORDER8_SYMMETRY) == -1
     walls = []
     for key, d in zip(tc.cells, tc.cell_dim):
         own = sorted(faces[key[-1]].sides)
@@ -355,7 +357,7 @@ def test_searched_gluings_are_chain_complexes():
     unpublished proper gluings, all developing to m2's code; their
     complexes pass the boundary-squared oracle."""
     m2 = pg.published_pairing(2)
-    res = pg.search_pairings({(0, j): m2.entries[0][j] for j in range(23)})
+    res = search_pairings({(0, j): m2.entries[0][j] for j in range(23)})
     assert res.complete and res.nodes_used == 42304
     others = [s for s in res.solutions if s.entries != m2.entries]
     assert len(others) == len(res.solutions) - 1 == 7

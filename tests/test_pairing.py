@@ -10,18 +10,24 @@ import pytest
 from coxglue import pairing as pg
 from coxglue import polytope, tables
 from coxglue import verify as vf
+from coxglue.coxeter import ORDER8_SYMMETRY
 from coxglue.errors import CoxglueError
 from coxglue.lorentz import (
     identity,
     lorentz_inverse,
     mat_mul,
     mat_vec,
+    mat_pow,
     reflection_in,
 )
+from coxglue.search import search_pairings
 
 from q_sides import normal_index
 from search_oracle import oracle_search
 from wall_development import wall_develop
+
+# the order-8 symmetry's powers 0..7 as matrices
+POWERS = [mat_pow(ORDER8_SYMMETRY, t) for t in range(8)]
 
 
 def test_codec_matches_embedded_table():
@@ -39,6 +45,19 @@ def test_digit_examples():
         pg.decode_digit("%")
     with pytest.raises(pg.PairingError):
         pg.decode_digit("Z", dim=5)  # value 35 needs six signs
+
+
+@pytest.mark.parametrize("call, arg, named", [
+    (pg.parse_8p_pairing, None, "text is a str of 8 rows, not a NoneType"),
+    (pg.decode_digit, 5, "character 5 "),
+    (pg.decode_digit, True, "character True "),
+    (pg.encode_digit, "x", "k='x' is not a KElement"),
+    (pg.encode_digit, pg.KElement((-1,) * 7), "at most 6 signs"),
+], ids=["parse-None", "decode-int", "decode-bool", "encode-str",
+        "encode-seven-signs"])
+def test_text_entry_points_refuse_other_types(call, arg, named):
+    with pytest.raises(pg.PairingError, match=re.escape(named)):
+        call(arg)
 
 
 def test_code_validation():
@@ -201,7 +220,7 @@ def _neighbour_tests(arr):
     of each name.  Returns the chart and abstract copy first placed under
     each name, and whether a later arrival disagreed with one."""
     ctx = pg.standard_context()
-    inv = np.array([lorentz_inverse(p) for p in ctx.powers], dtype=np.int64)
+    inv = np.array([lorentz_inverse(p) for p in POWERS], dtype=np.int64)
     reflections = [reflection_in(u) for u in ctx.polytope.normals]
     steps = np.einsum("jab,pbc->jpac",
                       np.array(reflections, dtype=np.int64), inv)
@@ -235,9 +254,8 @@ def test_development_keys_match_old_route():
     published gluings and on mutated ones; the integer walk raises
     exactly when the matrix walk meets a copy twice with different
     charts."""
-    ctx = pg.standard_context()
-    powers = np.array(ctx.powers, dtype=np.int64)
-    inv = np.array([lorentz_inverse(p) for p in ctx.powers], dtype=np.int64)
+    powers = np.array(POWERS, dtype=np.int64)
+    inv = np.array([lorentz_inverse(p) for p in POWERS], dtype=np.int64)
     rng = random.Random(2024)
     m1 = pg.published_pairing(1)
     arrays = [pg.published_pairing(mid) for mid in range(1, 10)]
@@ -267,7 +285,7 @@ def test_chart_facts_of_the_integer_walk():
     s - 6; the powers of sigma are pairwise incongruent mod two."""
     ctx = pg.standard_context()
     reflections = [reflection_in(u) for u in ctx.polytope.normals]
-    for a, g in enumerate(ctx.powers):
+    for a, g in enumerate(POWERS):
         g_inv = lorentz_inverse(g)
         for j, r in enumerate(reflections):
             assert mat_mul(mat_mul(g, r), g_inv) == \
@@ -284,7 +302,7 @@ def test_chart_facts_of_the_integer_walk():
             assert side.group == s - 6
             assert side.normal == \
                 mat_vec(pg.KElement.from_value(k, 6).matrix(), u)
-    mod2 = {tuple(tuple(e % 2 for e in row) for row in g) for g in ctx.powers}
+    mod2 = {tuple(tuple(e % 2 for e in row) for row in g) for g in POWERS}
     assert len(mod2) == 8
 
 
@@ -454,7 +472,7 @@ def test_sigma_powers_checks_the_eighth_power():
 
 
 def test_search_budget_zero():
-    res = pg.search_pairings(None, node_budget=0)
+    res = search_pairings(None, node_budget=0)
     assert res.solutions == ()
     assert res.budget_exhausted
     assert not res.complete
@@ -466,11 +484,11 @@ def test_search_leaf_reached_with_the_budget_spent():
     default budget confirms it without taking a node."""
     arr = pg.published_pairing(1)
     fixed = {(i, j): arr.entries[i][j] for i in range(8) for j in range(27)}
-    res = pg.search_pairings(fixed, node_budget=0)
+    res = search_pairings(fixed, node_budget=0)
     assert res.solutions == ()
     assert res.budget_exhausted and not res.complete
     assert res.nodes_used == 0
-    res = pg.search_pairings(fixed)
+    res = search_pairings(fixed)
     assert [s.entries for s in res.solutions] == [arr.entries]
     assert res.nodes_used == 0
 
@@ -478,7 +496,7 @@ def test_search_leaf_reached_with_the_budget_spent():
 def test_search_infeasible_constraints():
     # entry and its forced partner disagree
     fixed = {(0, 0): (1, 0), (1, 0): (2, 0)}
-    res = pg.search_pairings(fixed, node_budget=100)
+    res = search_pairings(fixed, node_budget=100)
     assert res.infeasible
     assert res.solutions == ()
 
@@ -491,7 +509,7 @@ def test_search_from_first_row_rediscovers_published(mid, first, nodes):
     arr = pg.published_pairing(mid).relabeled(
         [(x - first) % 8 for x in range(8)])
     fixed = {(0, j): arr.entries[0][j] for j in range(27)}
-    res = pg.search_pairings(fixed)
+    res = search_pairings(fixed)
     assert res.complete
     assert res.nodes_used == nodes
     assert [s.entries for s in res.solutions] == [arr.entries]
@@ -504,7 +522,7 @@ def test_search_exhausted_without_solution_is_infeasible():
     fixed = {(0, j): arr.entries[0][j] for j in range(27)}
     k, p = fixed[(0, 4)]
     fixed[(0, 4)] = (k, (p + 1) % 8)
-    res = pg.search_pairings(fixed, node_budget=10 ** 5)
+    res = search_pairings(fixed, node_budget=10 ** 5)
     assert res.complete and not res.budget_exhausted
     assert res.nodes_used == 256
     assert res.solutions == ()
@@ -532,7 +550,7 @@ def _m9_row_with_negative_power() -> dict:
 ])
 def test_search_rejects_bad_fixed_entries(fixed, named):
     with pytest.raises(ValueError, match=re.escape(named)) as exc:
-        pg.search_pairings(fixed, node_budget=10)
+        search_pairings(fixed, node_budget=10)
     assert isinstance(exc.value, pg.PairingError)
     assert isinstance(exc.value, CoxglueError)
 
@@ -564,7 +582,7 @@ def test_search_rejects_bad_budgets_before_any_work(budgets, named,
 
     monkeypatch.setattr(vf, "lattice_context", no_work)
     with pytest.raises(pg.PairingError, match=re.escape(named)):
-        pg.search_pairings(None, **budgets)
+        search_pairings(None, **budgets)
 
 
 def _first_row(mid: int, seed: int | None) -> dict:
@@ -603,7 +621,7 @@ def test_search_matches_the_oracle(fixed, budget, solved):
     """Counting crossings at each union and scoring slots from one pass
     over the vertex instances prune, choose and find exactly what
     counting them after the unions and scoring by finds does."""
-    res = pg.search_pairings(fixed, node_budget=budget)
+    res = search_pairings(fixed, node_budget=budget)
     assert res == oracle_search(fixed, node_budget=budget)
     assert res.complete == (fixed is not None)
     assert bool(res.solutions) == solved
@@ -625,7 +643,7 @@ def test_search_pruning_agrees_with_certification(monkeypatch):
                for _ in range(20)]
     for n, arr in enumerate(arrays):
         fixed = {(i, j): arr.entries[i][j] for i in range(8) for j in range(27)}
-        res = pg.search_pairings(fixed)
+        res = search_pairings(fixed)
         assert res.complete and res.nodes_used == 0
         proper = face_cycles_proper(arr).proper
         assert proper == (n < 9)

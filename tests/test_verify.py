@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from coxglue import pairing as pg
 from coxglue import tables
 from coxglue import verify as vf
-from coxglue.coxeter import sigma_permutation
+from coxglue.coxeter import ORDER8_SYMMETRY, sigma_permutation
 from coxglue.gf2 import Gf2Matrix
-from coxglue.lorentz import identity, lorentz_inner, mat_mul
+from coxglue.lorentz import identity, lorentz_inner, mat_mul, mat_pow
 from coxglue.polytope import build_polytope
+from coxglue.search import search_pairings
 
 from cycle_report import instance_walk_report
 from q_face_map import vertex_image_targets
@@ -223,8 +224,8 @@ def test_context_fields_agree():
     normals, vertices = ctx.polytope.normals, ctx.polytope.vertices
     assert ctx.sigma_pows[1] == ctx.sigma
     for p in range(8):
-        assert sigma_permutation(ctx.powers[p], normals, vertices) == \
-            ctx.sigma_pows[p]
+        assert sigma_permutation(mat_pow(ORDER8_SYMMETRY, p), normals,
+                                 vertices) == ctx.sigma_pows[p]
     for perms in (lctx.fperm, lctx.vperm):
         power = tuple(range(len(perms[1])))
         for p in range(8):
@@ -637,7 +638,7 @@ def test_the_verdict_never_walks_the_classes():
     arr = pg.published_pairing(3)
     fixed = {(i, j): arr.entries[i][j] for i in range(8) for j in range(27)}
     for reader in (lambda: vf.certify_manifold(arr).proper,
-                   lambda: pg.search_pairings(fixed).solutions and
+                   lambda: search_pairings(fixed).solutions and
                    vf.face_cycles_proper(arr)):
         vf._cycles_eight.cache_clear()
         cert = reader()
