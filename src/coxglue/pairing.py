@@ -70,7 +70,7 @@ def decode_digit(c: str, dim: int = 6) -> KElement:
 
 
 def encode_digit(k: KElement) -> str:
-    if not isinstance(k, KElement) or k.code_value >= len(ALPHABET):
+    if not isinstance(k, KElement) or len(k.signs) > 6:
         raise PairingError(f"k={k!r} is not a KElement of at most 6 signs")
     return ALPHABET[k.code_value]
 
@@ -458,3 +458,7 @@ def __getattr__(name: str):
         from .search import search_pairings
         return search_pairings
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return list({*globals(), "search_pairings"})

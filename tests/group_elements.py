@@ -1,12 +1,17 @@
 """Test-local group checks on exact Lorentzian matrices: the order of a
-product, the closure of a finite generating set, and form preservation."""
+product, the closure of a finite generating set, form preservation, and
+the powers of the order-8 symmetry."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from coxglue.coxeter import OrbitBoundExceeded
-from coxglue.lorentz import Mat, form_matrix, identity, mat_mul, transpose
+from coxglue.coxeter import ORDER8_SYMMETRY, OrbitBoundExceeded
+from coxglue.lorentz import (Mat, form_matrix, identity, mat_mul, mat_pow,
+                             transpose)
+
+# the order-8 symmetry's powers 0..7 as matrices
+SIGMA_POWERS = tuple(mat_pow(ORDER8_SYMMETRY, t) for t in range(8))
 
 
 class ProductOrderUnbounded(RuntimeError):

@@ -10,24 +10,20 @@ import pytest
 from coxglue import pairing as pg
 from coxglue import polytope, tables
 from coxglue import verify as vf
-from coxglue.coxeter import ORDER8_SYMMETRY
 from coxglue.errors import CoxglueError
 from coxglue.lorentz import (
     identity,
     lorentz_inverse,
     mat_mul,
     mat_vec,
-    mat_pow,
     reflection_in,
 )
 from coxglue.search import search_pairings
 
+from group_elements import SIGMA_POWERS
 from q_sides import normal_index
 from search_oracle import oracle_search
 from wall_development import wall_develop
-
-# the order-8 symmetry's powers 0..7 as matrices
-POWERS = [mat_pow(ORDER8_SYMMETRY, t) for t in range(8)]
 
 
 def test_codec_matches_embedded_table():
@@ -53,8 +49,9 @@ def test_digit_examples():
     (pg.decode_digit, True, "character True "),
     (pg.encode_digit, "x", "k='x' is not a KElement"),
     (pg.encode_digit, pg.KElement((-1,) * 7), "at most 6 signs"),
+    (pg.encode_digit, pg.KElement((1,) * 7), "at most 6 signs"),
 ], ids=["parse-None", "decode-int", "decode-bool", "encode-str",
-        "encode-seven-signs"])
+        "encode-seven-signs", "encode-seven-signs-value-0"])
 def test_text_entry_points_refuse_other_types(call, arg, named):
     with pytest.raises(pg.PairingError, match=re.escape(named)):
         call(arg)
@@ -220,7 +217,7 @@ def _neighbour_tests(arr):
     of each name.  Returns the chart and abstract copy first placed under
     each name, and whether a later arrival disagreed with one."""
     ctx = pg.standard_context()
-    inv = np.array([lorentz_inverse(p) for p in POWERS], dtype=np.int64)
+    inv = np.array([lorentz_inverse(p) for p in SIGMA_POWERS], dtype=np.int64)
     reflections = [reflection_in(u) for u in ctx.polytope.normals]
     steps = np.einsum("jab,pbc->jpac",
                       np.array(reflections, dtype=np.int64), inv)
@@ -254,8 +251,8 @@ def test_development_keys_match_old_route():
     published gluings and on mutated ones; the integer walk raises
     exactly when the matrix walk meets a copy twice with different
     charts."""
-    powers = np.array(POWERS, dtype=np.int64)
-    inv = np.array([lorentz_inverse(p) for p in POWERS], dtype=np.int64)
+    powers = np.array(SIGMA_POWERS, dtype=np.int64)
+    inv = np.array([lorentz_inverse(p) for p in SIGMA_POWERS], dtype=np.int64)
     rng = random.Random(2024)
     m1 = pg.published_pairing(1)
     arrays = [pg.published_pairing(mid) for mid in range(1, 10)]
@@ -285,7 +282,7 @@ def test_chart_facts_of_the_integer_walk():
     s - 6; the powers of sigma are pairwise incongruent mod two."""
     ctx = pg.standard_context()
     reflections = [reflection_in(u) for u in ctx.polytope.normals]
-    for a, g in enumerate(POWERS):
+    for a, g in enumerate(SIGMA_POWERS):
         g_inv = lorentz_inverse(g)
         for j, r in enumerate(reflections):
             assert mat_mul(mat_mul(g, r), g_inv) == \
@@ -302,7 +299,7 @@ def test_chart_facts_of_the_integer_walk():
             assert side.group == s - 6
             assert side.normal == \
                 mat_vec(pg.KElement.from_value(k, 6).matrix(), u)
-    mod2 = {tuple(tuple(e % 2 for e in row) for row in g) for g in POWERS}
+    mod2 = {tuple(tuple(e % 2 for e in row) for row in g) for g in SIGMA_POWERS}
     assert len(mod2) == 8
 
 

@@ -56,6 +56,8 @@ def test_search_module_imports_verify_at_the_top():
 
     assert pg.search_pairings is coxglue.search_pairings \
         is search.search_pairings
+    # perfbench/selftest.py finds the patch sites it checks through dir()
+    assert "search_pairings" in dir(pg)
 
 
 def test_every_leaf_the_search_reaches_is_proper(monkeypatch):

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from coxglue import pairing as pg
 from coxglue import tables
 from coxglue import verify as vf
-from coxglue.coxeter import ORDER8_SYMMETRY, sigma_permutation
+from coxglue.coxeter import sigma_permutation
 from coxglue.gf2 import Gf2Matrix
-from coxglue.lorentz import identity, lorentz_inner, mat_mul, mat_pow
+from coxglue.lorentz import identity, lorentz_inner, mat_mul
 from coxglue.polytope import build_polytope
 from coxglue.search import search_pairings
 
 from cycle_report import instance_walk_report
+from group_elements import SIGMA_POWERS
 from q_face_map import vertex_image_targets
 from q_lattice_route import flip_targets, lattice_route
 from transport_union_find import TransportUnionFind
@@ -223,8 +224,8 @@ def test_context_fields_agree():
     ctx, lctx = pg.standard_context(), vf.lattice_context()
     normals, vertices = ctx.polytope.normals, ctx.polytope.vertices
     assert ctx.sigma_pows[1] == ctx.sigma
-    for p in range(8):
-        assert sigma_permutation(mat_pow(ORDER8_SYMMETRY, p), normals,
+    for p, g in enumerate(SIGMA_POWERS):
+        assert sigma_permutation(g, normals,
                                  vertices) == ctx.sigma_pows[p]
     for perms in (lctx.fperm, lctx.vperm):
         power = tuple(range(len(perms[1])))

@@ -20,12 +20,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from coxglue import homology as hm
-from coxglue.coxeter import ORDER8_SYMMETRY
-from coxglue.lorentz import (RowSpan, Vec, det, lorentz_inner, mat_pow,
+from coxglue.lorentz import (RowSpan, Vec, det, lorentz_inner,
                              mat_vec, primitive)
 from coxglue.pairing import standard_context
 from coxglue.polytope import Face, FaceLattice
 from coxglue.verify import lattice_context
+
+from group_elements import SIGMA_POWERS
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,8 @@ def truncated_geometry() -> TruncatedGeometry:
         frame_sign.append(det_sign(rows, cols))
 
     point_id = {v: i for i, v in enumerate(points)}
-    powers = [mat_pow(ORDER8_SYMMETRY, t) for t in range(8)]
     pt_perm = tuple(tuple(point_id[primitive(mat_vec(m, v))] for v in points)
-                    for m in powers)
+                    for m in SIGMA_POWERS)
     for perm, cperm in zip(pt_perm, tc.cell_perm):
         for pts, img in zip(cell_points, cperm):
             if tuple(sorted(perm[p] for p in pts)) != cell_points[img]:
