@@ -50,10 +50,6 @@ class Gf2Matrix:
     def identity(cls, n: int) -> "Gf2Matrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
     def row_list(self) -> list[list[int]]:
         return [[(b >> j) & 1 for j in range(self.cols)] for b in self.bits]
 

@@ -35,18 +35,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def form_matrix(n: int) -> Mat:
-    """diag(1, ..., 1, -1) of size n."""
-    return tuple(
-        tuple((-1 if i == n - 1 else 1) if i == j else 0 for j in range(n))
-        for i in range(n)
-    )
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
 def mat_vec(m: Mat, v: Sequence[int]) -> Vec:
     if len(m[0]) != len(v):
         raise DimensionMismatch("matrix/vector size")
@@ -61,8 +49,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_pow(m: Mat, k: int) -> Mat:
-    if k < 0:
-        return mat_pow(lorentz_inverse(m), -k)
+    if type(k) is not int or k < 0:
+        raise ValueError(f"power k={k!r} is not an int >= 0")
     out = identity(len(m))
     base = m
     while k:
@@ -71,16 +59,6 @@ def mat_pow(m: Mat, k: int) -> Mat:
         base = mat_mul(base, base)
         k >>= 1
     return out
-
-
-def lorentz_inverse(m: Mat) -> Mat:
-    """Inverse of a form-preserving matrix: J M^T J."""
-    n = len(m)
-    j = form_matrix(n)
-    inv = mat_mul(mat_mul(j, transpose(m)), j)
-    if mat_mul(m, inv) != identity(n):
-        raise ValueError("matrix is not form-preserving")
-    return inv
 
 
 def reflection_in(u: Sequence[int]) -> Mat:

@@ -40,8 +40,9 @@ class KElement:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(s not in (1, -1) for s in self.signs):
-            raise PairingError("signs must be +-1")
+        if not (isinstance(self.signs, tuple)
+                and all(type(s) is int and s in (1, -1) for s in self.signs)):
+            raise PairingError(f"signs={self.signs!r} is not a tuple of +-1")
 
     @property
     def code_value(self) -> int:
@@ -55,14 +56,18 @@ class KElement:
 
     @classmethod
     def from_value(cls, value: int, n: int) -> "KElement":
-        if not 0 <= value < (1 << n):
-            raise PairingError(f"value {value} out of range for {n} signs")
+        if type(n) is not int or n < 0:
+            raise PairingError(f"n={n!r} is not an int >= 0")
+        if type(value) is not int or not 0 <= value < (1 << n):
+            raise PairingError(f"value {value!r} out of range for {n} signs")
         return cls(tuple(1 - 2 * ((value >> i) & 1) for i in range(n)))
 
 
 def decode_digit(c: str, dim: int = 6) -> KElement:
     if not (isinstance(c, str) and len(c) == 1 and c in ALPHABET):
         raise PairingError(f"character {c!r} outside the base-64 alphabet")
+    if type(dim) is not int or not 1 <= dim <= 6:
+        raise PairingError(f"dim={dim!r} is not an int in 1..6")
     value = ALPHABET.index(c)
     if value >= (1 << dim):
         raise PairingError(f"digit {c!r} exceeds the {dim}-sign range")
@@ -412,6 +417,8 @@ def mutated_pairing(arr: EightPPairing, rng) -> EightPPairing:
     """Rewrite one random entry to a random new value, then repair the
     involution law by re-pairing the displaced slots; the result satisfies
     the involution law but differs from the input."""
+    if not isinstance(arr, EightPPairing):
+        raise PairingError(f"arr={arr!r} is not an EightPPairing")
     sigma_pows = standard_context().sigma_pows
     while True:
         entries = [list(row) for row in arr.entries]

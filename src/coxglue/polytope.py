@@ -75,20 +75,6 @@ class RightAngledPolytope:
         return {(i, j) for i, j in combinations(range(len(self.normals)), 2)
                 if lorentz_inner(self.normals[i], self.normals[j]) == 0}
 
-    def validate(self) -> None:
-        for u in self.normals:
-            if lorentz_inner(u, u) != 1:
-                raise LatticeError("side normal is not a unit vector")
-            for v in self.vertices:
-                if lorentz_inner(u, v) > 0:
-                    raise LatticeError("normal is not outward")
-        for v in self.actual_vertices:
-            if lorentz_inner(v, v) >= 0:
-                raise LatticeError("actual vertex is not timelike")
-        for v in self.ideal_vertices:
-            if lorentz_inner(v, v) != 0:
-                raise LatticeError("ideal vertex is not lightlike")
-
 
 def _side_sort_key(u: Vec) -> tuple:
     support = [i for i, c in enumerate(u[:-1]) if c]
@@ -127,7 +113,6 @@ def build_polytope(n: int) -> RightAngledPolytope:
         raise LatticeError(f"sides 1..{n} are not the coordinate walls "
                            f"-e_1..-e_{n} alone")
     poly = RightAngledPolytope(n, normals, actual, ideal)
-    poly.validate()
     if n == 6:
         want_normals = tables.p6_side_normals()
         if normals != want_normals:
@@ -270,15 +255,6 @@ class FaceLattice:
 
     def vertex_ids(self, face: Face) -> tuple[int, ...]:
         return tuple(bits(face.vertex_mask))
-
-    def validate(self) -> None:
-        normals = self.polytope.normals
-        for f in self.faces:
-            if not f.ideal_point and any(
-                    lorentz_inner(normals[a], normals[b])
-                    for a, b in combinations(f.sides, 2)):
-                raise _face_error(f.sides, f.dim,
-                                  "sides are not pairwise perpendicular")
 
 
 def _one_based(sides: Iterable[int]) -> list[int]:

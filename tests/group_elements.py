@@ -7,8 +7,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from coxglue.coxeter import ORDER8_SYMMETRY, OrbitBoundExceeded
-from coxglue.lorentz import (Mat, form_matrix, identity, mat_mul, mat_pow,
-                             transpose)
+from coxglue.lorentz import Mat, identity, mat_mul, mat_pow
 
 # the order-8 symmetry's powers 0..7 as matrices
 SIGMA_POWERS = tuple(mat_pow(ORDER8_SYMMETRY, t) for t in range(8))
@@ -51,9 +50,11 @@ def group_closure(gens: Sequence[Mat], bound: int = 10 ** 7) -> list[Mat]:
 
 
 def is_form_preserving(m: Mat) -> bool:
+    """M^T J M == J for J = diag(1, ..., 1, -1)."""
     n = len(m)
-    j = form_matrix(n)
-    return mat_mul(mat_mul(transpose(m), j), m) == j
+    j = tuple(tuple((-1 if i == n - 1 else 1) if i == k else 0
+                    for k in range(n)) for i in range(n))
+    return mat_mul(mat_mul(tuple(zip(*m)), j), m) == j
 
 
 def is_positive_lorentzian(m: Mat) -> bool:

@@ -32,7 +32,7 @@ def test_identity_system_returns_target():
 
 
 def test_zero_matrix_has_no_solution():
-    m = Gf2Matrix.zero(4, 3)
+    m = Gf2Matrix(4, 3, (0,) * 4)
     sol = gf2_solve(m, 0b0010)
     assert not sol.consistent
     assert sol.rank == 0 and sol.augmented_rank == 1

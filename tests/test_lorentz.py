@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import pytest
 
@@ -9,12 +10,11 @@ from coxglue.lorentz import (
     DimensionMismatch,
     RowSpan,
     det,
-    form_matrix,
     identity,
     lorentz_inner,
-    lorentz_inverse,
     mat,
     mat_mul,
+    mat_pow,
     mat_vec,
     primitive,
     reflection_in,
@@ -109,9 +109,26 @@ def test_reflection_involution_and_positivity():
     for u in (U7, U22, (-1, 0, 0, 0, 0, 0, 0)):
         r = reflection_in(u)
         assert mat_mul(r, r) == identity(7)
-        assert lorentz_inverse(r) == r
         assert is_form_preserving(r) and is_positive_lorentzian(r)
         assert det(r) == -1
+
+
+@pytest.mark.parametrize("k", [-1, -8, 2.5, True])
+def test_mat_pow_refuses_anything_but_an_int_at_least_zero(k):
+    """A negative k would loop forever, as k >>= 1 stays at -1: an alarm
+    fails the test instead of letting it hang."""
+    def hung(signum, frame):
+        raise AssertionError(f"mat_pow(., {k!r}) did not return in 5 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match=f"power k={k!r} is not an int"):
+            mat_pow(ORDER8_SYMMETRY, k)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert mat_pow(ORDER8_SYMMETRY, 0) == identity(7)
 
 
 def test_reflection_fixes_perpendicular():
@@ -125,7 +142,10 @@ def test_reflection_fixes_perpendicular():
 def test_is_positive_lorentzian():
     assert is_positive_lorentzian(DECK_GENERATOR)
     assert is_positive_lorentzian(ORDER8_SYMMETRY)
-    assert not is_positive_lorentzian(form_matrix(7))  # time reversing
+    time_reversal = tuple(tuple((-1 if i == 6 else 1) if i == j else 0
+                                for j in range(7)) for i in range(7))
+    assert is_form_preserving(time_reversal)
+    assert not is_positive_lorentzian(time_reversal)
     assert is_positive_lorentzian(LONGEST_ELEMENT_DIM8)
     assert not is_positive_lorentzian(((1, 0), (1, 1)))
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from coxglue import verify as vf
 from coxglue.errors import CoxglueError
 from coxglue.lorentz import (
     identity,
-    lorentz_inverse,
     mat_mul,
     mat_vec,
     reflection_in,
@@ -50,9 +50,22 @@ def test_digit_examples():
     (pg.encode_digit, "x", "k='x' is not a KElement"),
     (pg.encode_digit, pg.KElement((-1,) * 7), "at most 6 signs"),
     (pg.encode_digit, pg.KElement((1,) * 7), "at most 6 signs"),
+    (pg.KElement, 5, "signs=5 is not a tuple of +-1"),
+    (pg.KElement, (True, -1), "signs=(True, -1) is not a tuple"),
+    (partial(pg.KElement.from_value, n=6), "x", "value 'x' out of range"),
+    (partial(pg.KElement.from_value, n=6), True, "value True out of range"),
+    (partial(pg.KElement.from_value, 1), "x", "n='x' is not an int >= 0"),
+    (partial(pg.decode_digit, "0"), "x", "dim='x' is not an int in 1..6"),
+    (partial(pg.decode_digit, "0"), True, "dim=True is not an int"),
+    (partial(pg.mutated_pairing, rng=random.Random(0)), 5,
+     "arr=5 is not an EightPPairing"),
 ], ids=["parse-None", "decode-int", "decode-bool", "encode-str",
-        "encode-seven-signs", "encode-seven-signs-value-0"])
+        "encode-seven-signs", "encode-seven-signs-value-0", "kelement-int",
+        "kelement-bool-sign", "from-value-str", "from-value-bool",
+        "from-value-str-n", "decode-str-dim", "decode-bool-dim",
+        "mutate-int"])
 def test_text_entry_points_refuse_other_types(call, arg, named):
+    """The codec and the element constructors name what they refuse."""
     with pytest.raises(pg.PairingError, match=re.escape(named)):
         call(arg)
 
@@ -217,7 +230,7 @@ def _neighbour_tests(arr):
     of each name.  Returns the chart and abstract copy first placed under
     each name, and whether a later arrival disagreed with one."""
     ctx = pg.standard_context()
-    inv = np.array([lorentz_inverse(p) for p in SIGMA_POWERS], dtype=np.int64)
+    inv = np.array([SIGMA_POWERS[-t % 8] for t in range(8)], dtype=np.int64)
     reflections = [reflection_in(u) for u in ctx.polytope.normals]
     steps = np.einsum("jab,pbc->jpac",
                       np.array(reflections, dtype=np.int64), inv)
@@ -252,7 +265,7 @@ def test_development_keys_match_old_route():
     exactly when the matrix walk meets a copy twice with different
     charts."""
     powers = np.array(SIGMA_POWERS, dtype=np.int64)
-    inv = np.array([lorentz_inverse(p) for p in SIGMA_POWERS], dtype=np.int64)
+    inv = np.array([SIGMA_POWERS[-t % 8] for t in range(8)], dtype=np.int64)
     rng = random.Random(2024)
     m1 = pg.published_pairing(1)
     arrays = [pg.published_pairing(mid) for mid in range(1, 10)]
@@ -283,7 +296,7 @@ def test_chart_facts_of_the_integer_walk():
     ctx = pg.standard_context()
     reflections = [reflection_in(u) for u in ctx.polytope.normals]
     for a, g in enumerate(SIGMA_POWERS):
-        g_inv = lorentz_inverse(g)
+        g_inv = SIGMA_POWERS[-a % 8]
         for j, r in enumerate(reflections):
             assert mat_mul(mat_mul(g, r), g_inv) == \
                 reflections[ctx.sigma_pows[a][j]]

@@ -4,6 +4,7 @@ import dataclasses
 import re
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
 
 import pytest
 
@@ -122,9 +123,25 @@ def test_vertex_side_counts():
         assert count == (6 if vid < p6.n_actual else 10)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_normals_are_outward_units_and_vertices_are_time_or_lightlike(n):
+    """The normals are an orbit of a unit seed, the vertices orbits of a
+    timelike and a lightlike seed, all under integral isometries."""
+    poly = build_polytope(n)
+    assert all(lorentz_inner(u, u) == 1 for u in poly.normals)
+    assert all(lorentz_inner(u, v) <= 0
+               for u in poly.normals for v in poly.vertices)
+    assert all(lorentz_inner(v, v) < 0 for v in poly.actual_vertices)
+    assert all(lorentz_inner(v, v) == 0 for v in poly.ideal_vertices)
+
+
 def test_face_side_sets_are_perpendicular():
     for lat in _spec_lattices():
-        lat.validate()
+        normals = lat.polytope.normals
+        for f in lat.faces:
+            if not f.ideal_point:
+                assert not any(lorentz_inner(normals[a], normals[b])
+                               for a, b in combinations(f.sides, 2)), f
 
 
 def test_covers_are_graded():
@@ -265,15 +282,6 @@ def test_actual_line_counts_match_conjugacy_table():
     for n, (a, l) in want.items():
         c = face_lattice(build_polytope(n)).census()
         assert (c["actual_vertices"], c["line_edges"]) == (a, l)
-
-
-def test_validate_names_a_face_with_oblique_sides():
-    lat = FaceLattice(build_polytope(3))
-    lat.faces[1].sides = frozenset({0, 3})
-    with pytest.raises(LatticeError, match=re.escape(
-            "face on sides [1, 4] of dim 2: sides are not pairwise "
-            "perpendicular")):
-        lat.validate()
 
 
 def test_side_layout_puts_the_coordinate_walls_first(monkeypatch):

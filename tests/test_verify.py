@@ -744,15 +744,23 @@ def test_source_modules_read_every_name_they_import():
 
 
 def test_source_definitions_are_named_elsewhere():
-    """A function, class or method that no code in src/, tests/ or
-    perfbench/ names is dead.  A name counts as named where code reads it
-    as a name or an attribute, imports it, or holds it as a string, the
-    way perfbench/layers.py names the attributes it patches.  Dunder
-    methods are exempt: Python calls them."""
+    """A function, class or method that no code in src/, perfbench/, the
+    acceptance gate or a test helper module names is dead: a name that
+    only the unit tests (tests/test_*.py) read serves no user path.  A
+    name counts as named where code reads it as a name or an attribute,
+    imports it, or holds it as a string, the way perfbench/layers.py
+    names the attributes it patches.  Dunder methods are exempt: Python
+    calls them."""
     root = Path(__file__).resolve().parents[1]
+    tests = [p for p in sorted((root / "tests").glob("*.py"))
+             if p.name == "test_acceptance.py"
+             or not p.name.startswith("test_")]
     named, defined = set(), []
-    for folder in ("src", "tests", "perfbench"):
-        for path in sorted((root / folder).rglob("*.py")):
+    for folder, paths in (("src", sorted((root / "src").rglob("*.py"))),
+                          ("tests", tests),
+                          ("perfbench",
+                           sorted((root / "perfbench").rglob("*.py")))):
+        for path in paths:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name):
                     named.add(node.id)
