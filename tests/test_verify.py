@@ -752,30 +752,27 @@ def test_source_definitions_are_named_elsewhere():
     names the attributes it patches.  Dunder methods are exempt: Python
     calls them."""
     root = Path(__file__).resolve().parents[1]
-    tests = [p for p in sorted((root / "tests").glob("*.py"))
-             if p.name == "test_acceptance.py"
-             or not p.name.startswith("test_")]
+    src = sorted((root / "src").rglob("*.py"))
+    helpers = [p for p in sorted((root / "tests").glob("*.py"))
+               if p.name == "test_acceptance.py"
+               or not p.name.startswith("test_")]
     named, defined = set(), []
-    for folder, paths in (("src", sorted((root / "src").rglob("*.py"))),
-                          ("tests", tests),
-                          ("perfbench",
-                           sorted((root / "perfbench").rglob("*.py")))):
-        for path in paths:
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    named.add(node.asname or node.name.split(".")[-1])
-                elif isinstance(node, ast.Constant) and isinstance(
-                        node.value, str):
-                    named.add(node.value)
-                elif (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                      and folder == "src"
-                      and not (node.name.startswith("__")
-                               and node.name.endswith("__"))):
-                    defined.append((path.stem, node.name))
+    for path in src + helpers + sorted((root / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str):
+                named.add(node.value)
+            elif (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and path in src
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__"))):
+                defined.append((path.stem, node.name))
     assert len(defined) > 100
     unnamed = [d for d in defined if d[1] not in named]
     assert not unnamed, unnamed
