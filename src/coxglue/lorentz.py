@@ -130,7 +130,8 @@ def det(m: Mat) -> int:
 
 
 class RowSpan:
-    """Incremental exact integer row space; used for dimension pruning."""
+    """Incremental exact integer row space: the face lattice's dimension
+    count for the faces whose rank mod 2 falls short."""
 
     def __init__(self) -> None:
         self._basis: list[tuple[int, ...]] = []

@@ -419,6 +419,8 @@ def mutated_pairing(arr: EightPPairing, rng) -> EightPPairing:
     the involution law but differs from the input."""
     if not isinstance(arr, EightPPairing):
         raise PairingError(f"arr={arr!r} is not an EightPPairing")
+    if not callable(getattr(rng, "randrange", None)):
+        raise PairingError(f"rng={rng!r} has no randrange")
     sigma_pows = standard_context().sigma_pows
     while True:
         entries = [list(row) for row in arr.entries]

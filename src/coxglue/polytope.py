@@ -11,11 +11,14 @@ polytope itself is the empty set. The faces of codimension k + 1 come from
 extending each face S of codimension k by every side a > max(S) that is
 perpendicular to all of S and meets it. Faces are numbered by codimension,
 then lexicographically by sorted sides, with the ideal points last in
-vertex order, so every cover list comes out ascending. An exact rank check
-on its vertices certifies each face's dimension, and the sides containing
-those vertices must be exactly S. The sides of S are spacelike (checked
-once) and pairwise perpendicular, so independent, and hold every vertex of
-the face: the rank check stops at its bound n + 1 - |S|, exact below it.
+vertex order, so every cover list comes out ascending. A face's dimension
+is the rank of its vertices less 1, and the sides containing those
+vertices must be exactly S. The sides of S are spacelike (checked once)
+and pairwise perpendicular, so independent, and hold every vertex of the
+face: the rank is at most min(n + 1 - |S|, number of vertices). The rank
+of the vertices reduced mod 2 is at most the rank, so a face whose rank
+mod 2 reaches that bound has it exactly; only the other faces are counted
+by exact integer elimination, which stops at the bound.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Iterable, Sequence
 from . import tables
 from .coxeter import group_orbit, outward_canonical, symmetry_generators
 from .errors import CoxglueError
-from .gf2 import bits
+from .gf2 import _basis, bits
 from .lorentz import RowSpan, Vec, lorentz_inner
 
 
@@ -159,6 +162,7 @@ class FaceLattice:
         inc = poly.incidence_masks()
         smask = poly.side_masks(inc)
         homog = poly.vertices
+        mod2 = [sum((c & 1) << i for i, c in enumerate(v)) for v in homog]
         actual = (1 << poly.n_actual) - 1
         perp = [0] * nsides
         for i, j in poly.perpendicular_pairs():
@@ -168,14 +172,19 @@ class FaceLattice:
         def add_face(vmask: int, sbits: int | None = None) -> int:
             """Record a face: a non-ideal one with its sides `sbits`, which
             must be all sides at its vertices; an ideal point with those."""
-            span = RowSpan()
             closure = all_sides
-            bound = n + 1 - (sbits or 0).bit_count()
-            for vid in bits(vmask):
-                if span.rank < bound:
-                    span.add(homog[vid])
+            vids = list(bits(vmask))
+            for vid in vids:
                 closure &= smask[vid]
-            dim = span.rank - 1
+            bound = min(n + 1 - (sbits or 0).bit_count(), len(vids))
+            rank = len(_basis([mod2[vid] for vid in vids]))
+            if rank < bound:  # not certified mod 2: count exactly
+                span = RowSpan()
+                for vid in vids:
+                    if span.rank < bound:
+                        span.add(homog[vid])
+                rank = span.rank
+            dim = rank - 1
             ideal_point = sbits is None
             sides = frozenset(bits(closure if ideal_point else sbits))
             if sbits == 0 and dim != n:

@@ -70,6 +70,16 @@ def test_text_entry_points_refuse_other_types(call, arg, named):
         call(arg)
 
 
+@pytest.mark.parametrize("rng", [5, None, object()])
+def test_mutated_pairing_refuses_an_rng_without_randrange(rng, monkeypatch):
+    """Checked before any work: the standard context is never read."""
+    arr = pg.published_pairing(1)
+    monkeypatch.setattr(pg, "standard_context", None)
+    with pytest.raises(pg.PairingError,
+                       match=re.escape(f"rng={rng!r} has no randrange")):
+        pg.mutated_pairing(arr, rng)
+
+
 def test_code_validation():
     with pytest.raises(pg.PairingError):
         pg.PairingCode(6, "MVS")

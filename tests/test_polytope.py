@@ -8,8 +8,8 @@ from itertools import combinations
 
 import pytest
 
-from coxglue import tables
-from coxglue.lorentz import lorentz_inner
+from coxglue import polytope, tables
+from coxglue.lorentz import RowSpan, lorentz_inner
 from coxglue.polytope import (
     FaceLattice,
     LatticeError,
@@ -193,6 +193,28 @@ def test_lattice_meets_its_specification():
                 want += [lat.by_vertex_mask[1 << v] for v in range(nv)
                          if vmask >> v & 1 and v >= poly.n_actual]
             assert f.covers == sorted(want)
+
+
+@pytest.mark.parametrize("name, exact_counts",
+                         [(f"P{n}", 0) for n in range(2, 8)] + [("Q5", 80)])
+def test_face_dimensions_certified_mod_2(name, exact_counts, monkeypatch):
+    """Each face's dimension is its vertices' rank, less 1.  The lattice
+    counts that rank exactly only where the rank mod 2 falls short: on
+    none of P2..P7, and on the Q5 faces whose vertices are sign flips of
+    each other, equal mod 2."""
+    poly = (q_lattice(5).polytope if name == "Q5"
+            else build_polytope(int(name[1:])))
+    made = []
+    monkeypatch.setattr(polytope, "RowSpan",
+                        lambda: made.append(1) or RowSpan())
+    lat = FaceLattice(poly)
+    assert len(made) == exact_counts
+    homog = lat.polytope.vertices
+    for f in lat.faces:
+        span = RowSpan()
+        for v in lat.vertex_ids(f):
+            span.add(homog[v])
+        assert f.dim == span.rank - 1, f
 
 
 @pytest.mark.parametrize("edit, message", [
