@@ -31,7 +31,8 @@ def _bench_pairs():
                                   "BENCH_one_elimination.json",
                                   "BENCH_leaf_classes.json",
                                   "BENCH_search_module.json",
-                                  "BENCH_dead_checks.json"])
+                                  "BENCH_dead_checks.json",
+                                  "BENCH_gf2_faces.json"])
 def test_summary_of_the_recorded_runs(name):
     record = json.loads((ROOT / name).read_text())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -59,25 +59,19 @@ def test_digit_examples():
     (partial(pg.decode_digit, "0"), True, "dim=True is not an int"),
     (partial(pg.mutated_pairing, rng=random.Random(0)), 5,
      "arr=5 is not an EightPPairing"),
+    (partial(pg.mutated_pairing, pg.published_pairing(1)), 5,
+     "rng=5 has no randrange"),
+    (partial(pg.mutated_pairing, pg.published_pairing(1)), None,
+     "rng=None has no randrange"),
 ], ids=["parse-None", "decode-int", "decode-bool", "encode-str",
         "encode-seven-signs", "encode-seven-signs-value-0", "kelement-int",
         "kelement-bool-sign", "from-value-str", "from-value-bool",
         "from-value-str-n", "decode-str-dim", "decode-bool-dim",
-        "mutate-int"])
+        "mutate-int", "mutate-int-rng", "mutate-none-rng"])
 def test_text_entry_points_refuse_other_types(call, arg, named):
     """The codec and the element constructors name what they refuse."""
     with pytest.raises(pg.PairingError, match=re.escape(named)):
         call(arg)
-
-
-@pytest.mark.parametrize("rng", [5, None, object()])
-def test_mutated_pairing_refuses_an_rng_without_randrange(rng, monkeypatch):
-    """Checked before any work: the standard context is never read."""
-    arr = pg.published_pairing(1)
-    monkeypatch.setattr(pg, "standard_context", None)
-    with pytest.raises(pg.PairingError,
-                       match=re.escape(f"rng={rng!r} has no randrange")):
-        pg.mutated_pairing(arr, rng)
 
 
 def test_code_validation():
